@@ -19,7 +19,6 @@
 #include "collectives/baseline_cluster.hpp"
 #include "collectives/bounds.hpp"
 #include "collectives/halving_doubling.hpp"
-#include "collectives/ps.hpp"
 #include "collectives/ring.hpp"
 #include "collectives/streaming_ps.hpp"
 #include "common/attribution.hpp"
@@ -448,86 +447,33 @@ inline RateResult measure_baseline(BaselineKind kind, BitsPerSecond rate, int wo
                                    MetricsSidecar* sidecar = nullptr,
                                    const std::string& label = {},
                                    const TimelineRequest* timeline = nullptr) {
-  if (kind == BaselineKind::DedicatedPs || kind == BaselineKind::ColocatedPs ||
-      kind == BaselineKind::DedicatedPsMtu)
-    return measure_streaming_ps(kind, rate, workers, scale, loss, sidecar, label, timeline);
-
-  collectives::BaselineClusterConfig cfg;
-  cfg.link_rate = rate;
-  cfg.loss_prob = loss;
-
-  net::TransportProfile transport;
+  core::BaselineProfile profile;
   switch (kind) {
     case BaselineKind::GlooRing:
-    case BaselineKind::HalvingDoubling: {
-      auto p = core::gloo_tcp(rate);
-      cfg.nic = p.nic;
-      transport = p.transport;
-      cfg.n_hosts = workers;
-      break;
-    }
-    case BaselineKind::NcclRing: {
-      auto p = core::nccl_tcp(rate);
-      cfg.nic = p.nic;
-      transport = p.transport;
-      cfg.n_hosts = workers;
-      break;
-    }
-    case BaselineKind::GlooRdmaRing: {
-      auto p = core::gloo_rdma(rate);
-      cfg.nic = p.nic;
-      transport = p.transport;
-      cfg.n_hosts = workers;
-      break;
-    }
+    case BaselineKind::HalvingDoubling: profile = core::gloo_tcp(rate); break;
+    case BaselineKind::NcclRing: profile = core::nccl_tcp(rate); break;
+    case BaselineKind::GlooRdmaRing: profile = core::gloo_rdma(rate); break;
     case BaselineKind::DedicatedPs:
-    case BaselineKind::DedicatedPsMtu:
-      cfg.nic = core::ps_host_nic(rate);
-      transport = kind == BaselineKind::DedicatedPsMtu ? core::ps_transport_mtu()
-                                                       : core::ps_transport_small();
-      cfg.n_hosts = 2 * workers;
-      break;
     case BaselineKind::ColocatedPs:
-      cfg.nic = core::ps_host_nic(rate);
-      transport = core::ps_transport_small();
-      cfg.n_hosts = workers;
-      break;
+    case BaselineKind::DedicatedPsMtu:
+      return measure_streaming_ps(kind, rate, workers, scale, loss, sidecar, label, timeline);
   }
 
+  collectives::BaselineClusterConfig cfg;
+  cfg.n_hosts = workers;
+  cfg.link_rate = rate;
+  cfg.loss_prob = loss;
+  cfg.nic = profile.nic;
   collectives::BaselineCluster cluster(cfg);
   ScopedTimeline scoped(timeline, cluster.simulation(), cluster.metrics(), label);
   const std::int64_t bytes = static_cast<std::int64_t>(scale.tensor_elems) * 4;
 
   Summary tat_ms;
   for (int r = 0; r < scale.repetitions; ++r) {
-    Time t = 0;
-    switch (kind) {
-      case BaselineKind::GlooRing:
-      case BaselineKind::NcclRing:
-      case BaselineKind::GlooRdmaRing: {
-        collectives::RingAllReduce ring(cluster, transport);
-        t = ring.run(bytes);
-        break;
-      }
-      case BaselineKind::HalvingDoubling: {
-        collectives::HalvingDoublingAllReduce hd(cluster, transport);
-        t = hd.run(bytes);
-        break;
-      }
-      case BaselineKind::DedicatedPs:
-      case BaselineKind::DedicatedPsMtu: {
-        collectives::ParameterServerAllReduce ps(cluster, workers,
-                                                 collectives::PsPlacement::Dedicated, transport);
-        t = ps.run(bytes);
-        break;
-      }
-      case BaselineKind::ColocatedPs: {
-        collectives::ParameterServerAllReduce ps(cluster, workers,
-                                                 collectives::PsPlacement::Colocated, transport);
-        t = ps.run(bytes);
-        break;
-      }
-    }
+    const Time t =
+        kind == BaselineKind::HalvingDoubling
+            ? collectives::HalvingDoublingAllReduce(cluster, profile.transport).run(bytes)
+            : collectives::RingAllReduce(cluster, profile.transport).run(bytes);
     tat_ms.add(to_msec(t));
   }
   scoped.finish_and_write();

@@ -1,7 +1,7 @@
 // The four deployment shapes the paper evaluates, as thin facades over the
 // unified fabric layer (core/fabric.hpp). Each facade pairs a legacy config
 // struct — now just FabricParams plus the shape fields — with the accessors
-// its callers always had; all wiring lives in TopologyBuilder.
+// its callers always had; all wiring lives in the fabric's one build path.
 #pragma once
 
 #include <cstdint>

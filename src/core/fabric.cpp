@@ -14,42 +14,14 @@
 namespace switchml::core {
 
 namespace {
-constexpr net::NodeId kSwitchId = 10'000;
-constexpr net::NodeId kRootId = 20'000;
-constexpr std::uint32_t kWorkerMulticastGroup = 1;
-constexpr std::uint32_t kJobMulticastBase = 100;
+constexpr net::NodeId kSwitchId = 10'000;       // a fabric's only switch
+constexpr net::NodeId kTreeSwitchBase = 30'000; // switch i of a multi-switch fabric
+constexpr std::uint64_t kUplinkSeedBase = 7000; // + the child switch's id
 
 template <class... Ts> struct overloaded : Ts... { using Ts::operator()...; };
 template <class... Ts> overloaded(Ts...) -> overloaded<Ts...>;
 
-void validate(const FabricConfig& config) {
-  if (config.lossless && config.loss_prob > 0)
-    throw std::invalid_argument("Fabric: lossless mode requires loss_prob == 0");
-  std::visit(overloaded{
-                 [](const RackSpec& s) {
-                   if (s.n_workers < 1)
-                     throw std::invalid_argument("Fabric: need at least one worker");
-                 },
-                 [](const MultiJobSpec& s) {
-                   if (s.n_jobs < 1 || s.workers_per_job < 1)
-                     throw std::invalid_argument("Fabric: invalid multi-job shape");
-                 },
-                 [](const HierarchySpec& s) {
-                   if (s.racks < 1 || s.workers_per_rack < 1)
-                     throw std::invalid_argument("Fabric: invalid hierarchy shape");
-                 },
-                 [](const TreeSpec& s) {
-                   if (s.levels < 2)
-                     throw std::invalid_argument("Fabric: tree needs at least 2 levels");
-                   if (s.branching < 1 || s.workers_per_rack < 1)
-                     throw std::invalid_argument("Fabric: invalid tree shape");
-                 },
-                 [](const IrregularSpec& s) { validate_irregular(s); },
-             },
-             config.topology);
-}
-} // namespace
-
+// Structural rules of an IrregularSpec (see its declaration).
 void validate_irregular(const IrregularSpec& spec) {
   const auto m = static_cast<int>(spec.switch_parent.size());
   if (m < 1 || spec.switch_parent[0] != -1)
@@ -99,12 +71,70 @@ void validate_irregular(const IrregularSpec& spec) {
   }
 }
 
+// A complete tree in preorder: every switch is followed by its subtrees, and
+// each bottom switch takes the next `workers_per_rack` workers.
+IrregularSpec complete_tree(int levels, int branching, int workers_per_rack) {
+  IrregularSpec spec{{}, {}};
+  const auto grow = [&](const auto& self, int level, int parent) -> void {
+    const int id = static_cast<int>(spec.switch_parent.size());
+    spec.switch_parent.push_back(parent);
+    if (level + 1 == levels) {
+      spec.worker_switch.insert(spec.worker_switch.end(),
+                                static_cast<std::size_t>(workers_per_rack), id);
+      return;
+    }
+    for (int c = 0; c < branching; ++c) self(self, level + 1, id);
+  };
+  grow(grow, 0, -1);
+  return spec;
+}
+} // namespace
+
+LoweredTopology lower_topology(const TopologySpec& topology) {
+  LoweredTopology out;
+  std::visit(overloaded{
+                 [&](const RackSpec& s) {
+                   if (s.n_workers < 1)
+                     throw std::invalid_argument("Fabric: need at least one worker");
+                   out.spec = {{-1}, std::vector<int>(static_cast<std::size_t>(s.n_workers), 0)};
+                 },
+                 [&](const MultiJobSpec& s) {
+                   if (s.n_jobs < 1 || s.workers_per_job < 1)
+                     throw std::invalid_argument("Fabric: invalid multi-job shape");
+                   const int n = s.n_jobs * s.workers_per_job;
+                   out.spec = {{-1}, std::vector<int>(static_cast<std::size_t>(n), 0)};
+                   for (int g = 0; g < n; ++g) out.worker_job.push_back(g / s.workers_per_job);
+                 },
+                 [&](const HierarchySpec& s) {
+                   if (s.racks < 1 || s.workers_per_rack < 1)
+                     throw std::invalid_argument("Fabric: invalid hierarchy shape");
+                   out.spec = complete_tree(2, s.racks, s.workers_per_rack);
+                 },
+                 [&](const TreeSpec& s) {
+                   if (s.levels < 2)
+                     throw std::invalid_argument("Fabric: tree needs at least 2 levels");
+                   if (s.branching < 1 || s.workers_per_rack < 1)
+                     throw std::invalid_argument("Fabric: invalid tree shape");
+                   out.spec = complete_tree(s.levels, s.branching, s.workers_per_rack);
+                 },
+                 [&](const IrregularSpec& s) {
+                   validate_irregular(s);
+                   out.spec = s;
+                 },
+             },
+             topology);
+  out.worker_job.resize(out.spec.worker_switch.size(), 0);
+  return out;
+}
+
 Fabric::Fabric(FabricConfig config) : config_(std::move(config)) {
-  validate(config_);
-  // Everything constructed while the builder runs registers its counters —
+  if (config_.lossless && config_.loss_prob > 0)
+    throw std::invalid_argument("Fabric: lossless mode requires loss_prob == 0");
+  const LoweredTopology topology = lower_topology(config_.topology);
+  // Everything constructed while the fabric is built registers its counters —
   // including the fault injector, whose plan needs the built nodes/links.
   MetricsRegistry::Scope scope(&metrics_);
-  TopologyBuilder(*this).build();
+  build(topology);
   install_recovery();
   install_observability();
   if (!config_.faults.empty()) faults_ = std::make_unique<FaultInjector>(*this, config_.faults);
@@ -367,316 +397,144 @@ Fabric::DataReduceResult Fabric::reduce_i32_job(
   return r;
 }
 
-// --- the builder -------------------------------------------------------------
+// --- the one build path ------------------------------------------------------
 
-void TopologyBuilder::build() {
-  std::visit(overloaded{
-                 [&](const RackSpec& s) {
-                   f_.n_jobs_ = 1;
-                   f_.workers_per_job_ = s.n_workers;
-                   build_star(1, s.n_workers, kWorkerMulticastGroup);
-                 },
-                 [&](const MultiJobSpec& s) {
-                   f_.n_jobs_ = s.n_jobs;
-                   f_.workers_per_job_ = s.workers_per_job;
-                   build_star(s.n_jobs, s.workers_per_job, kJobMulticastBase);
-                 },
-                 [&](const HierarchySpec& s) {
-                   levels_ = 2;
-                   branching_ = s.racks;
-                   workers_per_rack_ = s.workers_per_rack;
-                   hierarchy_naming_ = true;
-                   f_.n_jobs_ = 1;
-                   f_.workers_per_job_ = s.racks * s.workers_per_rack;
-                   int next_worker = 0;
-                   build_subtree(0, nullptr, 0, next_worker);
-                 },
-                 [&](const TreeSpec& s) {
-                   levels_ = s.levels;
-                   branching_ = s.branching;
-                   workers_per_rack_ = s.workers_per_rack;
-                   f_.n_jobs_ = 1;
-                   int next_worker = 0;
-                   build_subtree(0, nullptr, 0, next_worker);
-                   f_.workers_per_job_ = next_worker;
-                 },
-                 [&](const IrregularSpec& s) {
-                   f_.n_jobs_ = 1;
-                   f_.workers_per_job_ = static_cast<int>(s.worker_switch.size());
-                   build_irregular(s);
-                 },
-             },
-             f_.config_.topology);
-}
+void Fabric::build(const LoweredTopology& topology) {
+  const IrregularSpec& spec = topology.spec;
+  const std::vector<int>& job_of = topology.worker_job;
+  const std::size_t m = spec.switch_parent.size();
+  const std::size_t n = spec.worker_switch.size();
+  const FabricParams& p = config_;
+  n_jobs_ = 1 + *std::max_element(job_of.begin(), job_of.end());
+  workers_per_job_ = static_cast<int>(std::count(job_of.begin(), job_of.end(), 0));
 
-worker::WorkerConfig TopologyBuilder::worker_config(int wid, int n_at_switch,
-                                                    net::NodeId switch_id) const {
-  worker::WorkerConfig wc;
-  wc.wid = static_cast<std::uint16_t>(wid);
-  wc.n_workers = n_at_switch;
-  wc.pool_size = params_.pool_size;
-  wc.elems_per_packet = params_.elems_per_packet;
-  wc.wire_elem_bytes = params_.wire_elem_bytes;
-  wc.retransmit_timeout = params_.retransmit_timeout;
-  wc.adaptive_rto = params_.adaptive_rto;
-  wc.nic = params_.nic;
-  wc.transport = params_.transport;
-  wc.rdma = params_.rdma;
-  wc.switch_id = switch_id;
-  wc.timing_only = params_.timing_only;
-  wc.int_mode = params_.int_mode;
-  wc.lossless = params_.lossless;
-  // Lossless workers have no timers, so the timeout-driven escalation stages
-  // can never fire; keep them disabled explicitly.
-  wc.sync_after = params_.lossless ? 0 : params_.sync_after;
-  wc.dead_after = params_.lossless ? 0 : params_.dead_after;
-  return wc;
-}
-
-net::LinkConfig TopologyBuilder::link_config(BitsPerSecond rate) const {
-  net::LinkConfig lc;
-  lc.rate = rate;
-  lc.propagation = params_.propagation;
-  lc.queue_limit_bytes = params_.queue_limit_bytes;
-  lc.loss_prob = params_.loss_prob;
-  return lc;
-}
-
-void TopologyBuilder::build_star(int n_jobs, int workers_per_job,
-                                 std::uint32_t group_base) {
-  // Job 0 is admitted by the switch constructor; further jobs go through the
-  // §6 admission control below.
-  swprog::AggregationConfig sc;
-  sc.n_workers = workers_per_job;
-  sc.pool_size = params_.pool_size;
-  sc.elems_per_packet = params_.elems_per_packet;
-  sc.wid_base = 0;
-  sc.timing_only = params_.timing_only;
-  sc.mtu_emulation = params_.mtu_emulation;
-  sc.multicast_group = group_base;
-  sc.sram_budget_bytes = params_.sram_budget_bytes;
-  sc.ablate_shadow_copy = params_.ablate_shadow_copy;
-  sc.ablate_seen_bitmap = params_.ablate_seen_bitmap;
-  sc.fp16_frac_bits = params_.fp16_frac_bits;
-  sc.lossless = params_.lossless;
-  auto sw = std::make_unique<swprog::AggregationSwitch>(
-      f_.sim_, kSwitchId, "switch", sc, swprog::SwitchRole::Standalone, params_.switch_latency);
-
-  for (int j = 1; j < n_jobs; ++j) {
-    swprog::JobParams jp;
-    jp.n_workers = workers_per_job;
-    jp.pool_size = params_.pool_size;
-    jp.wid_base = static_cast<std::uint16_t>(j * workers_per_job);
-    jp.multicast_group = group_base + static_cast<std::uint32_t>(j);
-    if (!sw->admit_job(static_cast<std::uint8_t>(j), jp))
-      throw std::runtime_error("Fabric: job " + std::to_string(j) +
-                               " rejected by admission control (SRAM budget)");
+  // Each switch's children in port order: its workers, or its child switches
+  // (never both). port[i] is switch i's port at its parent.
+  std::vector<std::vector<int>> workers_at(m), switches_at(m);
+  std::vector<int> port(m, -1);
+  for (std::size_t w = 0; w < n; ++w)
+    workers_at[static_cast<std::size_t>(spec.worker_switch[w])].push_back(static_cast<int>(w));
+  for (std::size_t i = 1; i < m; ++i) {
+    auto& siblings = switches_at[static_cast<std::size_t>(spec.switch_parent[i])];
+    port[i] = static_cast<int>(siblings.size());
+    siblings.push_back(static_cast<int>(i));
   }
 
-  const net::LinkConfig lc = link_config(params_.link_rate);
-  for (int j = 0; j < n_jobs; ++j) {
-    std::vector<int> ports;
-    for (int i = 0; i < workers_per_job; ++i) {
-      const int g = j * workers_per_job + i; // global worker index == port
-      worker::WorkerConfig wc = worker_config(g, workers_per_job, sw->id());
-      wc.job = static_cast<std::uint8_t>(j);
-      const std::string name = n_jobs > 1
-                                   ? "j" + std::to_string(j) + "-worker-" + std::to_string(i)
-                                   : "worker-" + std::to_string(g);
-      auto w = std::make_unique<worker::Worker>(f_.sim_, static_cast<net::NodeId>(g), name, wc);
-      auto link = std::make_unique<net::Link>(f_.sim_, lc, *w, /*port_a=*/0, *sw, /*port_b=*/g,
-                                              params_.seed + static_cast<std::uint64_t>(g));
-      w->set_uplink(*link);
-      sw->attach(g, *link);
-      ports.push_back(g);
-      f_.workers_.push_back(std::move(w));
-      f_.links_.push_back(std::move(link));
+  const bool lone = m == 1;
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::vector<int>& workers = workers_at[i];
+    const bool leaf = !workers.empty();
+    const int n_children = static_cast<int>(leaf ? workers.size() : switches_at[i].size());
+    // A child's wid at this switch: a worker's global id, or a switch's port.
+    const auto wid_at = [&](int c) {
+      return static_cast<std::uint16_t>(leaf ? workers[static_cast<std::size_t>(c)] : c);
+    };
+    // Child ports per job; a switch child contributes to job 0.
+    std::vector<std::vector<int>> job_ports(static_cast<std::size_t>(n_jobs_));
+    for (int c = 0; c < n_children; ++c) {
+      const int job = leaf ? job_of[static_cast<std::size_t>(wid_at(c))] : 0;
+      job_ports[static_cast<std::size_t>(job)].push_back(c);
     }
-    sw->add_multicast_group(group_base + static_cast<std::uint32_t>(j), ports);
-  }
-  f_.switches_.push_back(std::move(sw));
-}
 
-swprog::AggregationSwitch* TopologyBuilder::build_subtree(int level,
-                                                          swprog::AggregationSwitch* parent,
-                                                          int index_at_parent,
-                                                          int& next_worker) {
-  const bool bottom = level == levels_ - 1;
-  const int n_children = bottom ? workers_per_rack_ : branching_;
-
-  swprog::AggregationConfig sc;
-  sc.n_workers = n_children;
-  sc.pool_size = params_.pool_size;
-  sc.elems_per_packet = params_.elems_per_packet;
-  sc.timing_only = params_.timing_only;
-  sc.mtu_emulation = params_.mtu_emulation;
-  sc.multicast_group = kWorkerMulticastGroup;
-  sc.sram_budget_bytes = params_.sram_budget_bytes;
-  sc.ablate_shadow_copy = params_.ablate_shadow_copy;
-  sc.ablate_seen_bitmap = params_.ablate_seen_bitmap;
-  sc.fp16_frac_bits = params_.fp16_frac_bits;
-  sc.lossless = params_.lossless;
-  // Bottom switches see global worker ids; internal switches see their
-  // children's leaf_wid (0..branching-1).
-  sc.wid_base = bottom ? static_cast<std::uint16_t>(next_worker) : 0;
-  const auto role = parent == nullptr ? swprog::SwitchRole::Root : swprog::SwitchRole::Leaf;
-  if (parent != nullptr) {
-    sc.parent_port = n_children; // one past the child ports
-    sc.leaf_wid = static_cast<std::uint16_t>(index_at_parent);
-  }
-  net::NodeId id;
-  std::string name;
-  if (hierarchy_naming_) {
-    id = parent == nullptr ? kRootId : kSwitchId + static_cast<net::NodeId>(index_at_parent);
-    name = parent == nullptr ? "root" : "leaf-" + std::to_string(index_at_parent);
-  } else {
-    id = next_switch_id_++;
-    // `index_at_parent` is only sibling-unique; include the node id so two
-    // same-level switches under different parents get distinct names (metric
-    // series names derive from node names and must not collide).
-    name = "sw-l" + std::to_string(level) + "-n" + std::to_string(id);
-  }
-  auto owned = std::make_unique<swprog::AggregationSwitch>(f_.sim_, id, name, sc, role,
-                                                           params_.switch_latency);
-  swprog::AggregationSwitch* sw = owned.get();
-  f_.switches_.push_back(std::move(owned));
-
-  const net::LinkConfig lc = link_config(params_.link_rate);
-  std::vector<int> child_ports;
-  for (int c = 0; c < n_children; ++c) {
-    if (bottom) {
-      const int g = next_worker++;
-      // Hierarchy workers historically advertise the job-wide count; tree
-      // workers their rack's. The worker protocol uses neither, but keep the
-      // configs bit-identical to what the pre-unification builders produced.
-      const int n_for_config =
-          hierarchy_naming_ ? branching_ * workers_per_rack_ : n_children;
-      auto w = std::make_unique<worker::Worker>(f_.sim_, static_cast<net::NodeId>(g),
-                                                "worker-" + std::to_string(g),
-                                                worker_config(g, n_for_config, sw->id()));
-      auto link = std::make_unique<net::Link>(f_.sim_, lc, *w, 0, *sw, c,
-                                              params_.seed + static_cast<std::uint64_t>(g));
-      w->set_uplink(*link);
-      sw->attach(c, *link);
-      f_.workers_.push_back(std::move(w));
-      f_.links_.push_back(std::move(link));
-    } else {
-      swprog::AggregationSwitch* child = build_subtree(level + 1, sw, c, next_worker);
-      const int child_parent_port =
-          level + 1 == levels_ - 1 ? workers_per_rack_ : branching_;
-      // Per-link RNG seeds predate unification; both schemes are kept so loss
-      // experiments reproduce bit-for-bit against pre-refactor runs.
-      const std::uint64_t seed =
-          hierarchy_naming_ ? params_.seed + 1000 + static_cast<std::uint64_t>(c)
-                            : params_.seed + 7000 + static_cast<std::uint64_t>(child->id());
-      auto link = std::make_unique<net::Link>(f_.sim_, link_config(uplink_rate()), *child,
-                                              child_parent_port, *sw, c, seed);
-      child->attach(child_parent_port, *link);
-      sw->attach(c, *link);
-      f_.links_.push_back(std::move(link));
-    }
-    child_ports.push_back(c);
-  }
-  sw->add_multicast_group(kWorkerMulticastGroup, child_ports);
-  return sw;
-}
-
-void TopologyBuilder::build_irregular(const IrregularSpec& spec) {
-  // Fabric's ctor validated already, but the facades in cluster.hpp don't —
-  // cheap enough to re-run unconditionally.
-  validate_irregular(spec);
-  const auto m = static_cast<int>(spec.switch_parent.size());
-  const auto n_workers = static_cast<int>(spec.worker_switch.size());
-
-  // Child lists in index order; ports at a switch follow these orders.
-  std::vector<std::vector<int>> sw_children(static_cast<std::size_t>(m));
-  std::vector<std::vector<int>> worker_children(static_cast<std::size_t>(m));
-  for (int i = 1; i < m; ++i)
-    sw_children[static_cast<std::size_t>(spec.switch_parent[static_cast<std::size_t>(i)])]
-        .push_back(i);
-  for (int w = 0; w < n_workers; ++w)
-    worker_children[static_cast<std::size_t>(spec.worker_switch[static_cast<std::size_t>(w)])]
-        .push_back(w);
-
-  const auto n_children_of = [&](int i) {
-    const auto idx = static_cast<std::size_t>(i);
-    return static_cast<int>(worker_children[idx].empty() ? sw_children[idx].size()
-                                                         : worker_children[idx].size());
-  };
-
-  // Switches in spec index order, so Fabric::switch_at(i) is spec switch i.
-  for (int i = 0; i < m; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    const bool leaf_switch = !worker_children[idx].empty();
     swprog::AggregationConfig sc;
-    sc.n_workers = n_children_of(i);
-    sc.pool_size = params_.pool_size;
-    sc.elems_per_packet = params_.elems_per_packet;
-    sc.timing_only = params_.timing_only;
-    sc.mtu_emulation = params_.mtu_emulation;
-    sc.multicast_group = kWorkerMulticastGroup;
-    sc.sram_budget_bytes = params_.sram_budget_bytes;
-    sc.ablate_shadow_copy = params_.ablate_shadow_copy;
-    sc.ablate_seen_bitmap = params_.ablate_seen_bitmap;
-    sc.fp16_frac_bits = params_.fp16_frac_bits;
-    sc.lossless = params_.lossless;
-    // Like tree bottoms: leaf switches see global worker ids (consecutive by
-    // the non-decreasing worker_switch rule); internal ones their children's
-    // leaf_wid.
-    sc.wid_base = leaf_switch ? static_cast<std::uint16_t>(worker_children[idx].front()) : 0;
-    const int parent = spec.switch_parent[idx];
-    auto role = swprog::SwitchRole::Standalone;
-    if (m > 1) role = parent < 0 ? swprog::SwitchRole::Root : swprog::SwitchRole::Leaf;
+    sc.n_workers = static_cast<int>(job_ports[0].size());
+    sc.pool_size = p.pool_size;
+    sc.elems_per_packet = p.elems_per_packet;
+    sc.wid_base = wid_at(0);
+    sc.timing_only = p.timing_only;
+    sc.mtu_emulation = p.mtu_emulation;
+    sc.fp16_frac_bits = p.fp16_frac_bits;
+    sc.multicast_group = 1;
+    sc.sram_budget_bytes = p.sram_budget_bytes;
+    sc.ablate_shadow_copy = p.ablate_shadow_copy;
+    sc.ablate_seen_bitmap = p.ablate_seen_bitmap;
+    sc.lossless = p.lossless;
+    const int parent = spec.switch_parent[i];
     if (parent >= 0) {
-      sc.parent_port = n_children_of(i); // one past the child ports
-      const auto& siblings = sw_children[static_cast<std::size_t>(parent)];
-      sc.leaf_wid = static_cast<std::uint16_t>(
-          std::find(siblings.begin(), siblings.end(), i) - siblings.begin());
+      sc.parent_port = n_children; // one past the child ports
+      sc.leaf_wid = static_cast<std::uint16_t>(port[i]);
     }
-    f_.switches_.push_back(std::make_unique<swprog::AggregationSwitch>(
-        f_.sim_, next_switch_id_ + static_cast<net::NodeId>(i), "sw-" + std::to_string(i), sc,
-        role, params_.switch_latency));
+    const auto role = lone ? swprog::SwitchRole::Standalone
+                           : (parent < 0 ? swprog::SwitchRole::Root : swprog::SwitchRole::Leaf);
+    auto sw = std::make_unique<swprog::AggregationSwitch>(
+        sim_, lone ? kSwitchId : kTreeSwitchBase + static_cast<net::NodeId>(i),
+        lone ? "switch" : "sw-" + std::to_string(i), sc, role, p.switch_latency);
+    // The constructor admitted job 0 from `sc`; further jobs go through the
+    // §6 admission control.
+    for (std::size_t j = 0; j < job_ports.size(); ++j) {
+      const std::vector<int>& ports = job_ports[j];
+      if (ports.empty()) continue;
+      const auto group = static_cast<std::uint32_t>(1 + j);
+      if (j > 0) {
+        swprog::JobParams jp;
+        jp.n_workers = static_cast<int>(ports.size());
+        jp.pool_size = p.pool_size;
+        jp.wid_base = wid_at(ports.front());
+        jp.multicast_group = group;
+        if (!sw->admit_job(static_cast<std::uint8_t>(j), jp))
+          throw std::runtime_error("Fabric: job " + std::to_string(j) +
+                                   " rejected by admission control (SRAM budget)");
+      }
+      sw->add_multicast_group(group, ports);
+    }
+    switches_.push_back(std::move(sw));
   }
 
-  // Worker links first (worker index order, tree-style seeds), then switch
-  // uplinks (child index order, tree-style seeds keyed by the child's id) —
-  // the layout documented at the declaration.
-  for (int w = 0; w < n_workers; ++w) {
-    const auto s = static_cast<std::size_t>(spec.worker_switch[static_cast<std::size_t>(w)]);
-    auto& sw = *f_.switches_[s];
-    const auto& group = worker_children[s];
-    const int port = static_cast<int>(std::find(group.begin(), group.end(), w) - group.begin());
-    auto wk = std::make_unique<worker::Worker>(
-        f_.sim_, static_cast<net::NodeId>(w), "worker-" + std::to_string(w),
-        worker_config(w, static_cast<int>(group.size()), sw.id()));
-    auto link = std::make_unique<net::Link>(f_.sim_, link_config(params_.link_rate), *wk, 0, sw,
-                                            port, params_.seed + static_cast<std::uint64_t>(w));
+  const auto link_config = [&](BitsPerSecond rate) {
+    net::LinkConfig lc;
+    lc.rate = rate;
+    lc.propagation = p.propagation;
+    lc.queue_limit_bytes = p.queue_limit_bytes;
+    lc.loss_prob = p.loss_prob;
+    return lc;
+  };
+  for (std::size_t w = 0; w < n; ++w) {
+    const auto s = static_cast<std::size_t>(spec.worker_switch[w]);
+    swprog::AggregationSwitch& sw = *switches_[s];
+    const int job = job_of[w];
+    worker::WorkerConfig wc;
+    wc.wid = static_cast<std::uint16_t>(w);
+    wc.n_workers = workers_per_job_;
+    wc.pool_size = p.pool_size;
+    wc.elems_per_packet = p.elems_per_packet;
+    wc.wire_elem_bytes = p.wire_elem_bytes;
+    wc.retransmit_timeout = p.retransmit_timeout;
+    wc.adaptive_rto = p.adaptive_rto;
+    wc.nic = p.nic;
+    wc.transport = p.transport;
+    wc.rdma = p.rdma;
+    wc.switch_id = sw.id();
+    wc.job = static_cast<std::uint8_t>(job);
+    wc.timing_only = p.timing_only;
+    wc.int_mode = p.int_mode;
+    wc.lossless = p.lossless;
+    // Lossless workers have no timers, so the timeout-driven escalation stages
+    // can never fire; keep them disabled explicitly.
+    wc.sync_after = p.lossless ? 0 : p.sync_after;
+    wc.dead_after = p.lossless ? 0 : p.dead_after;
+    const std::string name =
+        n_jobs_ > 1 ? "j" + std::to_string(job) + "-worker-" +
+                          std::to_string(static_cast<int>(w) - job * workers_per_job_)
+                    : "worker-" + std::to_string(w);
+    auto wk = std::make_unique<worker::Worker>(sim_, static_cast<net::NodeId>(w), name, wc);
+    const int at = static_cast<int>(w) - workers_at[s].front();
+    auto link = std::make_unique<net::Link>(sim_, link_config(p.link_rate), *wk, 0, sw, at,
+                                            p.seed + static_cast<std::uint64_t>(w));
     wk->set_uplink(*link);
-    sw.attach(port, *link);
-    f_.workers_.push_back(std::move(wk));
-    f_.links_.push_back(std::move(link));
+    sw.attach(at, *link);
+    workers_.push_back(std::move(wk));
+    links_.push_back(std::move(link));
   }
-  for (int i = 1; i < m; ++i) {
-    auto& child = *f_.switches_[static_cast<std::size_t>(i)];
-    const int parent = spec.switch_parent[static_cast<std::size_t>(i)];
-    auto& par = *f_.switches_[static_cast<std::size_t>(parent)];
-    const auto& siblings = sw_children[static_cast<std::size_t>(parent)];
-    const int port = static_cast<int>(std::find(siblings.begin(), siblings.end(), i) -
-                                      siblings.begin());
-    const int child_parent_port = n_children_of(i);
-    auto link = std::make_unique<net::Link>(
-        f_.sim_, link_config(uplink_rate()), child, child_parent_port, par, port,
-        params_.seed + 7000 + static_cast<std::uint64_t>(child.id()));
-    child.attach(child_parent_port, *link);
-    par.attach(port, *link);
-    f_.links_.push_back(std::move(link));
-  }
-
-  for (int i = 0; i < m; ++i) {
-    std::vector<int> child_ports(static_cast<std::size_t>(n_children_of(i)));
-    for (std::size_t p = 0; p < child_ports.size(); ++p) child_ports[p] = static_cast<int>(p);
-    f_.switches_[static_cast<std::size_t>(i)]->add_multicast_group(kWorkerMulticastGroup,
-                                                                   child_ports);
+  const BitsPerSecond uplink_rate = p.uplink_rate != 0 ? p.uplink_rate : p.link_rate;
+  for (std::size_t i = 1; i < m; ++i) {
+    swprog::AggregationSwitch& child = *switches_[i];
+    swprog::AggregationSwitch& parent = *switches_[static_cast<std::size_t>(spec.switch_parent[i])];
+    const int up = child.config().parent_port;
+    auto link = std::make_unique<net::Link>(sim_, link_config(uplink_rate), child, up, parent,
+                                            port[i], p.seed + kUplinkSeedBase + child.id());
+    child.attach(up, *link);
+    parent.attach(port[i], *link);
+    links_.push_back(std::move(link));
   }
 }
 

@@ -1,13 +1,22 @@
-// The unified fabric layer: one config, one topology builder, one owner for
-// every SwitchML deployment shape the paper evaluates.
+// The unified fabric layer: one config, one build path, one owner for every
+// SwitchML deployment shape the paper evaluates.
 //
 // `FabricParams` carries the link/NIC/protocol parameters every deployment
 // shares; `TopologySpec` selects the shape (§1 rack star, §6 multi-job
-// tenancy, §6 two-level hierarchy, §6 arbitrary-depth tree); `TopologyBuilder`
-// turns the pair into wired nodes and links inside a `Fabric`. The four
-// cluster classes in core/cluster.hpp are thin facades over this one build
-// path, so a wiring rule (seeds, port layout, multicast groups, switch roles)
-// exists in exactly one place.
+// tenancy, §6 two-level hierarchy, §6 arbitrary-depth tree, or an explicit
+// `IrregularSpec`). Every shape is one single-rooted switch tree, so
+// `lower_topology` turns each into an `IrregularSpec` plus a job id per
+// worker, and `Fabric` wires that adjacency with one loop and one rule:
+//   * a fabric with one switch names it `switch` (id 10000); with several,
+//     switch i is `sw-<i>` (id 30000 + i);
+//   * worker g is `worker-<g>`, or `j<j>-worker-<i>` on a multi-job fabric;
+//     its link seed is seed + g, and it advertises its job's size;
+//   * a switch uplink's seed is seed + 7000 + the child switch's id;
+//   * link i is worker i's uplink for i < n_workers; the switch uplinks
+//     follow in switch order;
+//   * a switch's child ports are the child indices and its parent port is
+//     one past them; job j's multicast group is 1 + j.
+// The four cluster classes in core/cluster.hpp are thin facades over it.
 //
 // Construction also installs a `MetricsRegistry` scope, so every worker,
 // switch, and link built here registers its counters; `Fabric::metrics()`
@@ -126,7 +135,7 @@ struct TreeSpec {
 // (the root), and every other entry must name an earlier switch
 // (0 <= switch_parent[i] < i), which makes the adjacency an acyclic
 // single-rooted tree by construction. `worker_switch[w]` attaches worker w to
-// that switch. Two structural rules, both enforced by validate_irregular:
+// that switch. Two structural rules, both enforced by lower_topology:
 //   * a switch's children are either all workers or all switches — the
 //     aggregation protocol addresses worker children by `wid - wid_base` in
 //     its seen bitmaps, so a switch cannot mix contribution kinds;
@@ -137,13 +146,19 @@ struct IrregularSpec {
   std::vector<int> worker_switch = {0, 0};
 };
 
-// Structural validation of an IrregularSpec (see the rules above); throws
-// std::invalid_argument. Free-standing so scenario loaders can validate a
-// parsed spec without building a fabric.
-void validate_irregular(const IrregularSpec& spec);
-
 using TopologySpec =
     std::variant<RackSpec, MultiJobSpec, HierarchySpec, TreeSpec, IrregularSpec>;
+
+// A TopologySpec in adjacency form: the IrregularSpec that wires it and each
+// worker's job (0 everywhere except on a MultiJobSpec, whose jobs share its
+// one switch). Trees number their switches in preorder, so switch 0 is the
+// root and a hierarchy's leaf r is switch 1 + r. Pure; throws
+// std::invalid_argument on an invalid shape.
+struct LoweredTopology {
+  IrregularSpec spec;
+  std::vector<int> worker_job;
+};
+[[nodiscard]] LoweredTopology lower_topology(const TopologySpec& topology);
 
 struct FabricConfig : FabricParams {
   TopologySpec topology = RackSpec{};
@@ -171,7 +186,7 @@ public:
   [[nodiscard]] int n_workers() const { return static_cast<int>(workers_.size()); }
   [[nodiscard]] worker::Worker& worker(int i) { return *workers_.at(static_cast<std::size_t>(i)); }
 
-  // Switches in build order: [0] is the root (or the only switch); a
+  // Switches in lowered-spec order: [0] is the root (or the only switch); a
   // two-level hierarchy's leaf r is switch_at(1 + r).
   [[nodiscard]] std::size_t n_switches() const { return switches_.size(); }
   [[nodiscard]] swprog::AggregationSwitch& switch_at(std::size_t i) { return *switches_.at(i); }
@@ -221,7 +236,8 @@ public:
   DataReduceResult reduce_i32_job(int job, const std::vector<std::vector<std::int32_t>>& updates);
 
 private:
-  friend class TopologyBuilder;
+  // Wires the lowered topology by the rule in the file comment.
+  void build(const LoweredTopology& topology);
 
   // --- switch-dead fallback (graceful degradation) ---------------------------
   // A worker exhausting its dead_after retry budget fires on_switch_dead(),
@@ -258,42 +274,6 @@ private:
   bool fallback_pending_ = false;
   std::uint64_t fallbacks_ = 0;
   std::uint64_t fallback_replay_elems_ = 0;
-};
-
-// Builds one Fabric's nodes and links from its TopologySpec. All wiring rules
-// — node ids and names, port layout, multicast groups, per-link RNG seeds,
-// switch roles — live here and nowhere else.
-class TopologyBuilder {
-public:
-  explicit TopologyBuilder(Fabric& fabric) : f_(fabric), params_(fabric.config_) {}
-  void build();
-
-private:
-  // Star fabrics (rack == one job; tenancy == several) around one switch.
-  void build_star(int n_jobs, int workers_per_job, std::uint32_t group_base);
-  // Switch trees (hierarchy == 2 levels; tree == arbitrary depth), built DFS.
-  swprog::AggregationSwitch* build_subtree(int level, swprog::AggregationSwitch* parent,
-                                           int index_at_parent, int& next_worker);
-  // Explicit-adjacency trees: switches in spec index order (switch_at(i) is
-  // spec switch i), then worker links in worker order, then switch uplinks in
-  // child index order — so Fabric::link(i) is worker i's uplink for
-  // i < n_workers and switch (1 + i - n_workers)'s uplink after that.
-  void build_irregular(const IrregularSpec& spec);
-
-  worker::WorkerConfig worker_config(int wid, int n_at_switch, net::NodeId switch_id) const;
-  [[nodiscard]] net::LinkConfig link_config(BitsPerSecond rate) const;
-  [[nodiscard]] BitsPerSecond uplink_rate() const {
-    return params_.uplink_rate != 0 ? params_.uplink_rate : params_.link_rate;
-  }
-
-  Fabric& f_;
-  const FabricParams& params_;
-  // Tree-shape state (set by build() before recursing).
-  int levels_ = 0;
-  int branching_ = 0;
-  int workers_per_rack_ = 0;
-  bool hierarchy_naming_ = false; // two-level scheme: root/leaf-<r> ids & seeds
-  net::NodeId next_switch_id_ = 30'000;
 };
 
 } // namespace switchml::core

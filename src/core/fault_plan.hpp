@@ -1,7 +1,7 @@
 // Declarative fault schedules for the unified fabric (core/fault.hpp runs
 // them). A FaultPlan lives on FabricParams, so every cluster shape — rack,
-// multi-job, hierarchy, tree — gets fault injection through the one
-// TopologyBuilder path.
+// multi-job, hierarchy, tree, irregular — gets fault injection through the
+// one fabric build path.
 //
 // All times are ABSOLUTE sim times (nanoseconds since fabric construction):
 // one Fabric owns one Simulation whose clock never resets, so a plan is laid

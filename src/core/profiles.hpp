@@ -129,24 +129,6 @@ inline BaselineProfile gloo_rdma(BitsPerSecond rate) {
   return p;
 }
 
-// Parameter-server transport: DPDK-style small packets, mirroring the 180-byte
-// SwitchML update format (payload 128 B); MTU-sized variant for Fig 7.
-inline net::TransportProfile ps_transport_small() {
-  net::TransportProfile t;
-  t.mss = 128;
-  t.window_bytes = 64 * 1024;
-  t.rto_initial = msec(1);
-  return t;
-}
-
-inline net::TransportProfile ps_transport_mtu() {
-  net::TransportProfile t;
-  t.mss = 1460;
-  t.window_bytes = 512 * 1024;
-  t.rto_initial = msec(1);
-  return t;
-}
-
 // §3.6: optimal pool size is the next power of two of ceil(BDP / b).
 inline std::uint32_t recommended_pool_size(BitsPerSecond rate, Time end_to_end_rtt,
                                            std::uint32_t packet_bytes) {

@@ -99,8 +99,8 @@ void fuzz_faults(Scenario& s, std::uint64_t seed, Time horizon) {
   const core::FaultTargets t = shape_counts(s.topology);
   const bool multi_job = std::holds_alternative<core::MultiJobSpec>(s.topology);
   // The soak reduces job 0; faulting an idle job's worker or link would test
-  // nothing. Star fabrics index link w as worker w's uplink, so the worker
-  // and link ranges coincide.
+  // nothing. Link w is worker w's uplink on every fabric, so job 0's links
+  // are the first workers_per_job.
   const int fw = multi_job ? std::get<core::MultiJobSpec>(s.topology).workers_per_job : t.n_workers;
   const std::size_t fl = multi_job ? static_cast<std::size_t>(fw) : t.n_links;
   const Time h = std::max<Time>(horizon, usec(10));

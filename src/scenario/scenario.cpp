@@ -153,14 +153,7 @@ core::TopologySpec load_topology(const json::Value& v, const std::string& path) 
   o.finish();
   // Structural validation now, with the topology's path on the error.
   try {
-    std::visit(overloaded{
-                   [](const core::IrregularSpec& s) { core::validate_irregular(s); },
-                   [&](const auto&) {
-                     const core::FaultTargets t = shape_counts(spec);
-                     if (t.n_workers < 1) fail(path, "topology resolves to zero workers");
-                   },
-               },
-               spec);
+    (void)core::lower_topology(spec);
   } catch (const std::invalid_argument& e) {
     fail(path, e.what());
   }
@@ -363,38 +356,11 @@ const char* to_string(NicProfile p) {
 }
 
 core::FaultTargets shape_counts(const core::TopologySpec& topology) {
-  return std::visit(
-      overloaded{
-          [](const core::RackSpec& s) {
-            return core::FaultTargets{s.n_workers, static_cast<std::size_t>(s.n_workers), 1};
-          },
-          [](const core::MultiJobSpec& s) {
-            const int w = s.n_jobs * s.workers_per_job;
-            return core::FaultTargets{w, static_cast<std::size_t>(w), 1};
-          },
-          [](const core::HierarchySpec& s) {
-            const int w = s.racks * s.workers_per_rack;
-            return core::FaultTargets{w, static_cast<std::size_t>(w + s.racks),
-                                      static_cast<std::size_t>(1 + s.racks)};
-          },
-          [](const core::TreeSpec& s) {
-            // switches = sum of b^l for l in [0, levels); workers hang off the
-            // b^(levels-1) bottom switches; every non-root switch has one uplink.
-            std::size_t switches = 0, level_width = 1;
-            for (int l = 0; l < s.levels; ++l) {
-              switches += level_width;
-              if (l + 1 < s.levels) level_width *= static_cast<std::size_t>(s.branching);
-            }
-            const int w = static_cast<int>(level_width) * s.workers_per_rack;
-            return core::FaultTargets{w, static_cast<std::size_t>(w) + switches - 1, switches};
-          },
-          [](const core::IrregularSpec& s) {
-            const int w = static_cast<int>(s.worker_switch.size());
-            return core::FaultTargets{w, static_cast<std::size_t>(w) + s.switch_parent.size() - 1,
-                                      s.switch_parent.size()};
-          },
-      },
-      topology);
+  const core::IrregularSpec spec = core::lower_topology(topology).spec;
+  const std::size_t switches = spec.switch_parent.size();
+  const std::size_t workers = spec.worker_switch.size();
+  // One uplink per worker and per non-root switch.
+  return core::FaultTargets{static_cast<int>(workers), workers + switches - 1, switches};
 }
 
 Scenario from_json(const json::Value& doc) {

@@ -64,10 +64,11 @@ struct Scenario {
   Workload workload;
 };
 
-// Worker/link/switch counts of a TopologySpec WITHOUT building the fabric —
-// what the loader validates a FaultPlan's indices against. (Link indices:
-// stars and irregular fabrics put worker uplinks first, in worker order;
-// trees interleave DFS — see TopologyBuilder.)
+// Worker/link/switch counts of a TopologySpec WITHOUT building the fabric,
+// read off core::lower_topology — what the loader validates a FaultPlan's
+// indices against. (Link indices: on every shape, link w is worker w's
+// uplink, then the switch uplinks follow in switch order — see
+// core/fabric.hpp.) Throws std::invalid_argument on an invalid shape.
 [[nodiscard]] core::FaultTargets shape_counts(const core::TopologySpec& topology);
 
 // --- load/store --------------------------------------------------------------

@@ -1,9 +1,9 @@
 // Scenario engine tests: strict-loader semantics (unknown keys, JSON-path
 // errors, eager FaultPlan validation), normalized round-trips, shape_counts
-// vs built fabrics, the IrregularSpec build path — and the corpus contract:
-// every scenarios/*.json is pinned byte-for-byte to its in-code definition,
-// and every ported bench configuration reproduces its committed baseline
-// metric bit-identically (BenchReport::kSimTol).
+// and the one wiring rule vs built fabrics, the IrregularSpec build path —
+// and the corpus contract: every scenarios/*.json is pinned byte-for-byte to
+// its in-code definition, and every ported bench configuration reproduces
+// its committed baseline metric bit-identically (BenchReport::kSimTol).
 //
 // Regenerating the corpus after an intentional schema or baseline change:
 //   SWITCHML_REGEN_CORPUS=1 ./tests/scenario_test --gtest_filter='*Regenerate*'
@@ -109,6 +109,15 @@ TEST(ScenarioLoader, BadTopologyRejected) {
                                      "switch_parent": [0],
                                      "worker_switch": [0, 0]}})",
                     "$.topology");
+  // Parametric shapes are checked by the same lowering the fabric builds
+  // from, with the fabric's messages.
+  expect_load_error(R"({"schema_version": 1, "name": "t",
+                        "topology": {"kind": "rack", "workers": 0}})",
+                    "$.topology: Fabric: need at least one worker");
+  expect_load_error(R"({"schema_version": 1, "name": "t",
+                        "topology": {"kind": "hierarchy", "racks": -1,
+                                     "workers_per_rack": -2}})",
+                    "$.topology: Fabric: invalid hierarchy shape");
 }
 
 TEST(ScenarioLoader, FaultPlanValidatedEagerlyWithPath) {
@@ -180,26 +189,130 @@ TEST(ScenarioRoundTrip, NormalizedFormIsAFixedPoint) {
   }
 }
 
-// --- shape_counts vs built fabrics -------------------------------------------
+// --- shape_counts and the wiring rule vs built fabrics -----------------------
+
+// One shape with its adjacency written out by hand: the parent of every
+// switch (preorder) and the switch of every worker.
+struct ShapeCase {
+  core::TopologySpec topo;
+  std::vector<int> switch_parent;
+  std::vector<int> worker_switch;
+  int jobs = 1;
+  // Star fabrics only: per-worker TATs and per-link dropped_loss (worker
+  // direction, then switch direction) after one 8192-element timing
+  // reduction at 1 % loss, recorded before every shape shared one build path.
+  std::vector<Time> lossy_tats = {};
+  std::vector<std::uint64_t> lossy_drops = {};
+};
+
+std::vector<ShapeCase> shape_cases() {
+  return {
+      {core::RackSpec{5}, {-1}, {0, 0, 0, 0, 0}, 1,
+       {3019520, 3019520, 3019520, 3019520, 3019520},
+       {4, 3, 3, 3, 5, 1, 4, 3, 2, 5}},
+      {core::MultiJobSpec{3, 2}, {-1}, {0, 0, 0, 0, 0, 0}, 3,
+       {1034064, 1031328, 3019520, 3019520, 1037088, 1037088},
+       {1, 3, 3, 4, 2, 1, 2, 6, 7, 4, 1, 6}},
+      {core::HierarchySpec{3, 4}, {-1, 0, 0, 0}, {1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3}},
+      {core::TreeSpec{3, 2, 2}, {-1, 0, 1, 1, 0, 4, 4}, {2, 2, 3, 3, 5, 5, 6, 6}},
+      {core::TreeSpec{2, 3, 4}, {-1, 0, 0, 0}, {1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3}},
+      {core::IrregularSpec{{-1, 0, 0, 1}, {2, 2, 3, 3, 3}}, {-1, 0, 0, 1}, {2, 2, 3, 3, 3}},
+      {core::IrregularSpec{{-1}, {0, 0, 0}}, {-1}, {0, 0, 0}},
+  };
+}
 
 TEST(ScenarioShapes, CountsMatchBuiltFabric) {
-  const core::TopologySpec shapes[] = {
-      core::RackSpec{5},
-      core::MultiJobSpec{3, 2},
-      core::HierarchySpec{3, 4},
-      core::TreeSpec{3, 2, 2},
-      core::TreeSpec{2, 3, 4},
-      core::IrregularSpec{{-1, 0, 0, 1}, {2, 2, 3, 3, 3}},
-      core::IrregularSpec{{-1}, {0, 0, 0}},
-  };
-  for (const auto& topo : shapes) {
-    const core::FaultTargets t = shape_counts(topo);
+  for (const ShapeCase& c : shape_cases()) {
+    const core::FaultTargets t = shape_counts(c.topo);
     core::FabricParams p;
     p.timing_only = true;
-    core::Fabric f(core::FabricConfig(p, topo));
+    core::Fabric f(core::FabricConfig(p, c.topo));
     EXPECT_EQ(t.n_workers, f.n_workers());
     EXPECT_EQ(t.n_links, f.n_links());
     EXPECT_EQ(t.n_switches, f.n_switches());
+    EXPECT_EQ(t.n_switches, c.switch_parent.size());
+    EXPECT_EQ(t.n_workers, static_cast<int>(c.worker_switch.size()));
+  }
+}
+
+// Every shape is wired by one rule: a lone switch is `switch` (id 10000),
+// otherwise switch i is `sw-<i>` (id 30000 + i); worker g is `worker-<g>`
+// (`j<j>-worker-<i>` with several jobs) and advertises its job's size; a
+// switch's child ports are the child indices and its parent port is one past
+// them; link i is worker i's uplink, then the switch uplinks in switch order.
+TEST(ScenarioShapes, WiringFollowsOneRule) {
+  const std::vector<ShapeCase> cases = shape_cases();
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    const ShapeCase& c = cases[k];
+    SCOPED_TRACE("shape " + std::to_string(k));
+    core::FabricParams p;
+    p.timing_only = true;
+    p.transport = net::TransportKind::kUdp; // the lossy pins were recorded on UDP
+    core::Fabric f(core::FabricConfig(p, c.topo));
+    const std::size_t m = c.switch_parent.size();
+    const int n = static_cast<int>(c.worker_switch.size());
+    const int job_size = n / c.jobs;
+    ASSERT_EQ(f.n_switches(), m);
+    ASSERT_EQ(f.n_workers(), n);
+    ASSERT_EQ(f.n_links(), static_cast<std::size_t>(n) + m - 1);
+
+    // Each switch's children in port order: its workers, or its switches.
+    std::vector<std::vector<const net::Node*>> children(m);
+    for (int w = 0; w < n; ++w)
+      children[static_cast<std::size_t>(c.worker_switch[static_cast<std::size_t>(w)])].push_back(
+          &f.worker(w));
+    for (std::size_t i = 1; i < m; ++i)
+      children[static_cast<std::size_t>(c.switch_parent[i])].push_back(&f.switch_at(i));
+
+    for (std::size_t i = 0; i < m; ++i) {
+      swprog::AggregationSwitch& sw = f.switch_at(i);
+      EXPECT_EQ(sw.name(), m == 1 ? "switch" : "sw-" + std::to_string(i));
+      EXPECT_EQ(sw.id(), m == 1 ? 10'000u : 30'000u + i);
+      const auto& kids = children[i];
+      for (std::size_t port = 0; port < kids.size(); ++port)
+        EXPECT_EQ(sw.port_of(kids[port]->id()), static_cast<int>(port)) << "switch " << i;
+      const bool leaf = std::count(c.worker_switch.begin(), c.worker_switch.end(),
+                                   static_cast<int>(i)) > 0;
+      const int parent = c.switch_parent[i];
+      const swprog::AggregationConfig& sc = sw.config();
+      EXPECT_EQ(sc.n_workers, static_cast<int>(kids.size()) / (leaf ? c.jobs : 1));
+      EXPECT_EQ(sc.wid_base, leaf ? kids.front()->id() : 0u) << "switch " << i;
+      if (parent < 0) {
+        EXPECT_EQ(sc.parent_port, -1);
+        continue;
+      }
+      const auto& siblings = children[static_cast<std::size_t>(parent)];
+      EXPECT_EQ(sc.parent_port, static_cast<int>(kids.size())) << "switch " << i;
+      EXPECT_EQ(sc.leaf_wid, std::find(siblings.begin(), siblings.end(), &sw) - siblings.begin());
+      net::Link& uplink = f.link(static_cast<std::size_t>(n) + i - 1);
+      EXPECT_EQ(&uplink.peer_of(sw), &f.switch_at(static_cast<std::size_t>(parent)));
+    }
+
+    for (int w = 0; w < n; ++w) {
+      worker::Worker& wk = f.worker(w);
+      const int job = w / job_size;
+      EXPECT_EQ(wk.id(), static_cast<net::NodeId>(w));
+      EXPECT_EQ(wk.name(), c.jobs > 1 ? "j" + std::to_string(job) + "-worker-" +
+                                            std::to_string(w % job_size)
+                                      : "worker-" + std::to_string(w));
+      const auto& home =
+          f.switch_at(static_cast<std::size_t>(c.worker_switch[static_cast<std::size_t>(w)]));
+      EXPECT_EQ(&f.link(static_cast<std::size_t>(w)).peer_of(wk), &home) << "worker " << w;
+      EXPECT_EQ(wk.config().switch_id, home.id());
+      EXPECT_EQ(wk.config().n_workers, job_size) << "worker " << w;
+      EXPECT_EQ(wk.config().job, job);
+    }
+
+    if (c.lossy_tats.empty()) continue;
+    f.set_loss_prob(0.01);
+    EXPECT_EQ(f.reduce_timing(8192), c.lossy_tats);
+    std::vector<std::uint64_t> drops;
+    for (int w = 0; w < n; ++w) {
+      const net::Link& l = f.link(static_cast<std::size_t>(w));
+      drops.push_back(l.counters_from(f.worker(w)).dropped_loss);
+      drops.push_back(l.counters_from(f.root()).dropped_loss);
+    }
+    EXPECT_EQ(drops, c.lossy_drops);
   }
 }
 
@@ -218,12 +331,14 @@ TEST(ScenarioShapes, IrregularReducesBitExact) {
 }
 
 TEST(ScenarioShapes, IrregularSingleSwitchMatchesRack) {
-  // A 1-switch irregular fabric and a rack are the same wiring; same seed,
-  // same TATs.
+  // A 1-switch irregular fabric and a rack are the same wiring; same switch,
+  // same seed, same TATs.
   core::FabricParams p;
   p.timing_only = true;
   core::Fabric rack(core::FabricConfig(p, core::RackSpec{3}));
   core::Fabric irr(core::FabricConfig(p, core::IrregularSpec{{-1}, {0, 0, 0}}));
+  EXPECT_EQ(irr.root().name(), rack.root().name());
+  EXPECT_EQ(irr.root().id(), rack.root().id());
   EXPECT_EQ(rack.reduce_timing(4096), irr.reduce_timing(4096));
 }
 

@@ -3,6 +3,8 @@
 // and repeated flush cycles with loss.
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "core/cluster.hpp"
 #include "core/stream_manager.hpp"
 #include "sim/rng.hpp"
@@ -49,20 +51,36 @@ TEST(StreamManagerEdge, SingleElementTensors) {
 }
 
 TEST(StreamManagerEdge, AveragingOption) {
-  Cluster cluster(cfg(4));
-  std::vector<std::vector<float>> in(4, std::vector<float>(64, 8.0f));
-  std::vector<std::vector<float>> out(4, std::vector<float>(64));
-  std::vector<std::unique_ptr<StreamManager>> ms;
-  for (int w = 0; w < 4; ++w) {
-    StreamOptions opt;
-    opt.average = true;
-    auto m = std::make_unique<StreamManager>(cluster.worker(w), opt);
-    m->submit(in[static_cast<std::size_t>(w)], out[static_cast<std::size_t>(w)], 1e5, nullptr);
-    m->flush();
-    ms.push_back(std::move(m));
+  // The mean is over the job, not over the worker's rack: on every shape,
+  // job 0's workers all submit 8.0 and must all read back 8.0.
+  const TopologySpec shapes[] = {
+      RackSpec{4},
+      MultiJobSpec{2, 4},
+      HierarchySpec{2, 2},
+      TreeSpec{2, 2, 2},
+      TreeSpec{3, 2, 2},
+      IrregularSpec{{-1, 0, 0}, {1, 1, 2, 2}},
+  };
+  FabricParams params;
+  params.pool_size = 8;
+  for (std::size_t s = 0; s < std::size(shapes); ++s) {
+    Fabric fabric(FabricConfig(params, shapes[s]));
+    const auto n = static_cast<std::size_t>(fabric.workers_per_job());
+    std::vector<std::vector<float>> in(n, std::vector<float>(64, 8.0f));
+    std::vector<std::vector<float>> out(n, std::vector<float>(64));
+    std::vector<std::unique_ptr<StreamManager>> ms;
+    for (std::size_t w = 0; w < n; ++w) {
+      StreamOptions opt;
+      opt.average = true;
+      auto m = std::make_unique<StreamManager>(fabric.worker(static_cast<int>(w)), opt);
+      m->submit(in[w], out[w], 1e5, nullptr);
+      m->flush();
+      ms.push_back(std::move(m));
+    }
+    fabric.simulation().run();
+    for (std::size_t w = 0; w < n; ++w)
+      for (float v : out[w]) ASSERT_NEAR(v, 8.0f, 1e-3f) << "shape " << s << " worker " << w;
   }
-  cluster.simulation().run();
-  for (float v : out[0]) EXPECT_NEAR(v, 8.0f, 1e-3f);
 }
 
 TEST(StreamManagerEdge, InPlaceAliasedBuffers) {
