@@ -1,13 +1,15 @@
 // Microbenchmark (google-benchmark): cost of sim::Simulation timer
-// scheduling. Every in-flight SwitchML packet arms a retransmission timer
-// and cancels it on the ACK path, so schedule_timer/cancel sit on the
-// simulator's hottest loop. The slot-pool TimerHandle (a (slot, generation)
+// scheduling. Every SwitchML update re-arms its slot's retransmission timer
+// (and every reliable-transport ACK re-arms the sender's), so rearm_timer
+// sits on the simulator's hottest loop; a slot's timer is cancelled only
+// when the slot retires. The slot-pool TimerHandle (a (slot, generation)
 // index into the Simulation) replaced a per-timer shared_ptr<bool> control
 // block, removing one heap allocation + atomic refcount per scheduled timer.
 //
-// The representative pattern is BM_ScheduleCancelFire: arm, cancel (the ACK
-// arrived), then drain the queue — the common case where the timer never
-// actually runs its callback.
+// The representative pattern is BM_TimerRearm: one timer moved N times
+// before it fires, which keeps one queued key throughout. BM_ScheduleCancelFire
+// is the cancel + schedule equivalent, which leaves one cancelled key per
+// schedule behind in the queue.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -56,6 +58,26 @@ void BM_ScheduleCancelFire(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_ScheduleCancelFire)->Arg(1 << 10)->Arg(1 << 16);
+
+// One timer re-armed N times, each to a later deadline, then drained: the
+// per-update RTO pattern. Every re-arm moves the armed timer in place, so
+// the queue holds one key and the drain fires the timer once.
+void BM_TimerRearm(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::uint64_t fired = 0;
+  for (auto _ : state) {
+    sim::Simulation s;
+    sim::TimerHandle h;
+    for (std::size_t i = 0; i < n; ++i) {
+      h = s.rearm_timer(h, static_cast<Time>(i + 1), [&fired] { ++fired; });
+    }
+    s.run();
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_TimerRearm)->Arg(1 << 10)->Arg(1 << 16);
 
 // Steady-state churn: one live timer re-armed from its own callback, so the
 // slot pool stays at size 1 and every iteration recycles the same slot.

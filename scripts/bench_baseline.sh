@@ -18,6 +18,9 @@
 # names to override (e.g. fig8_datatypes, whose conversion calibration is
 # host-measured and carries a loose tolerance).
 #
+# Each bench run also prints its wall seconds, and the script ends with the
+# total for the set. These are information only (host speed is no gate).
+#
 # Usage:
 #   scripts/bench_baseline.sh --record|--check [options] [bench...]
 # Options:
@@ -77,7 +80,12 @@ else
   trap 'rm -rf "$workdir"' EXIT
 fi
 
+# Seconds since the epoch, to the millisecond.
+wall_now() { python3 -c 'import time; print(f"{time.time():.3f}")'; }
+seconds_between() { awk -v a="$1" -v b="$2" 'BEGIN { printf "%.1f", b - a }'; }
+
 status=0
+set_started="$(wall_now)"
 for b in "${benches[@]}"; do
   report="$workdir/${b}_report.json"
   if [ "$mode" != compare-only ]; then
@@ -89,7 +97,9 @@ for b in "${benches[@]}"; do
     echo "== $b (--fast) =="
     args=(--fast)
     [ "$timelines" -eq 1 ] && args+=(--timeline-out "${b}_timeline")
+    started="$(wall_now)"
     (cd "$workdir" && "$bin" "${args[@]}" > "${b}_stdout.txt")
+    echo "   wall: $(seconds_between "$started" "$(wall_now)") s"
   fi
   if [ ! -f "$report" ]; then
     echo "bench_baseline: missing ${b}_report.json in $workdir" >&2
@@ -117,6 +127,10 @@ for b in "${benches[@]}"; do
   esac
 done
 
+if [ "$mode" != compare-only ]; then
+  echo "bench_baseline: wall time $(seconds_between "$set_started" "$(wall_now)") s" \
+       "for ${#benches[@]} benches (info only)"
+fi
 case "$mode" in
   check|compare-only)
     if [ "$status" -eq 0 ]; then echo "bench_baseline: all checks passed"; else

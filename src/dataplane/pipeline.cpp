@@ -20,14 +20,6 @@ void RegisterArray::check_access(std::size_t index) {
   pipeline_.note_access(stage_);
 }
 
-std::uint64_t RegisterArray::rmw(std::size_t index,
-                                 const std::function<std::uint64_t(std::uint64_t)>& alu) {
-  check_access(index);
-  const std::uint64_t old = slots_[index];
-  slots_[index] = alu(old);
-  return old;
-}
-
 std::uint64_t RegisterArray::read(std::size_t index) {
   check_access(index);
   return slots_[index];

@@ -19,9 +19,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace switchml::dp {
@@ -45,8 +45,18 @@ public:
   // read-modify-write implemented by the stage's ALU. `alu` receives the old
   // value and returns the new one; the OLD value is returned to the program
   // (Tofino register actions can export one word). Integer-only by
-  // construction.
-  std::uint64_t rmw(std::size_t index, const std::function<std::uint64_t(std::uint64_t)>& alu);
+  // construction. The ALU is a template parameter so the switch program's
+  // lambdas inline here: as a std::function their 32-byte captures would
+  // heap-allocate on every access. The access checks run on every call.
+  template <typename Alu>
+    requires std::is_invocable_r_v<std::uint64_t, Alu&, std::uint64_t>
+  std::uint64_t rmw(std::size_t index, Alu&& alu) {
+    check_access(index);
+    std::uint64_t& word = slots_[index];
+    const std::uint64_t old = word;
+    word = alu(old);
+    return old;
+  }
 
   // Read-only access (still counts as the one access for this packet).
   std::uint64_t read(std::size_t index);

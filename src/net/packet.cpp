@@ -42,30 +42,24 @@ std::uint32_t Packet::wire_bytes() const {
   return kAckWireBytes;
 }
 
-std::uint32_t Packet::compute_checksum() const {
-  // FNV-1a over the protocol-relevant header fields and the payload.
-  std::uint32_t h = 2166136261u;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= static_cast<std::uint32_t>(v & 0xFF);
-      h *= 16777619u;
-      v >>= 8;
-    }
-  };
-  mix(static_cast<std::uint64_t>(kind));
-  mix(wid);
-  mix(ver);
-  mix(idx);
+std::uint64_t Packet::compute_checksum() const {
+  // 64-bit FNV-1a, one step per word (layout in packet.hpp: one field per
+  // word, two values per word, the value count in the header words).
+  std::uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](std::uint64_t w) { h = (h ^ w) * 1099511628211ull; };
+  auto u64 = [](auto v) { return static_cast<std::uint64_t>(v); };
+  auto bits = [](std::int32_t v) -> std::uint64_t { return static_cast<std::uint32_t>(v); };
+  mix(u64(kind) | u64(ver) << 8 | u64(wid) << 16 | u64(idx) << 32);
+  mix(u64(job) | u64(sync_seen) << 8 | u64(values.size()) << 16);
+  mix(u64(elem_count) | u64(epoch) << 32);
+  mix(u64(sync_count0) | u64(sync_count1) << 32);
   mix(off);
-  mix(job);
-  mix(elem_count);
-  mix(epoch);
-  mix(sync_count0);
-  mix(sync_count1);
   mix(sync_off0);
   mix(sync_off1);
-  mix(sync_seen);
-  for (std::int32_t v : values) mix(static_cast<std::uint32_t>(v));
+  const std::size_t n = values.size();
+  std::size_t i = 0;
+  for (; i + 1 < n; i += 2) mix(bits(values[i]) | bits(values[i + 1]) << 32);
+  if (i < n) mix(bits(values[i]));
   return h;
 }
 

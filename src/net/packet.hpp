@@ -130,18 +130,28 @@ struct Packet {
   }
 
   // §3.4: "A simple checksum can be used to detect corruption and discard
-  // corrupted packets." seal() computes it over the header + payload at the
-  // sender; verify() recomputes at the receiver. Wire corruption (bit flips
-  // injected by Link::set_corrupt_filter) makes verify() fail, and the
-  // receiver treats the packet as lost.
-  std::uint32_t checksum = 0;
+  // corrupted packets." seal() computes it at the sender; verify()
+  // recomputes it at the receiver. Wire corruption (bit flips injected by
+  // Link::set_corrupt_filter) makes verify() fail, and the receiver treats
+  // the packet as lost.
+  //
+  // Coverage: kind, wid, ver, idx, off, job, elem_count, epoch, the sync_*
+  // fields, every value and the value count. The rest is outside it: src,
+  // dst, transport, the int_* telemetry fields, elem_bytes and the
+  // reliable-transport fields (segments are never sealed). The hash is
+  // 64-bit FNV-1a over 64-bit words, each covered field in exactly one word
+  // and the values two to a word. Each step h = (h ^ w) * P (P odd) is a
+  // bijection in both h and w, so ANY change confined to one word — e.g.
+  // any number of flipped bits in one field, or in one pair of values — is
+  // always detected.
+  std::uint64_t checksum = 0;
   void seal() { checksum = compute_checksum(); }
   [[nodiscard]] bool verify() const { return checksum == compute_checksum(); }
 
   [[nodiscard]] std::uint32_t wire_bytes() const;
 
 private:
-  [[nodiscard]] std::uint32_t compute_checksum() const;
+  [[nodiscard]] std::uint64_t compute_checksum() const;
 };
 
 const char* to_string(PacketKind k);

@@ -155,8 +155,9 @@ void ReliableSender::pump() {
 }
 
 void ReliableSender::arm_rto() {
-  timer_.cancel();
-  timer_ = host_.simulation().schedule_timer(rto_, [this] { on_timeout(); });
+  // Every forward ACK re-arms: move the timer in place rather than leaving a
+  // cancelled heap key per ACK.
+  timer_ = host_.simulation().rearm_timer(timer_, rto_, [this] { on_timeout(); });
 }
 
 void ReliableSender::on_timeout() {

@@ -30,6 +30,15 @@
 // (cancelled timers plus daemon events) so live() can answer "would the
 // simulation go quiet?" without scanning.
 //
+// Re-arming moves an armed timer without a second key. Each record keeps its
+// target (at, seq) next to the time of its one queued key; rearm() swaps the
+// closure, draws the seq a cancel + push would have drawn, and moves only
+// the target. When the stale key reaches the top it is re-filed at the
+// target by replacing the heap top (never popping, so the heap cannot drain
+// and reset the seq counter); that pop runs nothing. Since the key never
+// sits later than the target and seqs are unique, every live event still
+// runs at exactly the (time, seq) a cancel + push would have given it.
+//
 // Each queue carries a DOMAIN id and its own seq counter. This is the seam
 // for the planned per-rack sharded engine: one EventQueue per shard domain,
 // merged on (time, domain, seq), with no caller-visible change — callers
@@ -81,6 +90,25 @@ public:
     return Ref{slot, record(slot).gen};
   }
 
+  // Moves armed, non-daemon timer `r` to fire at `at` running `fn`, keeping
+  // its one heap key, and points `r` at the moved timer (the generation
+  // bump kills other copies of the old ref, as a cancel would). Returns
+  // false — touching nothing, `fn` unconsumed — when the key cannot be kept:
+  // the ref is stale or cancelled, the timer is a daemon, or `at` is earlier
+  // than the key already queued. The caller then falls back to cancel +
+  // push_timer.
+  template <typename F>
+  bool rearm(Ref& r, Time at, F&& fn) {
+    if (r.slot == kNoSlot) return false;
+    Record& rec = record(r.slot);
+    if (rec.gen != r.gen || !rec.armed || rec.daemon || at < rec.keyed_at) return false;
+    const std::uint64_t order = draw_order(r.slot);
+    set_fn(rec, std::forward<F>(fn));
+    rec.target = Key{at, order};
+    r.gen = ++rec.gen;
+    return true;
+  }
+
   // O(1) cancel: destroys the closure now, leaves the key to pop inert.
   // Returns false (no-op) for stale or already-cancelled refs.
   bool cancel(Ref r) {
@@ -123,14 +151,20 @@ public:
   // slot is withheld from the free list until the closure returns, so
   // callbacks scheduling new events (even re-arming themselves) cannot
   // overwrite the running closure. Returns true iff a live event ran;
-  // cancelled events are skipped without invoking `on_live`.
+  // cancelled events and re-filed keys of re-armed timers are skipped
+  // without invoking `on_live`.
   template <typename OnLive>
   bool pop_and_run(OnLive&& on_live) {
     const Key top = heap_[0];
-    sift_pop();
     const auto slot = static_cast<std::uint32_t>(top.order & kSlotMask);
     Record& rec = record(slot);
     const bool live = rec.armed;
+    if (live && top.order != rec.target.order) {
+      rec.keyed_at = rec.target.at; // re-armed: move the one key to the target
+      sift_down(0, rec.target);
+      return false;
+    }
+    sift_pop();
     inert_ -= static_cast<std::uint64_t>(!live | rec.daemon);
     ++rec.gen; // the slot's one queued key is gone: refs die, slot recycles
     rec.armed = false;
@@ -163,8 +197,12 @@ private:
   static constexpr std::uint32_t kChunkShift = 10;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
 
+  // 96 bytes: the 64-byte closure, the target key, the queued key's time
+  // (never later than the target) and the timer state.
   struct Record {
     EventFn fn;
+    Key target{};
+    Time keyed_at = 0;
     std::uint32_t gen = 0;
     bool armed = false;
     bool daemon = false;
@@ -178,19 +216,30 @@ private:
   }
 
   template <typename F>
-  std::uint32_t push_record(Time at, F&& fn, bool daemon) {
-    const std::uint32_t slot = acquire_slot();
-    Record& rec = record(slot);
+  static void set_fn(Record& rec, F&& fn) {
     if constexpr (std::is_same_v<std::decay_t<F>, EventFn>) {
       rec.fn = std::forward<F>(fn);
     } else {
       rec.fn.emplace(std::forward<F>(fn)); // built in place: no relocation
     }
+  }
+
+  std::uint64_t draw_order(std::uint32_t slot) {
+    if (next_seq_ >= kMaxSeq) throw_seq_overflow();
+    return (next_seq_++ << kSlotBits) | slot;
+  }
+
+  template <typename F>
+  std::uint32_t push_record(Time at, F&& fn, bool daemon) {
+    const std::uint32_t slot = acquire_slot();
+    Record& rec = record(slot);
+    set_fn(rec, std::forward<F>(fn));
     rec.armed = true;
     rec.daemon = daemon;
     inert_ += static_cast<std::uint64_t>(daemon);
-    if (next_seq_ >= kMaxSeq) throw_seq_overflow();
-    sift_push(Key{at, (next_seq_++ << kSlotBits) | slot});
+    rec.target = Key{at, draw_order(slot)};
+    rec.keyed_at = at;
+    sift_push(rec.target);
     return slot;
   }
 
@@ -233,9 +282,13 @@ private:
   void sift_pop() {
     const Key last = heap_.back();
     heap_.pop_back();
+    if (!heap_.empty()) sift_down(0, last);
+  }
+
+  // Places `k` at position `i` (whose old key is discarded), moving it down
+  // past any earlier children.
+  void sift_down(std::size_t i, Key k) {
     const std::size_t n = heap_.size();
-    if (n == 0) return;
-    std::size_t i = 0;
     for (;;) {
       const std::size_t first = i * kArity + 1;
       if (first >= n) break;
@@ -243,11 +296,11 @@ private:
       std::size_t best = first;
       for (std::size_t c = first + 1; c < end; ++c)
         if (earlier(heap_[c], heap_[best])) best = c;
-      if (!earlier(heap_[best], last)) break;
+      if (!earlier(heap_[best], k)) break;
       heap_[i] = heap_[best];
       i = best;
     }
-    heap_[i] = last;
+    heap_[i] = k;
   }
 
   // Cold paths live in event_queue.cpp.

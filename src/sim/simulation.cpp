@@ -9,9 +9,10 @@ void Simulation::check_not_past(Time at) const {
 }
 
 bool Simulation::dispatch_one() {
-  // Cancelled timers are skipped without advancing the clock: nothing
-  // observable happens at their expiry time. Live closures run in place in
-  // the slab (no relocation); the clock advances just before the call.
+  // Cancelled timers and the stale keys of re-armed ones are skipped without
+  // advancing the clock: nothing observable happens at their time. Live
+  // closures run in place in the slab (no relocation); the clock advances
+  // just before the call.
   const bool ran = queue_.pop_and_run([this](Time at) { now_ = at; });
   executed_ += static_cast<std::uint64_t>(ran);
   return ran;

@@ -24,9 +24,10 @@ using switchml::Time;
 
 class Simulation;
 
-// Handle to a scheduled event that may be cancelled (used for protocol
-// retransmission timers). Cancellation is O(1): the closure is destroyed
-// immediately in the slab and the queued heap key pops later as a no-op.
+// Handle to a scheduled event that may be cancelled or re-armed (used for
+// protocol retransmission timers). Cancellation is O(1): the closure is
+// destroyed immediately in the slab and the queued heap key pops later as a
+// no-op. Simulation::rearm_timer moves an armed timer without a second key.
 //
 // The handle is a (slot, generation) ref into the EventQueue's slab rather
 // than a shared_ptr control block, so scheduling a timer does no heap
@@ -80,6 +81,23 @@ public:
     return TimerHandle(&queue_, queue_.push_timer(now_ + delay, std::forward<F>(fn), false));
   }
 
+  // Equivalent to `h.cancel(); return schedule_timer(delay, fn);` — the
+  // same (time, seq) order, live count and handle states (copies of `h` go
+  // stale) — but a still-armed timer moves in place and keeps its one queued
+  // key, so a timer re-armed on every packet does not leave a cancelled key
+  // behind each time. The key is re-filed at the new target when it pops,
+  // which runs nothing and does not count as an executed event. A fired,
+  // cancelled, default or daemon handle, or a target earlier than the
+  // queued key, takes the cancel + schedule path.
+  template <typename F>
+  TimerHandle rearm_timer(TimerHandle h, Time delay, F&& fn) {
+    // rearm() consumes `fn` only when it returns true, so forwarding it
+    // again on the fallback path is safe.
+    if (h.queue_ == &queue_ && queue_.rearm(h.ref_, now_ + delay, std::forward<F>(fn))) return h;
+    h.cancel();
+    return schedule_timer(delay, std::forward<F>(fn));
+  }
+
   // Schedules a cancellable *daemon* event: one that does not count as live
   // work (see live_pending_events). Periodic background activities (e.g. the
   // telemetry sampler in common/timeline.hpp) use daemon timers so they can
@@ -101,7 +119,10 @@ public:
   void stop() { stopped_ = true; }
   [[nodiscard]] bool stopped() const { return stopped_; }
 
+  // Live events run; cancelled and re-filed keys are not counted.
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
+  // Queued heap keys, inert ones included. A timer holds one key however
+  // often it is re-armed.
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
   // Queued events that will still do observable work: excludes cancelled

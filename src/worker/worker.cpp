@@ -213,8 +213,9 @@ void Worker::arm_timer(std::uint32_t slot_index) {
   // inflate the timers of healthy slots.
   const int shift = std::min(slot.backoff, 10);
   const Time rto = std::min<Time>(rto_ << shift, config_.rto_max);
-  slot.timer.cancel();
-  slot.timer = sim_.schedule_timer(rto, [this, slot_index] {
+  // The slot's timer stays armed from phase to phase: re-arming moves it in
+  // place instead of leaving one cancelled heap key per update sent.
+  slot.timer = sim_.rearm_timer(slot.timer, rto, [this, slot_index] {
     Slot& s = slots_[slot_index];
     if (!s.active || aborted_) return;
     ++counters_.timeouts;
@@ -302,7 +303,6 @@ void Worker::handle_result(net::Packet&& p, Time rx_at) {
   attr::close(id(), p.idx, sim_.now());
   trace::emit_flow(sim_.now(), id(), "chunk", trace::chunk_flow_id(id(), p.off),
                    trace::FlowPhase::kEnd);
-  slot.timer.cancel();
   slot.active = false;
   slot.backoff = 0;
   if (slot.retries > 0) {
@@ -335,7 +335,9 @@ void Worker::handle_result(net::Packet&& p, Time rx_at) {
     send_update(p.idx, /*retransmission=*/false);
   } else {
     // This was the slot's final phase: remember it so a peer stranded on it
-    // by a restart can still be rescued (see Slot::retired).
+    // by a restart can still be rescued (see Slot::retired). Its timer, kept
+    // armed across phases, is cancelled only now.
+    slot.timer.cancel();
     slot.retired = true;
     slot.retired_off = p.off;
     slot.retired_ver = consumed_ver;

@@ -205,6 +205,8 @@ private:
     std::uint32_t epoch = 0; // switch epoch known when `off` was last driven
     Time stall_started_at = -1; // first timeout of the current episode
     Time sent_at = 0;
+    // RTO timer (none in lossless mode): armed from the slot's first send
+    // until it retires or the reduction aborts, and re-armed by every send.
     sim::TimerHandle timer;
     std::uint64_t phases_completed = 0;
     // Final-phase retire record. After this slot's LAST result is consumed

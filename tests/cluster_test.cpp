@@ -4,7 +4,9 @@
 // float-level public API.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 
 #include "core/allreduce.hpp"
@@ -152,6 +154,34 @@ TEST(Cluster, PhaseLagInvariantAcrossSlots) {
   for (int w = 0; w < 4; ++w)
     for (std::uint32_t s = 0; s < 16; ++s)
       EXPECT_EQ(cluster.worker(w).slot_phase(s), 7u);
+}
+
+// Every update a worker sends re-arms its slot's RTO timer. Re-arming moves
+// the timer in place, so the event heap holds at most one timer key per slot
+// rather than one cancelled key per update sent, and stays small however
+// long the reduction runs.
+TEST(Cluster, RtoTimersDoNotBloatTheEventHeap) {
+  for (const bool timing : {true, false}) {
+    ClusterConfig cfg = small_config(4);
+    cfg.timing_only = timing;
+    Cluster cluster(cfg);
+    sim::Simulation& sim = cluster.simulation();
+    std::size_t peak = 0;
+    std::function<void()> sample = [&] {
+      peak = std::max(peak, sim.pending_events());
+      if (sim.live_pending_events() > 0) sim.schedule_daemon_timer(usec(1), sample);
+    };
+    sim.schedule_daemon_timer(usec(1), sample);
+    constexpr std::uint64_t kElems = 1 << 16;
+    if (timing) {
+      cluster.reduce_timing(kElems);
+    } else {
+      auto updates = random_updates(4, kElems, 14);
+      ASSERT_EQ(cluster.reduce_i32(updates).outputs[0], exact_sum(updates));
+    }
+    EXPECT_GT(peak, 0u);
+    EXPECT_LE(peak, 4u * 4u * 16u) << (timing ? "timing" : "data") << " mode";
+  }
 }
 
 // ---- loss recovery ---------------------------------------------------------

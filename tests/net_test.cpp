@@ -2,7 +2,9 @@
 // NIC core model, L2 switch forwarding/multicast, reliable transport.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "net/l2switch.hpp"
@@ -50,21 +52,101 @@ TEST(Packet, SegmentAndAckSizes) {
   EXPECT_EQ(ack.wire_bytes(), 64u);
 }
 
-TEST(Packet, ChecksumDetectsPayloadAndHeaderMutations) {
+// A packet with every checksummed field set, and an odd value count so the
+// last value word holds a single value.
+Packet checksum_fixture() {
   Packet p;
-  p.kind = PacketKind::SmlUpdate;
+  p.kind = PacketKind::SmlResult;
   p.wid = 3;
+  p.ver = 1;
   p.idx = 7;
   p.off = 1234;
-  p.values = {1, -2, 3};
+  p.job = 2;
+  p.elem_count = 5;
+  p.epoch = 9;
+  p.sync_count0 = 4;
+  p.sync_count1 = 6;
+  p.sync_off0 = 640;
+  p.sync_off1 = kNoClaimOff;
+  p.sync_seen = 2;
+  p.values = {1, -2, 3, 0x7fffffff, -0x7fffffff - 1};
   p.seal();
+  return p;
+}
+
+template <typename T>
+void flip_bit(T& field, int bit) {
+  if constexpr (std::is_enum_v<T>) {
+    using U = std::underlying_type_t<T>;
+    field = static_cast<T>(static_cast<U>(static_cast<U>(field) ^ (U{1} << bit)));
+  } else {
+    field = static_cast<T>(field ^ (T{1} << bit));
+  }
+}
+
+TEST(Packet, ChecksumDetectsPayloadAndHeaderMutations) {
+  // Every bit of every covered header field: each field sits alone in one
+  // checksum word, so any single flip must fail verify().
+  struct Field {
+    const char* name;
+    int bits;
+    void (*flip)(Packet&, int);
+  };
+#define SWITCHML_FIELD(f) \
+  Field { #f, 8 * static_cast<int>(sizeof(Packet::f)), [](Packet& q, int b) { flip_bit(q.f, b); } }
+  const Field covered[] = {
+      SWITCHML_FIELD(kind),        SWITCHML_FIELD(wid),         SWITCHML_FIELD(ver),
+      SWITCHML_FIELD(idx),         SWITCHML_FIELD(off),         SWITCHML_FIELD(job),
+      SWITCHML_FIELD(elem_count),  SWITCHML_FIELD(epoch),       SWITCHML_FIELD(sync_count0),
+      SWITCHML_FIELD(sync_count1), SWITCHML_FIELD(sync_off0),   SWITCHML_FIELD(sync_off1),
+      SWITCHML_FIELD(sync_seen),
+  };
+#undef SWITCHML_FIELD
+  Packet p = checksum_fixture();
+  ASSERT_TRUE(p.verify());
+  for (const Field& f : covered) {
+    for (int b = 0; b < f.bits; ++b) {
+      f.flip(p, b);
+      EXPECT_FALSE(p.verify()) << f.name << " bit " << b;
+      f.flip(p, b);
+    }
+  }
+  // Every bit of every value, at every position.
+  for (std::size_t i = 0; i < p.values.size(); ++i) {
+    for (int b = 0; b < 32; ++b) {
+      p.values[i] ^= static_cast<std::int32_t>(1u << b);
+      EXPECT_FALSE(p.verify()) << "value " << i << " bit " << b;
+      p.values[i] ^= static_cast<std::int32_t>(1u << b);
+    }
+  }
   EXPECT_TRUE(p.verify());
-  p.values[1] ^= 0x10;
-  EXPECT_FALSE(p.verify());
-  p.values[1] ^= 0x10;
+}
+
+TEST(Packet, ChecksumIgnoresTransportAndTelemetryFields) {
+  // Routing, framing and hop-by-hop INT metadata sit outside the end-to-end
+  // check, so a switch may rewrite them without resealing.
+  Packet p = checksum_fixture();
+  p.src = 41;
+  p.dst = kBroadcast;
+  p.transport = TransportKind::kRdmaUc;
+  p.int_mode = inttel::kModeOnWire;
+  p.int_stack = {1, 2, 3, 4};
   EXPECT_TRUE(p.verify());
-  p.off ^= 1;
-  EXPECT_FALSE(p.verify());
+}
+
+TEST(Packet, ChecksumCoversTheValueCount) {
+  // A trailing zero shares the last value's word with nothing else, so only
+  // the mixed-in count tells {a} from {a, 0}.
+  Packet one = checksum_fixture();
+  one.values = {42};
+  one.seal();
+  Packet two = one;
+  two.values = {42, 0};
+  EXPECT_FALSE(two.verify());
+  two.seal();
+  EXPECT_NE(one.checksum, two.checksum);
+  two.values.clear();
+  EXPECT_FALSE(two.verify());
 }
 
 // Collects delivered packets with timestamps.

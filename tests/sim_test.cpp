@@ -167,6 +167,94 @@ TEST(Simulation, DaemonTimersAreNotLiveWork) {
   EXPECT_EQ(ticks, 4);
 }
 
+// ---- rearm_timer: one queued key per timer, cancel + schedule order --------
+
+TEST(Simulation, ManyRearmsKeepOneKeyAndFireOnceAtTheLastTarget) {
+  Simulation s;
+  std::vector<Time> fired;
+  TimerHandle t = s.schedule_timer(10, [&] { fired.push_back(-1); });
+  for (Time i = 0; i < 1000; ++i) {
+    // Moving the clock past the queued key re-files it without running it.
+    s.run_until(i);
+    const TimerHandle before = t;
+    t = s.rearm_timer(t, 10, [&] { fired.push_back(s.now()); });
+    ASSERT_EQ(s.pending_events(), 1u) << "re-arm " << i;
+    ASSERT_EQ(s.live_pending_events(), 1u);
+    ASSERT_TRUE(t.armed());
+    ASSERT_FALSE(before.armed()) << "a copy of the old handle must go stale";
+  }
+  EXPECT_EQ(s.events_executed(), 0u);
+  s.run();
+  EXPECT_EQ(fired, std::vector<Time>{999 + 10});
+  EXPECT_EQ(s.events_executed(), 1u);
+  EXPECT_EQ(s.now(), 1009);
+  EXPECT_FALSE(t.armed());
+}
+
+TEST(Simulation, RearmEarlierThanTheQueuedKeyFiresEarly) {
+  Simulation s;
+  std::vector<int> fired;
+  TimerHandle t = s.schedule_timer(100, [&] { fired.push_back(0); });
+  t = s.rearm_timer(t, 50, [&] { fired.push_back(1); });
+  // Cancel + schedule: the old key stays queued, inert.
+  EXPECT_EQ(s.pending_events(), 2u);
+  EXPECT_EQ(s.live_pending_events(), 1u);
+  s.run();
+  EXPECT_EQ(fired, std::vector<int>{1});
+  EXPECT_EQ(s.now(), 50); // the inert key at 100 does not move the clock
+}
+
+TEST(Simulation, RearmOfFiredCancelledOrDefaultHandleSchedulesAfresh) {
+  Simulation s;
+  std::vector<int> fired;
+  TimerHandle fired_handle = s.schedule_timer(1, [] {});
+  s.run();
+  TimerHandle cancelled = s.schedule_timer(5, [&] { fired.push_back(-1); });
+  cancelled.cancel();
+  TimerHandle none;
+  fired_handle = s.rearm_timer(fired_handle, 10, [&] { fired.push_back(0); });
+  cancelled = s.rearm_timer(cancelled, 10, [&] { fired.push_back(1); });
+  none = s.rearm_timer(none, 10, [&] { fired.push_back(2); });
+  EXPECT_TRUE(fired_handle.armed());
+  EXPECT_TRUE(cancelled.armed());
+  EXPECT_TRUE(none.armed());
+  EXPECT_EQ(s.live_pending_events(), 3u);
+  s.run();
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(Simulation, RearmFromInsideTheTimersOwnClosure) {
+  Simulation s;
+  std::vector<Time> fired;
+  TimerHandle t;
+  std::function<void()> tick = [&] {
+    fired.push_back(s.now());
+    // The running timer's handle is already stale: this schedules afresh.
+    if (fired.size() < 4) t = s.rearm_timer(t, 7, tick);
+  };
+  t = s.schedule_timer(7, tick);
+  s.run();
+  EXPECT_EQ(fired, (std::vector<Time>{7, 14, 21, 28}));
+  EXPECT_EQ(s.events_executed(), 4u);
+  EXPECT_FALSE(t.armed());
+}
+
+TEST(Simulation, RearmTieWithAPlainEventKeepsScheduleOrder) {
+  // A plain event pushed between two re-arms to the same time runs before
+  // the timer (the second re-arm drew the later seq); pushed after the last
+  // re-arm, it runs after.
+  Simulation s;
+  std::vector<char> order;
+  TimerHandle t = s.schedule_timer(10, [&] { order.push_back('x'); });
+  t = s.rearm_timer(t, 20, [&] { order.push_back('a'); });
+  s.schedule_at(20, [&] { order.push_back('p'); });
+  t = s.rearm_timer(t, 20, [&] { order.push_back('t'); });
+  s.schedule_at(20, [&] { order.push_back('q'); });
+  EXPECT_EQ(s.pending_events(), 3u);
+  s.run();
+  EXPECT_EQ(order, (std::vector<char>{'p', 't', 'q'}));
+}
+
 TEST(EventFn, InvokesAndClearsOnReset) {
   int calls = 0;
   EventFn fn([&] { ++calls; });
@@ -265,8 +353,9 @@ TEST(EventFn, CompileTimeCapacityGate) {
 // Randomized fuzz: cross-check the slab engine against a reference engine
 // built the way the simulator used to be built — a std::priority_queue of
 // whole events with std::function closures and shared_ptr cancellation
-// flags. Both engines execute the same generated script; execution order,
-// live_pending_events at every step, and post-run handle state must match.
+// flags, where a re-arm is a cancel plus a new timer. Both engines execute
+// the same generated script; execution order, live_pending_events at every
+// step, and the final clock must match.
 // --------------------------------------------------------------------------
 
 // Reference engine (behavioural oracle). Deliberately simple and obviously
@@ -334,8 +423,10 @@ private:
 };
 
 // A generated script: event `id` (in creation order), when it fires, first
-// tries to cancel `cancel_target[id]` (if >= 0), then spawns `children[id]`
-// new events. Ids beyond the table spawn nothing, bounding the run.
+// tries to cancel `cancel_target[id]` (if >= 0), then re-arms the timer of
+// `rearm_target[id]` (if >= 0) to fire `rearm_delay[id]` later as a new id,
+// then spawns `children[id]` new events. Ids beyond the table spawn nothing,
+// bounding the run.
 struct FuzzScript {
   struct Child {
     int kind; // 0 = plain, 1 = timer, 2 = daemon timer
@@ -344,6 +435,8 @@ struct FuzzScript {
   std::vector<Time> root_times;
   std::vector<std::vector<Child>> children;
   std::vector<int> cancel_target;
+  std::vector<int> rearm_target;
+  std::vector<Time> rearm_delay;
 };
 
 FuzzScript make_script(std::uint32_t seed, int n_ids) {
@@ -370,6 +463,16 @@ FuzzScript make_script(std::uint32_t seed, int n_ids) {
     for (int c = 0; c < fanout; ++c)
       sc.children[static_cast<std::size_t>(id)].push_back(
           FuzzScript::Child{kind_dist(rng), time_dist(rng)});
+  }
+  // Re-arms draw from their own stream, leaving the rest of the script as it
+  // was. Any target is fair game, as for cancels; the narrow delay range
+  // makes some re-arms land earlier than the timer's queued key.
+  std::mt19937 rearm_rng(seed ^ 0x5eedu);
+  std::uniform_int_distribution<int> rearm_dist(-n_ids, n_ids - 1);
+  for (int id = 0; id < n_ids; ++id) {
+    const int t = rearm_dist(rearm_rng);
+    sc.rearm_target.push_back(t >= 0 ? t : -1);
+    sc.rearm_delay.push_back(time_dist(rearm_rng));
   }
   return sc;
 }
@@ -401,6 +504,18 @@ FuzzTrace run_script(const FuzzScript& sc) {
         handles[static_cast<std::size_t>(target)].cancel();
       } else {
         RefSim::cancel(handles[static_cast<std::size_t>(target)]);
+      }
+    }
+    const int rearm = sc.rearm_target[static_cast<std::size_t>(id)];
+    if (rearm >= 0 && next_id < n_ids) {
+      const int cid = next_id++;
+      HandleT& h = handles[static_cast<std::size_t>(rearm)];
+      const Time delay = sc.rearm_delay[static_cast<std::size_t>(id)];
+      if constexpr (std::is_same_v<HandleT, TimerHandle>) {
+        h = s.rearm_timer(h, delay, [&fire, cid] { fire(cid); });
+      } else { // the oracle's definition of a re-arm
+        RefSim::cancel(h);
+        h = s.schedule_timer(delay, [&fire, cid] { fire(cid); });
       }
     }
     for (const FuzzScript::Child& c : sc.children[static_cast<std::size_t>(id)]) {
@@ -440,10 +555,11 @@ TEST(SimulationFuzz, MatchesPriorityQueueOracle) {
 }
 
 TEST(SimulationFuzz, SlotRecyclingKeepsHandlesIndependent) {
-  // Heavy schedule/cancel churn through a deliberately tiny id space so slab
-  // slots are recycled many times over; every armed() answer must match what
-  // an independent shadow of "which timers actually ran / were cancelled"
-  // predicts (generation reuse must not resurrect or kill the wrong timer).
+  // Heavy schedule/cancel/re-arm churn through a deliberately tiny id space
+  // so slab slots are recycled many times over; every armed() answer must
+  // match what an independent shadow of "which timers actually ran / were
+  // cancelled" predicts (generation reuse must not resurrect or kill the
+  // wrong timer).
   std::mt19937 rng(1234);
   Simulation s;
   constexpr int kTimers = 64;
@@ -457,7 +573,7 @@ TEST(SimulationFuzz, SlotRecyclingKeepsHandlesIndependent) {
   for (int round = 0; round < 2000; ++round) {
     const int i = idx_dist(rng);
     const auto ui = static_cast<std::size_t>(i);
-    switch (rng() % 3) {
+    switch (rng() % 4) {
       case 0: { // (re)arm: old handle goes stale, slot may be recycled
         const Time d = delay_dist(rng);
         handles[ui] = s.schedule_timer(d, [] {});
@@ -468,6 +584,12 @@ TEST(SimulationFuzz, SlotRecyclingKeepsHandlesIndependent) {
         handles[ui].cancel();
         deadline[ui] = kNever;
         break;
+      case 2: { // re-arm: moves the timer in place when it can
+        const Time d = delay_dist(rng);
+        handles[ui] = s.rearm_timer(handles[ui], d, [] {});
+        deadline[ui] = s.now() + d;
+        break;
+      }
       default: // advance time; every timer due by then fires and goes stale
         s.run_until(s.now() + delay_dist(rng));
         break;
