@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   Table table({"topology", "workers", "TAT [ms]", "ATE/s (x1e6)", "root-link packets"});
 
   {
-    auto flat = measure_switchml(gbps(10), 16, scale);
+    auto flat = measure_switchml(core::ClusterConfig::for_rate(gbps(10), 16), scale);
     table.add_row({"flat (1 switch)", "16", Table::num(flat.tat_ms), mega(flat.ate_per_s), "-"});
   }
   for (int racks : {2, 4}) {

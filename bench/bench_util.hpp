@@ -22,6 +22,7 @@
 #include "collectives/ring.hpp"
 #include "collectives/streaming_ps.hpp"
 #include "common/attribution.hpp"
+#include "common/json.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/timeline.hpp"
@@ -112,13 +113,6 @@ inline std::string timeline_path(const TimelineRequest& req, const std::string& 
   return base + (label.empty() ? "" : "_" + sanitize_label(label)) + (csv ? ".csv" : ".jsonl");
 }
 
-inline void write_timeline(const TimelineRequest& req, const TimelineRecorder& timeline,
-                           const std::string& label) {
-  const std::string path = timeline_path(req, label);
-  const bool csv = path.ends_with(".csv");
-  timeline.write(path, csv ? TimelineRecorder::Format::kCsv : TimelineRecorder::Format::kJsonl);
-}
-
 // Collects one labeled MetricsRegistry snapshot per measured configuration
 // and writes them as a JSON telemetry sidecar next to the bench's stdout
 // table: {"<label>": <MetricsRegistry::Snapshot::json()>, ...}. Pass a
@@ -137,7 +131,8 @@ public:
     if (!out) return {};
     out << "{";
     for (std::size_t i = 0; i < runs_.size(); ++i) {
-      out << (i == 0 ? "\n" : ",\n") << "  \"" << runs_[i].first << "\": " << runs_[i].second;
+      out << (i == 0 ? "\n" : ",\n") << "  " << json::quote(runs_[i].first) << ": "
+          << runs_[i].second;
     }
     out << "\n}\n";
     return out ? path_ : std::string{};
@@ -180,19 +175,19 @@ public:
 
   [[nodiscard]] std::string json() const {
     std::string out = "{\n  \"schema_version\": " + std::to_string(kSchemaVersion) +
-                      ",\n  \"bench\": " + json_quote(bench_) +
-                      ",\n  \"mode\": " + json_quote(mode_) + ",\n  \"metrics\": {";
+                      ",\n  \"bench\": " + json::quote(bench_) +
+                      ",\n  \"mode\": " + json::quote(mode_) + ",\n  \"metrics\": {";
     for (std::size_t i = 0; i < metrics_.size(); ++i) {
       char buf[96];
       std::snprintf(buf, sizeof(buf), "{\"value\": %.17g, \"rel_tol\": %.3g}",
                     metrics_[i].second.value, metrics_[i].second.rel_tol);
       out += (i == 0 ? "\n" : ",\n");
-      out += "    " + json_quote(metrics_[i].first) + ": " + buf;
+      out += "    " + json::quote(metrics_[i].first) + ": " + buf;
     }
     out += "\n  },\n  \"info\": {";
     for (std::size_t i = 0; i < info_.size(); ++i) {
       out += (i == 0 ? "\n" : ",\n");
-      out += "    " + json_quote(info_[i].first) + ": " + json_quote(info_[i].second);
+      out += "    " + json::quote(info_[i].first) + ": " + json::quote(info_[i].second);
     }
     out += "\n  }\n}\n";
     return out;
@@ -338,7 +333,7 @@ public:
   void finish_and_write() {
     if (!recorder_) return;
     recorder_->finish();
-    write_timeline(*req_, *recorder_, label_);
+    recorder_->write(timeline_path(*req_, label_));
     recorder_.reset();
   }
 
@@ -348,29 +343,36 @@ private:
   std::unique_ptr<TimelineRecorder> recorder_;
 };
 
-inline RateResult measure_switchml(BitsPerSecond rate, int workers, const BenchScale& scale,
-                                   std::uint32_t pool_size = 0, bool mtu = false,
-                                   double loss = 0.0, std::uint8_t wire_elem_bytes = 4,
-                                   double extra_per_byte_ns = 0.0, bool adaptive_rto = false,
-                                   MetricsSidecar* sidecar = nullptr,
-                                   const std::string& label = {},
-                                   const TimelineRequest* timeline = nullptr) {
-  core::ClusterConfig cfg = core::ClusterConfig::for_rate(rate, workers);
+// What one measured run records besides its RateResult: its registry
+// snapshot under `label` in `sidecar`, and a timeline sidecar when `timeline`
+// asks for one. The default records nothing.
+struct Telemetry {
+  MetricsSidecar* sidecar = nullptr;
+  std::string label;
+  const TimelineRequest* timeline = nullptr;
+};
+
+// The median TAT over `tat_ms`, the ATE/s it implies, the registry's tail
+// statistics, and the run's sidecar snapshot.
+inline RateResult rate_result(const Summary& tat_ms, const BenchScale& scale,
+                              const MetricsRegistry& registry, const Telemetry& telemetry) {
+  RateResult out;
+  out.tat_ms = tat_ms.median();
+  out.ate_per_s = static_cast<double>(scale.tensor_elems) / (out.tat_ms / 1e3);
+  fill_tail_stats(out, registry);
+  if (telemetry.sidecar != nullptr) telemetry.sidecar->record(telemetry.label, registry);
+  return out;
+}
+
+// SwitchML on a rack built from `cfg`, timing only. Callers start from
+// ClusterConfig::for_rate and set the knobs under test (pool size, loss, MTU,
+// wire width, NIC cost, RTO mode, transport).
+inline RateResult measure_switchml(core::ClusterConfig cfg, const BenchScale& scale,
+                                   const Telemetry& telemetry = {}) {
   cfg.timing_only = true;
-  if (pool_size != 0) cfg.pool_size = pool_size;
-  cfg.loss_prob = loss;
-  cfg.wire_elem_bytes = wire_elem_bytes;
-  cfg.adaptive_rto = adaptive_rto;
-  // Extra per-byte CPU work (e.g. the fig8 scale+convert pipeline) rides the
-  // per-packet processing loop, so it is charged to the NIC cores.
-  cfg.nic.per_byte_tx += extra_per_byte_ns;
-  cfg.nic.per_byte_rx += extra_per_byte_ns;
-  if (mtu) {
-    cfg.elems_per_packet = net::kMtuElemsPerPacket;
-    cfg.mtu_emulation = true;
-  }
   core::Cluster cluster(cfg);
-  ScopedTimeline scoped(timeline, cluster.simulation(), cluster.metrics(), label);
+  ScopedTimeline scoped(telemetry.timeline, cluster.simulation(), cluster.metrics(),
+                        telemetry.label);
 
   Summary tat_ms;
   for (int r = 0; r < scale.repetitions; ++r) {
@@ -378,13 +380,9 @@ inline RateResult measure_switchml(BitsPerSecond rate, int workers, const BenchS
     for (Time t : tats) tat_ms.add(to_msec(t));
   }
   scoped.finish_and_write();
-  RateResult out;
-  out.tat_ms = tat_ms.median();
-  out.ate_per_s = static_cast<double>(scale.tensor_elems) / (out.tat_ms / 1e3);
+  RateResult out = rate_result(tat_ms, scale, cluster.metrics(), telemetry);
   const auto& rtt = cluster.worker(0).rtt();
   if (!rtt.empty()) out.rtt_us = rtt.median();
-  fill_tail_stats(out, cluster.metrics());
-  if (sidecar != nullptr) sidecar->record(label, cluster.metrics());
   return out;
 }
 
@@ -411,9 +409,7 @@ inline const char* baseline_name(BaselineKind k) {
 // protocol, not the bulk reliable transport.
 inline RateResult measure_streaming_ps(BaselineKind kind, BitsPerSecond rate, int workers,
                                        const BenchScale& scale, double loss = 0.0,
-                                       MetricsSidecar* sidecar = nullptr,
-                                       const std::string& label = {},
-                                       const TimelineRequest* timeline = nullptr) {
+                                       const Telemetry& telemetry = {}) {
   collectives::StreamingPsConfig cfg;
   cfg.n_workers = workers;
   cfg.placement = kind == BaselineKind::ColocatedPs
@@ -427,26 +423,20 @@ inline RateResult measure_streaming_ps(BaselineKind kind, BitsPerSecond rate, in
   if (kind == BaselineKind::DedicatedPsMtu) cfg.elems_per_packet = net::kMtuElemsPerPacket;
 
   collectives::StreamingPsCluster cluster(cfg);
-  ScopedTimeline scoped(timeline, cluster.simulation(), cluster.metrics(), label);
+  ScopedTimeline scoped(telemetry.timeline, cluster.simulation(), cluster.metrics(),
+                        telemetry.label);
   Summary tat_ms;
   for (int r = 0; r < scale.repetitions; ++r) {
     auto tats = cluster.reduce_timing(scale.tensor_elems);
     for (Time t : tats) tat_ms.add(to_msec(t));
   }
   scoped.finish_and_write();
-  RateResult out;
-  out.tat_ms = tat_ms.median();
-  out.ate_per_s = static_cast<double>(scale.tensor_elems) / (out.tat_ms / 1e3);
-  fill_tail_stats(out, cluster.metrics());
-  if (sidecar != nullptr) sidecar->record(label, cluster.metrics());
-  return out;
+  return rate_result(tat_ms, scale, cluster.metrics(), telemetry);
 }
 
 inline RateResult measure_baseline(BaselineKind kind, BitsPerSecond rate, int workers,
                                    const BenchScale& scale, double loss = 0.0,
-                                   MetricsSidecar* sidecar = nullptr,
-                                   const std::string& label = {},
-                                   const TimelineRequest* timeline = nullptr) {
+                                   const Telemetry& telemetry = {}) {
   core::BaselineProfile profile;
   switch (kind) {
     case BaselineKind::GlooRing:
@@ -456,7 +446,7 @@ inline RateResult measure_baseline(BaselineKind kind, BitsPerSecond rate, int wo
     case BaselineKind::DedicatedPs:
     case BaselineKind::ColocatedPs:
     case BaselineKind::DedicatedPsMtu:
-      return measure_streaming_ps(kind, rate, workers, scale, loss, sidecar, label, timeline);
+      return measure_streaming_ps(kind, rate, workers, scale, loss, telemetry);
   }
 
   collectives::BaselineClusterConfig cfg;
@@ -465,7 +455,8 @@ inline RateResult measure_baseline(BaselineKind kind, BitsPerSecond rate, int wo
   cfg.loss_prob = loss;
   cfg.nic = profile.nic;
   collectives::BaselineCluster cluster(cfg);
-  ScopedTimeline scoped(timeline, cluster.simulation(), cluster.metrics(), label);
+  ScopedTimeline scoped(telemetry.timeline, cluster.simulation(), cluster.metrics(),
+                        telemetry.label);
   const std::int64_t bytes = static_cast<std::int64_t>(scale.tensor_elems) * 4;
 
   Summary tat_ms;
@@ -477,12 +468,7 @@ inline RateResult measure_baseline(BaselineKind kind, BitsPerSecond rate, int wo
     tat_ms.add(to_msec(t));
   }
   scoped.finish_and_write();
-  RateResult out;
-  out.tat_ms = tat_ms.median();
-  out.ate_per_s = static_cast<double>(scale.tensor_elems) / (out.tat_ms / 1e3);
-  fill_tail_stats(out, cluster.metrics());
-  if (sidecar != nullptr) sidecar->record(label, cluster.metrics());
-  return out;
+  return rate_result(tat_ms, scale, cluster.metrics(), telemetry);
 }
 
 // --- framework training sims -------------------------------------------------
@@ -491,16 +477,14 @@ inline RateResult measure_baseline(BaselineKind kind, BitsPerSecond rate, int wo
 // plumbing: one sidecar snapshot per labeled run, plus a timeline sidecar
 // when --timeline-out asked for one (fig3/table1 run the framework sims
 // instead of the measure_* helpers).
-inline void attach_sim_telemetry(framework::TrainingSimConfig& cfg, std::string label,
-                                 MetricsSidecar* sidecar, const TimelineRequest* timeline) {
-  if (timeline != nullptr && timeline->enabled()) {
-    cfg.timeline_path = timeline_path(*timeline, label);
-    cfg.timeline_period = timeline->period;
+inline void attach_sim_telemetry(framework::TrainingSimConfig& cfg, const Telemetry& telemetry) {
+  if (telemetry.timeline != nullptr && telemetry.timeline->enabled()) {
+    cfg.timeline_path = timeline_path(*telemetry.timeline, telemetry.label);
+    cfg.timeline_period = telemetry.timeline->period;
   }
-  if (sidecar != nullptr)
-    cfg.on_metrics = [sidecar, label = std::move(label)](const MetricsRegistry& m) {
-      sidecar->record(label, m);
-    };
+  if (telemetry.sidecar != nullptr)
+    cfg.on_metrics = [sidecar = telemetry.sidecar, label = telemetry.label](
+                         const MetricsRegistry& m) { sidecar->record(label, m); };
 }
 
 inline std::string mega(double v) { return Table::num(v / 1e6, 1); }

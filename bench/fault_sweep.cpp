@@ -208,8 +208,10 @@ int main(int argc, char** argv) {
     attrib.report(report, "gilbert-elliott");
     attrib.write_jsonl("fault_sweep_attribution.jsonl");
   }
-  const RateResult bern = measure_switchml(rate, workers, scale, 0, false, matched, 4, 0.0,
-                                           false, &sidecar, "bernoulli-matched", &timeline_req);
+  core::ClusterConfig bern_cfg = core::ClusterConfig::for_rate(rate, workers);
+  bern_cfg.loss_prob = matched;
+  const RateResult bern =
+      measure_switchml(bern_cfg, scale, {&sidecar, "bernoulli-matched", &timeline_req});
   std::printf("burst loss (both ~%.2f%% average):\n", matched * 100);
   Table burst({"loss process", "TAT", "inflation"});
   burst.add_row({"Bernoulli", format_duration(static_cast<Time>(bern.tat_ms * 1e6)),

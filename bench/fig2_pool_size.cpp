@@ -32,8 +32,9 @@ int main(int argc, char** argv) {
     for (std::uint32_t s : {32u, 64u, 128u, 256u, 512u, 1024u, 2048u, 4096u, 8192u, 16384u}) {
       const std::string label =
           std::to_string(rate / kGbps) + "gbps.pool-" + std::to_string(s);
-      auto r = measure_switchml(rate, 8, scale, s, false, 0.0, 4, 0.0, false, &sidecar, label,
-                                &timeline_req);
+      core::ClusterConfig cfg = core::ClusterConfig::for_rate(rate, 8);
+      cfg.pool_size = s;
+      auto r = measure_switchml(cfg, scale, {&sidecar, label, &timeline_req});
       table.add_row({std::to_string(s), Table::num(r.tat_ms), Table::num(r.rtt_us),
                      Table::num(line_ms)});
       report.add(label + ".tat_ms", r.tat_ms);

@@ -34,9 +34,9 @@ int main(int argc, char** argv) {
       cfg.rate = rate;
       cfg.iterations = 3;
       cfg.size_scale = fast ? 1.0 / 32 : 1.0 / 16;
-      attach_sim_telemetry(cfg, tag + ".switchml", &sidecar, &timeline_req);
+      attach_sim_telemetry(cfg, {&sidecar, tag + ".switchml", &timeline_req});
       const auto sml = framework::simulate_switchml_training(spec, cfg);
-      attach_sim_telemetry(cfg, tag + ".nccl", &sidecar, &timeline_req);
+      attach_sim_telemetry(cfg, {&sidecar, tag + ".nccl", &timeline_req});
       const auto nccl = framework::simulate_ring_training(spec, cfg, core::nccl_tcp(rate));
       cells.push_back(Table::num(sml.images_per_s / nccl.images_per_s, 1) + "x");
       report.add(tag + ".switchml.images_per_s", sml.images_per_s);

@@ -47,29 +47,29 @@ int main(int argc, char** argv) {
     };
 
     row("SwitchML", "switchml", [&](int n, const std::string& label) {
-      return measure_switchml(rate, n, scale, 0, false, 0.0, 4, 0.0, false, &sidecar, label,
-                              &timeline_req);
+      return measure_switchml(core::ClusterConfig::for_rate(rate, n), scale,
+                              {&sidecar, label, &timeline_req});
     });
     row("Gloo", "gloo", [&](int n, const std::string& label) {
-      return measure_baseline(BaselineKind::GlooRing, rate, n, scale, 0.0, &sidecar, label,
-                              &timeline_req);
+      return measure_baseline(BaselineKind::GlooRing, rate, n, scale, 0.0,
+                              {&sidecar, label, &timeline_req});
     });
     row("NCCL", "nccl", [&](int n, const std::string& label) {
-      return measure_baseline(BaselineKind::NcclRing, rate, n, scale, 0.0, &sidecar, label,
-                              &timeline_req);
+      return measure_baseline(BaselineKind::NcclRing, rate, n, scale, 0.0,
+                              {&sidecar, label, &timeline_req});
     });
     row("Gloo-RDMA (5.4)", "gloo-rdma", [&](int n, const std::string& label) {
-      return measure_baseline(BaselineKind::GlooRdmaRing, rate, n, scale, 0.0, &sidecar, label);
+      return measure_baseline(BaselineKind::GlooRdmaRing, rate, n, scale, 0.0, {&sidecar, label});
     });
     row("Halving-doubling", "halvdoub", [&](int n, const std::string& label) {
-      return measure_baseline(BaselineKind::HalvingDoubling, rate, n, scale, 0.0, &sidecar,
-                              label);
+      return measure_baseline(BaselineKind::HalvingDoubling, rate, n, scale, 0.0,
+                              {&sidecar, label});
     });
     row("Dedicated PS", "dedicated-ps", [&](int n, const std::string& label) {
-      return measure_baseline(BaselineKind::DedicatedPs, rate, n, scale, 0.0, &sidecar, label);
+      return measure_baseline(BaselineKind::DedicatedPs, rate, n, scale, 0.0, {&sidecar, label});
     });
     row("Colocated PS", "colocated-ps", [&](int n, const std::string& label) {
-      return measure_baseline(BaselineKind::ColocatedPs, rate, n, scale, 0.0, &sidecar, label);
+      return measure_baseline(BaselineKind::ColocatedPs, rate, n, scale, 0.0, {&sidecar, label});
     });
     table.add_row({"line rate (SwitchML)",
                    mega(collectives::switchml_ate_rate(rate, net::kDefaultElemsPerPacket)),

@@ -22,9 +22,15 @@ int main(int argc, char** argv) {
   MetricsSidecar sidecar("fig5_loss_inflation_metrics.json");
   const TimelineRequest timeline_req = TimelineRequest::from_args(argc, argv, msec(1));
   BenchReport report("fig5_loss_inflation", argc, argv);
+  // SwitchML with `loss` on every link and the fixed 1 ms or the adaptive RTO.
+  const auto switchml = [&](double loss, bool adaptive_rto, const Telemetry& telemetry) {
+    core::ClusterConfig cfg = core::ClusterConfig::for_rate(rate, workers);
+    cfg.loss_prob = loss;
+    cfg.adaptive_rto = adaptive_rto;
+    return measure_switchml(cfg, scale, telemetry);
+  };
   const RateResult base_fixed_r =
-      measure_switchml(rate, workers, scale, 0, false, 0.0, 4, 0.0, false, &sidecar,
-                       "loss-0.00pct.switchml-fixed-rto");
+      switchml(0.0, false, {&sidecar, "loss-0.00pct.switchml-fixed-rto"});
   // The loss-free and 1%-loss adaptive-RTO runs also carry the per-chunk
   // span ledger: the report's attr.* block decomposes completion time into
   // exclusive components (DESIGN.md "Time attribution") and pins the
@@ -32,8 +38,7 @@ int main(int argc, char** argv) {
   RateResult base_adapt_r;
   {
     ScopedAttribution attrib;
-    base_adapt_r = measure_switchml(rate, workers, scale, 0, false, 0.0, 4, 0.0, true, &sidecar,
-                                    "loss-0.00pct.switchml-adaptive-rto");
+    base_adapt_r = switchml(0.0, true, {&sidecar, "loss-0.00pct.switchml-adaptive-rto"});
     attrib.report(report, "loss-0.00pct.switchml-adaptive-rto");
   }
   const double base_fixed = base_fixed_r.tat_ms;
@@ -71,13 +76,11 @@ int main(int argc, char** argv) {
   for (double loss : {0.0001, 0.001, 0.01}) {
     const std::string tag = "loss-" + Table::num(loss * 100, 2) + "pct.";
     const RateResult fixed_r =
-        measure_switchml(rate, workers, scale, 0, false, loss, 4, 0.0, false, &sidecar,
-                         tag + "switchml-fixed-rto", &timeline_req);
+        switchml(loss, false, {&sidecar, tag + "switchml-fixed-rto", &timeline_req});
     RateResult adapt_r;
     {
       ScopedAttribution attrib;
-      adapt_r = measure_switchml(rate, workers, scale, 0, false, loss, 4, 0.0, true, &sidecar,
-                                 tag + "switchml-adaptive-rto", &timeline_req);
+      adapt_r = switchml(loss, true, {&sidecar, tag + "switchml-adaptive-rto", &timeline_req});
       if (loss == 0.01) {
         attrib.report(report, tag + "switchml-adaptive-rto");
         attrib.write_jsonl("fig5_attribution.jsonl");
@@ -97,10 +100,10 @@ int main(int argc, char** argv) {
     const double fixed = fixed_r.tat_ms;
     const double adapt = adapt_r.tat_ms;
     const double gloo = measure_baseline(BaselineKind::GlooRing, rate, workers, scale, loss,
-                                         &sidecar, tag + "gloo", &timeline_req)
+                                         {&sidecar, tag + "gloo", &timeline_req})
                             .tat_ms;
     const double nccl = measure_baseline(BaselineKind::NcclRing, rate, workers, scale, loss,
-                                         &sidecar, tag + "nccl", &timeline_req)
+                                         {&sidecar, tag + "nccl", &timeline_req})
                             .tat_ms;
     table.add_row({Table::num(loss * 100, 2) + "%", Table::num(fixed / base_fixed, 2) + "x",
                    Table::num(adapt / base_adapt, 2) + "x",

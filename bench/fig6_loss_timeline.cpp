@@ -95,14 +95,14 @@ int main(int argc, char** argv) {
     std::printf("\n\n");
 
     if (traced) {
-      timeline.write("fig6_timeline.jsonl", TimelineRecorder::Format::kJsonl);
+      timeline.write("fig6_timeline.jsonl");
       sink->write_chrome_json("fig6_trace.json");
       std::printf("wrote fig6_timeline.jsonl (%zu samples) and fig6_trace.json "
                   "(%zu events, %llu dropped)\n\n",
                   timeline.sample_count(), sink->events().size(),
                   static_cast<unsigned long long>(sink->total_drops()));
     }
-    if (timeline_req.enabled()) write_timeline(timeline_req, timeline, label);
+    if (timeline_req.enabled()) timeline.write(timeline_path(timeline_req, label));
   }
   const std::string written = sidecar.write();
   if (!written.empty()) std::printf("telemetry sidecar: %s\n", written.c_str());

@@ -35,12 +35,14 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(static_cast<double>(mb) * 1e6 / 4.0 * size_scale);
     BenchScale scale{elems, 1};
     const std::string tag = std::to_string(mb) + "mb.";
-    const auto sml = measure_switchml(rate, workers, scale, 0, false, 0.0, 4, 0.0, false,
-                                      &sidecar, tag + "switchml", &timeline_req);
-    const auto sml_mtu = measure_switchml(rate, workers, scale, 0, /*mtu=*/true, 0.0, 4, 0.0,
-                                          false, &sidecar, tag + "switchml-mtu", &timeline_req);
-    const auto ps_mtu = measure_baseline(BaselineKind::DedicatedPsMtu, rate, workers, scale,
-                                         0.0, &sidecar, tag + "dedicated-ps-mtu", &timeline_req);
+    core::ClusterConfig cfg = core::ClusterConfig::for_rate(rate, workers);
+    const auto sml = measure_switchml(cfg, scale, {&sidecar, tag + "switchml", &timeline_req});
+    cfg.elems_per_packet = net::kMtuElemsPerPacket;
+    cfg.mtu_emulation = true;
+    const auto sml_mtu =
+        measure_switchml(cfg, scale, {&sidecar, tag + "switchml-mtu", &timeline_req});
+    const auto ps_mtu = measure_baseline(BaselineKind::DedicatedPsMtu, rate, workers, scale, 0.0,
+                                         {&sidecar, tag + "dedicated-ps-mtu", &timeline_req});
     report.add(tag + "switchml.tat_ms", sml.tat_ms);
     report.add(tag + "switchml-mtu.tat_ms", sml_mtu.tat_ms);
     report.add(tag + "dedicated-ps-mtu.tat_ms", ps_mtu.tat_ms);

@@ -39,11 +39,11 @@ int main(int argc, char** argv) {
   const TimelineRequest timeline_req = TimelineRequest::from_args(argc, argv, msec(1));
   BenchReport report("table1_training_throughput", argc, argv);
 
-  const double sml_rate = measure_switchml(rate, workers, scale, 0, false, 0.0, 4, 0.0, false,
-                                           &sidecar, "microbench.switchml")
+  const double sml_rate = measure_switchml(core::ClusterConfig::for_rate(rate, workers), scale,
+                                           {&sidecar, "microbench.switchml"})
                               .ate_per_s;
   const double nccl_rate = measure_baseline(BaselineKind::NcclRing, rate, workers, scale, 0.0,
-                                            &sidecar, "microbench.nccl")
+                                            {&sidecar, "microbench.nccl"})
                                .ate_per_s;
   report.add("microbench.switchml.ate_per_s", sml_rate);
   report.add("microbench.nccl.ate_per_s", nccl_rate);
@@ -54,10 +54,10 @@ int main(int argc, char** argv) {
   Table model_table({"model", "NCCL (closed-form)", "SwitchML (closed-form)"});
   for (const auto& row : perf::table1_rows()) {
     const auto& spec = perf::model(row.name);
-    attach_sim_telemetry(sim_cfg, std::string(row.name) + ".nccl", &sidecar, &timeline_req);
+    attach_sim_telemetry(sim_cfg, {&sidecar, std::string(row.name) + ".nccl", &timeline_req});
     const auto nccl_sim =
         framework::simulate_ring_training(spec, sim_cfg, core::nccl_tcp(rate));
-    attach_sim_telemetry(sim_cfg, std::string(row.name) + ".switchml", &sidecar, &timeline_req);
+    attach_sim_telemetry(sim_cfg, {&sidecar, std::string(row.name) + ".switchml", &timeline_req});
     const auto sml_sim = framework::simulate_switchml_training(spec, sim_cfg);
     report.add(std::string(row.name) + ".nccl.images_per_s", nccl_sim.images_per_s);
     report.add(std::string(row.name) + ".switchml.images_per_s", sml_sim.images_per_s);

@@ -21,42 +21,6 @@
 using namespace switchml;
 using namespace switchml::bench;
 
-namespace {
-
-// measure_switchml with the transport seam exposed: selects the channel kind
-// and (for the UDP arms) the crossover NIC profile with explicit per-byte
-// datapath cost.
-RateResult measure_transport(BitsPerSecond rate, int workers, const BenchScale& scale,
-                             net::TransportKind transport, std::uint32_t elems_per_packet,
-                             bool udp_per_byte_nic, MetricsSidecar* sidecar,
-                             const std::string& label, const TimelineRequest* timeline) {
-  core::ClusterConfig cfg = core::ClusterConfig::for_rate(rate, workers);
-  cfg.timing_only = true;
-  cfg.transport = transport;
-  if (udp_per_byte_nic) cfg.nic = core::crossover_udp_nic(rate);
-  if (elems_per_packet != net::kDefaultElemsPerPacket) {
-    cfg.elems_per_packet = elems_per_packet;
-    cfg.mtu_emulation = true; // switch aggregates the first 32, forwards the rest
-  }
-  core::Cluster cluster(cfg);
-  ScopedTimeline scoped(timeline, cluster.simulation(), cluster.metrics(), label);
-
-  Summary tat_ms;
-  for (int r = 0; r < scale.repetitions; ++r) {
-    auto tats = cluster.reduce_timing(scale.tensor_elems);
-    for (Time t : tats) tat_ms.add(to_msec(t));
-  }
-  scoped.finish_and_write();
-  RateResult out;
-  out.tat_ms = tat_ms.median();
-  out.ate_per_s = static_cast<double>(scale.tensor_elems) / (out.tat_ms / 1e3);
-  fill_tail_stats(out, cluster.metrics());
-  if (sidecar != nullptr) sidecar->record(label, cluster.metrics());
-  return out;
-}
-
-} // namespace
-
 int main(int argc, char** argv) {
   const int workers = 8;
   const BenchScale scale = BenchScale::from_args(argc, argv);
@@ -76,18 +40,23 @@ int main(int argc, char** argv) {
   for (const BitsPerSecond rate : {gbps(10), gbps(100)}) {
     const bool is_100g = rate >= gbps(100);
     const std::string tag = is_100g ? "100g." : "10g.";
-    const auto udp_small =
-        measure_transport(rate, workers, scale, net::TransportKind::kUdp,
-                          net::kDefaultElemsPerPacket, /*udp_per_byte_nic=*/true, &sidecar,
-                          tag + "udp-180", &timeline_req);
-    const auto udp_mtu =
-        measure_transport(rate, workers, scale, net::TransportKind::kUdp,
-                          net::kMtuElemsPerPacket, /*udp_per_byte_nic=*/true, &sidecar,
-                          tag + "udp-mtu", &timeline_req);
-    const auto rdma =
-        measure_transport(rate, workers, scale, net::TransportKind::kRdmaUc,
-                          net::kRdmaElemsPerMessage, /*udp_per_byte_nic=*/false, &sidecar,
-                          tag + "rdma-uc", &timeline_req);
+    // One arm: the UDP arms run the crossover NIC profile with its explicit
+    // per-byte datapath cost; packets beyond 32 elements make the switch
+    // aggregate the first 32 and forward the rest.
+    const auto arm = [&](net::TransportKind transport, std::uint32_t elems_per_packet,
+                         const std::string& name) {
+      core::ClusterConfig cfg = core::ClusterConfig::for_rate(rate, workers);
+      cfg.transport = transport;
+      if (transport == net::TransportKind::kUdp) cfg.nic = core::crossover_udp_nic(rate);
+      if (elems_per_packet != net::kDefaultElemsPerPacket) {
+        cfg.elems_per_packet = elems_per_packet;
+        cfg.mtu_emulation = true;
+      }
+      return measure_switchml(cfg, scale, {&sidecar, tag + name, &timeline_req});
+    };
+    const auto udp_small = arm(net::TransportKind::kUdp, net::kDefaultElemsPerPacket, "udp-180");
+    const auto udp_mtu = arm(net::TransportKind::kUdp, net::kMtuElemsPerPacket, "udp-mtu");
+    const auto rdma = arm(net::TransportKind::kRdmaUc, net::kRdmaElemsPerMessage, "rdma-uc");
 
     report.add(tag + "udp-180.tat_ms", udp_small.tat_ms);
     report.add(tag + "udp-mtu.tat_ms", udp_mtu.tat_ms);

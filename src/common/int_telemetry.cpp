@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/json.hpp"
 #include "common/metrics.hpp"
 #include "common/tracing.hpp"
 
@@ -284,8 +285,8 @@ std::string FaultLocalizer::json() const {
   for (const Verdict& v : verdicts_) {
     if (!first) out += ",";
     first = false;
-    out += "{\"kind\":" + json_quote(to_string(v.kind));
-    out += ",\"subject\":" + json_quote(subject(v));
+    out += "{\"kind\":" + json::quote(to_string(v.kind));
+    out += ",\"subject\":" + json::quote(subject(v));
     out += ",\"a\":" + std::to_string(v.a);
     out += ",\"b\":" + std::to_string(v.b);
     out += ",\"detail\":" + std::to_string(v.detail);

@@ -103,7 +103,7 @@ bool Value::operator==(const Value& rhs) const {
 
 namespace {
 
-void emit_string(const std::string& s, std::string& out) {
+void emit_string(std::string_view s, std::string& out) {
   out += '"';
   for (unsigned char c : s) {
     switch (c) {
@@ -187,6 +187,13 @@ void emit(const Value& v, std::string& out, bool pretty, int indent) {
 }
 
 } // namespace
+
+std::string quote(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  emit_string(s, out);
+  return out;
+}
 
 std::string Value::dump(bool pretty) const {
   std::string out;

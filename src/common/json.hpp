@@ -102,6 +102,11 @@ struct ParseError : std::runtime_error {
   int column; // 1-based, in bytes
 };
 
+// `s` as a JSON string literal: double-quoted, with '"', '\\' and every
+// control byte escaped, exactly as dump() writes strings. Bytes >= 0x80 pass
+// through unchanged. parse(quote(s)).as_string() == s for ASCII `s`.
+[[nodiscard]] std::string quote(std::string_view s);
+
 // Parses exactly one JSON document (trailing whitespace allowed, anything
 // else is an error). Throws ParseError.
 [[nodiscard]] Value parse(std::string_view text, int max_depth = 64);

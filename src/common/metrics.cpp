@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/json.hpp"
+
 namespace switchml {
 
 namespace {
@@ -19,38 +21,7 @@ bool ends_with(std::string_view name, std::string_view suffix) {
          name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-void append_json_string(std::ostringstream& out, std::string_view s) {
-  out << json_quote(s);
-}
-
 } // namespace
-
-// Minimal JSON string escaping; metric names are ASCII identifiers plus
-// separators, but link names can embed arbitrary node names.
-std::string json_quote(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static constexpr char hex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xF];
-          out += hex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
 
 void MetricsRegistry::check_unique(const std::string& name) const {
   for (const auto& [n, s] : counters_)
@@ -181,16 +152,14 @@ std::string MetricsRegistry::Snapshot::json() const {
   for (const auto& [name, value] : counters) {
     if (!first) out << ',';
     first = false;
-    append_json_string(out, name);
-    out << ':' << value;
+    out << json::quote(name) << ':' << value;
   }
   out << "},\"gauges\":{";
   first = true;
   for (const auto& [name, value] : gauges) {
     if (!first) out << ',';
     first = false;
-    append_json_string(out, name);
-    out << ':' << value;
+    out << json::quote(name) << ':' << value;
   }
   out << "},\"summaries\":{";
   first = true;
@@ -198,8 +167,7 @@ std::string MetricsRegistry::Snapshot::json() const {
   for (const auto& [name, stats] : summaries) {
     if (!first) out << ',';
     first = false;
-    append_json_string(out, name);
-    out << ":{\"count\":" << stats.count << ",\"min\":" << stats.min
+    out << json::quote(name) << ":{\"count\":" << stats.count << ",\"min\":" << stats.min
         << ",\"median\":" << stats.median << ",\"max\":" << stats.max
         << ",\"mean\":" << stats.mean << '}';
   }
@@ -208,10 +176,9 @@ std::string MetricsRegistry::Snapshot::json() const {
   for (const auto& [name, stats] : histograms) {
     if (!first) out << ',';
     first = false;
-    append_json_string(out, name);
-    out << ":{\"count\":" << stats.count << ",\"min\":" << stats.min << ",\"max\":" << stats.max
-        << ",\"mean\":" << stats.mean << ",\"p50\":" << stats.p50 << ",\"p90\":" << stats.p90
-        << ",\"p99\":" << stats.p99 << ",\"p999\":" << stats.p999
+    out << json::quote(name) << ":{\"count\":" << stats.count << ",\"min\":" << stats.min
+        << ",\"max\":" << stats.max << ",\"mean\":" << stats.mean << ",\"p50\":" << stats.p50
+        << ",\"p90\":" << stats.p90 << ",\"p99\":" << stats.p99 << ",\"p999\":" << stats.p999
         << ",\"overflow\":" << stats.overflow << '}';
   }
   out << "}}";

@@ -33,10 +33,6 @@
 
 namespace switchml {
 
-// Escapes `s` for embedding inside a JSON string literal and wraps it in
-// double quotes. Shared by the snapshot/timeline/trace JSON exporters.
-std::string json_quote(std::string_view s);
-
 class MetricsRegistry {
 public:
   using Sampler = std::function<std::uint64_t()>;

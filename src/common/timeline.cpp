@@ -8,6 +8,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/json.hpp"
+
 namespace switchml {
 
 namespace {
@@ -149,14 +151,14 @@ std::string TimelineRecorder::jsonl() const {
     out << "{\"t_ns\":" << cur.t << ",\"dt_ns\":" << dt << ",\"rates\":{";
     for (std::size_t c = 0; c < counter_names_.size(); ++c) {
       if (c != 0) out << ',';
-      out << json_quote(counter_names_[c]) << ':';
+      out << json::quote(counter_names_[c]) << ':';
       const std::uint64_t delta = cur.counters[c] - prev.counters[c];
       format_rate(out, dt > 0 ? static_cast<double>(delta) / to_sec(dt) : 0.0);
     }
     out << "},\"gauges\":{";
     for (std::size_t g = 0; g < gauge_names_.size(); ++g) {
       if (g != 0) out << ',';
-      out << json_quote(gauge_names_[g]) << ':' << cur.gauges[g];
+      out << json::quote(gauge_names_[g]) << ':' << cur.gauges[g];
     }
     out << '}';
     if (!hist_names_.empty()) {
@@ -164,7 +166,7 @@ std::string TimelineRecorder::jsonl() const {
       for (std::size_t h = 0; h < hist_names_.size(); ++h) {
         if (h != 0) out << ',';
         const Histogram::Quantiles& q = cur.hists[h];
-        out << json_quote(hist_names_[h]) << ":{\"n\":" << q.count << ",\"p50\":" << q.p50
+        out << json::quote(hist_names_[h]) << ":{\"n\":" << q.count << ",\"p50\":" << q.p50
             << ",\"p90\":" << q.p90 << ",\"p99\":" << q.p99 << ",\"p999\":" << q.p999 << '}';
       }
       out << '}';
@@ -204,10 +206,10 @@ std::string TimelineRecorder::csv() const {
   return out.str();
 }
 
-void TimelineRecorder::write(const std::string& path, Format format) const {
+void TimelineRecorder::write(const std::string& path) const {
   std::ofstream out(path, std::ios::trunc);
   if (!out) throw std::runtime_error("TimelineRecorder: cannot open '" + path + "' for writing");
-  out << (format == Format::kJsonl ? jsonl() : csv());
+  out << (path.ends_with(".csv") ? csv() : jsonl());
 }
 
 } // namespace switchml

@@ -104,8 +104,8 @@ public:
   // one row per interval.
   [[nodiscard]] std::string csv() const;
 
-  enum class Format { kJsonl, kCsv };
-  void write(const std::string& path, Format format) const;
+  // Writes csv() when `path` ends in ".csv" and jsonl() otherwise.
+  void write(const std::string& path) const;
 
 private:
   struct Sample {

@@ -5,8 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/json.hpp"
 #include "common/log.hpp"
-#include "common/metrics.hpp"
 
 namespace switchml::trace {
 
@@ -109,7 +109,7 @@ std::string TraceSink::chrome_json() const {
     if (!first) out << ',';
     first = false;
     out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << id
-        << ",\"args\":{\"name\":" << json_quote(name) << "}}";
+        << ",\"args\":{\"name\":" << json::quote(name) << "}}";
   }
   char ts_buf[32];
   for (const Event& e : events_) {
@@ -123,14 +123,14 @@ std::string TraceSink::chrome_json() const {
       // actors they touch; "bp":"e" attaches the terminating step to the
       // enclosing slice the way Perfetto expects.
       const char ph = e.flow == FlowPhase::kStart ? 's' : e.flow == FlowPhase::kStep ? 't' : 'f';
-      out << "{\"name\":" << json_quote(e.name) << ",\"ph\":\"" << ph
+      out << "{\"name\":" << json::quote(e.name) << ",\"ph\":\"" << ph
           << "\",\"id\":" << e.flow_id << ",\"pid\":1,\"tid\":" << e.node << ",\"ts\":" << ts_buf
           << ",\"cat\":\"" << kCategoryNames[cat_index(e.cat)] << '"';
       if (ph == 'f') out << ",\"bp\":\"e\"";
       out << "}";
       continue;
     }
-    out << "{\"name\":" << json_quote(e.name) << ",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":"
+    out << "{\"name\":" << json::quote(e.name) << ",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":"
         << e.node << ",\"ts\":" << ts_buf << ",\"cat\":\""
         << kCategoryNames[cat_index(e.cat)] << "\",\"args\":{";
     bool first_arg = true;
@@ -138,7 +138,7 @@ std::string TraceSink::chrome_json() const {
       if (a->key == nullptr) continue;
       if (!first_arg) out << ',';
       first_arg = false;
-      out << json_quote(a->key) << ':' << a->value;
+      out << json::quote(a->key) << ':' << a->value;
     }
     out << "}}";
   }

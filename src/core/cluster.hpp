@@ -43,9 +43,6 @@ public:
   // (the §5.5 loss experiments apply uniform loss "on every link").
   void set_loss_prob(double p) { fabric_.set_loss_prob(p); }
 
-  // Attaches a packet tracer to every link and returns it.
-  net::Tracer& enable_tracing() { return fabric_.enable_tracing(); }
-
   // Runs one timing-only aggregation of `total_elems` elements on all
   // workers and returns each worker's tensor aggregation time (TAT, §5.1).
   std::vector<Time> reduce_timing(std::uint64_t total_elems) {

@@ -324,15 +324,6 @@ void Fabric::set_loss_prob(double p) {
   for (auto& l : links_) l->set_loss_prob(p);
 }
 
-net::Tracer& Fabric::enable_tracing() {
-  if (!tracer_) {
-    tracer_ = std::make_unique<net::Tracer>();
-    tracer_->set_capacity(1 << 20);
-    for (auto& l : links_) l->set_tracer(tracer_.get());
-  }
-  return *tracer_;
-}
-
 std::vector<Time> Fabric::reduce_timing(std::uint64_t total_elems) {
   if (!config_.timing_only)
     throw std::logic_error("Fabric::reduce_timing requires timing_only config");

@@ -203,9 +203,6 @@ public:
   // (the §5.5 loss experiments apply uniform loss "on every link").
   void set_loss_prob(double p);
 
-  // Attaches a packet tracer to every link and returns it.
-  net::Tracer& enable_tracing();
-
   // The fault injector executing config().faults; null when the plan is empty.
   [[nodiscard]] FaultInjector* fault_injector() { return faults_.get(); }
 
@@ -266,7 +263,6 @@ private:
   std::vector<std::unique_ptr<swprog::AggregationSwitch>> switches_; // [0] = root
   std::vector<std::unique_ptr<worker::Worker>> workers_;
   std::vector<std::unique_ptr<net::Link>> links_;
-  std::unique_ptr<net::Tracer> tracer_;
   std::unique_ptr<FaultInjector> faults_;
   std::unique_ptr<inttel::FaultLocalizer> int_localizer_;
   int n_jobs_ = 1;

@@ -119,10 +119,7 @@ public:
   void end() {
     if (recorder_) {
       recorder_->finish();
-      const bool csv = cfg_.timeline_path.size() >= 4 &&
-                       cfg_.timeline_path.rfind(".csv") == cfg_.timeline_path.size() - 4;
-      recorder_->write(cfg_.timeline_path, csv ? TimelineRecorder::Format::kCsv
-                                               : TimelineRecorder::Format::kJsonl);
+      recorder_->write(cfg_.timeline_path);
       recorder_.reset();
     }
     if (cfg_.on_metrics) cfg_.on_metrics(registry_);

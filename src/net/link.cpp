@@ -39,19 +39,6 @@ std::uint16_t sat_u16(std::uint64_t v) {
   return v > 0xFFFFull ? 0xFFFFu : static_cast<std::uint16_t>(v);
 }
 
-const char* trace_name(TraceEventKind kind) {
-  switch (kind) {
-    case TraceEventKind::Tx: return "enqueue";
-    case TraceEventKind::DropQueue: return "drop_queue";
-    case TraceEventKind::DropLoss: return "drop_loss";
-    case TraceEventKind::DropDown: return "drop_down";
-    case TraceEventKind::DropBurst: return "drop_burst";
-    case TraceEventKind::Corrupt: return "corrupt";
-    case TraceEventKind::Deliver: return "deliver";
-  }
-  return "?";
-}
-
 } // namespace
 
 Link::Link(sim::Simulation& simulation, const LinkConfig& config, Node& end_a, int port_a,
@@ -139,25 +126,6 @@ void Link::send_from(const Node& sender, Packet&& p, Time earliest_start) {
   transmit(sender, direction_from(sender), std::move(p), earliest_start);
 }
 
-void Link::trace(TraceEventKind kind, const Node& from, const Node& to, const Packet& p) {
-  // Fully qualified: `trace` unqualified resolves to this member function.
-  switchml::trace::emit(switchml::trace::kCatLink, sim_.now(), from.id(), trace_name(kind),
-                        {"to", to.id()}, {"slot", p.idx}, {"bytes", p.wire_bytes()});
-  if (tracer_ == nullptr) return;
-  TraceEvent e;
-  e.at = sim_.now();
-  e.kind = kind;
-  e.from = from.id();
-  e.to = to.id();
-  e.pkt = p.kind;
-  e.wid = p.wid;
-  e.ver = p.ver;
-  e.idx = p.idx;
-  e.off = p.off;
-  e.wire_bytes = p.wire_bytes();
-  tracer_->record(e);
-}
-
 void Link::corrupt(Packet& p) {
   // Flip one payload bit (or a header bit when there is no payload).
   if (!p.values.empty())
@@ -220,7 +188,8 @@ void Link::set_down() {
   for (Direction* d : {&a_to_b_, &b_to_a_}) {
     for (const PendingDelivery& pd : d->pending) {
       ++d->counters.dropped_down;
-      trace(TraceEventKind::DropDown, from_of(*d), *d->to, pd.pkt);
+      trace::emit(trace::kCatLink, now, from_of(*d).id(), "drop_down", {"to", d->to->id()},
+                  {"slot", pd.pkt.idx}, {"bytes", pd.pkt.wire_bytes()});
       if (std::uint32_t owner = 0; attr::enabled() && chunk_owner(pd.pkt, owner))
         attr::transition_matching(owner, pd.pkt.idx, pd.pkt.off, attr::Component::kRtoStall, now);
     }
@@ -229,15 +198,13 @@ void Link::set_down() {
     d->backlog_bytes = 0;
     d->busy_until = std::min(d->busy_until, now); // the port is idle when it comes back
   }
-  switchml::trace::emit(switchml::trace::kCatFault, now, end_a_->id(), "link_down",
-                        {"peer", end_b_->id()});
+  trace::emit(trace::kCatFault, now, end_a_->id(), "link_down", {"peer", end_b_->id()});
 }
 
 void Link::set_up() {
   if (!down_) return;
   down_ = false;
-  switchml::trace::emit(switchml::trace::kCatFault, sim_.now(), end_a_->id(), "link_up",
-                        {"peer", end_b_->id()});
+  trace::emit(trace::kCatFault, sim_.now(), end_a_->id(), "link_up", {"peer", end_b_->id()});
 }
 
 void Link::set_burst_loss(const BurstLossConfig& cfg) {
@@ -265,7 +232,8 @@ void Link::deliver_event(Direction& dir, std::uint64_t seq) {
   PendingDelivery d = std::move(*it);
   dir.pending.erase(it);
   ++dir.counters.delivered_packets;
-  trace(TraceEventKind::Deliver, from_of(dir), *dir.to, d.pkt);
+  trace::emit(trace::kCatLink, sim_.now(), from_of(dir).id(), "deliver", {"to", dir.to->id()},
+              {"slot", d.pkt.idx}, {"bytes", d.pkt.wire_bytes()});
   dir.to->receive(std::move(d.pkt), dir.to_port);
 }
 
@@ -307,7 +275,8 @@ void Link::transmit(const Node& sender, Direction& dir, Packet&& p, Time earlies
   const std::uint64_t owner_off = p.off; // captured before corrupt() can flip it
   if (down_) {
     ++dir.counters.dropped_down;
-    trace(TraceEventKind::DropDown, sender, peer, p);
+    trace::emit(trace::kCatLink, now, sender.id(), "drop_down", {"to", peer.id()},
+                {"slot", p.idx}, {"bytes", p.wire_bytes()});
     if (attributed)
       attr::transition_matching(owner, p.idx, owner_off, attr::Component::kRtoStall, now);
     return;
@@ -323,12 +292,14 @@ void Link::transmit(const Node& sender, Direction& dir, Packet&& p, Time earlies
   const std::int64_t wire = p.wire_bytes();
   if (dir.backlog_bytes + wire > config_.queue_limit_bytes) {
     ++dir.counters.dropped_queue;
-    trace(TraceEventKind::DropQueue, sender, peer, p);
+    trace::emit(trace::kCatLink, now, sender.id(), "drop_queue", {"to", peer.id()},
+                {"slot", p.idx}, {"bytes", wire});
     if (attributed)
       attr::transition_matching(owner, p.idx, owner_off, attr::Component::kRtoStall, now);
     return;
   }
-  trace(TraceEventKind::Tx, sender, peer, p);
+  trace::emit(trace::kCatLink, now, sender.id(), "enqueue", {"to", peer.id()}, {"slot", p.idx},
+              {"bytes", wire});
 
   ++dir.counters.tx_packets;
   dir.counters.tx_bytes += static_cast<std::uint64_t>(wire);
@@ -349,7 +320,8 @@ void Link::transmit(const Node& sender, Direction& dir, Packet&& p, Time earlies
 
   if (dir.rng.chance(config_.loss_prob) || (drop_filter_ && drop_filter_(sender, p))) {
     ++dir.counters.dropped_loss;
-    trace(TraceEventKind::DropLoss, sender, peer, p);
+    trace::emit(trace::kCatLink, now, sender.id(), "drop_loss", {"to", peer.id()},
+                {"slot", p.idx}, {"bytes", wire});
     // The bits left the port but never arrive; the chunk stalls from the
     // moment serialization ends until the retransmission timer acts.
     if (attributed)
@@ -364,12 +336,12 @@ void Link::transmit(const Node& sender, Direction& dir, Packet&& p, Time earlies
     } else if (dir.burst_rng->chance(burst_->p_enter)) {
       dir.burst_bad = true;
       ++dir.counters.burst_entries;
-      switchml::trace::emit(switchml::trace::kCatFault, now, sender.id(), "burst_begin",
-                            {"to", peer.id()});
+      trace::emit(trace::kCatFault, now, sender.id(), "burst_begin", {"to", peer.id()});
     }
     if (dir.burst_rng->chance(dir.burst_bad ? burst_->loss_bad : burst_->loss_good)) {
       ++dir.counters.dropped_burst;
-      trace(TraceEventKind::DropBurst, sender, peer, p);
+      trace::emit(trace::kCatLink, now, sender.id(), "drop_burst", {"to", peer.id()},
+                  {"slot", p.idx}, {"bytes", wire});
       if (attributed)
         attr::transition_matching(owner, p.idx, owner_off, attr::Component::kRtoStall, finish);
       return;
@@ -378,7 +350,8 @@ void Link::transmit(const Node& sender, Direction& dir, Packet&& p, Time earlies
 
   if (dir.rng.chance(corrupt_prob_) || (corrupt_filter_ && corrupt_filter_(sender, p))) {
     corrupt(p);
-    trace(TraceEventKind::Corrupt, sender, peer, p);
+    trace::emit(trace::kCatLink, now, sender.id(), "corrupt", {"to", peer.id()},
+                {"slot", p.idx}, {"bytes", wire});
   }
 
   if (attributed)

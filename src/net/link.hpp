@@ -9,6 +9,12 @@
 // `set_rate` re-plans every unfinished serialization (bits already clocked
 // out at the old rate stay out) and `set_down` kills everything undelivered —
 // a downed link delivers nothing, ever, for its down interval.
+//
+// Each transmit, drop, corruption and delivery is one event in the ambient
+// TraceSink's `link` category, emitted by the sending node: `enqueue`,
+// `deliver`, `drop_queue`, `drop_loss`, `drop_down`, `drop_burst` or
+// `corrupt`, with the receiving node (`to`), the packet's slot and its wire
+// bytes.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +26,6 @@
 #include "common/histogram.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
-#include "net/trace.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulation.hpp"
 
@@ -117,10 +122,6 @@ public:
   // Random bit-error rate per packet (applied like the loss process).
   void set_corrupt_prob(double p) { corrupt_prob_ = p; }
 
-  // Attaches a tracer that records every TX/drop/corrupt/deliver event on
-  // this link (shared by both directions).
-  void set_tracer(Tracer* t) { tracer_ = t; }
-
   [[nodiscard]] Node& peer_of(const Node& n);
 
 private:
@@ -170,12 +171,10 @@ private:
   void deliver_event(Direction& dir, std::uint64_t seq);
   void replan(Direction& dir, BitsPerSecond old_rate);
   static void corrupt(Packet& p);
-  void trace(TraceEventKind kind, const Node& from, const Node& to, const Packet& p);
 
   DropFilter drop_filter_;
   DropFilter corrupt_filter_;
   double corrupt_prob_ = 0.0;
-  Tracer* tracer_ = nullptr;
   std::optional<BurstLossConfig> burst_;
   bool down_ = false;
 

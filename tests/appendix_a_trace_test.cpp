@@ -1,15 +1,26 @@
 // Deterministic replay of the paper's Appendix A execution: three workers,
 // one slot (x = 1), an update packet lost on the upstream path and a result
-// packet lost on the downstream path. Asserts the exact sequence of protocol
-// reactions: duplicate retransmissions ignored via the seen bitmap, the late
-// retransmission completing the slot, the shadow copy serving a unicast
-// reply, and the slot's safe reuse for the next phase.
+// packet lost on the downstream path. A TraceSink records the switch, worker
+// and link events, and each test asserts the exact sequence of slot x's
+// first-phase protocol reactions: the lost packet, the timeouts and
+// retransmissions, the duplicates the seen bitmap ignores, the late
+// retransmission completing the slot, and the shadow copy serving a unicast
+// reply. The slot is then reused safely for two more phases, and every
+// worker's result is bit-exact.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "common/tracing.hpp"
 #include "core/cluster.hpp"
 
 namespace switchml::core {
 namespace {
+
+using Walk = std::vector<std::string>;
 
 class AppendixATrace : public ::testing::Test {
 protected:
@@ -39,6 +50,48 @@ protected:
       for (std::size_t i = 0; i < v.size(); ++i) s[i] += v[i];
     return s;
   }
+
+  // The slot's first-phase events in trace order, one line each: the
+  // workers' sends, timeouts, retransmissions and receptions; the link drops
+  // with the receiving node; the switch's ignored duplicates and shadow-copy
+  // replies with the worker concerned, and its completion. Actors are w<i>
+  // and sw. The walk ends when the third worker receives the result, before
+  // the third phase reuses version 0.
+  Walk walk() const {
+    EXPECT_EQ(sink_.total_drops(), 0u);
+    const auto arg = [](const trace::Event& e, std::string_view key) {
+      for (const trace::Arg* a : {&e.a0, &e.a1, &e.a2})
+        if (a->key != nullptr && key == a->key) return std::optional<std::int64_t>(a->value);
+      return std::optional<std::int64_t>();
+    };
+    const auto actor = [](std::int64_t node) {
+      return node < 100 ? "w" + std::to_string(node) : std::string("sw");
+    };
+    Walk out;
+    int received = 0;
+    for (const trace::Event& e : sink_.events()) {
+      if (arg(e, "slot") != kSlot) continue;
+      const std::string_view name = e.name;
+      std::string line = actor(e.node) + " " + std::string(name);
+      if (e.cat == trace::kCatLink) {
+        if (!name.starts_with("drop_")) continue;
+        line += " " + actor(*arg(e, "to"));
+      } else if (e.cat == trace::kCatWorker || name == "complete") {
+        if (arg(e, "off") != static_cast<std::int64_t>(kOff)) continue;
+      } else if (name == "dup_update" || name == "shadow_reply") {
+        if (arg(e, "ver") != 0) continue; // the second phase runs on version 1
+        line += " " + actor(*arg(e, "wid"));
+      } else {
+        continue; // claims, aggregations and version flips
+      }
+      out.push_back(std::move(line));
+      if (name == "recv" && ++received == 3) break;
+    }
+    return out;
+  }
+
+  trace::TraceSink sink_{1u << 12, trace::kCatSwitch | trace::kCatWorker | trace::kCatLink};
+  trace::TraceSink::Scope scope_{&sink_};
 };
 
 TEST_F(AppendixATrace, UpstreamLossRecoveredByRetransmission) {
@@ -58,16 +111,23 @@ TEST_F(AppendixATrace, UpstreamLossRecoveredByRetransmission) {
   auto result = cluster.reduce_i32(updates);
   EXPECT_EQ(result.outputs[0], expected_sum(updates));
 
+  EXPECT_EQ(walk(), (Walk{
+                        "w0 send", "w1 send", "w2 send",
+                        "w2 drop_loss sw",
+                        // Self-clocking stalls every worker on the slot, so
+                        // all three timers fire and all three retransmit.
+                        "w0 timeout", "w0 retransmit",
+                        "w1 timeout", "w1 retransmit",
+                        "w2 timeout", "w2 retransmit",
+                        // t4/t5: the seen bitmap ignores workers 0 and 1.
+                        "sw dup_update w0", "sw dup_update w1",
+                        // t6: worker 2's retransmission completes the slot.
+                        "sw complete",
+                        "w0 recv", "w1 recv", "w2 recv",
+                    }));
   const auto& sw = cluster.agg_switch().counters();
-  // t4/t5: workers 0 and 1 retransmit; both are recognized as duplicates.
   EXPECT_EQ(sw.duplicate_updates, 2u);
-  // t6: worker 2's retransmission is NOT a duplicate — it completes the slot.
   EXPECT_EQ(sw.unicast_replies, 0u);
-  // Every worker timed out exactly once (self-clocking stalls them together).
-  for (int w = 0; w < 3; ++w) {
-    EXPECT_EQ(cluster.worker(w).counters().timeouts, 1u) << "worker " << w;
-    EXPECT_EQ(cluster.worker(w).counters().retransmissions, 1u) << "worker " << w;
-  }
 }
 
 TEST_F(AppendixATrace, DownstreamLossServedFromShadowCopy) {
@@ -85,20 +145,21 @@ TEST_F(AppendixATrace, DownstreamLossServedFromShadowCopy) {
 
   auto updates = make_updates();
   auto result = cluster.reduce_i32(updates);
-  EXPECT_EQ(result.outputs[0], expected_sum(updates));
+  for (int w = 0; w < 3; ++w)
+    EXPECT_EQ(result.outputs[static_cast<std::size_t>(w)], expected_sum(updates));
 
-  const auto& sw = cluster.agg_switch().counters();
-  // t8: worker 0's retransmission hits a COMPLETE slot -> unicast reply from
-  // the shadow copy (t11). (Workers 1 and 2 moved on to the next phase; their
-  // phase-2 packets stall on the same slot until worker 0 recovers, so their
-  // own timers may also fire once — self-clocking keeps everyone within one
-  // phase, and every such retransmission is absorbed as a duplicate or
-  // answered from the shadow copy.)
-  EXPECT_GE(sw.unicast_replies, 1u);
-  EXPECT_GE(sw.duplicate_updates, 1u);
-  EXPECT_GE(cluster.worker(0).counters().timeouts, 1u);
-  // Nobody retransmits more than once per phase here.
-  for (int w = 0; w < 3; ++w) EXPECT_LE(cluster.worker(w).counters().retransmissions, 2u);
+  EXPECT_EQ(walk(), (Walk{
+                        "w0 send", "w1 send", "w2 send",
+                        "sw complete",
+                        "sw drop_loss w0",
+                        // Workers 1 and 2 move on to the next phase.
+                        "w1 recv", "w2 recv",
+                        // t8: worker 0's retransmission hits a complete slot...
+                        "w0 timeout", "w0 retransmit",
+                        // ...t11: which answers from the shadow copy.
+                        "sw dup_update w0", "sw shadow_reply w0",
+                        "w0 recv",
+                    }));
 }
 
 TEST_F(AppendixATrace, CombinedLossesMatchPaperNarrative) {
@@ -128,9 +189,22 @@ TEST_F(AppendixATrace, CombinedLossesMatchPaperNarrative) {
     EXPECT_EQ(result.outputs[static_cast<std::size_t>(w)], expected_sum(updates));
   EXPECT_TRUE(up);
   EXPECT_TRUE(down);
-  const auto& sw = cluster.agg_switch().counters();
-  EXPECT_EQ(sw.unicast_replies, 1u);
-  EXPECT_GE(sw.duplicate_updates, 3u); // w0+w1 phase-1 dups, w0's shadow query, ...
+
+  EXPECT_EQ(walk(), (Walk{
+                        "w0 send", "w1 send", "w2 send",
+                        "w2 drop_loss sw",
+                        "w0 timeout", "w0 retransmit",
+                        "w1 timeout", "w1 retransmit",
+                        "w2 timeout", "w2 retransmit",
+                        "sw dup_update w0", "sw dup_update w1",
+                        "sw complete",
+                        "sw drop_loss w0",
+                        "w1 recv", "w2 recv",
+                        "w0 timeout", "w0 retransmit",
+                        "sw dup_update w0", "sw shadow_reply w0",
+                        "w0 recv",
+                    }));
+  EXPECT_EQ(cluster.agg_switch().counters().unicast_replies, 1u);
   // No worker ever lags more than one phase behind (the §3.5 invariant):
   // after completion all slots agree on their phase count.
   for (std::uint32_t s = 0; s < 4; ++s)
@@ -155,7 +229,28 @@ TEST_F(AppendixATrace, RepeatedUpstreamLossEventuallyRecovers) {
   auto result = cluster.reduce_i32(updates);
   EXPECT_EQ(result.outputs[0], expected_sum(updates));
   EXPECT_EQ(drops, 3);
-  EXPECT_GE(cluster.worker(2).counters().retransmissions, 3u);
+
+  // Each round: every timer fires, worker 2's retransmission is lost again
+  // (twice), and the switch ignores the other two as duplicates.
+  Walk expected{"w0 send", "w1 send", "w2 send", "w2 drop_loss sw"};
+  for (int round = 0; round < 3; ++round) {
+    for (const char* w : {"w0", "w1", "w2"}) {
+      expected.push_back(std::string(w) + " timeout");
+      expected.push_back(std::string(w) + " retransmit");
+    }
+    if (round < 2) expected.push_back("w2 drop_loss sw");
+    expected.insert(expected.end(), {"sw dup_update w0", "sw dup_update w1"});
+  }
+  expected.insert(expected.end(), {"sw complete", "w0 recv", "w1 recv", "w2 recv"});
+  EXPECT_EQ(walk(), expected);
+
+  // The timer doubles after each timeout: it fires 1, 3 and 7 ms in.
+  std::vector<Time> timeouts;
+  for (const trace::Event& e : sink_.events())
+    if (e.node == 2 && std::string_view(e.name) == "timeout" &&
+        e.a1.value == static_cast<std::int64_t>(kOff))
+      timeouts.push_back(e.ts);
+  EXPECT_EQ(timeouts, (std::vector<Time>{msec(1), msec(3), msec(7)}));
 }
 
 } // namespace

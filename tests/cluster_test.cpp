@@ -8,7 +8,9 @@
 #include <cmath>
 #include <functional>
 #include <numeric>
+#include <string_view>
 
+#include "common/tracing.hpp"
 #include "core/allreduce.hpp"
 #include "core/cluster.hpp"
 #include "core/stream_manager.hpp"
@@ -417,23 +419,27 @@ TEST(AllReduce, Int8StochasticWireFormat) {
 TEST(AllReduce, TraceRecordsProtocolTimeline) {
   ClusterConfig cfg = small_config(2);
   Cluster cluster(cfg);
-  auto& tracer = cluster.enable_tracing();
+  trace::TraceSink sink(1u << 12, trace::kCatLink);
+  trace::TraceSink::Scope scope(&sink);
   std::vector<std::vector<std::int32_t>> updates(2, std::vector<std::int32_t>(64, 1));
   cluster.reduce_i32(updates);
-  // 2 chunks x (2 updates + 2 results), each with a TX and a DELIVER record.
-  std::size_t tx = 0, deliver = 0, updates_seen = 0, results_seen = 0;
-  for (const auto& e : tracer.events()) {
-    if (e.kind == net::TraceEventKind::Tx) ++tx;
-    if (e.kind == net::TraceEventKind::Deliver) ++deliver;
-    if (e.pkt == net::PacketKind::SmlUpdate) ++updates_seen;
-    if (e.pkt == net::PacketKind::SmlResult) ++results_seen;
+  // 2 chunks x (2 updates + 2 results), each with an enqueue and a deliver
+  // record. Link events carry their sender: workers send the updates, the
+  // switch sends the results.
+  const net::NodeId sw = cluster.agg_switch().id();
+  std::size_t enqueue = 0, deliver = 0, updates_seen = 0, results_seen = 0;
+  for (const auto& e : sink.events()) {
+    const std::string_view name = e.name;
+    if (name == "enqueue") ++enqueue;
+    if (name == "deliver") ++deliver;
+    ++(e.node == sw ? results_seen : updates_seen);
   }
-  EXPECT_EQ(tx, deliver);
-  EXPECT_EQ(updates_seen, 2u * 2u * 2u);  // (TX + deliver) x 2 workers x 2 chunks
+  EXPECT_EQ(enqueue, deliver);
+  EXPECT_EQ(updates_seen, 2u * 2u * 2u);  // (enqueue + deliver) x 2 workers x 2 chunks
   EXPECT_EQ(results_seen, 2u * 2u * 2u);
   // Events are time ordered.
-  for (std::size_t i = 1; i < tracer.events().size(); ++i)
-    EXPECT_LE(tracer.events()[i - 1].at, tracer.events()[i].at);
+  for (std::size_t i = 1; i < sink.events().size(); ++i)
+    EXPECT_LE(sink.events()[i - 1].ts, sink.events()[i].ts);
 }
 
 TEST(AllReduce, ResultsIdenticalAcrossWorkers) {

@@ -169,6 +169,20 @@ TEST(JsonDump, EscapesControlCharacters) {
   EXPECT_NE(s.find("\\u0001"), std::string::npos);
 }
 
+// json::quote is the emitter's string escaper, exposed for the hand-written
+// exporters: every ASCII byte, alone and all in one string, round-trips.
+TEST(JsonDump, QuoteRoundTripsEveryAsciiByte) {
+  std::string all;
+  for (int c = 0; c < 0x80; ++c) {
+    const std::string one(1, static_cast<char>(c));
+    const std::string quoted = quote(one);
+    EXPECT_EQ(parse(quoted).as_string(), one) << "byte " << c;
+    EXPECT_EQ(quoted, Value(one).dump()) << "byte " << c;
+    all += one;
+  }
+  EXPECT_EQ(parse(quote(all)).as_string(), all);
+}
+
 TEST(JsonDump, NonFiniteDoublesThrow) {
   EXPECT_THROW((void)Value(std::numeric_limits<double>::quiet_NaN()).dump(), std::runtime_error);
   EXPECT_THROW((void)Value(std::numeric_limits<double>::infinity()).dump(), std::runtime_error);

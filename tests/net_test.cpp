@@ -1,5 +1,6 @@
-// Network substrate tests: packet wire sizes, link timing/queueing/loss,
-// NIC core model, L2 switch forwarding/multicast, reliable transport.
+// Network substrate tests: packet wire sizes, link timing/queueing/loss and
+// trace events, NIC core model, L2 switch forwarding/multicast, reliable
+// transport.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -7,6 +8,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/tracing.hpp"
 #include "net/l2switch.hpp"
 #include "net/link.hpp"
 #include "net/nic.hpp"
@@ -633,60 +635,62 @@ TEST(Reliable, OutOfOrderSegmentsAreBufferedAndOnlyTheHoleIsResent) {
   EXPECT_EQ(rx.buffered_segments(), 0u);
 }
 
-// ----------------------------------------------------------------- tracer
+// ------------------------------------------------------------- link trace
 
-TEST(Tracer, RecordsAndFiltersEvents) {
-  Tracer tr;
-  tr.set_filter([](const TraceEvent& e) { return e.kind != TraceEventKind::Deliver; });
-  TraceEvent tx;
-  tx.kind = TraceEventKind::Tx;
-  TraceEvent del;
-  del.kind = TraceEventKind::Deliver;
-  tr.record(tx);
-  tr.record(del);
-  ASSERT_EQ(tr.events().size(), 1u);
-  EXPECT_EQ(tr.events()[0].kind, TraceEventKind::Tx);
+// Each link event is one record in the ambient TraceSink's `link` category,
+// emitted by the sending node with the receiver, the slot and the wire bytes.
+void expect_link_args(const trace::Event& e, NodeId from, NodeId to, std::uint32_t slot,
+                      std::uint32_t bytes) {
+  EXPECT_EQ(e.cat, trace::kCatLink);
+  EXPECT_EQ(e.node, from);
+  EXPECT_STREQ(e.a0.key, "to");
+  EXPECT_EQ(e.a0.value, static_cast<std::int64_t>(to));
+  EXPECT_STREQ(e.a1.key, "slot");
+  EXPECT_EQ(e.a1.value, static_cast<std::int64_t>(slot));
+  EXPECT_STREQ(e.a2.key, "bytes");
+  EXPECT_EQ(e.a2.value, static_cast<std::int64_t>(bytes));
 }
 
-TEST(Tracer, CapacityBoundsMemory) {
-  Tracer tr;
-  tr.set_capacity(3);
-  for (int i = 0; i < 10; ++i) tr.record(TraceEvent{});
-  EXPECT_EQ(tr.events().size(), 3u);
-  EXPECT_EQ(tr.dropped_records(), 7u);
-  tr.clear();
-  EXPECT_TRUE(tr.events().empty());
-  EXPECT_EQ(tr.dropped_records(), 0u);
-}
-
-TEST(Tracer, LinkEmitsTxAndDeliverPairs) {
+TEST(LinkTrace, EnqueueAndDeliverCarryEndpointsSlotAndBytes) {
   sim::Simulation sim;
   SinkNode a{sim, 1, "a"}, b{sim, 2, "b"};
   LinkConfig lc;
   Link link(sim, lc, a, 0, b, 0, 1);
-  Tracer tr;
-  link.set_tracer(&tr);
-  link.send_from(a, raw_packet(100, 1, 2));
+  trace::TraceSink sink(16, trace::kCatLink);
+  trace::TraceSink::Scope scope(&sink);
+  Packet p = raw_packet(100, 1, 2);
+  p.idx = 7;
+  const std::uint32_t bytes = p.wire_bytes();
+  link.send_from(a, std::move(p));
   sim.run();
-  ASSERT_EQ(tr.events().size(), 2u);
-  EXPECT_EQ(tr.events()[0].kind, TraceEventKind::Tx);
-  EXPECT_EQ(tr.events()[1].kind, TraceEventKind::Deliver);
-  EXPECT_EQ(tr.events()[0].from, 1u);
-  EXPECT_EQ(tr.events()[0].to, 2u);
+  ASSERT_EQ(sink.events().size(), 2u);
+  const trace::Event& enqueue = sink.events()[0];
+  const trace::Event& deliver = sink.events()[1];
+  EXPECT_STREQ(enqueue.name, "enqueue");
+  EXPECT_EQ(enqueue.ts, 0);
+  expect_link_args(enqueue, 1, 2, 7, bytes);
+  EXPECT_STREQ(deliver.name, "deliver");
+  EXPECT_EQ(deliver.ts, serialization_time(bytes, lc.rate) + lc.propagation);
+  expect_link_args(deliver, 1, 2, 7, bytes);
+  EXPECT_EQ(b.arrivals.size(), 1u);
 }
 
-TEST(Tracer, LinkEmitsDropEvents) {
+TEST(LinkTrace, DropLossFollowsEnqueue) {
   sim::Simulation sim;
   SinkNode a{sim, 1, "a"}, b{sim, 2, "b"};
   LinkConfig lc;
   Link link(sim, lc, a, 0, b, 0, 1);
-  Tracer tr;
-  link.set_tracer(&tr);
   link.set_drop_filter([](const Node&, const Packet&) { return true; });
-  link.send_from(a, raw_packet(100, 1, 2));
+  trace::TraceSink sink(16, trace::kCatLink);
+  trace::TraceSink::Scope scope(&sink);
+  Packet p = raw_packet(100, 1, 2);
+  const std::uint32_t bytes = p.wire_bytes();
+  link.send_from(a, std::move(p));
   sim.run();
-  ASSERT_EQ(tr.events().size(), 2u); // TX then DROP-LOSS
-  EXPECT_EQ(tr.events()[1].kind, TraceEventKind::DropLoss);
+  ASSERT_EQ(sink.events().size(), 2u);
+  EXPECT_STREQ(sink.events()[0].name, "enqueue");
+  EXPECT_STREQ(sink.events()[1].name, "drop_loss");
+  expect_link_args(sink.events()[1], 1, 2, 0, bytes);
   EXPECT_TRUE(b.arrivals.empty());
 }
 

@@ -10,7 +10,8 @@
 //      one worker declares the switch dead;
 //   4. the span ledger conserves exactly (max_residual_ns == 0) — fault
 //      churn, wipes, and fallback handoffs never leak attributed time;
-//   5. one-shot-flapped links deliver ZERO packets inside the down window.
+//   5. one-shot-flapped links deliver ZERO packets inside the down window
+//      (read from the TraceSink's link events).
 //
 // Iteration count defaults low for developer ctest; CI soaks with
 // SWITCHML_SOAK_ITERS=200 (see .github/workflows/ci.yml), also under
@@ -21,12 +22,13 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/attribution.hpp"
-#include "net/trace.hpp"
+#include "common/tracing.hpp"
 #include "scenario/scenario.hpp"
 
 namespace switchml::scenario {
@@ -39,6 +41,10 @@ int soak_iters() {
   }
   return 10;
 }
+
+// Room for every link and fault event of the largest fuzzed run; the soak
+// asserts that none was dropped.
+constexpr std::size_t kSinkCapacity = 1u << 16;
 
 Time max_tat(const RunResult& r) {
   Time m = 0;
@@ -69,25 +75,29 @@ void soak_one(std::uint64_t seed) {
   ASSERT_NO_THROW(loaded = load_string(doc)) << doc;
   EXPECT_EQ(to_json(loaded).dump(true), doc);
 
-  // Per-link delivery tracers on every one-shot-flapped link. fuzz_faults
-  // never stacks a second flap spec on the same link, so each window is the
-  // whole truth about that link's downtime.
-  std::vector<std::unique_ptr<net::Tracer>> tracers;
+  // The endpoints of every one-shot-flapped link, by the fabric's link-order
+  // rule (DESIGN §6): link i is worker i's uplink for i < n_workers, then
+  // switch 1 + (i - n_workers)'s uplink. fuzz_faults never stacks a second
+  // flap spec on the same link, so each window is the whole truth about that
+  // link's downtime.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> flapped;
   RunHooks hooks;
   hooks.on_built = [&](core::Fabric& f) {
+    const auto n = static_cast<std::size_t>(f.n_workers());
     for (const core::LinkFlapSpec& spec : loaded.fabric.faults.flaps) {
-      auto tracer = std::make_unique<net::Tracer>();
-      tracer->set_filter(
-          [](const net::TraceEvent& e) { return e.kind == net::TraceEventKind::Deliver; });
-      f.link(spec.link).set_tracer(tracer.get());
-      tracers.push_back(std::move(tracer));
+      net::Node& end =
+          spec.link < n ? static_cast<net::Node&>(f.worker(static_cast<int>(spec.link)))
+                        : f.switch_at(1 + spec.link - n);
+      flapped.emplace_back(end.id(), f.link(spec.link).peer_of(end).id());
     }
   };
 
   attr::SpanLedger ledger;
+  trace::TraceSink sink(kSinkCapacity, trace::kCatLink | trace::kCatFault);
   RunResult faulted;
   {
     attr::SpanLedger::Scope scope(&ledger);
+    trace::TraceSink::Scope trace_scope(&sink);
     faulted = run(loaded, hooks);
   }
 
@@ -109,16 +119,26 @@ void soak_one(std::uint64_t seed) {
   EXPECT_EQ(ledger.max_residual_ns(), 0u);
   EXPECT_GT(ledger.chunks_closed(), 0u);
 
-  // Downed links deliver nothing: no Deliver event strictly inside any
-  // one-shot window (endpoints excluded — a delivery scheduled for the same
-  // instant as the down edge may legally land first).
-  for (std::size_t i = 0; i < loaded.fabric.faults.flaps.size(); ++i) {
-    const core::LinkFlapSpec& spec = loaded.fabric.faults.flaps[i];
-    for (const net::TraceEvent& e : tracers[i]->events())
-      EXPECT_FALSE(e.at > spec.down_at && e.at < spec.up_at)
-          << "link " << spec.link << " delivered a packet at t=" << e.at
+  // Downed links deliver nothing: no `deliver` between a flapped link's
+  // endpoints strictly inside its one-shot window (endpoints excluded — a
+  // delivery scheduled for the same instant as the down edge may legally
+  // land first). A switch-dead fallback replays on a cluster of its own,
+  // whose clock restarts at 0 and whose node ids collide with the fabric's,
+  // so the scan ends at its `fallback_begin`.
+  EXPECT_EQ(sink.total_drops(), 0u);
+  for (const trace::Event& e : sink.events()) {
+    const std::string_view name = e.name;
+    if (name == "fallback_begin") break;
+    if (name != "deliver") continue;
+    const auto to = static_cast<std::uint32_t>(e.a0.value);
+    for (std::size_t i = 0; i < flapped.size(); ++i) {
+      const auto [a, b] = flapped[i];
+      if (!((e.node == a && to == b) || (e.node == b && to == a))) continue;
+      const core::LinkFlapSpec& spec = loaded.fabric.faults.flaps[i];
+      EXPECT_FALSE(e.ts > spec.down_at && e.ts < spec.up_at)
+          << "link " << spec.link << " delivered a packet at t=" << e.ts
           << " ns inside its down window [" << spec.down_at << ", " << spec.up_at << ")";
-    EXPECT_EQ(tracers[i]->dropped_records(), 0u);
+    }
   }
 }
 

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/timeline.hpp"
 #include "core/cluster.hpp"
 #include "sim/simulation.hpp"
@@ -219,6 +223,43 @@ TEST(Timeline, CsvHeaderMatchesSeriesAndRowsAreComplete) {
       if (csv[i] == ',') ++commas;
     EXPECT_EQ(commas, header_commas);
     pos = end + 1;
+  }
+}
+
+// write(path) takes the format from the path: CSV exactly when it ends in
+// ".csv", JSONL otherwise.
+TEST(Timeline, WritePicksCsvOnlyForCsvSuffix) {
+  sim::Simulation sim;
+  MetricsRegistry reg;
+  std::uint64_t n = 0;
+  reg.add_counter("c", [&] { return n; });
+  TimelineRecorder::Config tc;
+  tc.period = usec(1);
+  TimelineRecorder tl(sim, reg, tc);
+  sim.schedule_at(usec(3), [&] { n = 5; });
+  tl.start();
+  sim.run();
+  tl.finish();
+
+  const auto read_back = [](const std::string& path) {
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    std::remove(path.c_str());
+    return text.str();
+  };
+  const std::string base = ::testing::TempDir() + "timeline_write_test";
+  tl.write(base + ".csv");
+  const std::string csv = read_back(base + ".csv");
+  EXPECT_EQ(csv, tl.csv());
+  EXPECT_EQ(csv.substr(0, csv.find('\n')), "t_ns,dt_ns,c.rate");
+
+  for (const std::string& path : {base + ".jsonl", base + ".csv.jsonl"}) {
+    tl.write(path);
+    const std::string jsonl = read_back(path);
+    EXPECT_EQ(jsonl, tl.jsonl()) << path;
+    const json::Value first = json::parse(jsonl.substr(0, jsonl.find('\n')));
+    EXPECT_NE(first.find("t_ns"), nullptr) << path;
   }
 }
 
