@@ -28,7 +28,7 @@ Run run_congested(double slowdown, bool adaptive, std::uint64_t elems) {
   core::ClusterConfig cfg = core::ClusterConfig::for_rate(gbps(10), 8);
   cfg.timing_only = true;
   cfg.adaptive_rto = adaptive;
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   // Congest worker 0's downlink: the switch->worker0 direction runs at
   // rate/slowdown. (set_rate applies to both directions of the link; the
   // upstream direction is not the bottleneck here.)

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
     core::ClusterConfig cfg = core::ClusterConfig::for_rate(gbps(100), 8);
     cfg.timing_only = true;
     cfg.nic = core::switchml_worker_nic_100g(cores);
-    core::Cluster cluster(cfg);
+    core::Fabric cluster(cfg.fabric());
     Summary tat_ms;
     for (int r = 0; r < scale.repetitions; ++r) {
       auto tats = cluster.reduce_timing(scale.tensor_elems);

@@ -22,12 +22,11 @@ int main(int argc, char** argv) {
     table.add_row({"flat (1 switch)", "16", Table::num(flat.tat_ms), mega(flat.ate_per_s), "-"});
   }
   for (int racks : {2, 4}) {
-    core::HierarchyConfig cfg;
-    cfg.racks = racks;
-    cfg.workers_per_rack = 16 / racks;
+    core::FabricConfig cfg;
+    cfg.topology = core::HierarchySpec{.racks = racks, .workers_per_rack = 16 / racks};
     cfg.timing_only = true;
     cfg.nic = core::switchml_worker_nic_10g();
-    core::HierarchicalCluster h(cfg);
+    core::Fabric h(cfg);
     Summary tat_ms;
     for (int r = 0; r < scale.repetitions; ++r) {
       auto tats = h.reduce_timing(scale.tensor_elems);
@@ -36,18 +35,15 @@ int main(int argc, char** argv) {
     const double ate = static_cast<double>(scale.tensor_elems) / (tat_ms.median() / 1e3);
     table.add_row({std::to_string(racks) + " racks x " + std::to_string(16 / racks),
                    "16", Table::num(tat_ms.median()), mega(ate),
-                   std::to_string(h.leaf(0).counters().upstream_partials) + " per leaf"});
+                   std::to_string(h.switch_at(1).counters().upstream_partials) + " per leaf"});
   }
   {
     // §6's H > 2 case: a 3-level tree (root -> 2 internal -> 4 racks x 4).
-    core::TreeConfig cfg;
-    cfg.levels = 3;
-    cfg.branching = 2;
-    cfg.workers_per_rack = 4;
+    core::FabricConfig cfg;
+    cfg.topology = core::TreeSpec{.levels = 3, .branching = 2, .workers_per_rack = 4};
     cfg.timing_only = true;
     cfg.nic = core::switchml_worker_nic_10g();
-    cfg.pool_size = 128;
-    core::TreeCluster tree(cfg);
+    core::Fabric tree(cfg);
     Summary tat_ms;
     for (int r = 0; r < scale.repetitions; ++r) {
       auto tats = tree.reduce_timing(scale.tensor_elems);

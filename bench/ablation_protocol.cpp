@@ -29,7 +29,7 @@ Outcome run_case(bool ablate_seen, bool ablate_shadow, double loss, std::uint64_
   cfg.loss_prob = loss;
   cfg.ablate_seen_bitmap = ablate_seen;
   cfg.ablate_shadow_copy = ablate_shadow;
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
 
   sim::Rng rng = sim::Rng::stream(77, "ablation");
   std::vector<std::vector<std::int32_t>> updates(4, std::vector<std::int32_t>(elems));

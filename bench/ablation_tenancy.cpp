@@ -16,11 +16,10 @@ int main(int argc, char** argv) {
   std::printf("=== Tenancy: concurrent jobs sharing one switch (10 Gbps, 4 workers/job) ===\n");
   Table table({"concurrent jobs", "per-job ATE/s (x1e6)", "switch SRAM used"});
   for (int jobs : {1, 2, 4, 8}) {
-    core::MultiJobConfig cfg;
-    cfg.n_jobs = jobs;
-    cfg.workers_per_job = 4;
+    core::FabricConfig cfg;
+    cfg.topology = core::MultiJobSpec{.n_jobs = jobs, .workers_per_job = 4};
     cfg.timing_only = true;
-    core::MultiJobCluster cluster(cfg);
+    core::Fabric cluster(cfg);
     auto tats = cluster.reduce_timing_all(scale.tensor_elems);
     Summary ate;
     for (const auto& job_tats : tats)
@@ -28,7 +27,7 @@ int main(int argc, char** argv) {
         ate.add(static_cast<double>(scale.tensor_elems) / to_sec(t));
     char sram[32];
     std::snprintf(sram, sizeof sram, "%zu KiB",
-                  cluster.agg_switch().register_bytes() / 1024);
+                  cluster.root().register_bytes() / 1024);
     table.add_row({std::to_string(jobs), mega(ate.median()), sram});
   }
   std::printf("%s\n", table.to_string().c_str());

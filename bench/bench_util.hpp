@@ -317,7 +317,8 @@ inline void fill_tail_stats(RateResult& out, const MetricsRegistry& registry) {
 }
 
 // Arms a TimelineRecorder over a measured run when `req` asks for one; the
-// measure_* helpers call start()/finish_and_write() around their rep loops.
+// measure_* helpers construct it before their rep loops, resume() it at the
+// top of each repetition and finish_and_write() it after the last.
 class ScopedTimeline {
 public:
   ScopedTimeline(const TimelineRequest* req, sim::Simulation& sim, MetricsRegistry& registry,
@@ -328,6 +329,10 @@ public:
     tc.period = req_->period;
     recorder_ = std::make_unique<TimelineRecorder>(sim, registry, tc);
     recorder_->start();
+  }
+
+  void resume() {
+    if (recorder_) recorder_->resume();
   }
 
   void finish_and_write() {
@@ -370,12 +375,13 @@ inline RateResult rate_result(const Summary& tat_ms, const BenchScale& scale,
 inline RateResult measure_switchml(core::ClusterConfig cfg, const BenchScale& scale,
                                    const Telemetry& telemetry = {}) {
   cfg.timing_only = true;
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   ScopedTimeline scoped(telemetry.timeline, cluster.simulation(), cluster.metrics(),
                         telemetry.label);
 
   Summary tat_ms;
   for (int r = 0; r < scale.repetitions; ++r) {
+    scoped.resume();
     auto tats = cluster.reduce_timing(scale.tensor_elems);
     for (Time t : tats) tat_ms.add(to_msec(t));
   }
@@ -427,6 +433,7 @@ inline RateResult measure_streaming_ps(BaselineKind kind, BitsPerSecond rate, in
                         telemetry.label);
   Summary tat_ms;
   for (int r = 0; r < scale.repetitions; ++r) {
+    scoped.resume();
     auto tats = cluster.reduce_timing(scale.tensor_elems);
     for (Time t : tats) tat_ms.add(to_msec(t));
   }
@@ -461,6 +468,7 @@ inline RateResult measure_baseline(BaselineKind kind, BitsPerSecond rate, int wo
 
   Summary tat_ms;
   for (int r = 0; r < scale.repetitions; ++r) {
+    scoped.resume();
     const Time t =
         kind == BaselineKind::HalvingDoubling
             ? collectives::HalvingDoublingAllReduce(cluster, profile.transport).run(bytes)

@@ -49,7 +49,7 @@ FaultResult measure_faulted(BitsPerSecond rate, int workers, std::uint64_t elems
   core::ClusterConfig cfg = core::ClusterConfig::for_rate(rate, workers);
   cfg.timing_only = true;
   cfg.faults = plan;
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   ScopedTimeline scoped(timeline, cluster.simulation(), cluster.metrics(), label);
 
   const auto tats = cluster.reduce_timing(elems);
@@ -66,7 +66,7 @@ FaultResult measure_faulted(BitsPerSecond rate, int workers, std::uint64_t elems
   out.tat_max_ms = to_msec(max_tat);
   out.rate.ate_per_s = static_cast<double>(elems) / (out.rate.tat_ms / 1e3);
   fill_tail_stats(out.rate, cluster.metrics());
-  if (core::FaultInjector* inj = cluster.fabric().fault_injector()) {
+  if (core::FaultInjector* inj = cluster.fault_injector()) {
     out.flaps_applied = inj->counters().flaps_applied;
     out.straggler_windows = inj->counters().straggler_windows;
     out.restarts_applied = inj->counters().restarts_applied;
@@ -74,7 +74,7 @@ FaultResult measure_faulted(BitsPerSecond rate, int workers, std::uint64_t elems
   for (int i = 0; i < workers; ++i) {
     for (const net::Node* end :
          {static_cast<const net::Node*>(&cluster.worker(i)),
-          static_cast<const net::Node*>(&cluster.agg_switch())}) {
+          static_cast<const net::Node*>(&cluster.root())}) {
       const auto& c = cluster.link(i).counters_from(*end);
       out.dropped_down += c.dropped_down;
       out.dropped_burst += c.dropped_burst;
@@ -235,18 +235,17 @@ int main(int argc, char** argv) {
   // state, so the straggler is what keeps slots partially aggregated — and
   // vulnerable — when the wipe hits.
   {
-    core::HierarchyConfig hcfg;
-    hcfg.racks = 2;
-    hcfg.workers_per_rack = 4;
+    core::FabricConfig hcfg;
+    hcfg.topology = core::HierarchySpec{.racks = 2, .workers_per_rack = 4};
     hcfg.timing_only = true;
     hcfg.faults.stragglers.push_back({0, 16.0, 0, -1});
-    core::HierarchicalCluster clean_h(hcfg);
+    core::Fabric clean_h(hcfg);
     const auto clean_tats = clean_h.reduce_timing(scale.tensor_elems);
     Time clean_max = 0;
     for (Time t : clean_tats) clean_max = std::max(clean_max, t);
 
     hcfg.faults.switch_restarts.push_back({1, clean_max / 2}); // leaf 0
-    core::HierarchicalCluster faulted(hcfg);
+    core::Fabric faulted(hcfg);
     ScopedTimeline scoped(&timeline_req, faulted.simulation(), faulted.metrics(),
                           "hierarchy-restart");
     const auto tats = faulted.reduce_timing(scale.tensor_elems);
@@ -258,11 +257,11 @@ int main(int argc, char** argv) {
     std::printf("hierarchy failover (2 racks x 4 workers, 16x straggler, leaf-0 restart at TAT/2):\n"
                 "  no restart %s -> restart %s (%.2fx), restarts=%llu\n\n",
                 format_duration(clean_max).c_str(), format_duration(max_tat).c_str(), inflation,
-                static_cast<unsigned long long>(faulted.leaf(0).counters().restarts));
+                static_cast<unsigned long long>(faulted.switch_at(1).counters().restarts));
     report.add("hierarchy-clean.tat_max_ms", to_msec(clean_max));
     report.add("hierarchy-restart.tat_max_ms", to_msec(max_tat));
     report.add("hierarchy-restart.restarts",
-               static_cast<double>(faulted.leaf(0).counters().restarts));
+               static_cast<double>(faulted.switch_at(1).counters().restarts));
   }
 
   const std::string trace_path = "fault_sweep_trace.json";

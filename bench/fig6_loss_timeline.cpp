@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
       scope = std::make_unique<trace::TraceSink::Scope>(sink.get());
     }
 
-    core::Cluster cluster(cfg);
+    core::Fabric cluster(cfg.fabric());
     TimelineRecorder::Config tc;
     tc.period = msec(10);
     TimelineRecorder timeline(cluster.simulation(), cluster.metrics(), tc);

@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
     cfg.timing_only = true;
     cfg.int_mode = inttel::kModeOnWire;
     cfg.faults = sc.plan;
-    core::Cluster cluster(cfg);
+    core::Fabric cluster(cfg.fabric());
     ScopedTimeline scoped(&timeline_req, cluster.simulation(), cluster.metrics(), sc.name);
     const auto tats = cluster.reduce_timing(scale.tensor_elems);
     scoped.finish_and_write();
@@ -119,10 +119,10 @@ int main(int argc, char** argv) {
     for (Time t : tats) tat_max = std::max(tat_max, t);
 
     const std::uint32_t w0 = cluster.worker(0).id();
-    const std::uint32_t sw = cluster.agg_switch().id();
+    const std::uint32_t sw = cluster.root().id();
     const std::uint32_t lo = std::min(w0, sw);
     const std::uint32_t hi = std::max(w0, sw);
-    inttel::FaultLocalizer* loc = cluster.fabric().int_localizer();
+    inttel::FaultLocalizer* loc = cluster.int_localizer();
 
     // A verdict matches the scenario's ground truth iff it names BOTH the
     // right fault class and the faulted component (fault on worker 0 / its

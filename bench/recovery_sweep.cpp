@@ -43,14 +43,14 @@ RecoveryResult measure_rack(BitsPerSecond rate, int workers, std::uint64_t elems
   core::ClusterConfig cfg = core::ClusterConfig::for_rate(rate, workers);
   cfg.timing_only = true;
   cfg.faults = plan;
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   const auto tats = cluster.reduce_timing(elems);
 
   RecoveryResult out;
   Time max_tat = 0;
   for (Time t : tats) max_tat = std::max(max_tat, t);
   out.tat_max_ms = to_msec(max_tat);
-  out.rescues_applied = cluster.agg_switch().counters().rescues_applied;
+  out.rescues_applied = cluster.root().counters().rescues_applied;
   for (int i = 0; i < workers; ++i) {
     const auto& r = cluster.worker(i).recovery();
     out.epoch_resyncs += r.epoch_resyncs;
@@ -61,7 +61,7 @@ RecoveryResult measure_rack(BitsPerSecond rate, int workers, std::uint64_t elems
       out.resync_p99_ms = std::max(out.resync_p99_ms, static_cast<double>(h.percentile(99)) / 1e6);
     }
   }
-  out.fallbacks = cluster.fabric().fallback_engaged() ? 1 : 0;
+  out.fallbacks = cluster.fallback_engaged() ? 1 : 0;
   if (sidecar != nullptr) sidecar->record(label, cluster.metrics());
   return out;
 }
@@ -169,20 +169,19 @@ int main(int argc, char** argv) {
     report.add("kill-rack.fallbacks", static_cast<double>(r.fallbacks));
   }
   {
-    core::HierarchyConfig cfg;
-    cfg.racks = 2;
-    cfg.workers_per_rack = 4;
+    core::FabricConfig cfg;
+    cfg.topology = core::HierarchySpec{.racks = 2, .workers_per_rack = 4};
     cfg.timing_only = true;
-    core::HierarchicalCluster clean_h(cfg);
+    core::Fabric clean_h(cfg);
     const auto clean_tats = clean_h.reduce_timing(scale.tensor_elems);
     const Time clean_h_max = *std::max_element(clean_tats.begin(), clean_tats.end());
 
     cfg.faults.switch_kills.push_back({0, clean_h_max / 2});
-    core::HierarchicalCluster cluster(cfg);
+    core::Fabric cluster(cfg);
     const auto tats = cluster.reduce_timing(scale.tensor_elems);
     const Time h_max = *std::max_element(tats.begin(), tats.end());
     const double inflation = static_cast<double>(h_max) / static_cast<double>(clean_h_max);
-    const bool engaged = cluster.fabric().fallback_engaged();
+    const bool engaged = cluster.fallback_engaged();
     kills.add_row({"hierarchy root (2x4)", format_duration(h_max),
                    Table::num(inflation, 2) + "x", engaged ? "engaged" : "NO"});
     sidecar.record("kill-hierarchy-root", cluster.metrics());

@@ -110,7 +110,10 @@ int main(int argc, char** argv) {
     Summary rep_ms;
     for (Time t : tats) rep_ms.add(to_msec(t));
     std::printf("  rep %d: TAT %s\n", rep, rep_ms.str().c_str());
-    if (rep != s.workload.reductions - 1) return;
+    if (rep != s.workload.reductions - 1) {
+      timeline->resume();
+      return;
+    }
     timeline->finish_and_write();
     if (!metrics_out.empty()) sidecar.record(sanitize_label(s.name), f.metrics());
     for (int w = 0; w < f.n_workers(); ++w) {

@@ -90,7 +90,7 @@ int main(int argc, char** argv) try {
       cfg.elems_per_packet = net::kMtuElemsPerPacket;
       cfg.mtu_emulation = true;
     }
-    core::Cluster cluster(cfg);
+    core::Fabric cluster(cfg.fabric());
     auto tats = cluster.reduce_timing(elems);
     report("SwitchML", to_msec(tats[static_cast<std::size_t>(args.workers / 2)]), elems, line);
     const auto& w = cluster.worker(0).counters();
@@ -98,26 +98,26 @@ int main(int argc, char** argv) try {
                 cluster.worker(0).rtt().str().c_str(),
                 static_cast<unsigned long long>(w.retransmissions), cfg.pool_size);
     std::printf("switch: %zu B registers (%.2f%% of a 4 MiB budget)\n",
-                cluster.agg_switch().register_bytes(),
-                100.0 * static_cast<double>(cluster.agg_switch().register_bytes()) /
+                cluster.root().register_bytes(),
+                100.0 * static_cast<double>(cluster.root().register_bytes()) /
                     static_cast<double>(4 * kMiB));
   } else if (args.strategy == "hierarchical") {
     if (args.racks < 1) throw std::invalid_argument("--racks must be >= 1");
-    core::HierarchyConfig cfg;
-    cfg.racks = args.racks;
-    cfg.workers_per_rack = args.workers / args.racks;
+    core::FabricConfig cfg;
+    cfg.topology =
+        core::HierarchySpec{.racks = args.racks, .workers_per_rack = args.workers / args.racks};
     cfg.link_rate = rate;
     cfg.uplink_rate = rate;
     cfg.loss_prob = args.loss;
     cfg.timing_only = true;
     cfg.nic = core::switchml_worker_nic(rate);
     if (args.pool) cfg.pool_size = args.pool;
-    core::HierarchicalCluster cluster(cfg);
+    core::Fabric cluster(cfg);
     auto tats = cluster.reduce_timing(elems);
     report("Hierarchical", to_msec(tats[0]), elems, line);
     std::printf("leaf 0 reduction ratio: %llu updates in -> %llu partials up\n",
-                static_cast<unsigned long long>(cluster.leaf(0).counters().updates_received),
-                static_cast<unsigned long long>(cluster.leaf(0).counters().upstream_partials));
+                static_cast<unsigned long long>(cluster.switch_at(1).counters().updates_received),
+                static_cast<unsigned long long>(cluster.switch_at(1).counters().upstream_partials));
   } else if (args.strategy == "gloo" || args.strategy == "nccl") {
     const auto profile = args.strategy == "gloo" ? core::gloo_tcp(rate) : core::nccl_tcp(rate);
     collectives::BaselineClusterConfig cfg;

@@ -17,10 +17,10 @@ using namespace switchml;
 
 namespace {
 
-// Aggregator that routes gradients through the simulated SwitchML cluster.
+// Aggregator that routes gradients through the simulated SwitchML fabric.
 class InNetworkAggregator final : public ml::Aggregator {
 public:
-  explicit InNetworkAggregator(core::Cluster& cluster) : cluster_(cluster) {}
+  explicit InNetworkAggregator(core::Fabric& fabric) : fabric_(fabric) {}
 
   void aggregate(const std::vector<std::vector<float>>& grads,
                  std::vector<float>& out) override {
@@ -29,20 +29,20 @@ public:
     for (const auto& g : grads)
       for (float v : g) max_abs = std::max(max_abs, std::abs(v));
     const double f =
-        quant::max_safe_scaling_factor(cluster_.n_workers(), (max_abs + 1e-6f) * 2.0);
+        quant::max_safe_scaling_factor(fabric_.n_workers(), (max_abs + 1e-6f) * 2.0);
 
-    const int n = cluster_.n_workers();
+    const int n = fabric_.n_workers();
     std::vector<std::vector<float>> outputs(static_cast<std::size_t>(n),
                                             std::vector<float>(grads.front().size()));
     std::vector<std::unique_ptr<core::StreamManager>> mgrs;
     for (int w = 0; w < n; ++w) {
-      auto m = std::make_unique<core::StreamManager>(cluster_.worker(w));
+      auto m = std::make_unique<core::StreamManager>(fabric_.worker(w));
       m->submit(grads[static_cast<std::size_t>(w)], outputs[static_cast<std::size_t>(w)], f,
                 nullptr);
       m->flush();
       mgrs.push_back(std::move(m));
     }
-    cluster_.simulation().run();
+    fabric_.simulation().run();
     out = std::move(outputs.front());
     comm_time_ms_ += 0; // timing detail printed from worker counters below
   }
@@ -50,7 +50,7 @@ public:
   [[nodiscard]] const char* name() const override { return "switchml"; }
 
 private:
-  core::Cluster& cluster_;
+  core::Fabric& fabric_;
   double comm_time_ms_ = 0;
 };
 
@@ -87,7 +87,7 @@ int main() {
   {
     core::ClusterConfig cc = core::ClusterConfig::for_rate(gbps(10), n_workers);
     cc.pool_size = 64;
-    core::Cluster cluster(cc);
+    core::Fabric cluster(cc.fabric());
     ml::DataParallelTrainer trainer(train, test, tc);
     InNetworkAggregator agg(cluster);
     const auto r = trainer.train(iterations, agg);
@@ -95,7 +95,7 @@ int main() {
                 r.final_train_accuracy * 100, r.final_test_accuracy * 100);
 
     const auto& w0 = cluster.worker(0).counters();
-    const auto& sw = cluster.agg_switch().counters();
+    const auto& sw = cluster.root().counters();
     std::printf("\ncommunication totals over %d iterations:\n", iterations);
     std::printf("  per worker: %llu update packets sent (%llu retransmitted)\n",
                 static_cast<unsigned long long>(w0.updates_sent),

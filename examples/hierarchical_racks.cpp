@@ -6,18 +6,18 @@
 // bandwidth reduction that makes the composition oversubscription-friendly.
 #include <cstdio>
 
-#include "core/cluster.hpp"
+#include "core/fabric.hpp"
 #include "sim/rng.hpp"
 
 using namespace switchml;
 
 int main() {
-  core::HierarchyConfig cfg;
-  cfg.racks = 4;
-  cfg.workers_per_rack = 4;
+  const core::HierarchySpec shape{.racks = 4, .workers_per_rack = 4};
+  core::FabricConfig cfg;
+  cfg.topology = shape;
   cfg.pool_size = 32;
   cfg.loss_prob = 0.001; // a little loss everywhere, to exercise recovery
-  core::HierarchicalCluster cluster(cfg);
+  core::Fabric cluster(cfg);
 
   const int n = cluster.n_workers();
   const std::size_t d = 64 * 1024;
@@ -32,7 +32,7 @@ int main() {
     }
 
   std::printf("hierarchical SwitchML: %d racks x %d workers, 0.1%% loss on every link\n",
-              cfg.racks, cfg.workers_per_rack);
+              shape.racks, shape.workers_per_rack);
   auto result = cluster.reduce_i32(updates);
 
   bool correct = true;
@@ -44,8 +44,8 @@ int main() {
   const std::uint64_t chunks = d / 32;
   std::printf("bandwidth accounting (chunks = %llu):\n",
               static_cast<unsigned long long>(chunks));
-  for (int r = 0; r < cfg.racks; ++r) {
-    const auto& c = cluster.leaf(r).counters();
+  for (int r = 0; r < shape.racks; ++r) {
+    const auto& c = cluster.switch_at(1 + static_cast<std::size_t>(r)).counters();
     std::printf("  leaf %d: %llu worker updates in -> %llu partials up (%.1f:1 reduction)\n", r,
                 static_cast<unsigned long long>(c.updates_received),
                 static_cast<unsigned long long>(c.upstream_partials),
@@ -55,6 +55,6 @@ int main() {
   const auto& root = cluster.root().counters();
   std::printf("  root: %llu partials in, %llu results multicast to %d leaves\n",
               static_cast<unsigned long long>(root.updates_received),
-              static_cast<unsigned long long>(root.results_multicast), cfg.racks);
+              static_cast<unsigned long long>(root.results_multicast), shape.racks);
   return correct ? 0 : 1;
 }

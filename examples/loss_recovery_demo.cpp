@@ -13,7 +13,7 @@ int main() {
   cfg.n_workers = 3;
   cfg.pool_size = 4;
   cfg.retransmit_timeout = msec(1);
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
 
   // Scripted losses on slot 1's first phase (offset k*1 = 32):
   //  t3: worker 2's update for slot 1 never reaches the switch;
@@ -53,7 +53,7 @@ int main() {
   auto result = cluster.reduce_i32(updates);
 
   std::printf("\nrecovery postmortem:\n");
-  const auto& sw = cluster.agg_switch().counters();
+  const auto& sw = cluster.root().counters();
   std::printf("  switch ignored %llu duplicate updates via the seen bitmap\n",
               static_cast<unsigned long long>(sw.duplicate_updates));
   std::printf("  switch answered %llu retransmissions from the shadow copy (unicast)\n",

@@ -14,7 +14,7 @@ using namespace switchml;
 int main() {
   // 1. Describe the rack: 8 workers, 10 Gbps links, paper-tuned pool size.
   core::ClusterConfig config = core::ClusterConfig::for_rate(gbps(10), /*n_workers=*/8);
-  core::Cluster cluster(config);
+  core::Fabric cluster(config.fabric());
 
   // 2. Each worker contributes a gradient tensor (here: random values).
   const std::size_t d = 1 << 18; // 1 MB of float32 gradients
@@ -39,10 +39,10 @@ int main() {
   std::printf("  sample: worker0[0..3] = %.4f %.4f %.4f %.4f\n", result.outputs[0][0],
               result.outputs[0][1], result.outputs[0][2], result.outputs[0][3]);
 
-  const auto& sw = cluster.agg_switch().counters();
+  const auto& sw = cluster.root().counters();
   std::printf("  switch: %llu updates aggregated, %llu results multicast, %zu B of registers\n",
               static_cast<unsigned long long>(sw.updates_received),
               static_cast<unsigned long long>(sw.results_multicast),
-              cluster.agg_switch().register_bytes());
+              cluster.root().register_bytes());
   return 0;
 }

@@ -141,23 +141,26 @@ RingAllReduce::Session& RingAllReduce::launch(std::int64_t elems,
 
 Time RingAllReduce::run(std::int64_t tensor_bytes) {
   if (tensor_bytes % 4 != 0) throw std::invalid_argument("RingAllReduce: bytes must be x4");
-  auto& sim = cluster_.simulation();
-  const Time t0 = sim.now();
-  Session& s = launch(tensor_bytes / 4, nullptr, nullptr);
-  sim.run();
-  if (!s.finished) throw std::runtime_error("RingAllReduce: did not complete");
-  return sim.now() - t0;
+  return run_to_completion(tensor_bytes / 4, nullptr);
 }
 
 Time RingAllReduce::run(std::vector<std::vector<float>>& buffers) {
   if (static_cast<int>(buffers.size()) != cluster_.n_hosts())
     throw std::invalid_argument("RingAllReduce: one buffer per host");
+  return run_to_completion(static_cast<std::int64_t>(buffers.front().size()), &buffers);
+}
+
+Time RingAllReduce::run_to_completion(std::int64_t elems,
+                                      std::vector<std::vector<float>>* buffers) {
   auto& sim = cluster_.simulation();
   const Time t0 = sim.now();
-  Session& s = launch(static_cast<std::int64_t>(buffers.front().size()), &buffers, nullptr);
+  Session& s = launch(elems, buffers, nullptr);
   sim.run();
   if (!s.finished) throw std::runtime_error("RingAllReduce: did not complete");
-  return sim.now() - t0;
+  // The TAT ends at the run's last live event, which includes the NICs' ACK
+  // backlog; a timeline sampler's closing daemon tick comes later and does
+  // not count.
+  return std::max(sim.last_live_at(), t0) - t0;
 }
 
 void RingAllReduce::start_async(std::int64_t tensor_bytes, std::function<void()> on_done) {

@@ -48,6 +48,7 @@ public:
 private:
   struct Session;
 
+  Time run_to_completion(std::int64_t elems, std::vector<std::vector<float>>* buffers);
   Session& launch(std::int64_t elems, std::vector<std::vector<float>>* buffers,
                   std::function<void()> on_done);
   void reap_finished();

@@ -61,6 +61,13 @@ public:
     arm();
   }
 
+  // Re-arms the tick that a drained run left unarmed, so that the next run
+  // on the same simulation is sampled too. Takes no sample; a no-op while
+  // the tick is armed. Call before each run after the first.
+  void resume() {
+    if (!tick_.armed()) arm();
+  }
+
   // Records a final sample at the current sim time (capturing the partial
   // last interval) and disarms the tick. Idempotent per run.
   void finish() {

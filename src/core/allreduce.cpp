@@ -52,18 +52,18 @@ std::vector<float> reference_sum(const std::vector<std::vector<float>>& inputs, 
   return out;
 }
 
-AllReduceResult all_reduce(Cluster& cluster, const std::vector<std::vector<float>>& inputs,
+AllReduceResult all_reduce(Fabric& fabric, const std::vector<std::vector<float>>& inputs,
                            const AllReduceOptions& options) {
-  const int n = cluster.n_workers();
+  const int n = fabric.n_workers();
   if (static_cast<int>(inputs.size()) != n)
     throw std::invalid_argument("all_reduce: one input tensor per worker required");
   const std::size_t d = inputs.front().size();
   for (const auto& t : inputs)
     if (t.size() != d) throw std::invalid_argument("all_reduce: ragged inputs");
 
-  if (wire_bytes_for(options.wire) != cluster.config().wire_elem_bytes)
+  if (wire_bytes_for(options.wire) != fabric.config().wire_elem_bytes)
     throw std::invalid_argument(
-        "all_reduce: wire format must match the cluster's wire_elem_bytes "
+        "all_reduce: wire format must match the fabric's wire_elem_bytes "
         "(4 = Int32, 2 = Float16, 1 = Int8Stochastic)");
 
   AllReduceResult result;
@@ -78,7 +78,7 @@ AllReduceResult all_reduce(Cluster& cluster, const std::vector<std::vector<float
   if (options.wire == WireFormat::Int32) {
     for (int i = 0; i < n; ++i) updates[static_cast<std::size_t>(i)] = quant::quantize(inputs[static_cast<std::size_t>(i)], f);
   } else if (options.wire == WireFormat::Int8Stochastic) {
-    sim::Rng rng = sim::Rng::stream(cluster.config().seed, "int8-dither");
+    sim::Rng rng = sim::Rng::stream(fabric.config().seed, "int8-dither");
     for (int i = 0; i < n; ++i) {
       auto& u = updates[static_cast<std::size_t>(i)];
       u.resize(d);
@@ -101,7 +101,7 @@ AllReduceResult all_reduce(Cluster& cluster, const std::vector<std::vector<float
     }
   }
 
-  auto reduced = cluster.reduce_i32(updates);
+  auto reduced = fabric.reduce_i32(updates);
   result.tat = std::move(reduced.tat);
 
   result.outputs.resize(static_cast<std::size_t>(n));

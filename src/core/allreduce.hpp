@@ -12,7 +12,7 @@
 #include <span>
 #include <vector>
 
-#include "core/cluster.hpp"
+#include "core/fabric.hpp"
 
 namespace switchml::core {
 
@@ -37,9 +37,9 @@ struct AllReduceResult {
 };
 
 // Synchronous all-reduce of one tensor per worker over the SwitchML fabric.
-// inputs.size() must equal cluster.n_workers() and all tensors must have the
+// inputs.size() must equal fabric.n_workers() and all tensors must have the
 // same length.
-AllReduceResult all_reduce(Cluster& cluster, const std::vector<std::vector<float>>& inputs,
+AllReduceResult all_reduce(Fabric& fabric, const std::vector<std::vector<float>>& inputs,
                            const AllReduceOptions& options = {});
 
 // Reference result for testing: exact float sum across workers.

@@ -16,7 +16,9 @@
 //     follow in switch order;
 //   * a switch's child ports are the child indices and its parent port is
 //     one past them; job j's multicast group is 1 + j.
-// The four cluster classes in core/cluster.hpp are thin facades over it.
+// Callers build every shape the same way, `Fabric f(FabricConfig(params,
+// spec))`; core/cluster.hpp's ClusterConfig is the §3.6 rack profile that
+// lowers to a RackSpec.
 //
 // Construction also installs a `MetricsRegistry` scope, so every worker,
 // switch, and link built here registers its counters; `Fabric::metrics()`
@@ -107,7 +109,9 @@ struct RackSpec {
 };
 
 // Several independent jobs sharing one switch, each with its own admitted
-// aggregator pool (§6 multi-tenancy).
+// aggregator pool (§6 multi-tenancy). Workers of different jobs are distinct
+// machines on their own ports, so jobs contend only for switch pipeline and
+// SRAM. Job j's worker i is Fabric::worker(j * workers_per_job + i).
 struct MultiJobSpec {
   int n_jobs = 2;
   int workers_per_job = 4;
@@ -119,11 +123,13 @@ struct HierarchySpec {
   int workers_per_rack = 8;
 };
 
-// Arbitrary-depth tree of switches; levels == 2 matches HierarchySpec's shape.
+// Arbitrary-depth tree of switches (§6: "a very large n coupled with a
+// relatively small p would require a hierarchy with H > 3"); levels == 2
+// matches HierarchySpec's shape.
 struct TreeSpec {
-  int levels = 3;
-  int branching = 2;
-  int workers_per_rack = 4;
+  int levels = 3;           // including the root
+  int branching = 2;        // children per non-leaf switch
+  int workers_per_rack = 4; // workers per bottom-level switch
 };
 
 // Explicit switch/worker adjacency: any single-rooted switch tree, no shape

@@ -162,7 +162,7 @@ TrainingSimResult simulate_switchml_training(const perf::ModelSpec& spec,
 
   core::ClusterConfig ccfg = core::ClusterConfig::for_rate(cfg.rate, cfg.n_workers);
   ccfg.timing_only = true;
-  core::Cluster cluster(ccfg);
+  core::Fabric cluster(ccfg.fabric());
 
   std::vector<std::unique_ptr<core::TimingStreamManager>> managers;
   for (int w = 0; w < cfg.n_workers; ++w)

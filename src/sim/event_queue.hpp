@@ -145,7 +145,8 @@ public:
 
   // Pops the earliest event, recycles its slot (invalidating refs to it),
   // and — for live events — invokes its closure IN PLACE in the slab after
-  // calling `on_live(at)` (the caller's chance to advance its clock first).
+  // calling `on_live(at, daemon)` (the caller's chance to advance its clock
+  // first).
   // In-place dispatch skips the closure relocation a move-out would cost;
   // it is safe because chunked slab storage never moves a record, and the
   // slot is withheld from the free list until the closure returns, so
@@ -159,6 +160,7 @@ public:
     const auto slot = static_cast<std::uint32_t>(top.order & kSlotMask);
     Record& rec = record(slot);
     const bool live = rec.armed;
+    const bool daemon = rec.daemon;
     if (live && top.order != rec.target.order) {
       rec.keyed_at = rec.target.at; // re-armed: move the one key to the target
       sift_down(0, rec.target);
@@ -174,7 +176,7 @@ public:
       free_.push_back(slot);
       return false;
     }
-    on_live(top.at);
+    on_live(top.at, daemon);
     // Release the slot even if the closure throws (matching the old
     // move-out-then-run behaviour, where the event was gone either way).
     const SlotRelease release{this, slot};

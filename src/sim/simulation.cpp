@@ -13,7 +13,10 @@ bool Simulation::dispatch_one() {
   // advancing the clock: nothing observable happens at their time. Live
   // closures run in place in the slab (no relocation); the clock advances
   // just before the call.
-  const bool ran = queue_.pop_and_run([this](Time at) { now_ = at; });
+  const bool ran = queue_.pop_and_run([this](Time at, bool daemon) {
+    now_ = at;
+    if (!daemon) last_live_at_ = at;
+  });
   executed_ += static_cast<std::uint64_t>(ran);
   return ran;
 }

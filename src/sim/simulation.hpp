@@ -59,6 +59,11 @@ public:
 
   [[nodiscard]] Time now() const { return now_; }
 
+  // Time of the last non-daemon event run (0 before any). A daemon that
+  // runs after the last live event, such as a sampler's closing tick,
+  // advances now() but not this, so it is when the simulated work ended.
+  [[nodiscard]] Time last_live_at() const { return last_live_at_; }
+
   // Schedules `fn` to run at absolute time `at` (>= now). The callable must
   // fit EventFn's inline buffer (48 bytes, compile-time checked): it is
   // constructed straight into the event slab, so scheduling never
@@ -138,6 +143,7 @@ private:
 
   EventQueue queue_;
   Time now_ = 0;
+  Time last_live_at_ = 0;
   std::uint64_t executed_ = 0;
   bool stopped_ = false;
 };

@@ -96,7 +96,7 @@ protected:
 
 TEST_F(AppendixATrace, UpstreamLossRecoveredByRetransmission) {
   // t2/t3: worker 3's (here: worker 2's) update for slot x is lost upstream.
-  Cluster cluster(make_config());
+  Fabric cluster(make_config().fabric());
   bool dropped = false;
   cluster.link(2).set_drop_filter([&](const net::Node& sender, const net::Packet& p) {
     if (!dropped && p.kind == net::PacketKind::SmlUpdate && p.idx == kSlot && p.off == kOff &&
@@ -125,14 +125,14 @@ TEST_F(AppendixATrace, UpstreamLossRecoveredByRetransmission) {
                         "sw complete",
                         "w0 recv", "w1 recv", "w2 recv",
                     }));
-  const auto& sw = cluster.agg_switch().counters();
+  const auto& sw = cluster.root().counters();
   EXPECT_EQ(sw.duplicate_updates, 2u);
   EXPECT_EQ(sw.unicast_replies, 0u);
 }
 
 TEST_F(AppendixATrace, DownstreamLossServedFromShadowCopy) {
   // t7: the multicast result for worker 1 (here: worker 0) is lost downstream.
-  Cluster cluster(make_config());
+  Fabric cluster(make_config().fabric());
   bool dropped = false;
   cluster.link(0).set_drop_filter([&](const net::Node& sender, const net::Packet& p) {
     if (!dropped && p.kind == net::PacketKind::SmlResult && p.idx == kSlot && p.off == kOff &&
@@ -164,7 +164,7 @@ TEST_F(AppendixATrace, DownstreamLossServedFromShadowCopy) {
 
 TEST_F(AppendixATrace, CombinedLossesMatchPaperNarrative) {
   // Both losses in one run, as in Figure 9's full trace.
-  Cluster cluster(make_config());
+  Fabric cluster(make_config().fabric());
   bool up = false, down = false;
   cluster.link(2).set_drop_filter([&](const net::Node& sender, const net::Packet& p) {
     if (!up && p.kind == net::PacketKind::SmlUpdate && p.idx == kSlot && p.off == kOff &&
@@ -204,7 +204,7 @@ TEST_F(AppendixATrace, CombinedLossesMatchPaperNarrative) {
                         "sw dup_update w0", "sw shadow_reply w0",
                         "w0 recv",
                     }));
-  EXPECT_EQ(cluster.agg_switch().counters().unicast_replies, 1u);
+  EXPECT_EQ(cluster.root().counters().unicast_replies, 1u);
   // No worker ever lags more than one phase behind (the §3.5 invariant):
   // after completion all slots agree on their phase count.
   for (std::uint32_t s = 0; s < 4; ++s)
@@ -215,7 +215,7 @@ TEST_F(AppendixATrace, CombinedLossesMatchPaperNarrative) {
 TEST_F(AppendixATrace, RepeatedUpstreamLossEventuallyRecovers) {
   // The same packet lost 3 times in a row: exponential persistence of the
   // worker timer still repairs it.
-  Cluster cluster(make_config());
+  Fabric cluster(make_config().fabric());
   int drops = 0;
   cluster.link(2).set_drop_filter([&](const net::Node& sender, const net::Packet& p) {
     if (drops < 3 && p.kind == net::PacketKind::SmlUpdate && p.idx == kSlot && p.off == kOff &&

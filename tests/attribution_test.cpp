@@ -252,7 +252,7 @@ TEST(Attribution, CleanRunConservesWithNoStallComponents) {
   if (!attr::kCompiledIn) GTEST_SKIP() << "attribution compiled out";
   attr::SpanLedger ledger;
   attr::SpanLedger::Scope scope(&ledger);
-  core::Cluster cluster(small_cfg(4));
+  core::Fabric cluster(small_cfg(4).fabric());
   cluster.reduce_timing(kElems);
 
   EXPECT_GT(ledger.chunks_closed(), 0u);
@@ -275,7 +275,7 @@ TEST(Attribution, LossyRunConservesAndChargesRtoStall) {
   core::ClusterConfig cfg = small_cfg(4);
   cfg.loss_prob = 0.01;
   cfg.adaptive_rto = true;
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   cluster.reduce_timing(kElems);
 
   expect_conserved(ledger);
@@ -290,7 +290,7 @@ TEST(Attribution, StragglerRunConservesAndChargesSwitchWait) {
   attr::SpanLedger::Scope scope(&ledger);
   core::ClusterConfig cfg = small_cfg(4);
   cfg.faults.stragglers.push_back({0, 16.0, 0, -1});
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   cluster.reduce_timing(kElems);
 
   expect_conserved(ledger);
@@ -308,7 +308,7 @@ TEST(Attribution, SwitchRestartRunConservesAndChargesRecovery) {
   {
     core::ClusterConfig cfg = small_cfg(4);
     cfg.faults.stragglers.push_back({0, 16.0, 0, -1});
-    core::Cluster cluster(cfg);
+    core::Fabric cluster(cfg.fabric());
     for (Time t : cluster.reduce_timing(kElems)) clean_max = std::max(clean_max, t);
   }
   attr::SpanLedger ledger;
@@ -316,7 +316,7 @@ TEST(Attribution, SwitchRestartRunConservesAndChargesRecovery) {
   core::ClusterConfig cfg = small_cfg(4);
   cfg.faults.stragglers.push_back({0, 16.0, 0, -1});
   cfg.faults.switch_restarts.push_back({0, clean_max / 2});
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   cluster.reduce_timing(kElems);
 
   expect_conserved(ledger);
@@ -328,17 +328,17 @@ TEST(Attribution, SwitchKillFallbackConservesAndChargesFallback) {
   if (!attr::kCompiledIn) GTEST_SKIP() << "attribution compiled out";
   Time clean_max = 0;
   {
-    core::Cluster cluster(small_cfg(4));
+    core::Fabric cluster(small_cfg(4).fabric());
     for (Time t : cluster.reduce_timing(kElems)) clean_max = std::max(clean_max, t);
   }
   attr::SpanLedger ledger;
   attr::SpanLedger::Scope scope(&ledger);
   core::ClusterConfig cfg = small_cfg(4);
   cfg.faults.switch_kills.push_back({0, clean_max / 2});
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   cluster.reduce_timing(kElems);
 
-  ASSERT_TRUE(cluster.fabric().fallback_engaged());
+  ASSERT_TRUE(cluster.fallback_engaged());
   expect_conserved(ledger);
   // The kill burns the retry budget (recovery) and the surviving chunks are
   // replayed on the streaming-PS fallback.
@@ -353,7 +353,7 @@ TEST(Attribution, SameSeedRunsAreBitIdentical) {
     core::ClusterConfig cfg = small_cfg(4);
     cfg.loss_prob = 0.01;
     cfg.adaptive_rto = true;
-    core::Cluster cluster(cfg);
+    core::Fabric cluster(cfg.fabric());
     cluster.reduce_timing(kElems);
     return ledger;
   };
@@ -383,7 +383,7 @@ TEST(Attribution, AttributionDoesNotPerturbTiming) {
     core::ClusterConfig cfg = small_cfg(4);
     cfg.loss_prob = 0.01;
     cfg.adaptive_rto = true;
-    core::Cluster cluster(cfg);
+    core::Fabric cluster(cfg.fabric());
     return cluster.reduce_timing(kElems);
   };
   EXPECT_EQ(run(true), run(false));
@@ -393,7 +393,7 @@ TEST(Attribution, RegistryRollupsOnlyExistWhenLedgerInstalled) {
   {
     attr::SpanLedger ledger;
     attr::SpanLedger::Scope scope(&ledger);
-    core::Cluster cluster(small_cfg(4));
+    core::Fabric cluster(small_cfg(4).fabric());
     cluster.reduce_timing(64 * 1024);
     const std::string json = cluster.metrics().snapshot().json();
     EXPECT_NE(json.find("attr.total.host_tx_ns"), std::string::npos);
@@ -403,7 +403,7 @@ TEST(Attribution, RegistryRollupsOnlyExistWhenLedgerInstalled) {
   {
     // No ledger at construction: the registry must look exactly as before
     // the attribution subsystem existed.
-    core::Cluster cluster(small_cfg(4));
+    core::Fabric cluster(small_cfg(4).fabric());
     cluster.reduce_timing(64 * 1024);
     EXPECT_EQ(cluster.metrics().snapshot().json().find("attr."), std::string::npos);
   }

@@ -48,7 +48,7 @@ ClusterConfig small_config(int n = 4) {
 }
 
 TEST(Cluster, AggregatesExactIntegerSums) {
-  Cluster cluster(small_config(4));
+  Fabric cluster(small_config(4).fabric());
   auto updates = random_updates(4, 4096, 1);
   auto result = cluster.reduce_i32(updates);
   const auto expect = exact_sum(updates);
@@ -57,28 +57,28 @@ TEST(Cluster, AggregatesExactIntegerSums) {
 }
 
 TEST(Cluster, SingleWorkerDegenerateCase) {
-  Cluster cluster(small_config(1));
+  Fabric cluster(small_config(1).fabric());
   auto updates = random_updates(1, 1024, 2);
   auto result = cluster.reduce_i32(updates);
   EXPECT_EQ(result.outputs[0], updates[0]);
 }
 
 TEST(Cluster, TwoWorkers) {
-  Cluster cluster(small_config(2));
+  Fabric cluster(small_config(2).fabric());
   auto updates = random_updates(2, 2048, 3);
   auto result = cluster.reduce_i32(updates);
   EXPECT_EQ(result.outputs[0], exact_sum(updates));
 }
 
 TEST(Cluster, TensorSmallerThanOnePacket) {
-  Cluster cluster(small_config(4));
+  Fabric cluster(small_config(4).fabric());
   auto updates = random_updates(4, 5, 4); // < k = 32
   auto result = cluster.reduce_i32(updates);
   EXPECT_EQ(result.outputs[2], exact_sum(updates));
 }
 
 TEST(Cluster, TensorNotMultipleOfPacketSize) {
-  Cluster cluster(small_config(4));
+  Fabric cluster(small_config(4).fabric());
   auto updates = random_updates(4, 32 * 16 * 3 + 17, 5);
   auto result = cluster.reduce_i32(updates);
   EXPECT_EQ(result.outputs[0], exact_sum(updates));
@@ -86,14 +86,14 @@ TEST(Cluster, TensorNotMultipleOfPacketSize) {
 
 TEST(Cluster, TensorSmallerThanPool) {
   // chunks < s: only part of the pool is used.
-  Cluster cluster(small_config(4));
+  Fabric cluster(small_config(4).fabric());
   auto updates = random_updates(4, 32 * 3, 6);
   auto result = cluster.reduce_i32(updates);
   EXPECT_EQ(result.outputs[0], exact_sum(updates));
 }
 
 TEST(Cluster, IntegerWraparoundMatchesSwitchAlu) {
-  Cluster cluster(small_config(2));
+  Fabric cluster(small_config(2).fabric());
   std::vector<std::vector<std::int32_t>> updates = {
       std::vector<std::int32_t>(64, INT32_MAX),
       std::vector<std::int32_t>(64, 1),
@@ -105,7 +105,7 @@ TEST(Cluster, IntegerWraparoundMatchesSwitchAlu) {
 TEST(Cluster, ConsecutiveReductionsWithoutSwitchReset) {
   // The pool version bits must stay consistent across back-to-back
   // reductions (the shadow-copy state persists in the switch).
-  Cluster cluster(small_config(4));
+  Fabric cluster(small_config(4).fabric());
   for (int round = 0; round < 5; ++round) {
     auto updates = random_updates(4, 2048 + round * 32, 10 + static_cast<std::uint64_t>(round));
     auto result = cluster.reduce_i32(updates);
@@ -114,10 +114,10 @@ TEST(Cluster, ConsecutiveReductionsWithoutSwitchReset) {
 }
 
 TEST(Cluster, SwitchCountersAreConsistent) {
-  Cluster cluster(small_config(4));
+  Fabric cluster(small_config(4).fabric());
   auto updates = random_updates(4, 4096, 7);
   cluster.reduce_i32(updates);
-  const auto& c = cluster.agg_switch().counters();
+  const auto& c = cluster.root().counters();
   const std::uint64_t chunks = 4096 / 32;
   EXPECT_EQ(c.updates_received, 4 * chunks);
   EXPECT_EQ(c.completions, chunks);
@@ -127,7 +127,7 @@ TEST(Cluster, SwitchCountersAreConsistent) {
 }
 
 TEST(Cluster, WorkerCountersAreConsistent) {
-  Cluster cluster(small_config(4));
+  Fabric cluster(small_config(4).fabric());
   auto updates = random_updates(4, 4096, 8);
   cluster.reduce_i32(updates);
   const auto& c = cluster.worker(0).counters();
@@ -142,15 +142,15 @@ TEST(Cluster, RegisterUsageIsSmall) {
   ClusterConfig cfg;
   cfg.n_workers = 8;
   cfg.pool_size = 128;
-  Cluster cluster(cfg);
-  const std::size_t bytes = cluster.agg_switch().register_bytes();
+  Fabric cluster(cfg.fabric());
+  const std::size_t bytes = cluster.root().register_bytes();
   // 32 value arrays * 128 slots * 8B = 32 KiB + seen/count (2 KiB).
   EXPECT_EQ(bytes, 32u * 128u * 8u + 2u * 128u * 8u);
   EXPECT_LT(bytes, 10u * kMiB / 10u); // well under 10% of ~10 MB dataplane SRAM
 }
 
 TEST(Cluster, PhaseLagInvariantAcrossSlots) {
-  Cluster cluster(small_config(4));
+  Fabric cluster(small_config(4).fabric());
   auto updates = random_updates(4, 16 * 32 * 7, 9); // 7 full phases
   cluster.reduce_i32(updates);
   for (int w = 0; w < 4; ++w)
@@ -166,7 +166,7 @@ TEST(Cluster, RtoTimersDoNotBloatTheEventHeap) {
   for (const bool timing : {true, false}) {
     ClusterConfig cfg = small_config(4);
     cfg.timing_only = timing;
-    Cluster cluster(cfg);
+    Fabric cluster(cfg.fabric());
     sim::Simulation& sim = cluster.simulation();
     std::size_t peak = 0;
     std::function<void()> sample = [&] {
@@ -194,7 +194,7 @@ TEST_P(LossSweep, AggregationIsExactUnderUniformLoss) {
   ClusterConfig cfg = small_config(4);
   cfg.loss_prob = GetParam();
   cfg.retransmit_timeout = msec(1);
-  Cluster cluster(cfg);
+  Fabric cluster(cfg.fabric());
   auto updates = random_updates(4, 8192, 11);
   auto result = cluster.reduce_i32(updates);
   const auto expect = exact_sum(updates);
@@ -213,7 +213,7 @@ INSTANTIATE_TEST_SUITE_P(LossRates, LossSweep,
 TEST(ClusterLoss, ConsecutiveLossyReductionsStayCorrect) {
   ClusterConfig cfg = small_config(4);
   cfg.loss_prob = 0.02;
-  Cluster cluster(cfg);
+  Fabric cluster(cfg.fabric());
   for (int round = 0; round < 3; ++round) {
     auto updates = random_updates(4, 4096, 20 + static_cast<std::uint64_t>(round));
     auto result = cluster.reduce_i32(updates);
@@ -225,7 +225,7 @@ TEST(ClusterLoss, UpstreamOnlyLossTriggersSeenBitmapPath) {
   // Drop every 10th update packet on the way up; the seen bitmap must absorb
   // retransmitted duplicates of packets that DID arrive.
   ClusterConfig cfg = small_config(4);
-  Cluster cluster(cfg);
+  Fabric cluster(cfg.fabric());
   int counter = 0;
   for (int i = 0; i < 4; ++i) {
     cluster.link(i).set_drop_filter([&counter](const net::Node& sender, const net::Packet& p) {
@@ -235,14 +235,14 @@ TEST(ClusterLoss, UpstreamOnlyLossTriggersSeenBitmapPath) {
   auto updates = random_updates(4, 8192, 12);
   auto result = cluster.reduce_i32(updates);
   EXPECT_EQ(result.outputs[0], exact_sum(updates));
-  EXPECT_GT(cluster.agg_switch().counters().duplicate_updates, 0u);
+  EXPECT_GT(cluster.root().counters().duplicate_updates, 0u);
 }
 
 TEST(ClusterLoss, DownstreamOnlyLossTriggersShadowCopyReplies) {
   // Drop result packets toward worker 0 only: the switch must serve
   // retransmissions from the shadow copy via unicast replies.
   ClusterConfig cfg = small_config(4);
-  Cluster cluster(cfg);
+  Fabric cluster(cfg.fabric());
   int counter = 0;
   cluster.link(0).set_drop_filter([&counter](const net::Node& sender, const net::Packet& p) {
     return p.kind == net::PacketKind::SmlResult && sender.id() >= 100 && (++counter % 5) == 0;
@@ -250,14 +250,14 @@ TEST(ClusterLoss, DownstreamOnlyLossTriggersShadowCopyReplies) {
   auto updates = random_updates(4, 8192, 13);
   auto result = cluster.reduce_i32(updates);
   EXPECT_EQ(result.outputs[0], exact_sum(updates));
-  EXPECT_GT(cluster.agg_switch().counters().unicast_replies, 0u);
+  EXPECT_GT(cluster.root().counters().unicast_replies, 0u);
 }
 
 TEST(ClusterCorruption, ChecksumDetectsWireCorruptionAndRecovers) {
   // §3.4: corrupted packets are discarded by checksum; the retransmission
   // machinery then repairs them exactly like losses.
   ClusterConfig cfg = small_config(4);
-  Cluster cluster(cfg);
+  Fabric cluster(cfg.fabric());
   int corrupted = 0;
   for (int i = 0; i < 4; ++i)
     cluster.link(i).set_corrupt_filter([&corrupted](const net::Node&, const net::Packet& p) {
@@ -271,18 +271,18 @@ TEST(ClusterCorruption, ChecksumDetectsWireCorruptionAndRecovers) {
   auto result = cluster.reduce_i32(updates);
   EXPECT_EQ(result.outputs[0], exact_sum(updates));
   EXPECT_GT(corrupted, 0);
-  EXPECT_EQ(cluster.agg_switch().counters().checksum_drops,
+  EXPECT_EQ(cluster.root().counters().checksum_drops,
             static_cast<std::uint64_t>(corrupted));
 }
 
 TEST(ClusterCorruption, RandomBitErrorsEverywhereStillExact) {
   ClusterConfig cfg = small_config(4);
-  Cluster cluster(cfg);
+  Fabric cluster(cfg.fabric());
   for (int i = 0; i < 4; ++i) cluster.link(i).set_corrupt_prob(0.01);
   auto updates = random_updates(4, 8192, 51);
   auto result = cluster.reduce_i32(updates);
   EXPECT_EQ(result.outputs[0], exact_sum(updates));
-  std::uint64_t drops = cluster.agg_switch().counters().checksum_drops;
+  std::uint64_t drops = cluster.root().counters().checksum_drops;
   for (int w = 0; w < 4; ++w) drops += cluster.worker(w).counters().checksum_drops;
   EXPECT_GT(drops, 0u);
 }
@@ -290,11 +290,10 @@ TEST(ClusterCorruption, RandomBitErrorsEverywhereStillExact) {
 // ---- hierarchical (§6) -----------------------------------------------------
 
 TEST(Hierarchy, TwoRackAggregationIsExact) {
-  HierarchyConfig cfg;
-  cfg.racks = 2;
-  cfg.workers_per_rack = 4;
+  FabricConfig cfg;
+  cfg.topology = HierarchySpec{.racks = 2, .workers_per_rack = 4};
   cfg.pool_size = 16;
-  HierarchicalCluster h(cfg);
+  Fabric h(cfg);
   auto updates = random_updates(8, 4096, 14);
   auto result = h.reduce_i32(updates);
   const auto expect = exact_sum(updates);
@@ -302,45 +301,42 @@ TEST(Hierarchy, TwoRackAggregationIsExact) {
 }
 
 TEST(Hierarchy, ThreeRacksUnevenWorkers) {
-  HierarchyConfig cfg;
-  cfg.racks = 3;
-  cfg.workers_per_rack = 2;
+  FabricConfig cfg;
+  cfg.topology = HierarchySpec{.racks = 3, .workers_per_rack = 2};
   cfg.pool_size = 8;
-  HierarchicalCluster h(cfg);
+  Fabric h(cfg);
   auto updates = random_updates(6, 2048, 15);
   auto result = h.reduce_i32(updates);
   EXPECT_EQ(result.outputs[5], exact_sum(updates));
 }
 
 TEST(Hierarchy, SurvivesUniformLoss) {
-  HierarchyConfig cfg;
-  cfg.racks = 2;
-  cfg.workers_per_rack = 3;
+  FabricConfig cfg;
+  cfg.topology = HierarchySpec{.racks = 2, .workers_per_rack = 3};
   cfg.pool_size = 8;
   cfg.loss_prob = 0.02;
-  HierarchicalCluster h(cfg);
+  Fabric h(cfg);
   auto updates = random_updates(6, 4096, 16);
   auto result = h.reduce_i32(updates);
   EXPECT_EQ(result.outputs[0], exact_sum(updates));
 }
 
 TEST(Hierarchy, LeafForwardsOnePartialPerSlotCompletion) {
-  HierarchyConfig cfg;
-  cfg.racks = 2;
-  cfg.workers_per_rack = 4;
+  FabricConfig cfg;
+  cfg.topology = HierarchySpec{.racks = 2, .workers_per_rack = 4};
   cfg.pool_size = 16;
-  HierarchicalCluster h(cfg);
+  Fabric h(cfg);
   auto updates = random_updates(8, 4096, 17);
   h.reduce_i32(updates);
   const std::uint64_t chunks = 4096 / 32;
-  EXPECT_EQ(h.leaf(0).counters().upstream_partials, chunks);
+  EXPECT_EQ(h.switch_at(1).counters().upstream_partials, chunks);
   EXPECT_EQ(h.root().counters().completions, chunks);
 }
 
 // ---- float public API ------------------------------------------------------
 
 TEST(AllReduce, MatchesReferenceWithinTheorem1Bound) {
-  Cluster cluster(small_config(4));
+  Fabric cluster(small_config(4).fabric());
   sim::Rng rng = sim::Rng::stream(30, "floats");
   std::vector<std::vector<float>> inputs(4, std::vector<float>(4096));
   for (auto& t : inputs)
@@ -354,7 +350,7 @@ TEST(AllReduce, MatchesReferenceWithinTheorem1Bound) {
 }
 
 TEST(AllReduce, AveragingDividesByN) {
-  Cluster cluster(small_config(4));
+  Fabric cluster(small_config(4).fabric());
   std::vector<std::vector<float>> inputs(4, std::vector<float>(256, 2.0f));
   AllReduceOptions opt;
   opt.average = true;
@@ -363,7 +359,7 @@ TEST(AllReduce, AveragingDividesByN) {
 }
 
 TEST(AllReduce, ExplicitScalingFactorIsRespected) {
-  Cluster cluster(small_config(2));
+  Fabric cluster(small_config(2).fabric());
   std::vector<std::vector<float>> inputs = {{1.56f}, {4.23f}};
   AllReduceOptions opt;
   opt.scaling_factor = 100.0;
@@ -375,7 +371,7 @@ TEST(AllReduce, ExplicitScalingFactorIsRespected) {
 TEST(AllReduce, Float16WireFormat) {
   ClusterConfig cfg = small_config(4);
   cfg.wire_elem_bytes = 2; // §3.7 16-bit wire format, switch-side conversion
-  Cluster cluster(cfg);
+  Fabric cluster(cfg.fabric());
   sim::Rng rng = sim::Rng::stream(31, "fp16s");
   std::vector<std::vector<float>> inputs(4, std::vector<float>(2048));
   for (auto& t : inputs)
@@ -391,7 +387,7 @@ TEST(AllReduce, Float16WireFormat) {
 }
 
 TEST(AllReduce, Float16RequiresMatchingClusterWireFormat) {
-  Cluster cluster(small_config(2)); // default 4-byte wire
+  Fabric cluster(small_config(2).fabric()); // default 4-byte wire
   std::vector<std::vector<float>> inputs(2, std::vector<float>(64, 1.0f));
   AllReduceOptions opt;
   opt.wire = WireFormat::Float16;
@@ -401,7 +397,7 @@ TEST(AllReduce, Float16RequiresMatchingClusterWireFormat) {
 TEST(AllReduce, Int8StochasticWireFormat) {
   ClusterConfig cfg = small_config(4);
   cfg.wire_elem_bytes = 1; // 8-bit extension wire format
-  Cluster cluster(cfg);
+  Fabric cluster(cfg.fabric());
   sim::Rng rng = sim::Rng::stream(33, "i8s");
   std::vector<std::vector<float>> inputs(4, std::vector<float>(2048));
   for (auto& t : inputs)
@@ -418,7 +414,7 @@ TEST(AllReduce, Int8StochasticWireFormat) {
 
 TEST(AllReduce, TraceRecordsProtocolTimeline) {
   ClusterConfig cfg = small_config(2);
-  Cluster cluster(cfg);
+  Fabric cluster(cfg.fabric());
   trace::TraceSink sink(1u << 12, trace::kCatLink);
   trace::TraceSink::Scope scope(&sink);
   std::vector<std::vector<std::int32_t>> updates(2, std::vector<std::int32_t>(64, 1));
@@ -426,7 +422,7 @@ TEST(AllReduce, TraceRecordsProtocolTimeline) {
   // 2 chunks x (2 updates + 2 results), each with an enqueue and a deliver
   // record. Link events carry their sender: workers send the updates, the
   // switch sends the results.
-  const net::NodeId sw = cluster.agg_switch().id();
+  const net::NodeId sw = cluster.root().id();
   std::size_t enqueue = 0, deliver = 0, updates_seen = 0, results_seen = 0;
   for (const auto& e : sink.events()) {
     const std::string_view name = e.name;
@@ -443,7 +439,7 @@ TEST(AllReduce, TraceRecordsProtocolTimeline) {
 }
 
 TEST(AllReduce, ResultsIdenticalAcrossWorkers) {
-  Cluster cluster(small_config(4));
+  Fabric cluster(small_config(4).fabric());
   sim::Rng rng = sim::Rng::stream(32, "same");
   std::vector<std::vector<float>> inputs(4, std::vector<float>(1024));
   for (auto& t : inputs)
@@ -455,7 +451,7 @@ TEST(AllReduce, ResultsIdenticalAcrossWorkers) {
 // ---- stream manager ---------------------------------------------------------
 
 TEST(StreamManager, MultiTensorBatchCompletesInOrder) {
-  Cluster cluster(small_config(4));
+  Fabric cluster(small_config(4).fabric());
   const std::size_t sizes[] = {100, 1000, 37, 4096};
   const int n_tensors = 4;
 
@@ -508,7 +504,7 @@ TEST(StreamManager, SubmitDuringRunGoesToNextBatch) {
   // All workers must submit the same tensor sequence (Horovod ordering);
   // here both queue their second tensor from inside the first tensor's
   // completion callback, exercising the auto-reflush path.
-  Cluster cluster(small_config(2));
+  Fabric cluster(small_config(2).fabric());
   std::vector<float> a0(512, 1.0f), a1(512, 2.0f), b0(512, 3.0f), b1(512, 4.0f);
   std::vector<float> oa0(512), oa1(512), ob0(512), ob1(512);
 

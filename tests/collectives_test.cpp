@@ -10,6 +10,7 @@
 #include "collectives/halving_doubling.hpp"
 #include "collectives/ring.hpp"
 #include "collectives/streaming_ps.hpp"
+#include "common/timeline.hpp"
 #include "core/profiles.hpp"
 #include "sim/rng.hpp"
 
@@ -97,6 +98,21 @@ TEST(Ring, LossInflatesCompletionTime) {
   EXPECT_GT(lossy, clean);
 }
 
+TEST(Ring, TatEndsAtTheLastLiveEventUnderATimeline) {
+  // The TAT includes the NICs' ACK backlog after the last round, but not the
+  // timeline's closing daemon tick, which lands on the next whole
+  // millisecond (7 ms).
+  const auto tat = [](bool sampled) {
+    BaselineCluster cluster(small_cfg(4));
+    TimelineRecorder recorder(cluster.simulation(), cluster.metrics(), {msec(1)});
+    if (sampled) recorder.start();
+    RingAllReduce ring(cluster, core::gloo_tcp(gbps(10)).transport);
+    return ring.run(std::int64_t{1} << 20);
+  };
+  EXPECT_EQ(tat(false), 6'501'236);
+  EXPECT_EQ(tat(true), 6'501'236);
+}
+
 // ---------------------------------------------------------- halving-doubling
 
 TEST(HalvingDoubling, ComputesExactSums) {
@@ -138,6 +154,17 @@ TEST(HalvingDoubling, FewerRoundsThanRingForSmallTensors) {
     t_hd = hd.run(static_cast<std::int64_t>(1024));
   }
   EXPECT_LT(t_hd, t_ring);
+}
+
+TEST(HalvingDoubling, BackToBackRunsEachDrainTheirOwnTraffic) {
+  // Each run's ACK backlog drains before it returns; left queued, it ran
+  // inside the next run and inflated that TAT by 11%.
+  BaselineCluster cluster(small_cfg(8));
+  HalvingDoublingAllReduce hd(cluster, core::gloo_tcp(gbps(10)).transport);
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(hd.run(std::int64_t{1} << 20), 7'838'330) << "run " << r;
+    EXPECT_EQ(cluster.simulation().live_pending_events(), 0u) << "run " << r;
+  }
 }
 
 // -------------------------------------------------------------- streaming PS

@@ -20,11 +20,11 @@
 namespace switchml {
 namespace {
 
-using core::Cluster;
 using core::ClusterConfig;
+using core::Fabric;
+using core::FabricConfig;
 using core::FaultPlan;
-using core::HierarchicalCluster;
-using core::HierarchyConfig;
+using core::HierarchySpec;
 
 // ---- serialization_time guard (the rate-0 "infinitely fast link" bug) ------
 
@@ -210,7 +210,7 @@ TEST(HostNic, SlowdownStretchesCostsAndUnitFactorIsNeutral) {
 std::vector<Time> run_with_midrun_loss_change(std::uint64_t elems) {
   ClusterConfig cfg = ClusterConfig::for_rate(gbps(10), 4);
   cfg.timing_only = true;
-  Cluster cluster(cfg);
+  Fabric cluster(cfg.fabric());
   cluster.simulation().schedule_at(usec(50), [&cluster] {
     cluster.link(0).set_loss_prob(0.01);
     cluster.link(1).set_rate(gbps(10) / 2);
@@ -229,7 +229,7 @@ TEST(MutationHooks, NeverMatchingDropFilterDoesNotPerturbLossDraws) {
     ClusterConfig cfg = ClusterConfig::for_rate(gbps(10), 4);
     cfg.timing_only = true;
     cfg.loss_prob = 0.001;
-    Cluster cluster(cfg);
+    Fabric cluster(cfg.fabric());
     if (with_filter)
       for (int i = 0; i < 4; ++i)
         cluster.link(i).set_drop_filter(
@@ -249,31 +249,31 @@ TEST(FaultPlanTest, ValidationRejectsBadSpecs) {
   {
     ClusterConfig bad = cfg;
     bad.faults.stragglers.push_back({9, 2.0, 0, -1});
-    EXPECT_THROW(Cluster{bad}, std::invalid_argument);
+    EXPECT_THROW(Fabric{bad.fabric()}, std::invalid_argument);
   }
   {
     ClusterConfig bad = cfg;
     bad.faults.flaps.push_back({99, usec(1), usec(2)});
-    EXPECT_THROW(Cluster{bad}, std::invalid_argument);
+    EXPECT_THROW(Fabric{bad.fabric()}, std::invalid_argument);
   }
   {
     ClusterConfig bad = cfg;
     bad.faults.flap_cycles.push_back({0, msec(1), 1.5, 0, 0});
-    EXPECT_THROW(Cluster{bad}, std::invalid_argument);
+    EXPECT_THROW(Fabric{bad.fabric()}, std::invalid_argument);
   }
   {
     ClusterConfig bad = cfg;
     bad.faults.switch_restarts.push_back({5, usec(1)});
-    EXPECT_THROW(Cluster{bad}, std::invalid_argument);
+    EXPECT_THROW(Fabric{bad.fabric()}, std::invalid_argument);
   }
 }
 
 TEST(FaultPlanTest, UnitFactorStragglerIsBitIdenticalToClean) {
   ClusterConfig cfg = ClusterConfig::for_rate(gbps(10), 4);
   cfg.timing_only = true;
-  Cluster clean(cfg);
+  Fabric clean(cfg.fabric());
   cfg.faults.stragglers.push_back({0, 1.0, 0, -1});
-  Cluster faulted(cfg);
+  Fabric faulted(cfg.fabric());
   EXPECT_EQ(clean.reduce_timing(64 * 1024), faulted.reduce_timing(64 * 1024));
 }
 
@@ -284,9 +284,9 @@ TEST(FaultPlanTest, SameSeedSamePlanIsBitIdentical) {
     cfg.faults.stragglers.push_back({1, 3.0, usec(20), usec(400)});
     cfg.faults.flap_cycles.push_back({0, usec(700), 0.1, usec(50), 0});
     cfg.faults.bursts.push_back({-1, net::BurstLossConfig{0.002, 0.1, 0.0, 0.25}});
-    Cluster cluster(cfg);
+    Fabric cluster(cfg.fabric());
     auto tats = cluster.reduce_timing(64 * 1024);
-    auto* inj = cluster.fabric().fault_injector();
+    auto* inj = cluster.fault_injector();
     return std::make_tuple(tats, inj->counters().flaps_applied,
                            inj->counters().straggler_windows);
   };
@@ -296,17 +296,17 @@ TEST(FaultPlanTest, SameSeedSamePlanIsBitIdentical) {
 TEST(FaultPlanTest, StragglerInflatesBoundedAndRestores) {
   ClusterConfig cfg = ClusterConfig::for_rate(gbps(10), 4);
   cfg.timing_only = true;
-  Cluster clean(cfg);
+  Fabric clean(cfg.fabric());
   const auto clean_tats = clean.reduce_timing(64 * 1024);
   const Time clean_max = *std::max_element(clean_tats.begin(), clean_tats.end());
 
   cfg.faults.stragglers.push_back({0, 8.0, 0, -1});
-  Cluster slow(cfg);
+  Fabric slow(cfg.fabric());
   const auto slow_tats = slow.reduce_timing(64 * 1024);
   const Time slow_max = *std::max_element(slow_tats.begin(), slow_tats.end());
   EXPECT_GT(slow_max, clean_max);        // a straggler hurts...
   EXPECT_LT(slow_max, clean_max * 16);   // ...but inflation stays bounded
-  EXPECT_EQ(slow.fabric().fault_injector()->active_stragglers(), 1);
+  EXPECT_EQ(slow.fault_injector()->active_stragglers(), 1);
   // Self-clocking drags everyone to the straggler's pace (§6).
   const Time slow_min = *std::min_element(slow_tats.begin(), slow_tats.end());
   EXPECT_GT(slow_min * 10, slow_max * 9);
@@ -315,18 +315,18 @@ TEST(FaultPlanTest, StragglerInflatesBoundedAndRestores) {
 TEST(FaultPlanTest, FlapCycleCompletesWithBoundedInflation) {
   ClusterConfig cfg = ClusterConfig::for_rate(gbps(10), 4);
   cfg.timing_only = true;
-  Cluster clean(cfg);
+  Fabric clean(cfg.fabric());
   const auto clean_tats = clean.reduce_timing(64 * 1024);
   const Time clean_max = *std::max_element(clean_tats.begin(), clean_tats.end());
 
   // Period 700 us does not divide the 1 ms RTO, so retransmissions cannot
   // resonate with the down windows.
   cfg.faults.flap_cycles.push_back({0, usec(700), 0.1, usec(50), 0});
-  Cluster flapped(cfg);
+  Fabric flapped(cfg.fabric());
   const auto tats = flapped.reduce_timing(64 * 1024); // must terminate
   const Time max_tat = *std::max_element(tats.begin(), tats.end());
   EXPECT_LT(max_tat, clean_max * 100); // no livelock / unbounded stall
-  EXPECT_GE(flapped.fabric().fault_injector()->counters().flaps_applied, 1u);
+  EXPECT_GE(flapped.fault_injector()->counters().flaps_applied, 1u);
   EXPECT_FALSE(flapped.link(0).is_down()); // the run always quiesces link-up
   const auto& c = flapped.link(0).counters_from(flapped.worker(0));
   EXPECT_GT(c.dropped_down, 0u); // the flap really dropped traffic
@@ -336,7 +336,7 @@ TEST(FaultPlanTest, OneShotFlapAfterWorkloadStillRestoresLink) {
   ClusterConfig cfg = ClusterConfig::for_rate(gbps(10), 4);
   cfg.timing_only = true;
   cfg.faults.flaps.push_back({0, msec(50), msec(51)}); // long after the reduction
-  Cluster cluster(cfg);
+  Fabric cluster(cfg.fabric());
   cluster.reduce_timing(16 * 1024);
   EXPECT_FALSE(cluster.link(0).is_down());
 }
@@ -344,23 +344,22 @@ TEST(FaultPlanTest, OneShotFlapAfterWorkloadStillRestoresLink) {
 TEST(FaultPlanTest, SwitchRestartMidReductionRecoversTiming) {
   ClusterConfig cfg = ClusterConfig::for_rate(gbps(10), 4);
   cfg.timing_only = true;
-  Cluster clean(cfg);
+  Fabric clean(cfg.fabric());
   const auto clean_tats = clean.reduce_timing(64 * 1024);
   const Time clean_max = *std::max_element(clean_tats.begin(), clean_tats.end());
 
   cfg.faults.switch_restarts.push_back({0, clean_max / 2});
-  Cluster faulted(cfg);
+  Fabric faulted(cfg.fabric());
   const auto tats = faulted.reduce_timing(64 * 1024); // must terminate
-  EXPECT_EQ(faulted.agg_switch().counters().restarts, 1u);
+  EXPECT_EQ(faulted.root().counters().restarts, 1u);
   const Time max_tat = *std::max_element(tats.begin(), tats.end());
   EXPECT_GE(max_tat, clean_max);      // a wipe can only cost time
   EXPECT_LT(max_tat, clean_max * 50); // recovery via RTO, not livelock
 }
 
 TEST(FaultPlanTest, HierarchyLeafRestartKeepsDataModeExact) {
-  HierarchyConfig cfg;
-  cfg.racks = 2;
-  cfg.workers_per_rack = 2;
+  FabricConfig cfg;
+  cfg.topology = HierarchySpec{.racks = 2, .workers_per_rack = 2};
   cfg.pool_size = 16;
 
   const std::size_t d = 4096;
@@ -374,7 +373,7 @@ TEST(FaultPlanTest, HierarchyLeafRestartKeepsDataModeExact) {
 
   // Clean run pins down the reduction's duration so the restart provably
   // lands mid-flight.
-  HierarchicalCluster clean(cfg);
+  Fabric clean(cfg);
   const auto clean_result = clean.reduce_i32(updates);
   const Time clean_max =
       *std::max_element(clean_result.tat.begin(), clean_result.tat.end());
@@ -382,9 +381,9 @@ TEST(FaultPlanTest, HierarchyLeafRestartKeepsDataModeExact) {
   // Restart leaf 0 (switch_at(1)) mid-reduction: shadow copies + version
   // bits + worker RTOs must re-drive the wiped slots without double-counting.
   cfg.faults.switch_restarts.push_back({1, clean_max / 2});
-  HierarchicalCluster cluster(cfg);
+  Fabric cluster(cfg);
   const auto result = cluster.reduce_i32(updates);
-  EXPECT_EQ(cluster.leaf(0).counters().restarts, 1u);
+  EXPECT_EQ(cluster.switch_at(1).counters().restarts, 1u);
   for (int w = 0; w < 4; ++w) ASSERT_EQ(result.outputs[static_cast<std::size_t>(w)], expect) << w;
 }
 
@@ -399,7 +398,7 @@ TEST(FaultPlanTest, FaultEventsAppearInTraceSink) {
   // DESIGN.md "Switch restarts" and recovery_test.cpp).
   cfg.faults.switch_restarts.push_back({0, usec(15)});
   cfg.faults.flaps.push_back({1, usec(20), usec(120)});
-  Cluster cluster(cfg);
+  Fabric cluster(cfg.fabric());
   cluster.reduce_timing(16 * 1024);
 
   int down = 0, up = 0, s_on = 0, s_off = 0, restart = 0;

@@ -53,7 +53,7 @@ TEST(TimingStream, RunsTensorsBackToBackInOrder) {
   cfg.n_workers = 2;
   cfg.pool_size = 8;
   cfg.timing_only = true;
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   core::TimingStreamManager m0(cluster.worker(0));
   core::TimingStreamManager m1(cluster.worker(1));
   std::vector<int> order;
@@ -70,7 +70,7 @@ TEST(TimingStream, RunsTensorsBackToBackInOrder) {
 TEST(TimingStream, RejectsDataModeWorker) {
   core::ClusterConfig cfg;
   cfg.n_workers = 2;
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   EXPECT_THROW(core::TimingStreamManager m(cluster.worker(0)), std::invalid_argument);
 }
 

@@ -290,15 +290,15 @@ TEST(IntModes, PhantomModeIsBitIdenticalToOff) {
   std::uint64_t completions_off = 0;
   std::uint64_t sent_off = 0;
   {
-    core::Cluster cluster(int_config(4, inttel::kModeOff, true));
+    core::Fabric cluster(int_config(4, inttel::kModeOff, true).fabric());
     tats_off = cluster.reduce_timing(64 * 1024);
-    completions_off = cluster.agg_switch().counters().completions;
+    completions_off = cluster.root().counters().completions;
     sent_off = cluster.worker(0).counters().updates_sent;
   }
-  core::Cluster cluster(int_config(4, inttel::kModePhantom, true));
+  core::Fabric cluster(int_config(4, inttel::kModePhantom, true).fabric());
   const auto tats = cluster.reduce_timing(64 * 1024);
   EXPECT_EQ(tats, tats_off);
-  EXPECT_EQ(cluster.agg_switch().counters().completions, completions_off);
+  EXPECT_EQ(cluster.root().counters().completions, completions_off);
   EXPECT_EQ(cluster.worker(0).counters().updates_sent, sent_off);
   // ... while the telemetry itself flowed: every result carried a stack.
   // (Compiled out, the identity above still holds — with no stamping at all.)
@@ -324,13 +324,13 @@ TEST(IntModes, OnWireKeepsLossFreeProtocolAndDataExact) {
     return u;
   }();
 
-  core::Cluster off(int_config(4, inttel::kModeOff, false));
+  core::Fabric off(int_config(4, inttel::kModeOff, false).fabric());
   const auto r_off = off.reduce_i32(updates);
-  core::Cluster wire(int_config(4, inttel::kModeOnWire, false));
+  core::Fabric wire(int_config(4, inttel::kModeOnWire, false).fabric());
   const auto r_wire = wire.reduce_i32(updates);
 
   EXPECT_EQ(r_off.outputs, r_wire.outputs);
-  EXPECT_EQ(off.agg_switch().counters().completions, wire.agg_switch().counters().completions);
+  EXPECT_EQ(off.root().counters().completions, wire.root().counters().completions);
   EXPECT_EQ(off.worker(0).counters().updates_sent, wire.worker(0).counters().updates_sent);
   EXPECT_EQ(wire.worker(0).counters().retransmissions, 0u);
   // The extra bytes are real: the on-wire run cannot be faster.
@@ -338,16 +338,16 @@ TEST(IntModes, OnWireKeepsLossFreeProtocolAndDataExact) {
 }
 
 TEST(IntModes, DisabledFabricRegistersNoIntSeries) {
-  core::Cluster off(int_config(2, inttel::kModeOff, true));
+  core::Fabric off(int_config(2, inttel::kModeOff, true).fabric());
   EXPECT_EQ(off.metrics().snapshot().json().find("\"int."), std::string::npos);
   EXPECT_EQ(off.worker(0).int_collector(), nullptr);
-  EXPECT_EQ(off.fabric().int_localizer(), nullptr);
+  EXPECT_EQ(off.int_localizer(), nullptr);
 
   if (!inttel::kCompiledIn) return; // compiled out: no fabric ever builds the stack
-  core::Cluster on(int_config(2, inttel::kModePhantom, true));
+  core::Fabric on(int_config(2, inttel::kModePhantom, true).fabric());
   EXPECT_NE(on.metrics().snapshot().json().find("\"int."), std::string::npos);
   EXPECT_NE(on.worker(0).int_collector(), nullptr);
-  EXPECT_NE(on.fabric().int_localizer(), nullptr);
+  EXPECT_NE(on.int_localizer(), nullptr);
 }
 
 // --- localizer rules ---------------------------------------------------------

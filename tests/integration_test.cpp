@@ -40,7 +40,7 @@ TEST_P(ShapeSweep, AggregationExactForAllShapes) {
   core::ClusterConfig cfg;
   cfg.n_workers = n;
   cfg.pool_size = pool;
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   // A tensor size that exercises partial tails for every shape.
   auto updates = random_updates(n, 32 * pool * 2 + 13, 100 + static_cast<std::uint64_t>(n));
   auto result = cluster.reduce_i32(updates);
@@ -64,7 +64,7 @@ TEST_P(LossPoolSweep, LossRecoveryIndependentOfPoolSize) {
   cfg.n_workers = 4;
   cfg.pool_size = pool;
   cfg.loss_prob = loss;
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   auto updates = random_updates(4, 4096, 200);
   auto result = cluster.reduce_i32(updates);
   ASSERT_EQ(result.outputs[0], exact_sum(updates)) << "loss=" << loss << " pool=" << pool;
@@ -83,7 +83,7 @@ TEST(Determinism, IdenticalSeedsGiveIdenticalRuns) {
     cfg.pool_size = 16;
     cfg.loss_prob = 0.01;
     cfg.seed = 777;
-    core::Cluster cluster(cfg);
+    core::Fabric cluster(cfg.fabric());
     auto updates = random_updates(4, 8192, 300);
     auto r = cluster.reduce_i32(updates);
     return std::make_pair(r.tat, cluster.worker(0).counters().retransmissions);
@@ -101,7 +101,7 @@ TEST(Determinism, DifferentSeedsChangeLossPattern) {
     cfg.pool_size = 16;
     cfg.loss_prob = 0.02;
     cfg.seed = seed;
-    core::Cluster cluster(cfg);
+    core::Fabric cluster(cfg.fabric());
     auto updates = random_updates(4, 8192, 301);
     cluster.reduce_i32(updates);
     std::uint64_t total = 0;
@@ -125,7 +125,7 @@ TEST(CrossStrategy, SwitchMlAndRingAgreeOnTheSameTensors) {
   core::ClusterConfig ccfg;
   ccfg.n_workers = n;
   ccfg.pool_size = 16;
-  core::Cluster cluster(ccfg);
+  core::Fabric cluster(ccfg.fabric());
   const auto sml = core::all_reduce(cluster, inputs);
 
   // Ring all-reduce (exact floats, through the TCP-like fabric).
@@ -148,7 +148,7 @@ TEST(Straggler, SelfClockingSlowsEveryoneToTheSlowestWorker) {
   // §6: degrade one worker's link; all workers' TATs converge to it.
   core::ClusterConfig cfg = core::ClusterConfig::for_rate(gbps(10), 4);
   cfg.timing_only = true;
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   cluster.link(2).set_rate(gbps(10) / 4);
   auto tats = cluster.reduce_timing(256 * 1024);
   const double slow = to_msec(tats[2]);
@@ -159,7 +159,7 @@ TEST(Straggler, SelfClockingSlowsEveryoneToTheSlowestWorker) {
   // ... and the whole job runs ~4x slower than a clean one.
   core::ClusterConfig clean_cfg = core::ClusterConfig::for_rate(gbps(10), 4);
   clean_cfg.timing_only = true;
-  core::Cluster clean(clean_cfg);
+  core::Fabric clean(clean_cfg.fabric());
   const double fast = to_msec(clean.reduce_timing(256 * 1024)[0]);
   EXPECT_NEAR(slow / fast, 4.0, 0.5);
 }
@@ -171,18 +171,18 @@ TEST(HierarchyLoss, HeavyUniformLossIncludingUplinksIsRepaired) {
   // retransmission that hits a completed leaf slot regenerates the partial
   // aggregate upstream. Uniform loss on EVERY link (uplinks included)
   // exercises exactly that path.
-  core::HierarchyConfig cfg;
-  cfg.racks = 2;
-  cfg.workers_per_rack = 2;
+  core::FabricConfig cfg;
+  cfg.topology = core::HierarchySpec{.racks = 2, .workers_per_rack = 2};
   cfg.pool_size = 4;
   cfg.loss_prob = 0.03;
-  core::HierarchicalCluster h(cfg);
+  core::Fabric h(cfg);
   auto updates = random_updates(4, 2048, 400);
   auto result = h.reduce_i32(updates);
   EXPECT_EQ(result.outputs[0], exact_sum(updates));
   // The uplink repairs show up as extra partials beyond one per chunk.
   const std::uint64_t chunks = 2048 / 32;
-  EXPECT_GT(h.leaf(0).counters().upstream_partials + h.leaf(1).counters().upstream_partials,
+  EXPECT_GT(h.switch_at(1).counters().upstream_partials +
+                h.switch_at(2).counters().upstream_partials,
             2 * chunks);
 }
 

@@ -27,7 +27,7 @@ std::vector<std::vector<std::int32_t>> updates_for(int n, std::size_t d) {
 }
 
 TEST(Lossless, Algorithm1AggregatesExactly) {
-  Cluster cluster(lossless_cfg(4));
+  Fabric cluster(lossless_cfg(4).fabric());
   auto updates = updates_for(4, 8192);
   auto result = cluster.reduce_i32(updates);
   std::vector<std::int32_t> expect(8192, 0);
@@ -40,7 +40,7 @@ TEST(Lossless, Algorithm1AggregatesExactly) {
 }
 
 TEST(Lossless, ConsecutiveReductionsReuseSlots) {
-  Cluster cluster(lossless_cfg(3));
+  Fabric cluster(lossless_cfg(3).fabric());
   for (int round = 0; round < 3; ++round) {
     auto updates = updates_for(3, 2048 + 32 * round);
     auto result = cluster.reduce_i32(updates);
@@ -54,10 +54,10 @@ TEST(Lossless, ConsecutiveReductionsReuseSlots) {
 TEST(Lossless, UsesRoughlyHalfTheSram) {
   ClusterConfig full_cfg = lossless_cfg(8);
   full_cfg.lossless = false;
-  Cluster full(full_cfg);
-  Cluster lossless(lossless_cfg(8));
-  const auto full_bytes = full.agg_switch().register_bytes();
-  const auto ll_bytes = lossless.agg_switch().register_bytes();
+  Fabric full(full_cfg.fabric());
+  Fabric lossless(lossless_cfg(8).fabric());
+  const auto full_bytes = full.root().register_bytes();
+  const auto ll_bytes = lossless.root().register_bytes();
   // (2 + k) 64-bit words vs (1 + k) 32-bit words per slot.
   EXPECT_LT(ll_bytes * 2, full_bytes);
   EXPECT_GT(ll_bytes * 3, full_bytes);
@@ -71,11 +71,11 @@ TEST(Lossless, MatchesLossTolerantThroughput) {
   b.lossless = false;
   Time ta, tb;
   {
-    Cluster c(a);
+    Fabric c(a.fabric());
     ta = c.reduce_timing(256 * 1024)[0];
   }
   {
-    Cluster c(b);
+    Fabric c(b.fabric());
     tb = c.reduce_timing(256 * 1024)[0];
   }
   // The recovery state costs SRAM, not throughput (§3.5).
@@ -85,13 +85,13 @@ TEST(Lossless, MatchesLossTolerantThroughput) {
 TEST(Lossless, RefusesLossyConfiguration) {
   ClusterConfig cfg = lossless_cfg(2);
   cfg.loss_prob = 0.01;
-  EXPECT_THROW(Cluster{cfg}, std::invalid_argument);
+  EXPECT_THROW(Fabric{cfg.fabric()}, std::invalid_argument);
 }
 
 TEST(Lossless, DeadlocksIfTheFabricLiesAboutLosslessness) {
   // Motivation for Algorithm 3: inject one drop into a "lossless" run and
   // the aggregation can never complete (no timers to repair it).
-  Cluster cluster(lossless_cfg(2));
+  Fabric cluster(lossless_cfg(2).fabric());
   bool dropped = false;
   cluster.link(1).set_drop_filter([&](const net::Node& sender, const net::Packet& p) {
     if (!dropped && p.kind == net::PacketKind::SmlUpdate && sender.id() == 1) {

@@ -129,7 +129,7 @@ TEST(MetricsCluster, RegistryMatchesWorkerCountersUnderLoss) {
   cfg.n_workers = 4;
   cfg.loss_prob = 0.02;
   cfg.pool_size = 16;
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
 
   std::vector<std::vector<std::int32_t>> updates(4, std::vector<std::int32_t>(4096, 1));
   auto r = cluster.reduce_i32(updates);
@@ -157,7 +157,7 @@ TEST(MetricsCluster, RegistryMatchesWorkerCountersUnderLoss) {
 TEST(MetricsCluster, EachClusterOwnsItsOwnRegistry) {
   core::ClusterConfig cfg;
   cfg.n_workers = 2;
-  core::Cluster a(cfg), b(cfg);
+  core::Fabric a(cfg.fabric()), b(cfg.fabric());
   // Registration happened inside each constructor's scope; nothing leaked
   // into an ambient registry after construction.
   EXPECT_EQ(MetricsRegistry::current(), nullptr);
@@ -186,20 +186,19 @@ TEST(MetricsCluster, StreamingPsRegistersShardCounters) {
 // ---- loss knob coverage ----------------------------------------------------
 
 TEST(MetricsCluster, TreeSetLossProbReachesEveryLevel) {
-  core::TreeConfig cfg;
-  cfg.levels = 3;
-  cfg.branching = 2;
-  cfg.workers_per_rack = 2;
-  core::TreeCluster tree(cfg);
+  core::FabricConfig cfg;
+  cfg.topology = core::TreeSpec{.levels = 3, .branching = 2, .workers_per_rack = 2};
+  cfg.pool_size = 64;
+  core::Fabric tree(cfg);
   // root + 2 internal + 4 racks, 8 workers; links: 8 worker links + 6 uplinks.
   ASSERT_EQ(tree.n_switches(), 7);
-  ASSERT_EQ(tree.fabric().n_links(), 14u);
+  ASSERT_EQ(tree.n_links(), 14u);
 
-  for (std::size_t i = 0; i < tree.fabric().n_links(); ++i)
-    ASSERT_EQ(tree.fabric().link(i).config().loss_prob, 0.0) << i;
+  for (std::size_t i = 0; i < tree.n_links(); ++i)
+    ASSERT_EQ(tree.link(i).config().loss_prob, 0.0) << i;
   tree.set_loss_prob(0.05);
-  for (std::size_t i = 0; i < tree.fabric().n_links(); ++i)
-    EXPECT_EQ(tree.fabric().link(i).config().loss_prob, 0.05) << i;
+  for (std::size_t i = 0; i < tree.n_links(); ++i)
+    EXPECT_EQ(tree.link(i).config().loss_prob, 0.05) << i;
 }
 
 } // namespace

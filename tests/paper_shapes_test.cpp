@@ -32,7 +32,7 @@ double switchml_ate(BitsPerSecond rate, int workers, std::uint32_t pool = 0,
     cfg.elems_per_packet = net::kMtuElemsPerPacket;
     cfg.mtu_emulation = true;
   }
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   auto tats = cluster.reduce_timing(kElems);
   return static_cast<double>(kElems) / to_sec(tats[static_cast<std::size_t>(workers / 2)]);
 }
@@ -124,7 +124,7 @@ TEST(PaperShapes, Fig2RttGrowsWithPoolSizeBeyondBdp) {
     core::ClusterConfig cfg = core::ClusterConfig::for_rate(gbps(10), 8);
     cfg.timing_only = true;
     cfg.pool_size = pool;
-    core::Cluster cluster(cfg);
+    core::Fabric cluster(cfg.fabric());
     cluster.reduce_timing(kElems);
     return cluster.worker(0).rtt().median();
   };
@@ -167,25 +167,23 @@ TEST(PaperShapes, Fig7MtuPacketsImproveTatByHeaderRatio) {
 // ---- §6 ----------------------------------------------------------------
 
 TEST(PaperShapes, Sec6HierarchyHoldsLineRateAcrossRacks) {
-  core::HierarchyConfig cfg;
-  cfg.racks = 2;
-  cfg.workers_per_rack = 8;
+  core::FabricConfig cfg;
+  cfg.topology = core::HierarchySpec{.racks = 2, .workers_per_rack = 8};
   cfg.transport = net::TransportKind::kUdp; // line-rate claim is UDP-calibrated
   cfg.timing_only = true;
   cfg.nic = core::switchml_worker_nic_10g();
-  core::HierarchicalCluster h(cfg);
+  core::Fabric h(cfg);
   auto tats = h.reduce_timing(kElems);
   const double ate = static_cast<double>(kElems) / to_sec(tats[0]);
   EXPECT_GT(ate, 0.97 * collectives::switchml_ate_rate(gbps(10), 32));
 }
 
 TEST(PaperShapes, Sec6ConcurrentJobsKeepFullRate) {
-  core::MultiJobConfig cfg;
-  cfg.n_jobs = 4;
-  cfg.workers_per_job = 4;
+  core::FabricConfig cfg;
+  cfg.topology = core::MultiJobSpec{.n_jobs = 4, .workers_per_job = 4};
   cfg.transport = net::TransportKind::kUdp; // line-rate claim is UDP-calibrated
   cfg.timing_only = true;
-  core::MultiJobCluster cluster(cfg);
+  core::Fabric cluster(cfg);
   auto tats = cluster.reduce_timing_all(kElems);
   for (const auto& job : tats)
     for (Time t : job) {

@@ -23,10 +23,10 @@
 namespace switchml {
 namespace {
 
-using core::Cluster;
 using core::ClusterConfig;
-using core::HierarchicalCluster;
-using core::HierarchyConfig;
+using core::Fabric;
+using core::FabricConfig;
+using core::HierarchySpec;
 
 std::vector<std::vector<std::int32_t>> make_updates(int n, std::size_t d) {
   std::vector<std::vector<std::int32_t>> updates(static_cast<std::size_t>(n),
@@ -46,7 +46,7 @@ std::vector<std::int32_t> expected_sum(int n, std::size_t d) {
 }
 
 Time clean_data_tat(ClusterConfig cfg, const std::vector<std::vector<std::int32_t>>& updates) {
-  Cluster clean(cfg);
+  Fabric clean(cfg.fabric());
   const auto r = clean.reduce_i32(updates);
   return *std::max_element(r.tat.begin(), r.tat.end());
 }
@@ -63,10 +63,10 @@ TEST(Recovery, EpochAdvancesOnRestartAndWorkersResync) {
   // Two restarts: the epoch is a monotonic incarnation, not a flag.
   cfg.faults.switch_restarts.push_back({0, clean_max / 3});
   cfg.faults.switch_restarts.push_back({0, 2 * clean_max / 3});
-  Cluster cluster(cfg);
+  Fabric cluster(cfg.fabric());
   const auto result = cluster.reduce_i32(updates);
 
-  EXPECT_EQ(cluster.agg_switch().epoch(), 2u);
+  EXPECT_EQ(cluster.root().epoch(), 2u);
   const auto expect = expected_sum(4, d);
   std::uint64_t resyncs = 0;
   for (int w = 0; w < 4; ++w) {
@@ -106,8 +106,8 @@ TEST(Recovery, RestartRacingLostResultConvergesBitExact) {
 
   trace::TraceSink sink(1u << 18, trace::kCatFault);
   trace::TraceSink::Scope scope(&sink);
-  Cluster cluster(cfg);
-  const net::Node* sw = &cluster.agg_switch();
+  Fabric cluster(cfg.fabric());
+  const net::Node* sw = &cluster.root();
   sim::Simulation& sim = cluster.simulation();
   // Drop every result the switch sends to worker 0 inside the window.
   cluster.link(0).set_drop_filter(
@@ -123,12 +123,12 @@ TEST(Recovery, RestartRacingLostResultConvergesBitExact) {
 
   // The run must have gone through the escalation, not around it: the ahead
   // worker re-contributed the completed phase via a rescue.
-  EXPECT_GE(cluster.agg_switch().counters().rescues_applied, 1u);
+  EXPECT_GE(cluster.root().counters().rescues_applied, 1u);
   EXPECT_GE(cluster.worker(1).recovery().rescues_sent, 1u);
   EXPECT_GE(cluster.worker(1).recovery().sync_responses, 1u);
   EXPECT_EQ(cluster.worker(0).switch_epoch(), 1u);
   EXPECT_EQ(cluster.worker(1).switch_epoch(), 1u);
-  EXPECT_FALSE(cluster.fabric().fallback_engaged());
+  EXPECT_FALSE(cluster.fallback_engaged());
 
   int rescue_applies = 0;
   for (const trace::Event& e : sink.events())
@@ -155,7 +155,7 @@ TEST(Recovery, FixedRtoBacksOffExponentiallyBeforeDeadDeclaration) {
   cfg.sync_after = 0;
   cfg.dead_after = 8;
   cfg.faults.switch_kills.push_back({0, 0});
-  Cluster cluster(cfg);
+  Fabric cluster(cfg.fabric());
   const auto tat = cluster.reduce_timing(16 * 1024);
 
   // 8 consecutive timeouts with doubling: 1+2+4+...+128 = 255 ms, versus
@@ -168,7 +168,7 @@ TEST(Recovery, FixedRtoBacksOffExponentiallyBeforeDeadDeclaration) {
   EXPECT_LT(dead_ts, msec(400));
 
   // The job still terminates — through the fallback, with honest inflation.
-  EXPECT_TRUE(cluster.fabric().fallback_engaged());
+  EXPECT_TRUE(cluster.fallback_engaged());
   for (const Time t : tat) EXPECT_GT(t, dead_ts);
 }
 
@@ -186,7 +186,7 @@ TEST(Recovery, SwitchKillDegradesToFallbackBitExact) {
   cfg.faults.switch_kills.push_back({0, clean_max / 2});
   trace::TraceSink sink(1u << 18, trace::kCatFault);
   trace::TraceSink::Scope scope(&sink);
-  Cluster cluster(cfg);
+  Fabric cluster(cfg.fabric());
   const auto result = cluster.reduce_i32(updates);
 
   // The fallback replays the unconsumed chunks over int32 sums, so the
@@ -194,8 +194,8 @@ TEST(Recovery, SwitchKillDegradesToFallbackBitExact) {
   const auto expect = expected_sum(4, d);
   for (int w = 0; w < 4; ++w)
     ASSERT_EQ(result.outputs[static_cast<std::size_t>(w)], expect) << w;
-  EXPECT_TRUE(cluster.fabric().fallback_engaged());
-  EXPECT_GT(cluster.agg_switch().counters().dead_drops, 0u);
+  EXPECT_TRUE(cluster.fallback_engaged());
+  EXPECT_GT(cluster.root().counters().dead_drops, 0u);
   const Time faulty_max = *std::max_element(result.tat.begin(), result.tat.end());
   EXPECT_GT(faulty_max, clean_max + cfg.fallback_reprovision);
 
@@ -218,27 +218,26 @@ TEST(Recovery, SwitchKillDegradesToFallbackBitExact) {
 // sync queries), but no slot can ever complete, so the dead_after budget is
 // the only way out. The hierarchy degrades to the fallback like the rack.
 TEST(Recovery, HierarchyRootKillDegradesToFallbackBitExact) {
-  HierarchyConfig cfg;
-  cfg.racks = 2;
-  cfg.workers_per_rack = 2;
+  FabricConfig cfg;
+  cfg.topology = HierarchySpec{.racks = 2, .workers_per_rack = 2};
   cfg.pool_size = 16;
   cfg.sync_after = 2;
   cfg.dead_after = 6;
   const std::size_t d = 4096;
   const auto updates = make_updates(4, d);
 
-  HierarchicalCluster clean(cfg);
+  Fabric clean(cfg);
   const auto clean_result = clean.reduce_i32(updates);
   const Time clean_max = *std::max_element(clean_result.tat.begin(), clean_result.tat.end());
 
   cfg.faults.switch_kills.push_back({0, clean_max / 2});
-  HierarchicalCluster cluster(cfg);
+  Fabric cluster(cfg);
   const auto result = cluster.reduce_i32(updates);
 
   const auto expect = expected_sum(4, d);
   for (int w = 0; w < 4; ++w)
     ASSERT_EQ(result.outputs[static_cast<std::size_t>(w)], expect) << w;
-  EXPECT_TRUE(cluster.fabric().fallback_engaged());
+  EXPECT_TRUE(cluster.fallback_engaged());
   EXPECT_GT(cluster.root().counters().dead_drops, 0u);
 }
 
@@ -249,7 +248,7 @@ TEST(Recovery, ValidationNamesOffendingSpecKindIndexAndTime) {
   cfg.faults.switch_kills.push_back({0, usec(10)});
   cfg.faults.switch_kills.push_back({7, usec(20)}); // no switch 7 on a rack
   try {
-    Cluster cluster(cfg);
+    Fabric cluster(cfg.fabric());
     FAIL() << "out-of-range switch_kills spec must be rejected";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -260,7 +259,7 @@ TEST(Recovery, ValidationNamesOffendingSpecKindIndexAndTime) {
   ClusterConfig cfg2 = ClusterConfig::for_rate(gbps(10), 2);
   cfg2.faults.switch_restarts.push_back({3, usec(5)});
   try {
-    Cluster cluster(cfg2);
+    Fabric cluster(cfg2.fabric());
     FAIL() << "out-of-range switch_restarts spec must be rejected";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("switch_restarts[0]"), std::string::npos) << e.what();
@@ -272,7 +271,7 @@ TEST(Recovery, LosslessRejectionExplainsWhyPerFaultClass) {
   cfg.lossless = true;
   cfg.faults.switch_kills.push_back({0, usec(10)});
   try {
-    Cluster cluster(cfg);
+    Fabric cluster(cfg.fabric());
     FAIL() << "kills must be rejected in lossless mode";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -284,7 +283,7 @@ TEST(Recovery, LosslessRejectionExplainsWhyPerFaultClass) {
   cfg2.lossless = true;
   cfg2.faults.switch_restarts.push_back({0, usec(10)});
   try {
-    Cluster cluster(cfg2);
+    Fabric cluster(cfg2.fabric());
     FAIL() << "restarts must be rejected in lossless mode";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -340,7 +339,7 @@ TEST(Recovery, RandomizedFaultSchedulesTerminateBitExactOrFallback) {
     const bool killed = rng() % 3 == 0;
     if (killed) cfg.faults.switch_kills.push_back({0, uniform_time(clean_max / 5, clean_max / 2)});
 
-    Cluster cluster(cfg);
+    Fabric cluster(cfg.fabric());
     const auto result = cluster.reduce_i32(updates);
     const auto expect = expected_sum(n, d);
     for (int w = 0; w < n; ++w)
@@ -352,9 +351,9 @@ TEST(Recovery, RandomizedFaultSchedulesTerminateBitExactOrFallback) {
     // cannot reach the switch for that long is ALLOWED to declare it dead —
     // the explicit fallback is the honest (and still bit-exact) outcome.
     if (killed) {
-      EXPECT_TRUE(cluster.fabric().fallback_engaged()) << "iter=" << iter;
+      EXPECT_TRUE(cluster.fallback_engaged()) << "iter=" << iter;
     }
-    fallbacks_seen += cluster.fabric().fallback_engaged();
+    fallbacks_seen += cluster.fallback_engaged();
   }
   if (iters >= 6) {
     EXPECT_GE(fallbacks_seen, 1);

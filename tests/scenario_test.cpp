@@ -641,7 +641,7 @@ TEST(ScenarioCorpus, CustomScenarioPortMatchesInCodeConfig) {
   cfg.loss_prob = 0.001;
   cfg.adaptive_rto = true;
   cfg.transport = net::TransportKind::kUdp;
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   const auto want = cluster.reduce_timing(250000);
   const RunResult r = run(s);
   ASSERT_EQ(r.tats.size(), 1u);

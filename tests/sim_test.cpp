@@ -167,6 +167,17 @@ TEST(Simulation, DaemonTimersAreNotLiveWork) {
   EXPECT_EQ(ticks, 4);
 }
 
+TEST(Simulation, LastLiveAtSkipsADaemonAfterTheLastLiveEvent) {
+  Simulation s;
+  EXPECT_EQ(s.last_live_at(), 0);
+  s.schedule_at(35, [] {});
+  s.schedule_daemon_timer(40, [] {});
+  s.schedule_timer(50, [] {}).cancel();
+  s.run();
+  EXPECT_EQ(s.now(), 40);
+  EXPECT_EQ(s.last_live_at(), 35);
+}
+
 // ---- rearm_timer: one queued key per timer, cancel + schedule order --------
 
 TEST(Simulation, ManyRearmsKeepOneKeyAndFireOnceAtTheLastTarget) {

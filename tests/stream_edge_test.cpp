@@ -21,7 +21,7 @@ ClusterConfig cfg(int n, double loss = 0.0) {
 }
 
 TEST(StreamManagerEdge, RejectsBadSubmissions) {
-  Cluster cluster(cfg(2));
+  Fabric cluster(cfg(2).fabric());
   StreamManager m(cluster.worker(0));
   std::vector<float> in(8), out(4);
   EXPECT_THROW(m.submit(in, out, 1.0, nullptr), std::invalid_argument);
@@ -31,14 +31,14 @@ TEST(StreamManagerEdge, RejectsBadSubmissions) {
 }
 
 TEST(StreamManagerEdge, FlushWithNothingQueuedIsANoop) {
-  Cluster cluster(cfg(2));
+  Fabric cluster(cfg(2).fabric());
   StreamManager m(cluster.worker(0));
   m.flush();
   EXPECT_TRUE(m.idle());
 }
 
 TEST(StreamManagerEdge, SingleElementTensors) {
-  Cluster cluster(cfg(2));
+  Fabric cluster(cfg(2).fabric());
   std::vector<float> a = {3.0f}, b = {4.0f}, oa(1), ob(1);
   StreamManager m0(cluster.worker(0)), m1(cluster.worker(1));
   m0.submit(a, oa, 1e6, nullptr);
@@ -85,7 +85,7 @@ TEST(StreamManagerEdge, AveragingOption) {
 
 TEST(StreamManagerEdge, InPlaceAliasedBuffers) {
   // out may alias in: the framework overwrites gradients with aggregates.
-  Cluster cluster(cfg(2));
+  Fabric cluster(cfg(2).fabric());
   std::vector<float> a(128, 1.5f), b(128, 2.5f);
   StreamManager m0(cluster.worker(0)), m1(cluster.worker(1));
   m0.submit(a, a, 1e6, nullptr);
@@ -98,7 +98,7 @@ TEST(StreamManagerEdge, InPlaceAliasedBuffers) {
 }
 
 TEST(StreamManagerEdge, ManyTensorsUnderLoss) {
-  Cluster cluster(cfg(3, 0.01));
+  Fabric cluster(cfg(3, 0.01).fabric());
   const int tensors = 12;
   sim::Rng rng = sim::Rng::stream(9, "many");
   std::vector<std::vector<std::vector<float>>> in(3), out(3);
@@ -134,7 +134,7 @@ TEST(StreamManagerEdge, ManyTensorsUnderLoss) {
 TEST(StreamManagerEdge, ChunkAlignedTensorBoundaries) {
   // Padding guarantees no packet spans two tensors: a 1-element tensor
   // followed by a large one must still produce exact per-tensor sums.
-  Cluster cluster(cfg(2));
+  Fabric cluster(cfg(2).fabric());
   std::vector<float> tiny0 = {1.0f}, tiny1 = {2.0f}, big0(1000, 3.0f), big1(1000, 4.0f);
   std::vector<float> to0(1), to1(1), bo0(1000), bo1(1000);
   StreamManager m0(cluster.worker(0)), m1(cluster.worker(1));

@@ -66,10 +66,10 @@ TEST(SwitchDataplane, AccessCountsMatchProtocol) {
   core::ClusterConfig cfg;
   cfg.n_workers = 2;
   cfg.pool_size = 4;
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   std::vector<std::vector<std::int32_t>> updates(2, std::vector<std::int32_t>(32 * 4));
   cluster.reduce_i32(updates);
-  const auto& pipe = cluster.agg_switch().pipeline();
+  const auto& pipe = cluster.root().pipeline();
   EXPECT_EQ(pipe.packets_processed(), 8u); // 2 workers x 4 chunks
   EXPECT_EQ(pipe.register_accesses(), 8u * 34u);
 }
@@ -85,7 +85,7 @@ TEST(Ablation, NoSeenBitmapCorruptsUnderAsymmetricDuplicates) {
   cfg.n_workers = 2;
   cfg.pool_size = 4;
   cfg.ablate_seen_bitmap = true;
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   bool dropped = false;
   cluster.link(0).set_drop_filter([&](const net::Node& sender, const net::Packet& p) {
     if (!dropped && p.kind == net::PacketKind::SmlResult && sender.id() >= 100) {
@@ -122,7 +122,7 @@ TEST(Ablation, NoShadowCopyDeadlocksOnResultLoss) {
   cfg.n_workers = 2;
   cfg.pool_size = 2;
   cfg.ablate_shadow_copy = true;
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   // Lose the first result packet toward worker 0 permanently.
   bool dropped = false;
   cluster.link(0).set_drop_filter([&](const net::Node& sender, const net::Packet& p) {
@@ -146,7 +146,7 @@ TEST(Ablation, FullProtocolHandlesTheSameLoss) {
   core::ClusterConfig cfg;
   cfg.n_workers = 2;
   cfg.pool_size = 2;
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   bool dropped = false;
   cluster.link(0).set_drop_filter([&](const net::Node& sender, const net::Packet& p) {
     if (!dropped && p.kind == net::PacketKind::SmlResult && sender.id() >= 100) {

@@ -2,22 +2,21 @@
 // against the SRAM budget, eviction, and concurrent-job independence.
 #include <gtest/gtest.h>
 
-#include "core/cluster.hpp"
+#include "core/fabric.hpp"
 
 namespace switchml::core {
 namespace {
 
 TEST(Tenancy, JobsAggregateIndependently) {
-  MultiJobConfig cfg;
-  cfg.n_jobs = 3;
-  cfg.workers_per_job = 2;
+  FabricConfig cfg;
+  cfg.topology = MultiJobSpec{.n_jobs = 3, .workers_per_job = 2};
   cfg.pool_size = 8;
-  MultiJobCluster cluster(cfg);
+  Fabric cluster(cfg);
 
   for (int j = 0; j < 3; ++j) {
     std::vector<std::vector<std::int32_t>> updates(
         2, std::vector<std::int32_t>(1024, (j + 1) * 10));
-    auto r = cluster.reduce_i32(j, updates);
+    auto r = cluster.reduce_i32_job(j, updates);
     for (auto v : r.outputs[0]) ASSERT_EQ(v, (j + 1) * 20) << "job " << j;
   }
 }
@@ -27,11 +26,10 @@ TEST(Tenancy, ConcurrentJobsDoNotInterfere) {
   // disjoint workers/links and their own aggregator pools.
   const std::uint64_t elems = 64 * 1024;
   auto median_tat = [&](int jobs) {
-    MultiJobConfig cfg;
-    cfg.n_jobs = jobs;
-    cfg.workers_per_job = 4;
+    FabricConfig cfg;
+    cfg.topology = MultiJobSpec{.n_jobs = jobs, .workers_per_job = 4};
     cfg.timing_only = true;
-    MultiJobCluster cluster(cfg);
+    Fabric cluster(cfg);
     auto tats = cluster.reduce_timing_all(elems);
     Summary s;
     for (const auto& jt : tats)
@@ -83,18 +81,17 @@ TEST(Tenancy, EvictionFreesSram) {
 }
 
 TEST(Tenancy, UnknownJobPacketsAreDropped) {
-  MultiJobConfig cfg;
-  cfg.n_jobs = 1;
-  cfg.workers_per_job = 2;
+  FabricConfig cfg;
+  cfg.topology = MultiJobSpec{.n_jobs = 1, .workers_per_job = 2};
   cfg.pool_size = 8;
-  MultiJobCluster cluster(cfg);
+  Fabric cluster(cfg);
   // Evict job 0, then try to reduce: packets must be counted as unknown-job
   // drops and the reduction never completes.
-  cluster.agg_switch().evict_job(0);
+  cluster.root().evict_job(0);
   std::vector<std::int32_t> u(64, 1), out(64);
-  cluster.worker(0, 0).start_reduction(u, out, nullptr);
+  cluster.worker(0).start_reduction(u, out, nullptr);
   cluster.simulation().run_until(msec(5));
-  EXPECT_GT(cluster.agg_switch().counters().unknown_job_drops, 0u);
+  EXPECT_GT(cluster.root().counters().unknown_job_drops, 0u);
 }
 
 TEST(Tenancy, SwitchConstructorRejectsOversizedJob0) {

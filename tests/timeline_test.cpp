@@ -166,7 +166,7 @@ std::string lossy_run_jsonl(std::uint64_t elems) {
   cfg.timing_only = true;
   cfg.loss_prob = 0.01;
   cfg.adaptive_rto = true;
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   TimelineRecorder::Config tc;
   tc.period = msec(1);
   TimelineRecorder tl(cluster.simulation(), cluster.metrics(), tc);
@@ -174,6 +174,26 @@ std::string lossy_run_jsonl(std::uint64_t elems) {
   cluster.reduce_timing(elems);
   tl.finish();
   return tl.jsonl();
+}
+
+TEST(Timeline, ResumeSamplesEveryReductionOnOneFabric) {
+  // The tick stops re-arming once the first reduction drains; resume()
+  // before each later one keeps every interval within one period. Without
+  // it, sampling stopped at 1.2 ms and the closing interval ran to 3.58 ms.
+  core::ClusterConfig cfg = core::ClusterConfig::for_rate(gbps(10), 8);
+  cfg.timing_only = true;
+  core::Fabric fabric(cfg.fabric());
+  TimelineRecorder tl(fabric.simulation(), fabric.metrics(), {usec(100)});
+  tl.start();
+  for (int r = 0; r < 3; ++r) {
+    tl.resume();
+    fabric.reduce_timing(1u << 18);
+  }
+  tl.finish();
+  const std::vector<Time> t = tl.times();
+  ASSERT_GT(t.back(), msec(3));
+  for (std::size_t i = 1; i < t.size(); ++i)
+    EXPECT_LE(t[i] - t[i - 1], usec(100)) << "interval ending at " << t[i] << " ns";
 }
 
 TEST(Timeline, SameSeedAndPeriodProduceBitIdenticalSidecar) {

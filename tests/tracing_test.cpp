@@ -319,7 +319,7 @@ TEST(Tracing, LossyClusterRunExportsValidChromeJson) {
   cfg.timing_only = true;
   cfg.loss_prob = 0.01;
   cfg.adaptive_rto = true;
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   cluster.reduce_timing(128 * 1024);
 
   ASSERT_GT(sink.events().size(), 1000u);

@@ -112,7 +112,7 @@ class TransportConformance : public ::testing::TestWithParam<TransportKind> {};
 TEST_P(TransportConformance, TimingReductionCompletesUnderLoss) {
   auto cfg = transport_config(GetParam(), /*loss=*/0.02);
   cfg.timing_only = true;
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   auto tats = cluster.reduce_timing(16 * 1024);
   ASSERT_EQ(tats.size(), 4u);
   for (Time t : tats) EXPECT_GT(t, 0);
@@ -124,7 +124,7 @@ TEST_P(TransportConformance, TimingReductionCompletesUnderLoss) {
 
 TEST_P(TransportConformance, DataModeSumsAreExactUnderLoss) {
   auto cfg = transport_config(GetParam(), /*loss=*/0.01);
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   auto updates = random_updates(4, 4096, 11);
   auto result = cluster.reduce_i32(updates);
   const auto expect = exact_sum(updates);
@@ -142,7 +142,7 @@ INSTANTIATE_TEST_SUITE_P(BothChannels, TransportConformance,
 TEST(RdmaChannel, CountersAreExactOnLosslessRun) {
   auto cfg = transport_config(TransportKind::kRdmaUc, /*loss=*/0.0, /*workers=*/2);
   cfg.timing_only = true;
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   ASSERT_EQ(cluster.worker(0).channel().kind(), TransportKind::kRdmaUc);
   cluster.reduce_timing(32 * 32); // 32 chunks per worker at k = 32
   const auto snap = cluster.metrics().snapshot();
@@ -163,7 +163,7 @@ TEST(RdmaChannel, LossRepairRidesTheSlotProtocol) {
   // retransmission, and each one posts a fresh WQE through the channel.
   auto cfg = transport_config(TransportKind::kRdmaUc, /*loss=*/0.05);
   cfg.timing_only = true;
-  core::Cluster cluster(cfg);
+  core::Fabric cluster(cfg.fabric());
   auto tats = cluster.reduce_timing(8 * 1024);
   for (Time t : tats) EXPECT_GT(t, 0);
   const auto snap = cluster.metrics().snapshot();

@@ -2,7 +2,7 @@
 // recovery through every tier, and the per-level bandwidth reduction.
 #include <gtest/gtest.h>
 
-#include "core/cluster.hpp"
+#include "core/fabric.hpp"
 #include "sim/rng.hpp"
 
 namespace switchml::core {
@@ -26,11 +26,10 @@ std::vector<std::int32_t> sum_of(const std::vector<std::vector<std::int32_t>>& u
 
 TEST(Tree, ThreeLevelAggregationIsExact) {
   // root -> 2 internal switches -> 2 racks each -> 3 workers per rack.
-  TreeConfig cfg;
-  cfg.levels = 3;
-  cfg.branching = 2;
-  cfg.workers_per_rack = 3;
-  TreeCluster tree(cfg);
+  FabricConfig cfg;
+  cfg.topology = TreeSpec{.levels = 3, .branching = 2, .workers_per_rack = 3};
+  cfg.pool_size = 64;
+  Fabric tree(cfg);
   EXPECT_EQ(tree.n_workers(), 2 * 2 * 3);
   EXPECT_EQ(tree.n_switches(), 1u + 2u + 4u);
 
@@ -42,24 +41,21 @@ TEST(Tree, ThreeLevelAggregationIsExact) {
 }
 
 TEST(Tree, FourLevelAggregationIsExact) {
-  TreeConfig cfg;
-  cfg.levels = 4;
-  cfg.branching = 2;
-  cfg.workers_per_rack = 2;
+  FabricConfig cfg;
+  cfg.topology = TreeSpec{.levels = 4, .branching = 2, .workers_per_rack = 2};
   cfg.pool_size = 8;
-  TreeCluster tree(cfg);
+  Fabric tree(cfg);
   EXPECT_EQ(tree.n_workers(), 2 * 2 * 2 * 2); // 2^3 racks x 2 workers
   auto updates = updates_for(tree.n_workers(), 1024, 2);
   auto r = tree.reduce_i32(updates);
   EXPECT_EQ(r.outputs[5], sum_of(updates));
 }
 
-TEST(Tree, TwoLevelMatchesHierarchicalCluster) {
-  TreeConfig cfg;
-  cfg.levels = 2;
-  cfg.branching = 3; // root with 3 bottom switches
-  cfg.workers_per_rack = 2;
-  TreeCluster tree(cfg);
+TEST(Tree, TwoLevelMatchesHierarchySpec) {
+  FabricConfig cfg;
+  cfg.topology = TreeSpec{.levels = 2, .branching = 3, .workers_per_rack = 2}; // 3 racks
+  cfg.pool_size = 64;
+  Fabric tree(cfg);
   EXPECT_EQ(tree.n_workers(), 6);
   auto updates = updates_for(6, 2048, 3);
   auto r = tree.reduce_i32(updates);
@@ -67,25 +63,22 @@ TEST(Tree, TwoLevelMatchesHierarchicalCluster) {
 }
 
 TEST(Tree, SurvivesLossAtEveryTier) {
-  TreeConfig cfg;
-  cfg.levels = 3;
-  cfg.branching = 2;
-  cfg.workers_per_rack = 2;
+  FabricConfig cfg;
+  cfg.topology = TreeSpec{.levels = 3, .branching = 2, .workers_per_rack = 2};
   cfg.pool_size = 8;
   cfg.loss_prob = 0.02; // every link, including both switch tiers
-  TreeCluster tree(cfg);
+  Fabric tree(cfg);
   auto updates = updates_for(tree.n_workers(), 4096, 4);
   auto r = tree.reduce_i32(updates);
   EXPECT_EQ(r.outputs[0], sum_of(updates));
 }
 
 TEST(Tree, EveryTierReducesBandwidth) {
-  TreeConfig cfg;
-  cfg.levels = 3;
-  cfg.branching = 2;
-  cfg.workers_per_rack = 4;
+  FabricConfig cfg;
+  cfg.topology = TreeSpec{.levels = 3, .branching = 2, .workers_per_rack = 4};
+  cfg.pool_size = 64;
   cfg.timing_only = true;
-  TreeCluster tree(cfg);
+  Fabric tree(cfg);
   const std::uint64_t elems = 32 * 512;
   tree.reduce_timing(elems);
   const std::uint64_t chunks = elems / 32;
@@ -97,9 +90,9 @@ TEST(Tree, EveryTierReducesBandwidth) {
 }
 
 TEST(Tree, RejectsDegenerateShapes) {
-  TreeConfig cfg;
-  cfg.levels = 1;
-  EXPECT_THROW(TreeCluster{cfg}, std::invalid_argument);
+  FabricConfig cfg;
+  cfg.topology = TreeSpec{.levels = 1};
+  EXPECT_THROW(Fabric{cfg}, std::invalid_argument);
 }
 
 } // namespace

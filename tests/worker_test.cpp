@@ -16,13 +16,13 @@ ClusterConfig cfg4() {
 }
 
 TEST(Worker, StartWhileActiveThrows) {
-  Cluster cluster(cfg4());
+  Fabric cluster(cfg4().fabric());
   cluster.worker(0).start_reduction(1024, nullptr);
   EXPECT_THROW(cluster.worker(0).start_reduction(1024, nullptr), std::logic_error);
 }
 
 TEST(Worker, ZeroElementReductionCompletesImmediately) {
-  Cluster cluster(cfg4());
+  Fabric cluster(cfg4().fabric());
   bool done = false;
   cluster.worker(0).start_reduction(0, [&] { done = true; });
   EXPECT_TRUE(done);
@@ -32,13 +32,13 @@ TEST(Worker, ZeroElementReductionCompletesImmediately) {
 TEST(Worker, DataReductionOnTimingOnlyWorkerThrows) {
   ClusterConfig c = cfg4();
   c.timing_only = true;
-  Cluster cluster(c);
+  Fabric cluster(c.fabric());
   std::vector<std::int32_t> u(64, 1), out(64);
   EXPECT_THROW(cluster.worker(0).start_reduction(u, out, nullptr), std::logic_error);
 }
 
 TEST(Worker, MismatchedSpansThrow) {
-  Cluster cluster(cfg4());
+  Fabric cluster(cfg4().fabric());
   std::vector<std::int32_t> u(64, 1), out(32);
   EXPECT_THROW(cluster.worker(0).start_reduction(u, out, nullptr), std::invalid_argument);
 }
@@ -49,7 +49,7 @@ TEST(Worker, RttSamplesArePlausible) {
   // bound holds under -DSWITCHML_RDMA_DEFAULT=ON.
   c.transport = net::TransportKind::kUdp;
   c.timing_only = true;
-  Cluster cluster(c);
+  Fabric cluster(c.fabric());
   cluster.reduce_timing(32 * 8 * 10);
   const auto& rtt = cluster.worker(0).rtt();
   ASSERT_FALSE(rtt.empty());
@@ -65,7 +65,7 @@ TEST(Worker, KarnsRuleExcludesRetransmittedPackets) {
   ClusterConfig c = cfg4();
   c.timing_only = true;
   c.retransmit_timeout = usec(2); // well under the ~10 us RTT
-  Cluster cluster(c);
+  Fabric cluster(c.fabric());
   cluster.reduce_timing(32 * 8);
   EXPECT_GT(cluster.worker(0).counters().retransmissions, 0u);
   // Every in-flight packet was retransmitted at least once -> no clean samples.
@@ -75,7 +75,7 @@ TEST(Worker, KarnsRuleExcludesRetransmittedPackets) {
 TEST(Worker, TimelineDeltasCountAllSentPackets) {
   ClusterConfig c = cfg4();
   c.timing_only = true;
-  Cluster cluster(c);
+  Fabric cluster(c.fabric());
   TimelineRecorder::Config tc;
   tc.period = usec(100);
   TimelineRecorder timeline(cluster.simulation(), cluster.metrics(), tc);
@@ -90,7 +90,7 @@ TEST(Worker, TimelineDeltasCountAllSentPackets) {
 }
 
 TEST(Worker, InvalidTimelinePeriodThrows) {
-  Cluster cluster(cfg4());
+  Fabric cluster(cfg4().fabric());
   TimelineRecorder::Config tc;
   tc.period = 0;
   EXPECT_THROW(TimelineRecorder(cluster.simulation(), cluster.metrics(), tc),
@@ -105,11 +105,11 @@ TEST(Worker, Fp16WireHalvesAggregationTime) {
   c16.wire_elem_bytes = 2;
   Time t32, t16;
   {
-    Cluster cluster(c32);
+    Fabric cluster(c32.fabric());
     t32 = cluster.reduce_timing(1 << 18)[0];
   }
   {
-    Cluster cluster(c16);
+    Fabric cluster(c16.fabric());
     t16 = cluster.reduce_timing(1 << 18)[0];
   }
   EXPECT_LT(to_msec(t16), to_msec(t32) * 0.75);
@@ -123,7 +123,7 @@ TEST(Worker, SelfClockingKeepsInFlightBounded) {
   ClusterConfig c = cfg4();
   c.timing_only = true;
   c.pool_size = 16;
-  Cluster cluster(c);
+  Fabric cluster(c.fabric());
   const std::uint64_t chunks = 1000;
   cluster.reduce_timing(32 * chunks);
   for (int w = 0; w < 4; ++w) {
@@ -136,7 +136,7 @@ TEST(Worker, AdaptiveRtoTracksMeasuredRtt) {
   ClusterConfig c = cfg4();
   c.timing_only = true;
   c.adaptive_rto = true;
-  Cluster cluster(c);
+  Fabric cluster(c.fabric());
   cluster.reduce_timing(32 * 8 * 50);
   // RTT ~ 10 us here; the Jacobson estimate clamps at rto_min (150 us),
   // far below the 1 ms fixed default.
@@ -151,7 +151,7 @@ TEST(Worker, AdaptiveRtoAvoidsSpuriousRetransmissionsUnderLoad) {
   c.timing_only = true;
   c.adaptive_rto = true;
   c.pool_size = 64;
-  Cluster cluster(c);
+  Fabric cluster(c.fabric());
   cluster.reduce_timing(32 * 64 * 20);
   for (int w = 0; w < 4; ++w)
     EXPECT_EQ(cluster.worker(w).counters().retransmissions, 0u) << w;
@@ -162,7 +162,7 @@ TEST(Worker, MtuModeUsesLargePackets) {
   c.timing_only = true;
   c.elems_per_packet = net::kMtuElemsPerPacket;
   c.mtu_emulation = true;
-  Cluster cluster(c);
+  Fabric cluster(c.fabric());
   const std::uint64_t elems = 366 * 100;
   cluster.reduce_timing(elems);
   EXPECT_EQ(cluster.worker(0).counters().updates_sent, 100u);
