@@ -122,25 +122,20 @@ public:
   explicit MetricsSidecar(std::string path) : path_(std::move(path)) {}
 
   void record(const std::string& label, const MetricsRegistry& registry) {
-    runs_.emplace_back(label, registry.snapshot().json());
+    runs_.set(label, registry.snapshot().json());
   }
 
   // Returns the path written, empty on I/O failure.
   std::string write() const {
     std::ofstream out(path_);
     if (!out) return {};
-    out << "{";
-    for (std::size_t i = 0; i < runs_.size(); ++i) {
-      out << (i == 0 ? "\n" : ",\n") << "  " << json::quote(runs_[i].first) << ": "
-          << runs_[i].second;
-    }
-    out << "\n}\n";
+    out << runs_.dump(true);
     return out ? path_ : std::string{};
   }
 
 private:
   std::string path_;
-  std::vector<std::pair<std::string, std::string>> runs_;
+  json::Value runs_{json::Object{}};
 };
 
 // --- machine-readable bench reports ------------------------------------------
@@ -167,30 +162,16 @@ public:
   }
 
   void add(const std::string& name, double value, double rel_tol = kSimTol) {
-    metrics_.emplace_back(name, Metric{value, rel_tol});
+    metrics_.set(name, json::Object{{"value", value}, {"rel_tol", rel_tol}});
   }
-  void info(const std::string& key, const std::string& value) {
-    info_.emplace_back(key, value);
-  }
+  void info(const std::string& key, const std::string& value) { info_.set(key, value); }
 
+  // The report document. Every value keeps all its digits; a NaN or infinite
+  // metric throws (it is not JSON).
   [[nodiscard]] std::string json() const {
-    std::string out = "{\n  \"schema_version\": " + std::to_string(kSchemaVersion) +
-                      ",\n  \"bench\": " + json::quote(bench_) +
-                      ",\n  \"mode\": " + json::quote(mode_) + ",\n  \"metrics\": {";
-    for (std::size_t i = 0; i < metrics_.size(); ++i) {
-      char buf[96];
-      std::snprintf(buf, sizeof(buf), "{\"value\": %.17g, \"rel_tol\": %.3g}",
-                    metrics_[i].second.value, metrics_[i].second.rel_tol);
-      out += (i == 0 ? "\n" : ",\n");
-      out += "    " + json::quote(metrics_[i].first) + ": " + buf;
-    }
-    out += "\n  },\n  \"info\": {";
-    for (std::size_t i = 0; i < info_.size(); ++i) {
-      out += (i == 0 ? "\n" : ",\n");
-      out += "    " + json::quote(info_[i].first) + ": " + json::quote(info_[i].second);
-    }
-    out += "\n  }\n}\n";
-    return out;
+    const json::Value doc(json::Object{{"schema_version", kSchemaVersion}, {"bench", bench_},
+                                       {"mode", mode_}, {"metrics", metrics_}, {"info", info_}});
+    return doc.dump(true);
   }
 
   // Returns the path written, empty on I/O failure.
@@ -202,13 +183,9 @@ public:
   }
 
 private:
-  struct Metric {
-    double value;
-    double rel_tol;
-  };
   std::string bench_, mode_, path_;
-  std::vector<std::pair<std::string, Metric>> metrics_;
-  std::vector<std::pair<std::string, std::string>> info_;
+  json::Value metrics_{json::Object{}};
+  json::Value info_{json::Object{}};
 };
 
 // --- critical-path time attribution ------------------------------------------

@@ -143,10 +143,11 @@ int main(int argc, char** argv) {
         ++matched;
         if (detected_at < 0) detected_at = v.at;
       }
-      hops_out << "{\"scenario\":\"" << sc.name << "\",\"record\":\"verdict\",\"kind\":\""
-               << inttel::FaultLocalizer::to_string(v.kind) << "\",\"subject\":\""
-               << loc->subject(v) << "\",\"detail\":" << v.detail << ",\"at_ns\":" << v.at
-               << ",\"matched\":" << (ok ? "true" : "false") << "}\n";
+      json::Value line = loc->to_json(v);
+      line.set("scenario", sc.name);
+      line.set("record", "verdict");
+      line.set("matched", ok);
+      hops_out << line.dump() << '\n';
     }
     const std::uint64_t n_verdicts = loc->verdicts().size();
     total_verdicts += n_verdicts;
@@ -162,14 +163,14 @@ int main(int argc, char** argv) {
       const inttel::IntCollector* col = cluster.worker(i).int_collector();
       if (col == nullptr) continue;
       for (const auto& h : col->hop_stats()) {
-        hops_out << "{\"scenario\":\"" << sc.name << "\",\"record\":\"hop\",\"worker\":\""
-                 << cluster.worker(i).name() << "\",\"hop\":\""
-                 << (h.name.empty() ? "discovered" : h.name) << "\",\"kind\":\""
-                 << hop_kind_name(h.key.kind) << "\",\"hop_id\":" << h.key.hop_id
-                 << ",\"next_hop\":" << h.key.next_hop << ",\"samples\":" << h.samples
-                 << ",\"latency_p50_ns\":" << h.latency_p50
-                 << ",\"latency_p99_ns\":" << h.latency_p99 << ",\"queue_bytes\":" << h.queue_bytes
-                 << ",\"queue_pkts\":" << h.queue_pkts << ",\"drops\":" << h.drops << "}\n";
+        const json::Value line(json::Object{
+            {"scenario", sc.name}, {"record", "hop"}, {"worker", cluster.worker(i).name()},
+            {"hop", h.name.empty() ? "discovered" : h.name}, {"kind", hop_kind_name(h.key.kind)},
+            {"hop_id", std::int64_t{h.key.hop_id}}, {"next_hop", std::int64_t{h.key.next_hop}},
+            {"samples", static_cast<std::int64_t>(h.samples)}, {"latency_p50_ns", h.latency_p50},
+            {"latency_p99_ns", h.latency_p99}, {"queue_bytes", h.queue_bytes},
+            {"queue_pkts", h.queue_pkts}, {"drops", static_cast<std::int64_t>(h.drops)}});
+        hops_out << line.dump() << '\n';
       }
     }
     sidecar.record(sc.name, cluster.metrics());

@@ -23,6 +23,10 @@ The per-metric tolerances live in the reports themselves (BenchReport::add's
 rel_tol argument): sim-deterministic values carry ~1e-9, host-measured
 calibrations ~0.25. This keeps policy next to the measurement instead of in
 a side table here.
+
+Reports are read as JSON, so the layout does not matter: the committed
+baselines put each metric on one line with 17-digit values, while reports
+written now put each key on its own line with the shortest exact digits.
 """
 
 import json

@@ -13,10 +13,11 @@ object per line, either a per-(worker, hop) stats row,
    "latency_p50_ns": 679, "latency_p99_ns": 1200, "queue_bytes": 0,
    "queue_pkts": 0, "drops": 7}
 
-or a localization verdict,
+or a localization verdict (FaultLocalizer::to_json plus the sweep's fields;
+"a" and "b" are the node ids the subject names),
 
-  {"scenario": "flap", "record": "verdict", "kind": "slow_link",
-   "subject": "worker-0<->switch", "detail": 7, "at_ns": 985000,
+  {"kind": "slow_link", "subject": "worker-0<->switch", "a": 0, "b": 10000,
+   "detail": 7, "at_ns": 985000, "scenario": "flap", "record": "verdict",
    "matched": true}
 
 The report renders, per scenario: the verdicts (with time and whether the

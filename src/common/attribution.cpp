@@ -1,9 +1,9 @@
 #include "common/attribution.hpp"
 
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
+#include "common/json.hpp"
 #include "common/metrics.hpp"
 
 namespace switchml::attr {
@@ -185,18 +185,23 @@ std::uint64_t SpanLedger::total_ns() const {
 }
 
 std::string SpanLedger::jsonl() const {
-  std::ostringstream out;
+  std::string out;
   for (const ChunkRecord& r : records_) {
-    out << "{\"node\":" << r.node << ",\"slot\":" << r.slot << ",\"off\":" << r.off
-        << ",\"start_ns\":" << r.start << ",\"end_ns\":" << r.end << ",\"ns\":{";
-    for (std::size_t c = 0; c < kComponentCount; ++c) {
-      if (c != 0) out << ',';
-      out << '"' << kComponentNames[c] << "\":" << r.ns[c];
-    }
-    out << "}}\n";
+    json::Value ns(json::Object{});
+    for (std::size_t c = 0; c < kComponentCount; ++c)
+      ns.set(kComponentNames[c], static_cast<std::int64_t>(r.ns[c]));
+    json::Value line(json::Object{{"node", std::int64_t{r.node}}, {"slot", std::int64_t{r.slot}},
+                                  {"off", static_cast<std::int64_t>(r.off)},
+                                  {"start_ns", r.start}, {"end_ns", r.end}});
+    line.set("ns", std::move(ns)); // moved in; an initializer list would copy it
+    out += line.dump() + '\n';
   }
-  if (record_drops_ > 0) out << "{\"records_dropped\":" << record_drops_ << "}\n";
-  return out.str();
+  if (record_drops_ > 0) {
+    const json::Value marker(
+        json::Object{{"records_dropped", static_cast<std::int64_t>(record_drops_)}});
+    out += marker.dump() + '\n';
+  }
+  return out;
 }
 
 void SpanLedger::write_jsonl(const std::string& path) const {

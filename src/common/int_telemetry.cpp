@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/json.hpp"
 #include "common/metrics.hpp"
 #include "common/tracing.hpp"
 
@@ -279,22 +278,13 @@ std::string FaultLocalizer::subject(const Verdict& v) const {
   return name_of_(v.a);
 }
 
-std::string FaultLocalizer::json() const {
-  std::string out = "{\"verdicts\":[";
-  bool first = true;
-  for (const Verdict& v : verdicts_) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"kind\":" + json::quote(to_string(v.kind));
-    out += ",\"subject\":" + json::quote(subject(v));
-    out += ",\"a\":" + std::to_string(v.a);
-    out += ",\"b\":" + std::to_string(v.b);
-    out += ",\"detail\":" + std::to_string(v.detail);
-    out += ",\"at_ns\":" + std::to_string(v.at);
-    out += "}";
-  }
-  out += "]}";
-  return out;
+json::Value FaultLocalizer::to_json(const Verdict& v) const {
+  return json::Object{{"kind", to_string(v.kind)},
+                      {"subject", subject(v)},
+                      {"a", std::int64_t{v.a}},
+                      {"b", std::int64_t{v.b}},
+                      {"detail", static_cast<std::int64_t>(v.detail)},
+                      {"at_ns", v.at}};
 }
 
 } // namespace switchml::inttel

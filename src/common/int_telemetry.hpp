@@ -50,6 +50,7 @@
 #include <vector>
 
 #include "common/histogram.hpp"
+#include "common/json.hpp"
 #include "common/units.hpp"
 
 namespace switchml::inttel {
@@ -299,9 +300,8 @@ public:
   // (stragglers), "switch" (restarts).
   [[nodiscard]] std::string subject(const Verdict& v) const;
 
-  // {"verdicts":[{"kind":"slow_link","subject":"...","a":..,"b":..,
-  //   "detail":..,"at_ns":..}, ...]}
-  [[nodiscard]] std::string json() const;
+  // {"kind":"slow_link","subject":"...","a":..,"b":..,"detail":..,"at_ns":..}
+  [[nodiscard]] json::Value to_json(const Verdict& v) const;
 
 private:
   struct LinkState {

@@ -1,10 +1,10 @@
 #include "common/json.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -105,7 +105,12 @@ namespace {
 
 void emit_string(std::string_view s, std::string& out) {
   out += '"';
-  for (unsigned char c : s) {
+  std::size_t run = 0; // start of the pending run of bytes that need no escape
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
     case '"': out += "\\\""; break;
     case '\\': out += "\\\\"; break;
@@ -114,16 +119,14 @@ void emit_string(std::string_view s, std::string& out) {
     case '\n': out += "\\n"; break;
     case '\r': out += "\\r"; break;
     case '\t': out += "\\t"; break;
-    default:
-      if (c < 0x20) {
-        char buf[8];
-        std::snprintf(buf, sizeof buf, "\\u%04x", c);
-        out += buf;
-      } else {
-        out += static_cast<char>(c);
-      }
+    default: {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", c);
+      out += buf;
+    }
     }
   }
+  out.append(s, run, s.size() - run);
   out += '"';
 }
 
@@ -131,16 +134,20 @@ void emit_double(double d, std::string& out) {
   if (!std::isfinite(d))
     throw std::runtime_error("json: NaN/Inf cannot be serialized (not valid JSON)");
   // Shortest decimal that round-trips: try increasing precision. %.17g always
-  // suffices for IEEE-754 doubles.
+  // suffices for IEEE-754 doubles. to_chars with a precision prints exactly
+  // what printf's %.*g prints, minus the locale lookups.
   char buf[40];
+  char* end = buf;
   for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, d);
-    if (std::strtod(buf, nullptr) == d) break;
+    end = std::to_chars(buf, buf + sizeof buf, d, std::chars_format::general, prec).ptr;
+    double back = 0.0;
+    std::from_chars(buf, end, back);
+    if (back == d) break;
   }
-  out += buf;
+  const std::string_view digits(buf, static_cast<std::size_t>(end - buf));
+  out += digits;
   // Keep the number recognizably a double so parse(dump(x)) preserves kind.
-  if (out.find_first_of(".eE", out.size() - std::strlen(buf)) == std::string::npos)
-    out += ".0";
+  if (digits.find_first_of(".eE") == std::string_view::npos) out += ".0";
 }
 
 void emit(const Value& v, std::string& out, bool pretty, int indent) {
@@ -187,13 +194,6 @@ void emit(const Value& v, std::string& out, bool pretty, int indent) {
 }
 
 } // namespace
-
-std::string quote(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  emit_string(s, out);
-  return out;
-}
 
 std::string Value::dump(bool pretty) const {
   std::string out;

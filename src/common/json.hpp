@@ -2,6 +2,11 @@
 // emitter, sized for scenario files and bench reports (kilobytes, not
 // gigabytes).
 //
+// dump() is the only code that writes JSON text: every artifact (bench
+// reports, metrics sidecars, timeline/attribution/INT JSONL, Chrome traces)
+// is built as Values. The large ones stay within that size by dumping one
+// Value per line or per trace event instead of one tree for the whole file.
+//
 // Design constraints, in order:
 //   * Strict. No comments, no trailing commas, no NaN/Inf, no unpaired
 //     surrogates, exactly one top-level value. A scenario file that parses
@@ -101,11 +106,6 @@ struct ParseError : std::runtime_error {
   int line;   // 1-based
   int column; // 1-based, in bytes
 };
-
-// `s` as a JSON string literal: double-quoted, with '"', '\\' and every
-// control byte escaped, exactly as dump() writes strings. Bytes >= 0x80 pass
-// through unchanged. parse(quote(s)).as_string() == s for ASCII `s`.
-[[nodiscard]] std::string quote(std::string_view s);
 
 // Parses exactly one JSON document (trailing whitespace allowed, anything
 // else is an error). Throws ParseError.

@@ -5,8 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "common/json.hpp"
-
 namespace switchml {
 
 namespace {
@@ -145,44 +143,20 @@ std::uint64_t MetricsRegistry::Snapshot::sum(std::string_view suffix) const {
   return total;
 }
 
-std::string MetricsRegistry::Snapshot::json() const {
-  std::ostringstream out;
-  out << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    if (!first) out << ',';
-    first = false;
-    out << json::quote(name) << ':' << value;
-  }
-  out << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : gauges) {
-    if (!first) out << ',';
-    first = false;
-    out << json::quote(name) << ':' << value;
-  }
-  out << "},\"summaries\":{";
-  first = true;
-  out << std::setprecision(10);
-  for (const auto& [name, stats] : summaries) {
-    if (!first) out << ',';
-    first = false;
-    out << json::quote(name) << ":{\"count\":" << stats.count << ",\"min\":" << stats.min
-        << ",\"median\":" << stats.median << ",\"max\":" << stats.max
-        << ",\"mean\":" << stats.mean << '}';
-  }
-  out << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, stats] : histograms) {
-    if (!first) out << ',';
-    first = false;
-    out << json::quote(name) << ":{\"count\":" << stats.count << ",\"min\":" << stats.min
-        << ",\"max\":" << stats.max << ",\"mean\":" << stats.mean << ",\"p50\":" << stats.p50
-        << ",\"p90\":" << stats.p90 << ",\"p99\":" << stats.p99 << ",\"p999\":" << stats.p999
-        << ",\"overflow\":" << stats.overflow << '}';
-  }
-  out << "}}";
-  return out.str();
+json::Value MetricsRegistry::Snapshot::json() const {
+  json::Value c(json::Object{}), g(json::Object{}), s(json::Object{}), h(json::Object{});
+  for (const auto& [name, value] : counters) c.set(name, static_cast<std::int64_t>(value));
+  for (const auto& [name, value] : gauges) g.set(name, value);
+  for (const auto& [name, st] : summaries)
+    s.set(name, json::Object{{"count", static_cast<std::int64_t>(st.count)}, {"min", st.min},
+                             {"median", st.median}, {"max", st.max}, {"mean", st.mean}});
+  for (const auto& [name, st] : histograms)
+    h.set(name, json::Object{{"count", static_cast<std::int64_t>(st.count)}, {"min", st.min},
+                             {"max", st.max}, {"mean", st.mean}, {"p50", st.p50},
+                             {"p90", st.p90}, {"p99", st.p99}, {"p999", st.p999},
+                             {"overflow", static_cast<std::int64_t>(st.overflow)}});
+  return json::Object{{"counters", std::move(c)}, {"gauges", std::move(g)},
+                      {"summaries", std::move(s)}, {"histograms", std::move(h)}};
 }
 
 std::string MetricsRegistry::Snapshot::table() const {

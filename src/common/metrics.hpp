@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/histogram.hpp"
+#include "common/json.hpp"
 #include "common/stats.hpp"
 
 namespace switchml {
@@ -91,7 +92,7 @@ public:
 
     // {"counters": {...}, "gauges": {...}, "summaries": {...},
     //  "histograms": {"name": {"count":..,"p50":..,...}}}
-    [[nodiscard]] std::string json() const;
+    [[nodiscard]] json::Value json() const;
     // Aligned two-column table for terminal output.
     [[nodiscard]] std::string table() const;
   };

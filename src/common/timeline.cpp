@@ -31,9 +31,14 @@ void capture_sorted(const std::vector<std::pair<std::string, SamplerT>>& src,
   }
 }
 
+// Counter rate over one interval, in events per second.
+double per_second(std::uint64_t delta, Time dt) {
+  return dt > 0 ? static_cast<double>(delta) / to_sec(dt) : 0.0;
+}
+
 void format_rate(std::ostringstream& out, double rate) {
-  // Fixed formatting keeps sidecars bit-identical across platforms for the
-  // integer-valued rates the ns-resolution clock produces.
+  // Fixed formatting keeps CSV sidecars bit-identical across platforms for
+  // the integer-valued rates the ns-resolution clock produces.
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", rate);
   out << buf;
@@ -107,10 +112,8 @@ std::vector<double> TimelineRecorder::rate_per_s(std::string_view counter) const
   std::vector<std::uint64_t> d = deltas(counter);
   std::vector<double> out;
   out.reserve(d.size());
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    const Time dt = samples_[i + 1].t - samples_[i].t;
-    out.push_back(dt > 0 ? static_cast<double>(d[i]) / to_sec(dt) : 0.0);
-  }
+  for (std::size_t i = 0; i < d.size(); ++i)
+    out.push_back(per_second(d[i], samples_[i + 1].t - samples_[i].t));
   return out;
 }
 
@@ -143,38 +146,34 @@ std::vector<Histogram::Quantiles> TimelineRecorder::interval_quantiles(
 }
 
 std::string TimelineRecorder::jsonl() const {
-  std::ostringstream out;
+  std::string out;
   for (std::size_t i = 1; i < samples_.size(); ++i) {
     const Sample& prev = samples_[i - 1];
     const Sample& cur = samples_[i];
     const Time dt = cur.t - prev.t;
-    out << "{\"t_ns\":" << cur.t << ",\"dt_ns\":" << dt << ",\"rates\":{";
-    for (std::size_t c = 0; c < counter_names_.size(); ++c) {
-      if (c != 0) out << ',';
-      out << json::quote(counter_names_[c]) << ':';
-      const std::uint64_t delta = cur.counters[c] - prev.counters[c];
-      format_rate(out, dt > 0 ? static_cast<double>(delta) / to_sec(dt) : 0.0);
+    json::Value line(json::Object{{"t_ns", cur.t}, {"dt_ns", dt}});
+    json::Value rates(json::Object{}), gauges(json::Object{}), hist(json::Object{});
+    for (std::size_t c = 0; c < counter_names_.size(); ++c)
+      rates.set(counter_names_[c], per_second(cur.counters[c] - prev.counters[c], dt));
+    for (std::size_t g = 0; g < gauge_names_.size(); ++g)
+      gauges.set(gauge_names_[g], cur.gauges[g]);
+    line.set("rates", std::move(rates));
+    line.set("gauges", std::move(gauges));
+    for (std::size_t h = 0; h < hist_names_.size(); ++h) {
+      const Histogram::Quantiles& q = cur.hists[h];
+      hist.set(hist_names_[h], json::Object{{"n", static_cast<std::int64_t>(q.count)},
+                                            {"p50", q.p50}, {"p90", q.p90},
+                                            {"p99", q.p99}, {"p999", q.p999}});
     }
-    out << "},\"gauges\":{";
-    for (std::size_t g = 0; g < gauge_names_.size(); ++g) {
-      if (g != 0) out << ',';
-      out << json::quote(gauge_names_[g]) << ':' << cur.gauges[g];
-    }
-    out << '}';
-    if (!hist_names_.empty()) {
-      out << ",\"hist\":{";
-      for (std::size_t h = 0; h < hist_names_.size(); ++h) {
-        if (h != 0) out << ',';
-        const Histogram::Quantiles& q = cur.hists[h];
-        out << json::quote(hist_names_[h]) << ":{\"n\":" << q.count << ",\"p50\":" << q.p50
-            << ",\"p90\":" << q.p90 << ",\"p99\":" << q.p99 << ",\"p999\":" << q.p999 << '}';
-      }
-      out << '}';
-    }
-    out << "}\n";
+    if (!hist_names_.empty()) line.set("hist", std::move(hist));
+    out += line.dump() + '\n';
   }
-  if (dropped_ > 0) out << "{\"dropped_samples\":" << dropped_ << "}\n";
-  return out.str();
+  if (dropped_ > 0) {
+    const json::Value marker(
+        json::Object{{"dropped_samples", static_cast<std::int64_t>(dropped_)}});
+    out += marker.dump() + '\n';
+  }
+  return out;
 }
 
 std::string TimelineRecorder::csv() const {
@@ -193,8 +192,7 @@ std::string TimelineRecorder::csv() const {
     out << cur.t << ',' << dt;
     for (std::size_t c = 0; c < counter_names_.size(); ++c) {
       out << ',';
-      const std::uint64_t delta = cur.counters[c] - prev.counters[c];
-      format_rate(out, dt > 0 ? static_cast<double>(delta) / to_sec(dt) : 0.0);
+      format_rate(out, per_second(cur.counters[c] - prev.counters[c], dt));
     }
     for (std::size_t g = 0; g < gauge_names_.size(); ++g) out << ',' << cur.gauges[g];
     for (std::size_t h = 0; h < hist_names_.size(); ++h) {

@@ -214,7 +214,10 @@ Fabric::FallbackPlan Fabric::collect_fallback_plan(std::uint64_t total_elems) {
         "replays one job's chunks and cannot arbitrate several tenants; rerun the surviving "
         "jobs on single-job fabrics");
   FallbackPlan plan;
-  plan.drained_at = sim_.now();
+  // The last live event, not now(): a timeline's closing daemon tick may run
+  // after the drain and must not stretch the fallback's TAT or move its
+  // fallback_begin event.
+  plan.drained_at = sim_.last_live_at();
   for (auto& w : workers_) {
     const auto offs = w->unconsumed_chunks();
     plan.offsets.insert(plan.offsets.end(), offs.begin(), offs.end());
@@ -226,7 +229,7 @@ Fabric::FallbackPlan Fabric::collect_fallback_plan(std::uint64_t total_elems) {
     plan.replay_elems += std::min<std::uint64_t>(config_.elems_per_packet, total_elems - off);
   ++fallbacks_;
   fallback_replay_elems_ += plan.replay_elems;
-  trace::emit(trace::kCatFault, sim_.now(), root().id(), "fallback_begin",
+  trace::emit(trace::kCatFault, plan.drained_at, root().id(), "fallback_begin",
               {"chunks", static_cast<std::int64_t>(plan.offsets.size())},
               {"elems", static_cast<std::int64_t>(plan.replay_elems)});
   return plan;

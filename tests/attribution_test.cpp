@@ -395,7 +395,7 @@ TEST(Attribution, RegistryRollupsOnlyExistWhenLedgerInstalled) {
     attr::SpanLedger::Scope scope(&ledger);
     core::Fabric cluster(small_cfg(4).fabric());
     cluster.reduce_timing(64 * 1024);
-    const std::string json = cluster.metrics().snapshot().json();
+    const std::string json = cluster.metrics().snapshot().json().dump();
     EXPECT_NE(json.find("attr.total.host_tx_ns"), std::string::npos);
     EXPECT_NE(json.find("attr.worker-0.host_rx_ns"), std::string::npos);
     EXPECT_NE(json.find("attr.max_residual_ns"), std::string::npos);
@@ -405,7 +405,7 @@ TEST(Attribution, RegistryRollupsOnlyExistWhenLedgerInstalled) {
     // the attribution subsystem existed.
     core::Fabric cluster(small_cfg(4).fabric());
     cluster.reduce_timing(64 * 1024);
-    EXPECT_EQ(cluster.metrics().snapshot().json().find("attr."), std::string::npos);
+    EXPECT_EQ(cluster.metrics().snapshot().json().dump().find("attr."), std::string::npos);
   }
 }
 

@@ -224,7 +224,7 @@ TEST(MetricsRegistryHistogram, SnapshotAndJson) {
   EXPECT_EQ(stats.p50, h.percentile(50));
   EXPECT_EQ(stats.p999, h.percentile(99.9));
   EXPECT_THROW((void)snap.histogram("nope"), std::out_of_range);
-  const std::string json = snap.json();
+  const std::string json = snap.json().dump();
   EXPECT_NE(json.find("\"histograms\":{\"worker-0.rtt_ns\":{\"count\":100"), std::string::npos);
   EXPECT_NE(json.find("\"p999\":"), std::string::npos);
   EXPECT_NE(snap.table().find("worker-0.rtt_ns"), std::string::npos);

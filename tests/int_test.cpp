@@ -339,13 +339,13 @@ TEST(IntModes, OnWireKeepsLossFreeProtocolAndDataExact) {
 
 TEST(IntModes, DisabledFabricRegistersNoIntSeries) {
   core::Fabric off(int_config(2, inttel::kModeOff, true).fabric());
-  EXPECT_EQ(off.metrics().snapshot().json().find("\"int."), std::string::npos);
+  EXPECT_EQ(off.metrics().snapshot().json().dump().find("\"int."), std::string::npos);
   EXPECT_EQ(off.worker(0).int_collector(), nullptr);
   EXPECT_EQ(off.int_localizer(), nullptr);
 
   if (!inttel::kCompiledIn) return; // compiled out: no fabric ever builds the stack
   core::Fabric on(int_config(2, inttel::kModePhantom, true).fabric());
-  EXPECT_NE(on.metrics().snapshot().json().find("\"int."), std::string::npos);
+  EXPECT_NE(on.metrics().snapshot().json().dump().find("\"int."), std::string::npos);
   EXPECT_NE(on.worker(0).int_collector(), nullptr);
   EXPECT_NE(on.int_localizer(), nullptr);
 }
@@ -433,8 +433,11 @@ TEST(Localizer, ResidualOutlierIsStraggler) {
   EXPECT_EQ(loc.count(inttel::FaultLocalizer::Verdict::Kind::kStraggler), 1u);
   ASSERT_GE(loc.verdicts().size(), 1u);
   EXPECT_EQ(loc.verdicts()[0].a, 100u);
-  const std::string json = loc.json();
-  EXPECT_NE(json.find("straggler"), std::string::npos);
+  const json::Value v = loc.to_json(loc.verdicts()[0]);
+  EXPECT_EQ(v.find("kind")->as_string(), "straggler");
+  EXPECT_EQ(v.find("subject")->as_string(), "node-100");
+  EXPECT_EQ(v.find("a")->as_int(), 100);
+  EXPECT_EQ(v.find("at_ns")->as_int(), loc.verdicts()[0].at);
 }
 
 TEST(Localizer, HealthyFleetStaysQuiet) {

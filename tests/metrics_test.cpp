@@ -8,6 +8,7 @@
 #include <string>
 
 #include "collectives/streaming_ps.hpp"
+#include "common/json.hpp"
 #include "common/metrics.hpp"
 #include "core/cluster.hpp"
 
@@ -47,7 +48,7 @@ TEST(MetricsRegistry, JsonIsSortedAndEscaped) {
   MetricsRegistry reg;
   reg.add_counter("b.second", [] { return std::uint64_t{2}; });
   reg.add_counter("a.\"first\"", [] { return std::uint64_t{1}; });
-  const std::string json = reg.snapshot().json();
+  const std::string json = reg.snapshot().json().dump();
   // Sorted by name, quotes escaped, summaries block present even when empty.
   const auto first = json.find("a.\\\"first\\\"");
   const auto second = json.find("b.second");
@@ -72,8 +73,7 @@ TEST(MetricsRegistry, GaugesAreSampledAndExported) {
   depth = 5; // snapshot is a copy
   EXPECT_EQ(snap.gauge("q.depth"), -3);
   EXPECT_EQ(reg.snapshot().gauge("q.depth"), 5);
-  EXPECT_NE(snap.json().find("\"gauges\""), std::string::npos);
-  EXPECT_NE(snap.json().find("\"q.depth\":-3"), std::string::npos);
+  EXPECT_EQ(snap.json().find("gauges")->find("q.depth")->as_int(), -3);
 }
 
 TEST(MetricsRegistry, DuplicateNamesAreRejectedAcrossKinds) {
@@ -104,7 +104,19 @@ TEST(MetricsRegistry, SummaryStatsAreExported) {
   ASSERT_EQ(snap.summaries.size(), 1u);
   EXPECT_EQ(snap.summaries[0].second.count, 2u);
   EXPECT_DOUBLE_EQ(snap.summaries[0].second.mean, 2.0);
-  EXPECT_NE(snap.json().find("\"rtt_us\""), std::string::npos);
+  EXPECT_NE(snap.json().find("summaries")->find("rtt_us"), nullptr);
+}
+
+TEST(MetricsRegistry, SummaryStatsRoundTripBitExactly) {
+  MetricsRegistry reg;
+  Summary s;
+  for (double x : {1.0, 2.0, 2.0}) s.add(x);
+  reg.add_summary("s", &s);
+  const json::Value parsed = json::parse(reg.snapshot().json().dump());
+  const json::Value& stats = *parsed.find("summaries")->find("s");
+  EXPECT_EQ(stats.find("mean")->as_double(), 5.0 / 3.0);
+  EXPECT_EQ(stats.find("mean")->as_double(), s.mean());
+  EXPECT_EQ(stats.find("count")->as_int(), 3);
 }
 
 TEST(MetricsRegistry, ScopeNestsAndRestores) {

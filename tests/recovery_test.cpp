@@ -9,11 +9,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/timeline.hpp"
 #include "common/tracing.hpp"
 #include "core/cluster.hpp"
 #include "core/fault.hpp"
@@ -212,6 +215,52 @@ TEST(Recovery, SwitchKillDegradesToFallbackBitExact) {
   EXPECT_EQ(kills, 1);
   EXPECT_GE(dead_events, 1);
   EXPECT_EQ(fallback_begins, 1);
+}
+
+// A timeline's closing daemon tick runs after the drain. The fallback starts
+// from the last live event, so arming a recorder must move neither the TAT
+// nor the fallback_begin event.
+TEST(Recovery, TimelineDoesNotMoveFallbackTat) {
+  ClusterConfig cfg = ClusterConfig::for_rate(gbps(10), 4);
+  cfg.pool_size = 8;
+  cfg.sync_after = 2;
+  cfg.dead_after = 6;
+  cfg.timing_only = true;
+  const std::uint64_t elems = 4096;
+  Time clean_max = 0;
+  {
+    Fabric clean(cfg.fabric());
+    const auto tats = clean.reduce_timing(elems);
+    clean_max = *std::max_element(tats.begin(), tats.end());
+  }
+  cfg.faults.switch_kills.push_back({0, clean_max / 2});
+
+  // Worker 0's TAT and the fallback_begin time of one run.
+  const auto run = [&cfg, elems](bool timed) {
+    trace::TraceSink sink(1u << 12, trace::kCatFault);
+    trace::TraceSink::Scope scope(&sink);
+    Fabric cluster(cfg.fabric());
+    std::unique_ptr<TimelineRecorder> timeline;
+    if (timed) {
+      TimelineRecorder::Config tc;
+      tc.period = usec(100);
+      timeline = std::make_unique<TimelineRecorder>(cluster.simulation(), cluster.metrics(), tc);
+      timeline->start();
+    }
+    const auto tats = cluster.reduce_timing(elems);
+    EXPECT_TRUE(cluster.fallback_engaged());
+    if (timed) {
+      // The recorder's last tick ran after the drain (the case under test).
+      EXPECT_GT(cluster.simulation().now(), cluster.simulation().last_live_at());
+    }
+    Time fallback_at = -1;
+    for (const trace::Event& e : sink.events())
+      if (std::string(e.name) == "fallback_begin") fallback_at = e.ts;
+    return std::pair{tats[0], fallback_at};
+  };
+  const auto untimed = run(false);
+  EXPECT_GE(untimed.second, 0);
+  EXPECT_EQ(run(true), untimed);
 }
 
 // A root kill strands every rack: leaves stay healthy (they even answer

@@ -96,6 +96,37 @@ TEST(Timeline, RingDropsOldestAndCountsThem) {
   EXPECT_NE(tl.jsonl().find("dropped_samples"), std::string::npos);
 }
 
+TEST(Timeline, JsonlRatesKeepEveryDigit) {
+  sim::Simulation sim;
+  MetricsRegistry reg;
+  std::uint64_t n = 0;
+  reg.add_counter("c", [&] { return n; });
+  TimelineRecorder::Config tc;
+  tc.period = usec(1);
+  TimelineRecorder tl(sim, reg, tc);
+  // 1,234,567 per 1 us tick: a rate of 1.234567e12/s, more digits than %.6g.
+  for (int i = 1; i <= 4; ++i) sim.schedule_at(usec(i) - 500, [&] { n += 1'234'567; });
+  tl.start();
+  sim.run();
+  tl.finish();
+
+  const auto d = tl.deltas("c");
+  const auto t = tl.times();
+  std::istringstream lines(tl.jsonl());
+  std::string line;
+  std::size_t i = 0;
+  while (std::getline(lines, line)) {
+    ASSERT_LT(i, d.size());
+    EXPECT_EQ(d[i], 1'234'567u);
+    const json::Value v = json::parse(line);
+    EXPECT_EQ(v.find("rates")->find("c")->as_double(),
+              static_cast<double>(d[i]) / to_sec(t[i + 1] - t[i]))
+        << line;
+    ++i;
+  }
+  EXPECT_EQ(i, d.size());
+}
+
 TEST(Timeline, InvalidConfigThrows) {
   sim::Simulation sim;
   MetricsRegistry reg;

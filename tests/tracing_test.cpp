@@ -1,7 +1,7 @@
 // TraceSink: recording, category masks, bounded-buffer drop accounting,
-// Chrome trace-event export well-formedness (validated with a strict mini
-// JSON parser), actor registration through Node construction, and the
-// zero-event / zero-allocation guarantee when tracing is disabled.
+// Chrome trace-event export well-formedness (validated with json::parse),
+// actor registration through Node construction, and the zero-event /
+// zero-allocation guarantee when tracing is disabled.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/json.hpp"
 #include "common/tracing.hpp"
 #include "core/cluster.hpp"
 
@@ -38,124 +39,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace switchml {
 namespace {
-
-// --- strict mini JSON parser -------------------------------------------------
-// Enough of RFC 8259 to reject anything Perfetto would choke on.
-class JsonChecker {
-public:
-  explicit JsonChecker(std::string_view s) : s_(s) {}
-
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
-private:
-  bool value() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-  bool object() {
-    ++pos_; // '{'
-    skip_ws();
-    if (peek() == '}') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool array() {
-    ++pos_; // '['
-    skip_ws();
-    if (peek() == ']') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (static_cast<unsigned char>(s_[pos_]) < 0x20) return false; // raw control char
-      if (s_[pos_] == '\\') {
-        ++pos_;
-        if (pos_ >= s_.size()) return false;
-        const char e = s_[pos_];
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++pos_;
-            if (pos_ >= s_.size() || !std::isxdigit(static_cast<unsigned char>(s_[pos_])))
-              return false;
-          }
-        } else if (std::string_view("\"\\/bfnrt").find(e) == std::string_view::npos) {
-          return false;
-        }
-      }
-      ++pos_;
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_; // closing quote
-    return true;
-  }
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    if (!digits()) return false;
-    if (peek() == '.') {
-      ++pos_;
-      if (!digits()) return false;
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      ++pos_;
-      if (peek() == '+' || peek() == '-') ++pos_;
-      if (!digits()) return false;
-    }
-    return pos_ > start;
-  }
-  bool digits() {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_]))) ++pos_;
-    return pos_ > start;
-  }
-  bool literal(std::string_view lit) {
-    if (s_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' || s_[pos_] == '\r'))
-      ++pos_;
-  }
-  [[nodiscard]] char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
 
 TEST(Tracing, RecordsEventsWithArgsInsideScope) {
   trace::TraceSink sink(128);
@@ -293,7 +176,7 @@ TEST(Tracing, FlowEventsExportChromeFlowPhases) {
   EXPECT_EQ(sink.events()[1].flow_id, id);
 
   const std::string json = sink.chrome_json();
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  EXPECT_NO_THROW((void)json::parse(json)) << json;
   // Chrome flow semantics: start 's', step 't', finish 'f' with "bp":"e",
   // all bound by the same id.
   EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);
@@ -324,7 +207,7 @@ TEST(Tracing, LossyClusterRunExportsValidChromeJson) {
 
   ASSERT_GT(sink.events().size(), 1000u);
   const std::string json = sink.chrome_json();
-  EXPECT_TRUE(JsonChecker(json).valid()) << json.substr(0, 400);
+  EXPECT_NO_THROW((void)json::parse(json)) << json.substr(0, 400);
   // Node construction registered actor names for the Perfetto rows.
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
   EXPECT_NE(json.find("\"worker-0\""), std::string::npos);
@@ -339,11 +222,13 @@ TEST(Tracing, LossyClusterRunExportsValidChromeJson) {
 }
 
 TEST(Tracing, ChromeJsonEscapesHostileActorNames) {
+  const std::string hostile = "evil\"name\\with\ncontrol\tchars";
   trace::TraceSink sink(16);
-  sink.register_actor(1, "evil\"name\\with\ncontrol\tchars");
+  sink.register_actor(1, hostile);
   sink.record(trace::kCatLink, 0, 1, "enqueue");
-  const std::string json = sink.chrome_json();
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  const json::Value doc = json::parse(sink.chrome_json());
+  const json::Value& actor = doc.find("traceEvents")->as_array().front();
+  EXPECT_EQ(actor.find("args")->find("name")->as_string(), hostile);
 }
 
 } // namespace
