@@ -20,7 +20,6 @@
 #include "collectives/bounds.hpp"
 #include "collectives/halving_doubling.hpp"
 #include "collectives/ring.hpp"
-#include "collectives/streaming_ps.hpp"
 #include "common/attribution.hpp"
 #include "common/json.hpp"
 #include "common/stats.hpp"
@@ -263,7 +262,7 @@ struct BenchScale {
 struct RateResult {
   double ate_per_s = 0.0;  // aggregated tensor elements per second
   double tat_ms = 0.0;     // median TAT per aggregation
-  double rtt_us = 0.0;     // median per-packet RTT (SwitchML only)
+  double rtt_us = 0.0;     // worker 0's median per-packet RTT (fabric runs)
   // Tail/violin statistics derived from the registry's latency histograms
   // (0 when the protocol records none, or histograms are compiled out):
   double rtt_p99_us = 0.0;   // p99 per-packet RTT, merged across hosts
@@ -346,13 +345,11 @@ inline RateResult rate_result(const Summary& tat_ms, const BenchScale& scale,
   return out;
 }
 
-// SwitchML on a rack built from `cfg`, timing only. Callers start from
-// ClusterConfig::for_rate and set the knobs under test (pool size, loss, MTU,
-// wire width, NIC cost, RTO mode, transport).
-inline RateResult measure_switchml(core::ClusterConfig cfg, const BenchScale& scale,
-                                   const Telemetry& telemetry = {}) {
+// `scale.repetitions` timing-only reductions on one fabric built from `cfg`.
+inline RateResult measure_fabric(core::FabricConfig cfg, const BenchScale& scale,
+                                 const Telemetry& telemetry = {}) {
   cfg.timing_only = true;
-  core::Fabric cluster(cfg.fabric());
+  core::Fabric cluster(std::move(cfg));
   ScopedTimeline scoped(telemetry.timeline, cluster.simulation(), cluster.metrics(),
                         telemetry.label);
 
@@ -367,6 +364,14 @@ inline RateResult measure_switchml(core::ClusterConfig cfg, const BenchScale& sc
   const auto& rtt = cluster.worker(0).rtt();
   if (!rtt.empty()) out.rtt_us = rtt.median();
   return out;
+}
+
+// SwitchML on a rack built from `cfg`. Callers start from
+// ClusterConfig::for_rate and set the knobs under test (pool size, loss, MTU,
+// wire width, NIC cost, RTO mode, transport).
+inline RateResult measure_switchml(const core::ClusterConfig& cfg, const BenchScale& scale,
+                                   const Telemetry& telemetry = {}) {
+  return measure_fabric(cfg.fabric(), scale, telemetry);
 }
 
 // --- baselines ---------------------------------------------------------------
@@ -387,37 +392,6 @@ inline const char* baseline_name(BaselineKind k) {
   return "?";
 }
 
-// The PS baselines run the paper's DPDK streaming program (Algorithm 1 in
-// host software, SwitchML packet format), so they use the SwitchML worker
-// protocol, not the bulk reliable transport.
-inline RateResult measure_streaming_ps(BaselineKind kind, BitsPerSecond rate, int workers,
-                                       const BenchScale& scale, double loss = 0.0,
-                                       const Telemetry& telemetry = {}) {
-  collectives::StreamingPsConfig cfg;
-  cfg.n_workers = workers;
-  cfg.placement = kind == BaselineKind::ColocatedPs
-                      ? collectives::StreamingPsPlacement::Colocated
-                      : collectives::StreamingPsPlacement::Dedicated;
-  cfg.link_rate = rate;
-  cfg.loss_prob = loss;
-  cfg.nic = core::ps_host_nic(rate);
-  cfg.pool_size = rate >= gbps(100) ? 512 : 128;
-  cfg.timing_only = true;
-  if (kind == BaselineKind::DedicatedPsMtu) cfg.elems_per_packet = net::kMtuElemsPerPacket;
-
-  collectives::StreamingPsCluster cluster(cfg);
-  ScopedTimeline scoped(telemetry.timeline, cluster.simulation(), cluster.metrics(),
-                        telemetry.label);
-  Summary tat_ms;
-  for (int r = 0; r < scale.repetitions; ++r) {
-    scoped.resume();
-    auto tats = cluster.reduce_timing(scale.tensor_elems);
-    for (Time t : tats) tat_ms.add(to_msec(t));
-  }
-  scoped.finish_and_write();
-  return rate_result(tat_ms, scale, cluster.metrics(), telemetry);
-}
-
 inline RateResult measure_baseline(BaselineKind kind, BitsPerSecond rate, int workers,
                                    const BenchScale& scale, double loss = 0.0,
                                    const Telemetry& telemetry = {}) {
@@ -429,8 +403,20 @@ inline RateResult measure_baseline(BaselineKind kind, BitsPerSecond rate, int wo
     case BaselineKind::GlooRdmaRing: profile = core::gloo_rdma(rate); break;
     case BaselineKind::DedicatedPs:
     case BaselineKind::ColocatedPs:
-    case BaselineKind::DedicatedPsMtu:
-      return measure_streaming_ps(kind, rate, workers, scale, loss, telemetry);
+    case BaselineKind::DedicatedPsMtu: {
+      // The PS baselines run the paper's DPDK streaming program (Algorithm 1
+      // in host software, SwitchML packet format) on a streaming-PS fabric,
+      // so they use the SwitchML worker protocol, not the bulk reliable
+      // transport.
+      core::FabricConfig cfg(core::ClusterConfig::for_rate(rate),
+                             core::StreamingPsSpec{workers, kind == BaselineKind::ColocatedPs
+                                                                ? core::PsPlacement::Colocated
+                                                                : core::PsPlacement::Dedicated});
+      cfg.loss_prob = loss;
+      cfg.nic = core::ps_host_nic(rate);
+      if (kind == BaselineKind::DedicatedPsMtu) cfg.elems_per_packet = net::kMtuElemsPerPacket;
+      return measure_fabric(std::move(cfg), scale, telemetry);
+    }
   }
 
   collectives::BaselineClusterConfig cfg;

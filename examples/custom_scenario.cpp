@@ -12,7 +12,6 @@
 
 #include "collectives/bounds.hpp"
 #include "collectives/ring.hpp"
-#include "collectives/streaming_ps.hpp"
 #include "core/cluster.hpp"
 #include "core/profiles.hpp"
 
@@ -134,17 +133,16 @@ int main(int argc, char** argv) try {
                 static_cast<unsigned long long>(ring.counters().segments_sent),
                 static_cast<unsigned long long>(ring.counters().retransmissions));
   } else if (args.strategy == "dedicated-ps" || args.strategy == "colocated-ps") {
-    collectives::StreamingPsConfig cfg;
-    cfg.n_workers = args.workers;
-    cfg.placement = args.strategy == "dedicated-ps"
-                        ? collectives::StreamingPsPlacement::Dedicated
-                        : collectives::StreamingPsPlacement::Colocated;
+    core::FabricConfig cfg;
+    cfg.topology = core::StreamingPsSpec{args.workers, args.strategy == "dedicated-ps"
+                                                           ? core::PsPlacement::Dedicated
+                                                           : core::PsPlacement::Colocated};
     cfg.link_rate = rate;
     cfg.loss_prob = args.loss;
     cfg.nic = core::ps_host_nic(rate);
     cfg.timing_only = true;
     if (args.pool) cfg.pool_size = args.pool;
-    collectives::StreamingPsCluster cluster(cfg);
+    core::Fabric cluster(cfg);
     auto tats = cluster.reduce_timing(elems);
     report(args.strategy.c_str(), to_msec(tats[0]), elems, line);
   } else {

@@ -29,8 +29,4 @@ BaselineCluster::BaselineCluster(const BaselineClusterConfig& config) : config_(
   }
 }
 
-void BaselineCluster::set_loss_prob(double p) {
-  for (auto& l : links_) l->set_loss_prob(p);
-}
-
 } // namespace switchml::collectives

@@ -35,7 +35,6 @@ public:
   [[nodiscard]] net::TransportHost& host(int i) { return *hosts_.at(static_cast<std::size_t>(i)); }
   [[nodiscard]] net::L2Switch& fabric() { return *switch_; }
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
-  void set_loss_prob(double p);
 
 private:
   BaselineClusterConfig config_;

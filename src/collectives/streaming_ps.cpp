@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "common/attribution.hpp"
+#include "common/metrics.hpp"
 
 namespace switchml::collectives {
 
@@ -106,227 +107,85 @@ net::Packet make_result(const net::Packet& update, net::NodeId src, net::NodeId 
 
 } // namespace
 
+// ---------------------------------------------------------------------- PsShard
+
+PsShard::PsShard(net::Node& host, const net::HostNic& nic, net::Channel& channel,
+                 std::vector<net::NodeId> worker_ids, std::uint32_t pool_size, bool timing_only,
+                 const std::string& prefix, std::function<void(net::Packet&&)> deliver_local)
+    : host_(host),
+      nic_(nic),
+      channel_(channel),
+      worker_ids_(std::move(worker_ids)),
+      aggregator_(static_cast<int>(worker_ids_.size()), pool_size, timing_only),
+      deliver_local_(std::move(deliver_local)) {
+  if (auto* reg = MetricsRegistry::current()) {
+    reg->add_counter(prefix + "updates", [this] { return aggregator_.counters().updates; });
+    reg->add_counter(prefix + "duplicates", [this] { return aggregator_.counters().duplicates; });
+    reg->add_counter(prefix + "completions", [this] { return aggregator_.counters().completions; });
+  }
+}
+
+void PsShard::receive(net::Packet&& p, net::Link& uplink) {
+  const int core = core_of(p.idx);
+  auto shared = std::make_shared<net::Packet>(std::move(p));
+  channel_.rx_process(core, *shared, [this, shared, &uplink]() mutable {
+    handle(std::move(*shared), uplink);
+  });
+}
+
+void PsShard::handle(net::Packet&& p, net::Link& uplink) {
+  if (!p.verify()) return; // §3.4: corrupted update, worker timer repairs it
+  const auto outcome = aggregator_.process(p);
+  attribute_outcome(host_.id(), p, outcome.kind, host_.simulation().now());
+  if (outcome.kind == SoftwareAggregator::Outcome::Kind::Completed) {
+    for (net::NodeId w : worker_ids_) reply(p, w, outcome.values, uplink);
+  } else if (outcome.kind == SoftwareAggregator::Outcome::Kind::ReplyStored) {
+    reply(p, p.src, outcome.values, uplink);
+  }
+}
+
+void PsShard::reply(const net::Packet& update, net::NodeId dst,
+                    const std::vector<std::int32_t>& values, net::Link& uplink) {
+  net::Packet r = make_result(update, host_.id(), dst, values);
+  if (dst == host_.id()) {
+    // Local delivery: the worker role consumes its own shard's result
+    // without touching the wire (but still pays RX processing).
+    deliver_local_(std::move(r));
+    return;
+  }
+  const Time ready = channel_.tx_ready(core_of(update.idx), r);
+  uplink.send_from(host_, std::move(r), ready);
+}
+
 // ------------------------------------------------------------------ PsShardNode
 
 PsShardNode::PsShardNode(sim::Simulation& simulation, net::NodeId id, std::string name,
                          const net::NicConfig& nic, net::TransportKind transport,
-                         const net::RdmaUcParams& rdma, int n_workers, int n_shards,
-                         std::uint32_t pool_size, bool timing_only,
-                         std::vector<net::NodeId> worker_ids)
+                         const net::RdmaUcParams& rdma, std::vector<net::NodeId> worker_ids,
+                         std::uint32_t pool_size, bool timing_only)
     : Node(simulation, id, std::move(name)),
       nic_(simulation, nic),
       channel_(net::make_channel(simulation, this->name(), id, transport, nic_, rdma)),
-      n_shards_(n_shards),
-      aggregator_(n_workers, pool_size, timing_only),
-      worker_ids_(std::move(worker_ids)) {
-  if (auto* reg = MetricsRegistry::current()) {
-    const std::string p = this->name() + ".";
-    reg->add_counter(p + "updates", [this] { return aggregator_.counters().updates; });
-    reg->add_counter(p + "duplicates", [this] { return aggregator_.counters().duplicates; });
-    reg->add_counter(p + "completions", [this] { return aggregator_.counters().completions; });
-  }
-}
-
-void PsShardNode::receive(net::Packet&& p, int /*port*/) {
-  const int core = core_of(p.idx);
-  auto shared = std::make_shared<net::Packet>(std::move(p));
-  channel_->rx_process(core, *shared,
-                       [this, shared]() mutable { handle(std::move(*shared)); });
-}
-
-void PsShardNode::handle(net::Packet&& p) {
-  if (!p.verify()) return; // §3.4: corrupted update, worker timer repairs it
-  auto outcome = aggregator_.process(p);
-  attribute_outcome(id(), p, outcome.kind, sim_.now());
-  const int core = core_of(p.idx);
-  if (outcome.kind == SoftwareAggregator::Outcome::Kind::Completed) {
-    // One unicast result per worker (software PS has no traffic manager).
-    for (net::NodeId w : worker_ids_) {
-      net::Packet r = make_result(p, id(), w, outcome.values);
-      const Time ready = channel_->tx_ready(core, r);
-      uplink_->send_from(*this, std::move(r), ready);
-    }
-  } else if (outcome.kind == SoftwareAggregator::Outcome::Kind::ReplyStored) {
-    net::Packet r = make_result(p, id(), p.src, outcome.values);
-    const Time ready = channel_->tx_ready(core, r);
-    uplink_->send_from(*this, std::move(r), ready);
-  }
-}
+      shard_(*this, nic_, *channel_, std::move(worker_ids), pool_size, timing_only,
+             this->name() + ".") {}
 
 // -------------------------------------------------------------- PsColocatedHost
 
 PsColocatedHost::PsColocatedHost(sim::Simulation& simulation, net::NodeId id, std::string name,
-                                 const worker::WorkerConfig& wc, int n_shards,
-                                 std::uint32_t pool_size, std::vector<net::NodeId> worker_ids)
+                                 const worker::WorkerConfig& wc,
+                                 std::vector<net::NodeId> worker_ids)
     : Worker(simulation, id, std::move(name), wc),
-      n_shards_(n_shards),
-      aggregator_(wc.n_workers, pool_size, wc.timing_only),
-      worker_ids_(std::move(worker_ids)) {
-  if (auto* reg = MetricsRegistry::current()) {
-    const std::string p = this->name() + ".shard.";
-    reg->add_counter(p + "updates", [this] { return aggregator_.counters().updates; });
-    reg->add_counter(p + "duplicates", [this] { return aggregator_.counters().duplicates; });
-    reg->add_counter(p + "completions", [this] { return aggregator_.counters().completions; });
-  }
-}
+      shard_(*this, nic(), channel(), std::move(worker_ids), wc.pool_size, wc.timing_only,
+             this->name() + ".shard.",
+             [this](net::Packet&& r) { Worker::receive(std::move(r), 0); }) {}
 
 void PsColocatedHost::receive(net::Packet&& p, int port) {
+  // Shard traffic shares the worker's NIC cores (and its channel).
   if (p.kind == net::PacketKind::SmlUpdate) {
-    // Shard traffic shares the worker's NIC cores (and its channel).
-    const int core = shard_core_of(p.idx);
-    auto shared = std::make_shared<net::Packet>(std::move(p));
-    channel().rx_process(core, *shared,
-                         [this, shared]() mutable { handle_shard(std::move(*shared)); });
+    shard_.receive(std::move(p), *uplink());
     return;
   }
   Worker::receive(std::move(p), port);
-}
-
-void PsColocatedHost::handle_shard(net::Packet&& p) {
-  if (!p.verify()) return; // §3.4: corrupted update, worker timer repairs it
-  auto outcome = aggregator_.process(p);
-  attribute_outcome(id(), p, outcome.kind, simulation().now());
-  const int core = shard_core_of(p.idx);
-  if (outcome.kind == SoftwareAggregator::Outcome::Kind::Completed) {
-    for (net::NodeId w : worker_ids_) {
-      if (w == id()) {
-        // Local delivery: the worker role consumes its own shard's result
-        // without touching the wire (but still pays RX processing).
-        net::Packet r = make_result(p, id(), w, outcome.values);
-        Worker::receive(std::move(r), 0);
-        continue;
-      }
-      net::Packet r = make_result(p, id(), w, outcome.values);
-      const Time ready = channel().tx_ready(core, r);
-      uplink()->send_from(*this, std::move(r), ready);
-    }
-  } else if (outcome.kind == SoftwareAggregator::Outcome::Kind::ReplyStored) {
-    if (p.src == id()) {
-      net::Packet r = make_result(p, id(), p.src, outcome.values);
-      Worker::receive(std::move(r), 0);
-    } else {
-      net::Packet r = make_result(p, id(), p.src, outcome.values);
-      const Time ready = channel().tx_ready(core, r);
-      uplink()->send_from(*this, std::move(r), ready);
-    }
-  }
-}
-
-// ------------------------------------------------------------ StreamingPsCluster
-
-StreamingPsCluster::StreamingPsCluster(const StreamingPsConfig& config) : config_(config) {
-  const int n = config.n_workers;
-  if (n < 1) throw std::invalid_argument("StreamingPsCluster: need workers");
-  // Workers, PS shards and links register their counters into this cluster's
-  // registry, same as the SwitchML fabric does.
-  MetricsRegistry::Scope scope(&metrics_);
-  const bool dedicated = config.placement == StreamingPsPlacement::Dedicated;
-
-  fabric_ = std::make_unique<net::L2Switch>(sim_, 10'000, "fabric", config.switch_latency);
-
-  net::LinkConfig lc;
-  lc.rate = config.link_rate;
-  lc.propagation = config.propagation;
-  lc.queue_limit_bytes = config.queue_limit_bytes;
-  lc.loss_prob = config.loss_prob;
-
-  std::vector<net::NodeId> worker_ids;
-  for (int i = 0; i < n; ++i) worker_ids.push_back(static_cast<net::NodeId>(i));
-
-  // Slot idx is served by PS process idx % n (all n shards exist in both
-  // placements; colocated shard i lives on worker host i).
-  auto ps_id = [dedicated, n](std::uint32_t idx) {
-    const int shard = static_cast<int>(idx) % n;
-    return static_cast<net::NodeId>(dedicated ? 1000 + shard : shard);
-  };
-
-  for (int i = 0; i < n; ++i) {
-    worker::WorkerConfig wc;
-    wc.wid = static_cast<std::uint16_t>(i);
-    wc.n_workers = n;
-    wc.pool_size = config.pool_size;
-    wc.elems_per_packet = config.elems_per_packet;
-    wc.retransmit_timeout = config.retransmit_timeout;
-    wc.nic = config.nic;
-    wc.transport = config.transport;
-    wc.rdma = config.rdma;
-    wc.timing_only = config.timing_only;
-
-    std::unique_ptr<worker::Worker> w;
-    if (dedicated) {
-      w = std::make_unique<worker::Worker>(sim_, static_cast<net::NodeId>(i),
-                                           "worker-" + std::to_string(i), wc);
-    } else {
-      w = std::make_unique<PsColocatedHost>(sim_, static_cast<net::NodeId>(i),
-                                            "host-" + std::to_string(i), wc, n,
-                                            config.pool_size, worker_ids);
-    }
-    w->set_destination_resolver(ps_id);
-    auto link = std::make_unique<net::Link>(sim_, lc, *w, 0, *fabric_, i,
-                                            config.seed + static_cast<std::uint64_t>(i));
-    w->set_uplink(*link);
-    fabric_->attach(i, *link);
-    workers_.push_back(std::move(w));
-    links_.push_back(std::move(link));
-  }
-
-  if (dedicated) {
-    for (int j = 0; j < n; ++j) {
-      auto ps = std::make_unique<PsShardNode>(sim_, static_cast<net::NodeId>(1000 + j),
-                                              "ps-" + std::to_string(j), config.nic,
-                                              config.transport, config.rdma, n, n,
-                                              config.pool_size, config.timing_only, worker_ids);
-      auto link = std::make_unique<net::Link>(sim_, lc, *ps, 0, *fabric_, n + j,
-                                              config.seed + 500 + static_cast<std::uint64_t>(j));
-      ps->set_uplink(*link);
-      fabric_->attach(n + j, *link);
-      ps_nodes_.push_back(std::move(ps));
-      links_.push_back(std::move(link));
-    }
-  }
-}
-
-void StreamingPsCluster::set_loss_prob(double p) {
-  for (auto& l : links_) l->set_loss_prob(p);
-}
-
-std::vector<Time> StreamingPsCluster::reduce_timing(std::uint64_t total_elems) {
-  if (!config_.timing_only)
-    throw std::logic_error("StreamingPsCluster::reduce_timing requires timing_only");
-  std::vector<Time> start(workers_.size()), tat(workers_.size(), -1);
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    start[i] = sim_.now();
-    workers_[i]->start_reduction(total_elems, [this, &start, &tat, i] {
-      tat[i] = sim_.now() - start[i];
-    });
-  }
-  sim_.run();
-  for (Time t : tat)
-    if (t < 0) throw std::runtime_error("StreamingPsCluster: reduction did not complete");
-  return tat;
-}
-
-StreamingPsCluster::DataReduceResult StreamingPsCluster::reduce_i32(
-    const std::vector<std::vector<std::int32_t>>& updates) {
-  if (config_.timing_only)
-    throw std::logic_error("StreamingPsCluster::reduce_i32 requires data mode");
-  if (updates.size() != workers_.size())
-    throw std::invalid_argument("StreamingPsCluster: one update per worker");
-  DataReduceResult r;
-  r.outputs.resize(updates.size());
-  r.tat.assign(updates.size(), -1);
-  std::vector<Time> start(updates.size());
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    r.outputs[i].assign(updates[i].size(), 0);
-    start[i] = sim_.now();
-    workers_[i]->start_reduction(updates[i], r.outputs[i], [this, &start, &r, i] {
-      r.tat[i] = sim_.now() - start[i];
-    });
-  }
-  sim_.run();
-  for (Time t : r.tat)
-    if (t < 0) throw std::runtime_error("StreamingPsCluster: reduction did not complete");
-  return r;
 }
 
 } // namespace switchml::collectives

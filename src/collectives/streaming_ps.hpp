@@ -15,14 +15,18 @@
 //   * Colocated: worker i's host also runs PS shard i, sharing its NIC cores
 //     and link bandwidth — which is precisely why it tops out at half the
 //     rate of SwitchML/dedicated.
+// core::Fabric wires both as its StreamingPsSpec shape (core/fabric.hpp).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "common/metrics.hpp"
-#include "net/l2switch.hpp"
+#include "net/channel.hpp"
+#include "net/link.hpp"
+#include "net/nic.hpp"
 #include "worker/worker.hpp"
 
 namespace switchml::collectives {
@@ -59,112 +63,76 @@ private:
   Counters counters_;
 };
 
-// A dedicated PS machine: NIC-cost-modelled host running one shard.
+// One PS process's shard, run on `host`: it serves the slots idx with
+// idx % n == its host's shard index (n = worker_ids.size(); all n shards
+// exist in both placements). Each update is RX-processed on the host's NIC
+// cores, then verified, aggregated and attributed; a completed slot is
+// answered with one unicast result per worker (software PS has no traffic
+// manager), a duplicate of a completed slot with one result to its sender.
+// The two placements differ only in local delivery: a result addressed to
+// the host itself skips the wire and goes to `deliver_local`.
+class PsShard {
+public:
+  // Registers <prefix>{updates,duplicates,completions}.
+  PsShard(net::Node& host, const net::HostNic& nic, net::Channel& channel,
+          std::vector<net::NodeId> worker_ids, std::uint32_t pool_size, bool timing_only,
+          const std::string& prefix, std::function<void(net::Packet&&)> deliver_local = nullptr);
+  PsShard(const PsShard&) = delete;
+  PsShard& operator=(const PsShard&) = delete;
+
+  // Results leave over `uplink`, the host's link to the L2 switch.
+  void receive(net::Packet&& p, net::Link& uplink);
+
+private:
+  void handle(net::Packet&& p, net::Link& uplink);
+  void reply(const net::Packet& update, net::NodeId dst, const std::vector<std::int32_t>& values,
+             net::Link& uplink);
+  // Flow Director spreads this shard's slots over the cores by the QUOTIENT
+  // so consecutive served slots hit different cores (idx % cores would pin
+  // one core per shard).
+  [[nodiscard]] int core_of(std::uint32_t idx) const {
+    return static_cast<int>((idx / static_cast<std::uint32_t>(worker_ids_.size())) %
+                            static_cast<std::uint32_t>(nic_.cores()));
+  }
+
+  net::Node& host_;
+  const net::HostNic& nic_;
+  net::Channel& channel_;
+  std::vector<net::NodeId> worker_ids_;
+  SoftwareAggregator aggregator_;
+  std::function<void(net::Packet&&)> deliver_local_;
+};
+
+// A dedicated PS machine: NIC-cost-modelled host running one shard. It is
+// never a result's destination, so it needs no local delivery.
 class PsShardNode : public net::Node {
 public:
   PsShardNode(sim::Simulation& simulation, net::NodeId id, std::string name,
               const net::NicConfig& nic, net::TransportKind transport,
-              const net::RdmaUcParams& rdma, int n_workers, int n_shards,
-              std::uint32_t pool_size, bool timing_only,
-              std::vector<net::NodeId> worker_ids);
+              const net::RdmaUcParams& rdma, std::vector<net::NodeId> worker_ids,
+              std::uint32_t pool_size, bool timing_only);
 
   void set_uplink(net::Link& link) { uplink_ = &link; }
-  void receive(net::Packet&& p, int port) override;
-  [[nodiscard]] const SoftwareAggregator::Counters& counters() const {
-    return aggregator_.counters();
-  }
+  void receive(net::Packet&& p, int /*port*/) override { shard_.receive(std::move(p), *uplink_); }
 
 private:
-  void handle(net::Packet&& p);
-  // This shard serves slots idx with idx % n_shards == shard; Flow Director
-  // spreads them over the cores by the QUOTIENT so consecutive served slots
-  // hit different cores (idx % cores would pin one core per shard).
-  [[nodiscard]] int core_of(std::uint32_t idx) const {
-    return static_cast<int>((idx / static_cast<std::uint32_t>(n_shards_)) %
-                            static_cast<std::uint32_t>(nic_.cores()));
-  }
-
   net::HostNic nic_;
   std::unique_ptr<net::Channel> channel_;
   net::Link* uplink_ = nullptr;
-  int n_shards_;
-  SoftwareAggregator aggregator_;
-  std::vector<net::NodeId> worker_ids_;
+  PsShard shard_;
 };
 
 // A colocated host: the SwitchML worker protocol plus a PS shard sharing the
-// same NIC cores and link.
+// same NIC cores, channel and link.
 class PsColocatedHost : public worker::Worker {
 public:
   PsColocatedHost(sim::Simulation& simulation, net::NodeId id, std::string name,
-                  const worker::WorkerConfig& wc, int n_shards, std::uint32_t pool_size,
-                  std::vector<net::NodeId> worker_ids);
+                  const worker::WorkerConfig& wc, std::vector<net::NodeId> worker_ids);
 
   void receive(net::Packet&& p, int port) override;
-  [[nodiscard]] const SoftwareAggregator::Counters& shard_counters() const {
-    return aggregator_.counters();
-  }
 
 private:
-  void handle_shard(net::Packet&& p);
-  [[nodiscard]] int shard_core_of(std::uint32_t idx) {
-    return static_cast<int>((idx / static_cast<std::uint32_t>(n_shards_)) %
-                            static_cast<std::uint32_t>(nic().cores()));
-  }
-
-  int n_shards_;
-  SoftwareAggregator aggregator_;
-  std::vector<net::NodeId> worker_ids_;
-};
-
-enum class StreamingPsPlacement : std::uint8_t { Dedicated, Colocated };
-
-struct StreamingPsConfig {
-  int n_workers = 8;
-  StreamingPsPlacement placement = StreamingPsPlacement::Dedicated;
-  BitsPerSecond link_rate = gbps(10);
-  Time propagation = nsec(500);
-  std::int64_t queue_limit_bytes = 16 * kMiB;
-  double loss_prob = 0.0;
-  std::uint32_t pool_size = 128;
-  std::uint32_t elems_per_packet = net::kDefaultElemsPerPacket;
-  Time retransmit_timeout = msec(1);
-  net::NicConfig nic;    // workers AND PS processes (all run the DPDK program)
-  // Channel model for workers and PS processes alike (the fallback inherits
-  // the fabric's transport so a degraded RDMA job replays over RDMA).
-  net::TransportKind transport = net::kDefaultTransport;
-  net::RdmaUcParams rdma;
-  bool timing_only = false;
-  Time switch_latency = nsec(400);
-  std::uint64_t seed = 42;
-};
-
-class StreamingPsCluster {
-public:
-  explicit StreamingPsCluster(const StreamingPsConfig& config);
-  StreamingPsCluster(const StreamingPsCluster&) = delete;
-  StreamingPsCluster& operator=(const StreamingPsCluster&) = delete;
-
-  [[nodiscard]] sim::Simulation& simulation() { return sim_; }
-  [[nodiscard]] worker::Worker& worker(int i) { return *workers_.at(static_cast<std::size_t>(i)); }
-  [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
-  void set_loss_prob(double p);
-
-  std::vector<Time> reduce_timing(std::uint64_t total_elems);
-  struct DataReduceResult {
-    std::vector<std::vector<std::int32_t>> outputs;
-    std::vector<Time> tat;
-  };
-  DataReduceResult reduce_i32(const std::vector<std::vector<std::int32_t>>& updates);
-
-private:
-  StreamingPsConfig config_;
-  MetricsRegistry metrics_;
-  sim::Simulation sim_;
-  std::unique_ptr<net::L2Switch> fabric_;
-  std::vector<std::unique_ptr<worker::Worker>> workers_; // includes colocated hosts
-  std::vector<std::unique_ptr<PsShardNode>> ps_nodes_;   // dedicated only
-  std::vector<std::unique_ptr<net::Link>> links_;
+  PsShard shard_;
 };
 
 } // namespace switchml::collectives

@@ -173,7 +173,7 @@ public:
 
   // RAII installer; nests (the previous ledger is restored on destruction).
   // Scope(nullptr) masks an outer ledger — the fabric uses this to keep the
-  // PS-fallback inner cluster (whose node ids collide with the fabric's) from
+  // PS-fallback replay fabric (whose node ids collide with the job's) from
   // writing into the job's ledger.
   class Scope {
   public:

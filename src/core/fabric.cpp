@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -17,6 +17,9 @@ namespace {
 constexpr net::NodeId kSwitchId = 10'000;       // a fabric's only switch
 constexpr net::NodeId kTreeSwitchBase = 30'000; // switch i of a multi-switch fabric
 constexpr std::uint64_t kUplinkSeedBase = 7000; // + the child switch's id
+constexpr net::NodeId kPsHostBase = 1000;       // dedicated PS host j
+constexpr std::uint64_t kPsSeedBase = 500;      // + j, PS host j's link
+constexpr std::uint64_t kFallbackSeedOffset = 9001; // the fallback replay's RNG streams
 
 template <class... Ts> struct overloaded : Ts... { using Ts::operator()...; };
 template <class... Ts> overloaded(Ts...) -> overloaded<Ts...>;
@@ -71,6 +74,22 @@ void validate_irregular(const IrregularSpec& spec) {
   }
 }
 
+void validate_streaming_ps(const StreamingPsSpec& spec) {
+  if (spec.n_workers < 1 || spec.n_workers > 64)
+    throw std::invalid_argument("Fabric: a streaming PS needs 1..64 workers (got " +
+                                std::to_string(spec.n_workers) +
+                                "; a shard's seen bitmaps are 64 bits)");
+}
+
+net::LinkConfig link_config(const FabricParams& p, BitsPerSecond rate) {
+  net::LinkConfig lc;
+  lc.rate = rate;
+  lc.propagation = p.propagation;
+  lc.queue_limit_bytes = p.queue_limit_bytes;
+  lc.loss_prob = p.loss_prob;
+  return lc;
+}
+
 // A complete tree in preorder: every switch is followed by its subtrees, and
 // each bottom switch takes the next `workers_per_rack` workers.
 IrregularSpec complete_tree(int levels, int branching, int workers_per_rack) {
@@ -121,27 +140,41 @@ LoweredTopology lower_topology(const TopologySpec& topology) {
                    validate_irregular(s);
                    out.spec = s;
                  },
+                 [&](const StreamingPsSpec&) {
+                   throw std::invalid_argument(
+                       "lower_topology: a streaming-PS fabric is not a switch tree");
+                 },
              },
              topology);
   out.worker_job.resize(out.spec.worker_switch.size(), 0);
   return out;
 }
 
+void validate_topology(const TopologySpec& topology) {
+  if (const auto* ps = std::get_if<StreamingPsSpec>(&topology))
+    validate_streaming_ps(*ps);
+  else
+    (void)lower_topology(topology);
+}
+
 Fabric::Fabric(FabricConfig config) : config_(std::move(config)) {
   if (config_.lossless && config_.loss_prob > 0)
     throw std::invalid_argument("Fabric: lossless mode requires loss_prob == 0");
-  const LoweredTopology topology = lower_topology(config_.topology);
   // Everything constructed while the fabric is built registers its counters —
   // including the fault injector, whose plan needs the built nodes/links.
   MetricsRegistry::Scope scope(&metrics_);
-  build(topology);
+  if (const auto* ps = std::get_if<StreamingPsSpec>(&config_.topology))
+    build(*ps);
+  else
+    build(lower_topology(config_.topology));
   install_recovery();
   install_observability();
   if (!config_.faults.empty()) faults_ = std::make_unique<FaultInjector>(*this, config_.faults);
 }
 
 void Fabric::install_observability() {
-  if (inttel::kCompiledIn && config_.int_mode != inttel::kModeOff) {
+  // The streaming-PS shape has no INT (see StreamingPsSpec).
+  if (inttel::kCompiledIn && config_.int_mode != inttel::kModeOff && !switches_.empty()) {
     // The localizer's verdicts print node names, not raw ids.
     std::map<std::uint32_t, std::string> names;
     for (auto& w : workers_) names.emplace(w->id(), w->name());
@@ -190,6 +223,12 @@ void Fabric::install_observability() {
 
 Fabric::~Fabric() = default;
 
+swprog::AggregationSwitch& Fabric::root() {
+  if (switches_.empty())
+    throw std::logic_error("Fabric::root: a streaming-PS fabric has no aggregation switch");
+  return *switches_.front();
+}
+
 void Fabric::install_recovery() {
   if (auto* reg = MetricsRegistry::current()) {
     reg->add_counter("recovery.fallbacks", [this] { return fallbacks_; });
@@ -235,92 +274,63 @@ Fabric::FallbackPlan Fabric::collect_fallback_plan(std::uint64_t total_elems) {
   return plan;
 }
 
-void Fabric::finish_fallback() {
-  for (auto& w : workers_) w->finish_aborted_reduction();
-  fallback_pending_ = false;
-}
-
-namespace {
-collectives::StreamingPsConfig fallback_ps_config(const FabricConfig& c, int n_workers) {
-  collectives::StreamingPsConfig psc;
-  psc.n_workers = n_workers;
-  psc.placement = collectives::StreamingPsPlacement::Dedicated;
-  psc.link_rate = c.link_rate;
-  psc.propagation = c.propagation;
-  psc.queue_limit_bytes = c.queue_limit_bytes;
-  psc.loss_prob = c.loss_prob;
-  psc.pool_size = c.pool_size;
-  psc.elems_per_packet = c.elems_per_packet;
-  psc.retransmit_timeout = c.retransmit_timeout;
-  psc.nic = c.nic;
-  psc.transport = c.transport;
-  psc.rdma = c.rdma;
-  psc.timing_only = c.timing_only;
-  psc.switch_latency = c.switch_latency;
-  psc.seed = c.seed + 9001; // distinct RNG stream for the replay
-  return psc;
-}
-} // namespace
-
-void Fabric::fallback_timing(const std::vector<Time>& start, std::vector<Time>& tat,
-                             std::uint64_t total_elems) {
+void Fabric::fallback(std::uint64_t total_elems, const std::vector<Time>& start,
+                      std::vector<Time>& tat, const std::vector<std::vector<std::int32_t>>* updates,
+                      std::vector<std::vector<std::int32_t>>* outputs) {
   const FallbackPlan plan = collect_fallback_plan(total_elems);
+  const auto chunk_elems = [&](std::uint64_t off) {
+    return std::min<std::uint64_t>(config_.elems_per_packet, total_elems - off);
+  };
+  FabricParams params = config_;
+  params.seed += kFallbackSeedOffset; // distinct RNG streams for the replay
+  params.faults = {};
   std::vector<Time> ps_tat;
+  std::vector<std::vector<std::int32_t>> replayed;
   {
-    // The inner cluster's node ids collide with the fabric's; mask the ledger
+    // The replay fabric's node ids collide with this one's; mask the ledger
     // so replay-internal spans cannot pollute the job's attribution.
     attr::SpanLedger::Scope mask(nullptr);
-    collectives::StreamingPsCluster ps(fallback_ps_config(config_, workers_per_job_));
-    ps_tat = ps.reduce_timing(plan.replay_elems);
+    Fabric ps(FabricConfig(params, StreamingPsSpec{workers_per_job_, PsPlacement::Dedicated}));
+    if (updates == nullptr) {
+      ps_tat = ps.reduce_timing(plan.replay_elems);
+    } else {
+      // Replay the union of unconsumed chunks, compacted into one contiguous
+      // vector per worker. int32 sums are order-independent and
+      // overflow-wrapping, so the PS result is bit-identical to what the
+      // switch would have produced.
+      std::vector<std::vector<std::int32_t>> compact(updates->size());
+      for (std::size_t i = 0; i < compact.size(); ++i) {
+        const auto& u = (*updates)[i];
+        compact[i].reserve(plan.replay_elems);
+        for (std::uint64_t off : plan.offsets)
+          compact[i].insert(compact[i].end(), u.begin() + static_cast<std::ptrdiff_t>(off),
+                            u.begin() + static_cast<std::ptrdiff_t>(off + chunk_elems(off)));
+      }
+      DataReduceResult r = ps.reduce_i32(compact);
+      ps_tat = std::move(r.tat);
+      replayed = std::move(r.outputs);
+    }
   }
   for (std::size_t i = 0; i < tat.size(); ++i) {
     if (tat[i] >= 0) continue; // completed on the switch path before the abort
+    if (outputs != nullptr) {
+      // Scatter the replayed sums back to their offsets. Chunks this worker
+      // DID consume before the abort are overwritten with the identical value.
+      std::size_t pos = 0;
+      for (std::uint64_t off : plan.offsets) {
+        const auto c = chunk_elems(off);
+        std::copy_n(replayed[i].begin() + static_cast<std::ptrdiff_t>(pos), c,
+                    (*outputs)[i].begin() + static_cast<std::ptrdiff_t>(off));
+        pos += c;
+      }
+    }
     tat[i] = (plan.drained_at - start[i]) + config_.fallback_reprovision + ps_tat[i];
     // The worker's surviving chunks were parked in kFallback at the abort;
     // they complete when the replay delivers, possibly past the fabric clock.
     attr::close_all(workers_[i]->id(), start[i] + tat[i]);
   }
-  finish_fallback();
-}
-
-void Fabric::fallback_data(const std::vector<std::vector<std::int32_t>>& updates,
-                           const std::vector<Time>& start, DataReduceResult& r) {
-  const std::uint64_t total_elems = updates.empty() ? 0 : updates.front().size();
-  const FallbackPlan plan = collect_fallback_plan(total_elems);
-  // Replay the union of unconsumed chunks, compacted into one contiguous
-  // vector per worker. int32 sums are order-independent and overflow-wrapping,
-  // so the PS result is bit-identical to what the switch would have produced.
-  std::vector<std::vector<std::int32_t>> compact(updates.size());
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    compact[i].reserve(plan.replay_elems);
-    for (std::uint64_t off : plan.offsets) {
-      const auto c = std::min<std::uint64_t>(config_.elems_per_packet, total_elems - off);
-      compact[i].insert(compact[i].end(), updates[i].begin() + static_cast<std::ptrdiff_t>(off),
-                        updates[i].begin() + static_cast<std::ptrdiff_t>(off + c));
-    }
-  }
-  std::optional<collectives::StreamingPsCluster::DataReduceResult> psr_holder;
-  {
-    attr::SpanLedger::Scope mask(nullptr); // see fallback_timing
-    collectives::StreamingPsCluster ps(fallback_ps_config(config_, workers_per_job_));
-    psr_holder = ps.reduce_i32(compact);
-  }
-  auto& psr = *psr_holder;
-  for (std::size_t i = 0; i < r.tat.size(); ++i) {
-    if (r.tat[i] >= 0) continue;
-    // Scatter the replayed sums back to their offsets. Chunks this worker DID
-    // consume before the abort are overwritten with the identical value.
-    std::size_t pos = 0;
-    for (std::uint64_t off : plan.offsets) {
-      const auto c = std::min<std::uint64_t>(config_.elems_per_packet, total_elems - off);
-      std::copy_n(psr.outputs[i].begin() + static_cast<std::ptrdiff_t>(pos), c,
-                  r.outputs[i].begin() + static_cast<std::ptrdiff_t>(off));
-      pos += c;
-    }
-    r.tat[i] = (plan.drained_at - start[i]) + config_.fallback_reprovision + psr.tat[i];
-    attr::close_all(workers_[i]->id(), start[i] + r.tat[i]);
-  }
-  finish_fallback();
+  for (auto& w : workers_) w->finish_aborted_reduction();
+  fallback_pending_ = false;
 }
 
 void Fabric::set_loss_prob(double p) {
@@ -339,7 +349,7 @@ std::vector<Time> Fabric::reduce_timing(std::uint64_t total_elems) {
   }
   sim_.run();
   if (fallback_pending_) {
-    fallback_timing(start, tat, total_elems);
+    fallback(total_elems, start, tat);
     return tat;
   }
   for (Time t : tat)
@@ -383,7 +393,7 @@ Fabric::DataReduceResult Fabric::reduce_i32_job(
   }
   sim_.run();
   if (fallback_pending_) {
-    fallback_data(updates, start, r);
+    fallback(updates.empty() ? 0 : updates.front().size(), start, r.tat, &updates, &r.outputs);
     return r;
   }
   for (Time t : r.tat)
@@ -474,14 +484,6 @@ void Fabric::build(const LoweredTopology& topology) {
     switches_.push_back(std::move(sw));
   }
 
-  const auto link_config = [&](BitsPerSecond rate) {
-    net::LinkConfig lc;
-    lc.rate = rate;
-    lc.propagation = p.propagation;
-    lc.queue_limit_bytes = p.queue_limit_bytes;
-    lc.loss_prob = p.loss_prob;
-    return lc;
-  };
   for (std::size_t w = 0; w < n; ++w) {
     const auto s = static_cast<std::size_t>(spec.worker_switch[w]);
     swprog::AggregationSwitch& sw = *switches_[s];
@@ -512,7 +514,7 @@ void Fabric::build(const LoweredTopology& topology) {
                     : "worker-" + std::to_string(w);
     auto wk = std::make_unique<worker::Worker>(sim_, static_cast<net::NodeId>(w), name, wc);
     const int at = static_cast<int>(w) - workers_at[s].front();
-    auto link = std::make_unique<net::Link>(sim_, link_config(p.link_rate), *wk, 0, sw, at,
+    auto link = std::make_unique<net::Link>(sim_, link_config(p, p.link_rate), *wk, 0, sw, at,
                                             p.seed + static_cast<std::uint64_t>(w));
     wk->set_uplink(*link);
     sw.attach(at, *link);
@@ -524,10 +526,68 @@ void Fabric::build(const LoweredTopology& topology) {
     swprog::AggregationSwitch& child = *switches_[i];
     swprog::AggregationSwitch& parent = *switches_[static_cast<std::size_t>(spec.switch_parent[i])];
     const int up = child.config().parent_port;
-    auto link = std::make_unique<net::Link>(sim_, link_config(uplink_rate), child, up, parent,
+    auto link = std::make_unique<net::Link>(sim_, link_config(p, uplink_rate), child, up, parent,
                                             port[i], p.seed + kUplinkSeedBase + child.id());
     child.attach(up, *link);
     parent.attach(port[i], *link);
+    links_.push_back(std::move(link));
+  }
+}
+
+void Fabric::build(const StreamingPsSpec& spec) {
+  validate_streaming_ps(spec);
+  const int n = spec.n_workers;
+  const FabricParams& p = config_;
+  const bool dedicated = spec.placement == PsPlacement::Dedicated;
+  workers_per_job_ = n;
+
+  auto l2 = std::make_unique<net::L2Switch>(sim_, kSwitchId, "switch", p.switch_latency);
+  net::L2Switch& sw = *l2;
+  ps_nodes_.push_back(std::move(l2));
+
+  std::vector<net::NodeId> worker_ids(static_cast<std::size_t>(n));
+  std::iota(worker_ids.begin(), worker_ids.end(), net::NodeId{0});
+  // Slot idx is served by shard idx % n; colocated shard i lives on worker i.
+  const auto ps_id = [dedicated, n](std::uint32_t idx) {
+    const auto shard = static_cast<net::NodeId>(static_cast<int>(idx) % n);
+    return dedicated ? kPsHostBase + shard : shard;
+  };
+
+  for (int i = 0; i < n; ++i) {
+    worker::WorkerConfig wc;
+    wc.wid = static_cast<std::uint16_t>(i);
+    wc.n_workers = n;
+    wc.pool_size = p.pool_size;
+    wc.elems_per_packet = p.elems_per_packet;
+    wc.retransmit_timeout = p.retransmit_timeout;
+    wc.nic = p.nic;
+    wc.transport = p.transport;
+    wc.rdma = p.rdma;
+    wc.timing_only = p.timing_only;
+    const auto id = static_cast<net::NodeId>(i);
+    std::string name = "worker-" + std::to_string(i);
+    std::unique_ptr<worker::Worker> w =
+        dedicated ? std::make_unique<worker::Worker>(sim_, id, std::move(name), wc)
+                  : std::make_unique<collectives::PsColocatedHost>(sim_, id, std::move(name), wc,
+                                                                   worker_ids);
+    w->set_destination_resolver(ps_id);
+    auto link = std::make_unique<net::Link>(sim_, link_config(p, p.link_rate), *w, 0, sw, i,
+                                            p.seed + static_cast<std::uint64_t>(i));
+    w->set_uplink(*link);
+    sw.attach(i, *link);
+    workers_.push_back(std::move(w));
+    links_.push_back(std::move(link));
+  }
+  if (!dedicated) return;
+  for (int j = 0; j < n; ++j) {
+    auto ps = std::make_unique<collectives::PsShardNode>(
+        sim_, kPsHostBase + static_cast<net::NodeId>(j), "ps-" + std::to_string(j), p.nic,
+        p.transport, p.rdma, worker_ids, p.pool_size, p.timing_only);
+    auto link = std::make_unique<net::Link>(sim_, link_config(p, p.link_rate), *ps, 0, sw, n + j,
+                                            p.seed + kPsSeedBase + static_cast<std::uint64_t>(j));
+    ps->set_uplink(*link);
+    sw.attach(n + j, *link);
+    ps_nodes_.push_back(std::move(ps));
     links_.push_back(std::move(link));
   }
 }

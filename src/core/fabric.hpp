@@ -1,12 +1,13 @@
 // The unified fabric layer: one config, one build path, one owner for every
-// SwitchML deployment shape the paper evaluates.
+// deployment shape the paper evaluates.
 //
 // `FabricParams` carries the link/NIC/protocol parameters every deployment
 // shares; `TopologySpec` selects the shape (§1 rack star, §6 multi-job
-// tenancy, §6 two-level hierarchy, §6 arbitrary-depth tree, or an explicit
-// `IrregularSpec`). Every shape is one single-rooted switch tree, so
-// `lower_topology` turns each into an `IrregularSpec` plus a job id per
-// worker, and `Fabric` wires that adjacency with one loop and one rule:
+// tenancy, §6 two-level hierarchy, §6 arbitrary-depth tree, an explicit
+// `IrregularSpec`, or the §5.3 streaming parameter server). Every SwitchML
+// shape is one single-rooted switch tree, so `lower_topology` turns each
+// into an `IrregularSpec` plus a job id per worker, and `Fabric` wires that
+// adjacency with one loop and one rule:
 //   * a fabric with one switch names it `switch` (id 10000); with several,
 //     switch i is `sw-<i>` (id 30000 + i);
 //   * worker g is `worker-<g>`, or `j<j>-worker-<i>` on a multi-job fabric;
@@ -16,6 +17,10 @@
 //     follow in switch order;
 //   * a switch's child ports are the child indices and its parent port is
 //     one past them; job j's multicast group is 1 + j.
+// The streaming-PS shape extends the rule: its plain L2 switch is `switch`
+// (id 10000), worker g is `worker-<g>` on port g, and dedicated PS host j is
+// `ps-<j>` (id 1000 + j) on port n + j with link seed seed + 500 + j; the
+// PS uplinks follow the worker uplinks.
 // Callers build every shape the same way, `Fabric f(FabricConfig(params,
 // spec))`; core/cluster.hpp's ClusterConfig is the §3.6 rack profile that
 // lowers to a RackSpec.
@@ -60,7 +65,7 @@ struct FabricParams {
   Time retransmit_timeout = msec(1);
   bool adaptive_rto = false; // §6: RTT-adaptive RTO (Jacobson/Karels)
   net::NicConfig nic = switchml_worker_nic_10g();
-  // Host channel model for every worker (and the PS fallback): the DPDK/UDP
+  // Host channel model for every worker and PS host: the DPDK/UDP
   // datapath or RDMA UC with the cost knobs in `rdma`. UC carries no
   // transport-level ACK/RTO — loss repair stays with the slot protocol.
   net::TransportKind transport = net::kDefaultTransport;
@@ -92,7 +97,7 @@ struct FabricParams {
   int sync_after = 3;
   int dead_after = 25;
   // Modeled delay between the dead declaration and the fallback collective
-  // taking over (provisioning PS processes on the worker hosts).
+  // taking over (provisioning the n dedicated PS machines it replays on).
   Time fallback_reprovision = msec(50);
   // Deterministic fault schedule (stragglers, link flaps, loss bursts, switch
   // restarts, switch kills) executed by a FaultInjector the fabric constructs
@@ -152,19 +157,40 @@ struct IrregularSpec {
   std::vector<int> worker_switch = {0, 0};
 };
 
-using TopologySpec =
-    std::variant<RackSpec, MultiJobSpec, HierarchySpec, TreeSpec, IrregularSpec>;
+// The §5.3 streaming parameter server: n workers and n PS shards around one
+// plain L2 switch (no aggregation switch, so n_switches() is 0 and root()
+// throws). Slot idx is served by shard idx % n: dedicated shard j runs on
+// its own PS host, colocated shard i on worker i's host (collectives/
+// streaming_ps.hpp). The workers run the SwitchML worker protocol with
+// pool_size, elems_per_packet, retransmit_timeout, nic, transport, rdma and
+// timing_only from FabricParams; recovery escalation (sync_after,
+// dead_after), INT, the fp16 wire, lossless mode and the adaptive RTO stay
+// off, so a FaultPlan may not restart or kill a switch here.
+enum class PsPlacement : std::uint8_t { Dedicated, Colocated };
+struct StreamingPsSpec {
+  int n_workers = 8; // 1..64: a shard's seen bitmaps are 64 bits
+  PsPlacement placement = PsPlacement::Dedicated;
+};
 
-// A TopologySpec in adjacency form: the IrregularSpec that wires it and each
-// worker's job (0 everywhere except on a MultiJobSpec, whose jobs share its
-// one switch). Trees number their switches in preorder, so switch 0 is the
-// root and a hierarchy's leaf r is switch 1 + r. Pure; throws
-// std::invalid_argument on an invalid shape.
+using TopologySpec = std::variant<RackSpec, MultiJobSpec, HierarchySpec, TreeSpec, IrregularSpec,
+                                  StreamingPsSpec>;
+
+// A switch-tree TopologySpec in adjacency form: the IrregularSpec that wires
+// it and each worker's job (0 everywhere except on a MultiJobSpec, whose jobs
+// share its one switch). Trees number their switches in preorder, so switch
+// 0 is the root and a hierarchy's leaf r is switch 1 + r. Pure; throws
+// std::invalid_argument on an invalid shape and on a StreamingPsSpec, which
+// is not a switch tree.
 struct LoweredTopology {
   IrregularSpec spec;
   std::vector<int> worker_job;
 };
 [[nodiscard]] LoweredTopology lower_topology(const TopologySpec& topology);
+
+// Checks any shape without building it, with the messages the fabric
+// throws (std::invalid_argument): a switch tree by lowering it, a streaming
+// PS by its worker count.
+void validate_topology(const TopologySpec& topology);
 
 struct FabricConfig : FabricParams {
   TopologySpec topology = RackSpec{};
@@ -192,11 +218,12 @@ public:
   [[nodiscard]] int n_workers() const { return static_cast<int>(workers_.size()); }
   [[nodiscard]] worker::Worker& worker(int i) { return *workers_.at(static_cast<std::size_t>(i)); }
 
-  // Switches in lowered-spec order: [0] is the root (or the only switch); a
-  // two-level hierarchy's leaf r is switch_at(1 + r).
+  // Aggregation switches in lowered-spec order: [0] is the root (or the only
+  // switch); a two-level hierarchy's leaf r is switch_at(1 + r). A
+  // streaming-PS fabric has none.
   [[nodiscard]] std::size_t n_switches() const { return switches_.size(); }
   [[nodiscard]] swprog::AggregationSwitch& switch_at(std::size_t i) { return *switches_.at(i); }
-  [[nodiscard]] swprog::AggregationSwitch& root() { return *switches_.front(); }
+  [[nodiscard]] swprog::AggregationSwitch& root();
 
   [[nodiscard]] std::size_t n_links() const { return links_.size(); }
   [[nodiscard]] net::Link& link(std::size_t i) { return *links_.at(i); }
@@ -239,15 +266,17 @@ public:
   DataReduceResult reduce_i32_job(int job, const std::vector<std::vector<std::int32_t>>& updates);
 
 private:
-  // Wires the lowered topology by the rule in the file comment.
+  // Wire the lowered topology, or the streaming-PS shape, by the rule in the
+  // file comment.
   void build(const LoweredTopology& topology);
+  void build(const StreamingPsSpec& spec);
 
   // --- switch-dead fallback (graceful degradation) ---------------------------
   // A worker exhausting its dead_after retry budget fires on_switch_dead(),
   // which aborts every worker's reduction so the simulation drains; the
-  // reduce_* call then replays the union of unconsumed chunks on a
-  // streaming-PS collective with honest TAT inflation (drain + reprovision +
-  // PS time). Bit-exact in data mode: int32 sums are order-independent.
+  // reduce_* call then replays the union of unconsumed chunks on a dedicated
+  // streaming-PS fabric with honest TAT inflation (drain + reprovision + PS
+  // time). Bit-exact in data mode: int32 sums are order-independent.
   struct FallbackPlan {
     Time drained_at = 0;
     std::vector<std::uint64_t> offsets; // union of unconsumed chunk offsets
@@ -257,17 +286,19 @@ private:
   void install_observability();
   void on_switch_dead();
   FallbackPlan collect_fallback_plan(std::uint64_t total_elems);
-  void finish_fallback();
-  void fallback_timing(const std::vector<Time>& start, std::vector<Time>& tat,
-                       std::uint64_t total_elems);
-  void fallback_data(const std::vector<std::vector<std::int32_t>>& updates,
-                     const std::vector<Time>& start, DataReduceResult& r);
+  // Replays the plan and patches every unfinished worker's TAT; in data mode
+  // (`updates` non-null) it also scatters the replayed sums into `outputs`.
+  void fallback(std::uint64_t total_elems, const std::vector<Time>& start, std::vector<Time>& tat,
+                const std::vector<std::vector<std::int32_t>>* updates = nullptr,
+                std::vector<std::vector<std::int32_t>>* outputs = nullptr);
 
   FabricConfig config_;
   MetricsRegistry metrics_;
   sim::Simulation sim_;
   std::vector<std::unique_ptr<swprog::AggregationSwitch>> switches_; // [0] = root
   std::vector<std::unique_ptr<worker::Worker>> workers_;
+  // Streaming-PS shape only: its L2 switch, then the dedicated PS hosts.
+  std::vector<std::unique_ptr<net::Node>> ps_nodes_;
   std::vector<std::unique_ptr<net::Link>> links_;
   std::unique_ptr<FaultInjector> faults_;
   std::unique_ptr<inttel::FaultLocalizer> int_localizer_;

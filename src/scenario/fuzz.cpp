@@ -155,7 +155,8 @@ void fuzz_faults(Scenario& s, std::uint64_t seed, Time horizon) {
     plan.bursts.push_back(spec);
   }
 
-  if (rng.chance(0.35)) {
+  // A streaming-PS fabric has no aggregation switch to restart or kill.
+  if (t.n_switches > 0 && rng.chance(0.35)) {
     core::SwitchRestartSpec spec;
     spec.switch_index = rng.below(t.n_switches);
     spec.at = rng.time_in(h / 5, h / 2);
@@ -164,7 +165,8 @@ void fuzz_faults(Scenario& s, std::uint64_t seed, Time horizon) {
 
   // A kill commits the run to the streaming-PS fallback; only generate one
   // where that path is armed and single-shot.
-  if (s.fabric.dead_after > 0 && s.workload.reductions == 1 && rng.chance(0.25)) {
+  if (t.n_switches > 0 && s.fabric.dead_after > 0 && s.workload.reductions == 1 &&
+      rng.chance(0.25)) {
     core::SwitchKillSpec spec;
     spec.switch_index = rng.below(t.n_switches);
     spec.at = rng.time_in(h / 5, h / 2);

@@ -27,7 +27,8 @@ namespace switchml::scenario {
 //     assertion checks;
 //   * flap cycles carry a bounded cycle count;
 //   * switch kills only when the fallback path is armed (single job, one
-//     reduction, dead_after > 0);
+//     reduction, dead_after > 0), and no switch restarts or kills on a
+//     streaming-PS fabric, which has no aggregation switch;
 //   * multi-job fabrics only target job 0's workers/links (the job the soak
 //     reduces); the shared switch may still restart.
 // All six fault classes are reachable across seeds.

@@ -146,14 +146,25 @@ core::TopologySpec load_topology(const json::Value& v, const std::string& path) 
     s.switch_parent = as_int_array(o.require("switch_parent"), path + ".switch_parent");
     s.worker_switch = as_int_array(o.require("worker_switch"), path + ".worker_switch");
     spec = s;
+  } else if (kind == "streaming_ps") {
+    core::StreamingPsSpec s;
+    s.n_workers = static_cast<int>(opt_int(o, "workers", s.n_workers));
+    const std::string placement = opt_str(o, "placement", "dedicated");
+    if (placement == "colocated")
+      s.placement = core::PsPlacement::Colocated;
+    else if (placement != "dedicated")
+      fail(path + ".placement",
+           "unknown placement \"" + placement + "\" (valid: dedicated, colocated)");
+    spec = s;
   } else {
-    fail(path + ".kind", "unknown topology kind \"" + kind +
-                             "\" (valid: rack, multi_job, hierarchy, tree, irregular)");
+    fail(path + ".kind",
+         "unknown topology kind \"" + kind +
+             "\" (valid: rack, multi_job, hierarchy, tree, irregular, streaming_ps)");
   }
   o.finish();
   // Structural validation now, with the topology's path on the error.
   try {
-    (void)core::lower_topology(spec);
+    core::validate_topology(spec);
   } catch (const std::invalid_argument& e) {
     fail(path, e.what());
   }
@@ -356,6 +367,14 @@ const char* to_string(NicProfile p) {
 }
 
 core::FaultTargets shape_counts(const core::TopologySpec& topology) {
+  if (const auto* ps = std::get_if<core::StreamingPsSpec>(&topology)) {
+    core::validate_topology(topology);
+    // No aggregation switch; a worker uplink each, plus a PS uplink each
+    // when the PS hosts are dedicated.
+    const auto n = static_cast<std::size_t>(ps->n_workers);
+    const bool dedicated = ps->placement == core::PsPlacement::Dedicated;
+    return core::FaultTargets{ps->n_workers, dedicated ? 2 * n : n, 0};
+  }
   const core::IrregularSpec spec = core::lower_topology(topology).spec;
   const std::size_t switches = spec.switch_parent.size();
   const std::size_t workers = spec.worker_switch.size();
@@ -441,6 +460,13 @@ json::Value to_json(const Scenario& s) {
                    for (int w : t.worker_switch) ws.emplace_back(w);
                    topo.set("switch_parent", std::move(parent));
                    topo.set("worker_switch", std::move(ws));
+                 },
+                 [&](const core::StreamingPsSpec& t) {
+                   topo.set("kind", "streaming_ps");
+                   topo.set("workers", t.n_workers);
+                   topo.set("placement", t.placement == core::PsPlacement::Dedicated
+                                             ? "dedicated"
+                                             : "colocated");
                  },
              },
              s.topology);

@@ -65,9 +65,10 @@ struct Scenario {
 };
 
 // Worker/link/switch counts of a TopologySpec WITHOUT building the fabric,
-// read off core::lower_topology — what the loader validates a FaultPlan's
-// indices against. (Link indices: on every shape, link w is worker w's
-// uplink, then the switch uplinks follow in switch order — see
+// read off core::lower_topology (a streaming PS: 0 switches, n links
+// colocated, 2n dedicated) — what the loader validates a FaultPlan's indices
+// against. (Link indices: on every shape, link w is worker w's uplink, then
+// the switch uplinks, or the PS uplinks, follow in order — see
 // core/fabric.hpp.) Throws std::invalid_argument on an invalid shape.
 [[nodiscard]] core::FaultTargets shape_counts(const core::TopologySpec& topology);
 

@@ -226,7 +226,7 @@ TEST(Attribution, ScopesNestAndNullMasks) {
     EXPECT_EQ(attr::SpanLedger::current(), &outer);
     {
       // Scope(nullptr) masks the outer ledger — the fabric uses this to keep
-      // the PS-fallback inner cluster (colliding node ids) out of the ledger.
+      // the PS-fallback replay fabric (colliding node ids) out of the ledger.
       attr::SpanLedger::Scope mask(nullptr);
       EXPECT_EQ(attr::SpanLedger::current(), nullptr);
       attr::open(7, 0, 0, 0);

@@ -1,6 +1,7 @@
 // Baseline-collective tests: data correctness of ring, halving-doubling and
-// the streaming parameter server, loss recovery, and the timing relationships
-// Fig 4 is built on.
+// the streaming parameter server (a core::Fabric shape), loss recovery, the
+// PS shape's attribution and fault plans, and the timing relationships Fig 4
+// is built on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +11,10 @@
 #include "collectives/halving_doubling.hpp"
 #include "collectives/ring.hpp"
 #include "collectives/streaming_ps.hpp"
+#include "common/attribution.hpp"
 #include "common/timeline.hpp"
+#include "core/fabric.hpp"
+#include "core/fault.hpp"
 #include "core/profiles.hpp"
 #include "sim/rng.hpp"
 
@@ -169,10 +173,11 @@ TEST(HalvingDoubling, BackToBackRunsEachDrainTheirOwnTraffic) {
 
 // -------------------------------------------------------------- streaming PS
 
-StreamingPsConfig sps_cfg(int n, StreamingPsPlacement placement, double loss = 0.0) {
-  StreamingPsConfig cfg;
-  cfg.n_workers = n;
-  cfg.placement = placement;
+using core::PsPlacement;
+
+core::FabricConfig sps_cfg(int n, PsPlacement placement, double loss = 0.0) {
+  core::FabricConfig cfg;
+  cfg.topology = core::StreamingPsSpec{n, placement};
   cfg.pool_size = 16;
   cfg.loss_prob = loss;
   cfg.nic = core::ps_host_nic(gbps(10));
@@ -196,7 +201,7 @@ std::vector<std::int32_t> i32_sum(const std::vector<std::vector<std::int32_t>>& 
 }
 
 TEST(StreamingPs, DedicatedComputesExactSums) {
-  StreamingPsCluster cluster(sps_cfg(4, StreamingPsPlacement::Dedicated));
+  core::Fabric cluster(sps_cfg(4, PsPlacement::Dedicated));
   auto updates = random_i32(4, 8192, 9);
   auto result = cluster.reduce_i32(updates);
   const auto expect = i32_sum(updates);
@@ -204,7 +209,7 @@ TEST(StreamingPs, DedicatedComputesExactSums) {
 }
 
 TEST(StreamingPs, ColocatedComputesExactSums) {
-  StreamingPsCluster cluster(sps_cfg(4, StreamingPsPlacement::Colocated));
+  core::Fabric cluster(sps_cfg(4, PsPlacement::Colocated));
   auto updates = random_i32(4, 8192, 10);
   auto result = cluster.reduce_i32(updates);
   const auto expect = i32_sum(updates);
@@ -212,25 +217,109 @@ TEST(StreamingPs, ColocatedComputesExactSums) {
 }
 
 TEST(StreamingPs, DedicatedSurvivesLoss) {
-  StreamingPsCluster cluster(sps_cfg(4, StreamingPsPlacement::Dedicated, 0.02));
+  core::Fabric cluster(sps_cfg(4, PsPlacement::Dedicated, 0.02));
   auto updates = random_i32(4, 8192, 11);
   auto result = cluster.reduce_i32(updates);
   EXPECT_EQ(result.outputs[0], i32_sum(updates));
 }
 
 TEST(StreamingPs, ColocatedSurvivesLoss) {
-  StreamingPsCluster cluster(sps_cfg(3, StreamingPsPlacement::Colocated, 0.02));
+  core::Fabric cluster(sps_cfg(3, PsPlacement::Colocated, 0.02));
   auto updates = random_i32(3, 8192, 12);
   auto result = cluster.reduce_i32(updates);
   EXPECT_EQ(result.outputs[2], i32_sum(updates));
 }
 
 TEST(StreamingPs, ConsecutiveReductions) {
-  StreamingPsCluster cluster(sps_cfg(4, StreamingPsPlacement::Dedicated));
+  core::Fabric cluster(sps_cfg(4, PsPlacement::Dedicated));
   for (int round = 0; round < 3; ++round) {
     auto updates = random_i32(4, 2048, 13 + static_cast<std::uint64_t>(round));
     auto result = cluster.reduce_i32(updates);
     ASSERT_EQ(result.outputs[0], i32_sum(updates)) << "round " << round;
+  }
+}
+
+// The PS TATs the standalone PS cluster measured before the PS became a
+// fabric shape: 4 workers, 10 Gbps, UDP, pool 128, a 1 MiB tensor.
+TEST(StreamingPs, TatsMatchTheStandaloneCluster) {
+  const auto tats = [](PsPlacement placement) {
+    core::FabricConfig cfg = sps_cfg(4, placement);
+    cfg.pool_size = 128;
+    cfg.transport = net::TransportKind::kUdp;
+    cfg.timing_only = true;
+    core::Fabric cluster(cfg);
+    return cluster.reduce_timing(256 * 1024);
+  };
+  EXPECT_EQ(tats(PsPlacement::Dedicated),
+            (std::vector<Time>{1'298'256, 1'298'400, 1'298'544, 1'298'688}));
+  EXPECT_EQ(tats(PsPlacement::Colocated),
+            (std::vector<Time>{2'074'008, 2'074'152, 2'074'296, 2'074'440}));
+}
+
+// The shards attribute slot dwell like the switch does, so a PS run under a
+// ledger conserves every chunk's time exactly and closes every chunk; with
+// loss, the shards also attribute the duplicates they ignore or answer.
+TEST(StreamingPs, AttributionConservesOnBothPlacements) {
+  for (double loss : {0.0, 0.02}) {
+    for (PsPlacement placement : {PsPlacement::Dedicated, PsPlacement::Colocated}) {
+      SCOPED_TRACE((placement == PsPlacement::Dedicated ? "dedicated, loss " : "colocated, loss ") +
+                   std::to_string(loss));
+      attr::SpanLedger ledger;
+      attr::SpanLedger::Scope scope(&ledger);
+      core::FabricConfig cfg = sps_cfg(4, placement, loss);
+      cfg.timing_only = true;
+      core::Fabric cluster(cfg);
+      cluster.reduce_timing(8192);
+      EXPECT_EQ(ledger.max_residual_ns(), 0u);
+      EXPECT_EQ(ledger.chunks_closed(), 4u * 8192 / net::kDefaultElemsPerPacket);
+      EXPECT_EQ(ledger.reopened(), 0u);
+      EXPECT_GT(ledger.total(attr::Component::kSwitchWait), 0u);
+      EXPECT_GT(ledger.total(attr::Component::kSwitchReady), 0u);
+      const auto snap = cluster.metrics().snapshot();
+      EXPECT_EQ(snap.counter("attr.chunks_closed"), ledger.chunks_closed());
+      if (loss > 0) {
+        EXPECT_GT(ledger.total(attr::Component::kRtoStall), 0u);
+        EXPECT_GT(snap.sum(".duplicates"), 0u);
+      }
+    }
+  }
+}
+
+// A FaultPlan reaches the PS: flapping PS host 1's uplink (link n + 1) drops
+// the updates and results it carries, and the workers' timers repair them.
+TEST(StreamingPs, PsUplinkFlapKeepsSumsBitExact) {
+  core::FabricConfig cfg = sps_cfg(4, PsPlacement::Dedicated);
+  cfg.faults.flaps.push_back({5, usec(20), usec(60)});
+  core::Fabric cluster(cfg);
+  auto updates = random_i32(4, 8192, 14);
+  auto result = cluster.reduce_i32(updates);
+  const auto expect = i32_sum(updates);
+  for (int w = 0; w < 4; ++w) EXPECT_EQ(result.outputs[static_cast<std::size_t>(w)], expect);
+
+  net::Link& flapped = cluster.link(5);
+  const net::Node& sw = cluster.link(0).peer_of(cluster.worker(0));
+  EXPECT_EQ(cluster.fault_injector()->counters().flaps_applied, 1u);
+  EXPECT_GT(flapped.counters_from(sw).dropped_down +
+                flapped.counters_from(flapped.peer_of(sw)).dropped_down,
+            0u);
+  std::uint64_t retransmissions = 0;
+  for (int w = 0; w < 4; ++w) retransmissions += cluster.worker(w).counters().retransmissions;
+  EXPECT_GT(retransmissions, 0u);
+}
+
+// No aggregation switch: root() throws, and a plan that restarts or kills a
+// switch is rejected (the PS workers have no dead-switch retry budget).
+TEST(StreamingPs, HasNoAggregationSwitch) {
+  for (PsPlacement placement : {PsPlacement::Dedicated, PsPlacement::Colocated}) {
+    core::FabricConfig cfg = sps_cfg(2, placement);
+    core::Fabric cluster(cfg);
+    EXPECT_EQ(cluster.n_switches(), 0u);
+    EXPECT_THROW((void)cluster.root(), std::logic_error);
+    cfg.faults.switch_kills.push_back({0, usec(10)});
+    EXPECT_THROW(core::Fabric{cfg}, std::invalid_argument);
+    cfg.faults = {};
+    cfg.faults.switch_restarts.push_back({0, usec(10)});
+    EXPECT_THROW(core::Fabric{cfg}, std::invalid_argument);
   }
 }
 
@@ -283,16 +372,16 @@ TEST(SoftwareAggregator, RejectsInvalidConfiguration) {
 
 TEST(Fig4Relations, ColocatedPsIsRoughlyHalfOfDedicated) {
   const std::uint64_t elems = 256 * 1024;
-  auto run = [&](StreamingPsPlacement p) {
-    StreamingPsConfig cfg = sps_cfg(4, p);
+  auto run = [&](PsPlacement p) {
+    core::FabricConfig cfg = sps_cfg(4, p);
     cfg.pool_size = 128;
     cfg.timing_only = true;
-    StreamingPsCluster cluster(cfg);
+    core::Fabric cluster(cfg);
     auto tats = cluster.reduce_timing(elems);
     return static_cast<double>(elems) / to_sec(tats[0]);
   };
-  const double dedicated = run(StreamingPsPlacement::Dedicated);
-  const double colocated = run(StreamingPsPlacement::Colocated);
+  const double dedicated = run(PsPlacement::Dedicated);
+  const double colocated = run(PsPlacement::Colocated);
   EXPECT_GT(dedicated, colocated * 1.5);
   EXPECT_LT(dedicated, colocated * 2.5);
 }

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "collectives/streaming_ps.hpp"
 #include "common/json.hpp"
 #include "common/metrics.hpp"
 #include "core/cluster.hpp"
@@ -185,9 +184,9 @@ TEST(MetricsCluster, EachClusterOwnsItsOwnRegistry) {
 }
 
 TEST(MetricsCluster, StreamingPsRegistersShardCounters) {
-  collectives::StreamingPsConfig cfg;
-  cfg.n_workers = 2;
-  collectives::StreamingPsCluster ps(cfg);
+  core::FabricConfig cfg;
+  cfg.topology = core::StreamingPsSpec{.n_workers = 2};
+  core::Fabric ps(cfg);
   std::vector<std::vector<std::int32_t>> updates(2, std::vector<std::int32_t>(256, 2));
   ps.reduce_i32(updates);
   auto snap = ps.metrics().snapshot();

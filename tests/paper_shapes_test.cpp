@@ -7,7 +7,6 @@
 #include "collectives/baseline_cluster.hpp"
 #include "collectives/bounds.hpp"
 #include "collectives/ring.hpp"
-#include "collectives/streaming_ps.hpp"
 #include "core/cluster.hpp"
 #include "core/profiles.hpp"
 
@@ -50,15 +49,12 @@ double ring_ate(const core::BaselineProfile& profile, BitsPerSecond rate, int wo
   return static_cast<double>(kElems) / to_sec(t);
 }
 
-double ps_ate(collectives::StreamingPsPlacement placement, BitsPerSecond rate, int workers) {
-  collectives::StreamingPsConfig cfg;
-  cfg.n_workers = workers;
-  cfg.placement = placement;
-  cfg.link_rate = rate;
+double ps_ate(core::PsPlacement placement, BitsPerSecond rate, int workers) {
+  core::FabricConfig cfg(core::ClusterConfig::for_rate(rate),
+                         core::StreamingPsSpec{workers, placement});
   cfg.nic = core::ps_host_nic(rate);
-  cfg.pool_size = rate >= gbps(100) ? 512 : 128;
   cfg.timing_only = true;
-  collectives::StreamingPsCluster cluster(cfg);
+  core::Fabric cluster(cfg);
   auto tats = cluster.reduce_timing(kElems);
   return static_cast<double>(kElems) / to_sec(tats[0]);
 }
@@ -95,8 +91,8 @@ TEST(PaperShapes, Fig4StrategyOrderingAt10Gbps) {
 
 TEST(PaperShapes, Fig4DedicatedPsMatchesSwitchMlColocatedHalves) {
   const double sml = switchml_ate(gbps(10), 8);
-  const double dedicated = ps_ate(collectives::StreamingPsPlacement::Dedicated, gbps(10), 8);
-  const double colocated = ps_ate(collectives::StreamingPsPlacement::Colocated, gbps(10), 8);
+  const double dedicated = ps_ate(core::PsPlacement::Dedicated, gbps(10), 8);
+  const double colocated = ps_ate(core::PsPlacement::Colocated, gbps(10), 8);
   EXPECT_GT(dedicated, 0.85 * sml); // "matches, with 2x the machines"
   EXPECT_LT(colocated, 0.65 * dedicated);
   EXPECT_GT(colocated, 0.40 * dedicated);

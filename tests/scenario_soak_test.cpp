@@ -122,8 +122,8 @@ void soak_one(std::uint64_t seed) {
   // Downed links deliver nothing: no `deliver` between a flapped link's
   // endpoints strictly inside its one-shot window (endpoints excluded — a
   // delivery scheduled for the same instant as the down edge may legally
-  // land first). A switch-dead fallback replays on a cluster of its own,
-  // whose clock restarts at 0 and whose node ids collide with the fabric's,
+  // land first). A switch-dead fallback replays on a fabric of its own,
+  // whose clock restarts at 0 and whose node ids collide with the job's,
   // so the scan ends at its `fallback_begin`.
   EXPECT_EQ(sink.total_drops(), 0u);
   for (const trace::Event& e : sink.events()) {

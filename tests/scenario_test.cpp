@@ -103,12 +103,20 @@ TEST(ScenarioLoader, SchemaVersionAndNameRequired) {
 TEST(ScenarioLoader, BadTopologyRejected) {
   expect_load_error(R"({"schema_version": 1, "name": "t", "topology": {"kind": "ring"}})",
                     "unknown topology kind \"ring\"");
-  // IrregularSpec structural errors surface under $.topology.
-  expect_load_error(R"({"schema_version": 1, "name": "t",
-                        "topology": {"kind": "irregular",
-                                     "switch_parent": [0],
-                                     "worker_switch": [0, 0]}})",
-                    "$.topology");
+  // IrregularSpec structural errors surface under $.topology, one message
+  // per rule.
+  const auto irregular = [](const std::string& parents, const std::string& workers) {
+    return R"({"schema_version": 1, "name": "t", "topology": {"kind": "irregular",
+              "switch_parent": )" + parents + R"(, "worker_switch": )" + workers + "}}";
+  };
+  expect_load_error(irregular("[0]", "[0, 0]"), "$.topology: IrregularSpec: switch_parent[0]");
+  expect_load_error(irregular("[-1, 1]", "[1]"),
+                    "switch_parent[1] = 1 must name an earlier switch");
+  expect_load_error(irregular("[-1]", "[]"), "need at least one worker");
+  expect_load_error(irregular("[-1]", "[0, 1]"), "worker_switch[1] = 1 out of range");
+  expect_load_error(irregular("[-1, 0, 0]", "[2, 1]"), "worker_switch must be non-decreasing");
+  expect_load_error(irregular("[-1, 0]", "[0, 1]"), "switch 0 has both worker and switch children");
+  expect_load_error(irregular("[-1, 0, 0]", "[1, 1]"), "switch 2 has no children");
   // Parametric shapes are checked by the same lowering the fabric builds
   // from, with the fabric's messages.
   expect_load_error(R"({"schema_version": 1, "name": "t",
@@ -118,6 +126,21 @@ TEST(ScenarioLoader, BadTopologyRejected) {
                         "topology": {"kind": "hierarchy", "racks": -1,
                                      "workers_per_rack": -2}})",
                     "$.topology: Fabric: invalid hierarchy shape");
+  // The streaming PS: 1..64 workers, a known placement, and no switch to
+  // restart or kill.
+  for (const char* workers : {"0", "65"})
+    expect_load_error(R"({"schema_version": 1, "name": "t",
+                          "topology": {"kind": "streaming_ps", "workers": )" +
+                          std::string(workers) + "}}",
+                      "$.topology: Fabric: a streaming PS needs 1..64 workers");
+  expect_load_error(R"({"schema_version": 1, "name": "t",
+                        "topology": {"kind": "streaming_ps", "placement": "rack"}})",
+                    "$.topology.placement: unknown placement \"rack\"");
+  expect_load_error(R"({"schema_version": 1, "name": "t",
+                        "topology": {"kind": "streaming_ps", "workers": 4},
+                        "faults": {"switch_kills": [{"switch": 0, "at_ns": 1000}]}})",
+                    "$.faults: FaultPlan: switch_kills[0] at t=1000 ns: switch 0 out of range "
+                    "(fabric has 0 switches)");
 }
 
 TEST(ScenarioLoader, FaultPlanValidatedEagerlyWithPath) {
@@ -179,13 +202,29 @@ TEST(FaultPlanValidation, DutyAndOverlapCaughtBeforeArming) {
 
 // --- round trips -------------------------------------------------------------
 
+// The streaming-PS shapes: n workers, no aggregation switch, n worker
+// uplinks plus n PS uplinks when the PS hosts are dedicated.
+const core::StreamingPsSpec kPsShapes[] = {{3, core::PsPlacement::Dedicated},
+                                           {3, core::PsPlacement::Colocated}};
+
 TEST(ScenarioRoundTrip, NormalizedFormIsAFixedPoint) {
-  for (std::uint64_t seed = 0; seed < 25; ++seed) {
-    Scenario s = fuzz_scenario(seed);
-    fuzz_faults(s, seed, msec(1));
+  const auto round_trip = [](const Scenario& s) {
     const std::string once = to_json(s).dump(true);
     const Scenario loaded = load_string(once);
-    EXPECT_EQ(to_json(loaded).dump(true), once) << "seed " << seed;
+    EXPECT_EQ(to_json(loaded).dump(true), once);
+  };
+  for (std::uint64_t seed = 0; seed < 25; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Scenario s = fuzz_scenario(seed);
+    fuzz_faults(s, seed, msec(1));
+    round_trip(s);
+    // The same knobs and a plan for this seed on the two streaming-PS shapes.
+    for (const core::StreamingPsSpec& ps : kPsShapes) {
+      s.topology = ps;
+      s.fabric.faults = {};
+      fuzz_faults(s, seed, msec(1));
+      round_trip(s);
+    }
   }
 }
 
@@ -222,16 +261,25 @@ std::vector<ShapeCase> shape_cases() {
 }
 
 TEST(ScenarioShapes, CountsMatchBuiltFabric) {
+  core::FabricParams p;
+  p.timing_only = true;
   for (const ShapeCase& c : shape_cases()) {
     const core::FaultTargets t = shape_counts(c.topo);
-    core::FabricParams p;
-    p.timing_only = true;
     core::Fabric f(core::FabricConfig(p, c.topo));
     EXPECT_EQ(t.n_workers, f.n_workers());
     EXPECT_EQ(t.n_links, f.n_links());
     EXPECT_EQ(t.n_switches, f.n_switches());
     EXPECT_EQ(t.n_switches, c.switch_parent.size());
     EXPECT_EQ(t.n_workers, static_cast<int>(c.worker_switch.size()));
+  }
+  for (const core::StreamingPsSpec& ps : kPsShapes) {
+    const core::FaultTargets t = shape_counts(ps);
+    core::Fabric f(core::FabricConfig(p, ps));
+    EXPECT_EQ(t.n_workers, f.n_workers());
+    EXPECT_EQ(t.n_links, f.n_links());
+    EXPECT_EQ(t.n_switches, f.n_switches());
+    EXPECT_EQ(t.n_switches, 0u);
+    EXPECT_EQ(t.n_links, ps.placement == core::PsPlacement::Dedicated ? 6u : 3u);
   }
 }
 
@@ -313,6 +361,58 @@ TEST(ScenarioShapes, WiringFollowsOneRule) {
       drops.push_back(l.counters_from(f.root()).dropped_loss);
     }
     EXPECT_EQ(drops, c.lossy_drops);
+  }
+
+  // The streaming-PS shape extends the rule: its plain L2 switch is `switch`
+  // (id 10000), worker g is `worker-<g>` on port g, dedicated PS host j is
+  // `ps-<j>` (id 1000 + j) on port n + j with link seed seed + 500 + j; the
+  // PS uplinks follow the worker uplinks. Names and seeds key each link's
+  // loss draws, so per-worker TATs and per-link dropped_loss (host direction,
+  // then switch direction) after one 8192-element timing reduction at 1 %
+  // loss pin them; recorded when the PS became a fabric shape.
+  const std::vector<Time> ps_lossy_tats[] = {{3039040, 4039040, 3039328},
+                                             {3039040, 3039184, 3033316}};
+  const std::vector<std::uint64_t> ps_lossy_drops[] = {{4, 3, 3, 4, 5, 1, 6, 1, 0, 2, 3, 3},
+                                                       {5, 3, 4, 6, 9, 4}};
+  for (std::size_t k = 0; k < std::size(kPsShapes); ++k) {
+    const core::StreamingPsSpec& ps = kPsShapes[k];
+    const bool dedicated = ps.placement == core::PsPlacement::Dedicated;
+    SCOPED_TRACE(dedicated ? "dedicated PS" : "colocated PS");
+    core::FabricParams p;
+    p.timing_only = true;
+    p.transport = net::TransportKind::kUdp;
+    core::Fabric f(core::FabricConfig(p, ps));
+    const int n = ps.n_workers;
+    ASSERT_EQ(f.n_switches(), 0u);
+    ASSERT_EQ(f.n_links(), static_cast<std::size_t>(dedicated ? 2 * n : n));
+    EXPECT_THROW((void)f.root(), std::logic_error);
+    auto& sw = dynamic_cast<net::L2Switch&>(f.link(0).peer_of(f.worker(0)));
+    EXPECT_EQ(sw.name(), "switch");
+    EXPECT_EQ(sw.id(), 10'000u);
+    for (int w = 0; w < n; ++w) {
+      worker::Worker& wk = f.worker(w);
+      EXPECT_EQ(wk.id(), static_cast<net::NodeId>(w));
+      EXPECT_EQ(wk.name(), "worker-" + std::to_string(w));
+      EXPECT_EQ(&f.link(static_cast<std::size_t>(w)).peer_of(wk), &sw) << "worker " << w;
+      EXPECT_EQ(sw.port_of(wk.id()), w);
+      EXPECT_EQ(wk.config().n_workers, n);
+    }
+    for (int j = 0; j < (dedicated ? n : 0); ++j) {
+      const net::Node& host = f.link(static_cast<std::size_t>(n + j)).peer_of(sw);
+      EXPECT_EQ(host.name(), "ps-" + std::to_string(j));
+      EXPECT_EQ(host.id(), 1000u + static_cast<unsigned>(j));
+      EXPECT_EQ(sw.port_of(host.id()), n + j);
+    }
+
+    f.set_loss_prob(0.01);
+    EXPECT_EQ(f.reduce_timing(8192), ps_lossy_tats[k]);
+    std::vector<std::uint64_t> drops;
+    for (std::size_t i = 0; i < f.n_links(); ++i) {
+      net::Link& l = f.link(i);
+      drops.push_back(l.counters_from(l.peer_of(sw)).dropped_loss);
+      drops.push_back(l.counters_from(sw).dropped_loss);
+    }
+    EXPECT_EQ(drops, ps_lossy_drops[k]);
   }
 }
 
