@@ -9,7 +9,9 @@
 // The representative pattern is BM_TimerRearm: one timer moved N times
 // before it fires, which keeps one queued key throughout. BM_ScheduleCancelFire
 // is the cancel + schedule equivalent, which leaves one cancelled key per
-// schedule behind in the queue.
+// schedule behind in the queue. BM_StreamDeliveries is the whole packet path
+// of a 100 Gbps rack: FIFO streams of queued deliveries beside armed RTO
+// timers.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -97,6 +99,52 @@ void BM_TimerChurn(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_TimerChurn)->Arg(1 << 16);
+
+// The shape of a 100 Gbps rack reduction: 16 FIFO streams (link directions)
+// of queued deliveries, 4,096 in all, beside 4,096 armed RTO timers about
+// 1 ms out. Each delivery re-arms one timer, as a worker's send does, and
+// queues its stream's next delivery behind the stream's tail. The event heap
+// holds one key per stream; the timer heap holds the 4,096 timer keys.
+void BM_StreamDeliveries(benchmark::State& state) {
+  constexpr int kStreams = 16;
+  constexpr int kDepth = 256;  // deliveries queued per stream
+  constexpr int kTimers = 4096;
+  constexpr Time kGap = 100;   // ns between a stream's deliveries
+  constexpr Time kRto = 1'000'000;
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  for (auto _ : state) {
+    sim::Simulation s;
+    const sim::StreamId first = s.open_streams(kStreams);
+    std::vector<Time> tail(kStreams);
+    std::vector<sim::TimerHandle> timers(kTimers);
+    std::uint64_t queued = 0;
+    std::uint64_t delivered = 0;
+    std::function<void(int)> deliver;
+    const auto push = [&](int k) {
+      const auto uk = static_cast<std::size_t>(k);
+      tail[uk] += kGap;
+      s.schedule_on(first + static_cast<sim::StreamId>(k), tail[uk], [&deliver, k] { deliver(k); });
+      ++queued;
+    };
+    deliver = [&](int k) {
+      sim::TimerHandle& t = timers[delivered++ % kTimers];
+      t = s.rearm_timer(t, kRto, [] {});
+      if (queued < n) push(k);
+      if (delivered == n)
+        for (sim::TimerHandle& h : timers) h.cancel();
+    };
+    for (int k = 0; k < kStreams; ++k)
+      tail[static_cast<std::size_t>(k)] = k; // staggered: few same-time ties
+    for (int d = 0; d < kDepth; ++d)
+      for (int k = 0; k < kStreams; ++k) push(k);
+    for (sim::TimerHandle& t : timers) t = s.schedule_timer(kRto, [] {});
+    s.run();
+    benchmark::DoNotOptimize(delivered);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_StreamDeliveries)->Arg(1 << 18);
 
 } // namespace
 

@@ -24,31 +24,8 @@ Link* L2Switch::link_at(int port) const {
   return it == links_.end() ? nullptr : it->second;
 }
 
-void L2Switch::stamp_int(Packet& p, Link& egress) {
-  if constexpr (!inttel::kCompiledIn) {
-    (void)p;
-    (void)egress;
-    return;
-  }
-  const bool stampable = p.kind == PacketKind::SmlUpdate || p.kind == PacketKind::SmlResult ||
-                         p.kind == PacketKind::SmlRescue;
-  if (p.int_mode == inttel::kModeOff || !stampable) return;
-  if (inttel::last_hop_id(p.int_stack) == id()) return; // subclass already stamped
-  inttel::IntHopRecord rec;
-  rec.hop_id = id();
-  rec.next_hop = p.dst;
-  rec.hop_latency_ns = static_cast<std::uint32_t>(pipeline_latency_);
-  const std::int64_t qb = egress.queue_depth_bytes(*this);
-  const std::int64_t qp = egress.queue_depth_pkts(*this);
-  rec.queue_bytes = qb > 0xFFFFFFFFll ? 0xFFFFFFFFu : static_cast<std::uint32_t>(qb);
-  rec.queue_pkts = qp > 0xFFFFll ? 0xFFFFu : static_cast<std::uint16_t>(qp);
-  rec.flags = inttel::kHopFlagL2;
-  inttel::append_record(p.int_stack, rec);
-}
-
 void L2Switch::forward(Packet&& p) {
   Link* link = links_.at(port_of(p.dst));
-  stamp_int(p, *link);
   link->send_from(*this, std::move(p), sim_.now() + pipeline_latency_);
 }
 
@@ -60,7 +37,6 @@ void L2Switch::multicast(std::uint32_t group, const Packet& p) {
     Packet copy = p;
     Link* link = links_.at(port);
     copy.dst = link->peer_of(*this).id();
-    stamp_int(copy, *link);
     link->send_from(*this, std::move(copy), ready);
   }
 }

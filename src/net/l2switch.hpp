@@ -41,13 +41,6 @@ public:
     return it == mcast_.end() ? nullptr : &it->second;
   }
 
-protected:
-  // Pushes this switch's INT pipeline record (kHopFlagL2: pipeline latency +
-  // egress queue depth) onto an INT-carrying data packet. No-op when the top
-  // record was already stamped by this node (the aggregation subclass pushes
-  // its richer record itself).
-  void stamp_int(Packet& p, Link& egress);
-
 private:
   Time pipeline_latency_;
   std::unordered_map<int, Link*> links_;

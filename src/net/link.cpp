@@ -48,8 +48,10 @@ Link::Link(sim::Simulation& simulation, const LinkConfig& config, Node& end_a, i
       seed_(seed),
       end_a_(&end_a),
       end_b_(&end_b),
-      a_to_b_{&end_b, port_b, sim::Rng::stream(seed, end_a.name() + "->" + end_b.name())},
-      b_to_a_{&end_a, port_a, sim::Rng::stream(seed, end_b.name() + "->" + end_a.name())} {
+      a_to_b_{&end_b, port_b, simulation.open_streams(1),
+              sim::Rng::stream(seed, end_a.name() + "->" + end_b.name())},
+      b_to_a_{&end_a, port_a, simulation.open_streams(1),
+              sim::Rng::stream(seed, end_b.name() + "->" + end_a.name())} {
   if (config.rate <= 0) throw std::invalid_argument("Link rate must be positive");
 
   if (auto* reg = MetricsRegistry::current()) {
@@ -357,7 +359,10 @@ void Link::transmit(const Node& sender, Direction& dir, Packet&& p, Time earlies
   if (attributed)
     attr::transition_matching(owner, p.idx, owner_off, attr::Component::kProp, finish);
   dir.pending.push_back({seq, finish + config_.propagation, std::move(p)});
-  sim_.schedule_at(finish + config_.propagation,
+  // Finishes only grow between rate changes, so deliveries join the
+  // direction's stream in time order (an earlier one, after a speed-up, is
+  // queued as a plain event).
+  sim_.schedule_on(dir.stream, finish + config_.propagation,
                    [this, dirp = &dir, seq] { deliver_event(*dirp, seq); });
 }
 

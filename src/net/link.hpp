@@ -4,7 +4,9 @@
 //
 // The serialization model keeps exactly one simulator event per delivered
 // packet: queue occupancy is tracked lazily with a deque of in-flight
-// serialization records drained on each send. Deliveries are keyed by a
+// serialization records drained on each send. A direction is a FIFO pipe, so
+// its deliveries ride one ordered event stream (sim::Simulation::schedule_on)
+// and hold one event-heap key between them. Deliveries are keyed by a
 // per-direction sequence number so mid-run mutations can retarget them:
 // `set_rate` re-plans every unfinished serialization (bits already clocked
 // out at the old rate stay out) and `set_down` kills everything undelivered —
@@ -145,10 +147,11 @@ private:
   };
 
   struct Direction {
-    Direction(Node* to, int to_port, sim::Rng rng)
-        : to(to), to_port(to_port), rng(std::move(rng)) {}
+    Direction(Node* to, int to_port, sim::StreamId stream, sim::Rng rng)
+        : to(to), to_port(to_port), stream(stream), rng(std::move(rng)) {}
     Node* to;
     int to_port;
+    sim::StreamId stream; // the deliveries' event stream
     Time busy_until = 0;
     std::int64_t backlog_bytes = 0;
     std::deque<InFlight> in_flight;

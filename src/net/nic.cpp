@@ -10,6 +10,7 @@ HostNic::HostNic(sim::Simulation& simulation, const NicConfig& config)
   if (config.cores < 1) throw std::invalid_argument("HostNic: cores must be >= 1");
   if (config.batch_size < 1) throw std::invalid_argument("HostNic: batch_size must be >= 1");
   busy_.assign(static_cast<std::size_t>(config.cores), 0);
+  rx_stream0_ = simulation.open_streams(static_cast<std::uint32_t>(config.cores));
 }
 
 void HostNic::set_slowdown(double factor) {
@@ -46,7 +47,8 @@ Time HostNic::tx_ready(int core, std::int64_t wire_bytes) {
 void HostNic::rx_process(int core, std::int64_t wire_bytes, sim::EventFn deliver) {
   const Time done =
       occupy(core, effective_cost(config_.per_packet_rx, config_.per_byte_rx, wire_bytes));
-  sim_.schedule_at(done + config_.rx_latency, std::move(deliver));
+  sim_.schedule_on(rx_stream0_ + static_cast<sim::StreamId>(core), done + config_.rx_latency,
+                   std::move(deliver));
 }
 
 } // namespace switchml::net

@@ -47,7 +47,9 @@ public:
   // Schedules `deliver` to run once `core` has processed a packet of
   // `wire_bytes` that arrived now. One simulator event per received packet;
   // the closure rides the simulator's allocation-free EventFn, so its
-  // captures must fit sim::EventFn's inline buffer.
+  // captures must fit sim::EventFn's inline buffer. A core finishes its
+  // packets in arrival order, so each core's completions ride one ordered
+  // event stream.
   void rx_process(int core, std::int64_t wire_bytes, sim::EventFn deliver);
 
   // Total CPU-busy nanoseconds accumulated across cores (for utilization
@@ -69,6 +71,7 @@ private:
   sim::Simulation& sim_;
   NicConfig config_;
   std::vector<Time> busy_;
+  sim::StreamId rx_stream0_ = 0; // core c's completions ride stream rx_stream0_ + c
   Time total_busy_ = 0;
   double slowdown_ = 1.0;
 };

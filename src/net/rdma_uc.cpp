@@ -29,6 +29,7 @@ RdmaUcChannel::RdmaUcChannel(sim::Simulation& simulation, std::string name, Node
   if (params.doorbell_batch < 1)
     throw std::invalid_argument("RdmaUcChannel: doorbell_batch must be >= 1");
   busy_.assign(static_cast<std::size_t>(nic_.cores()), 0);
+  rx_stream0_ = simulation.open_streams(static_cast<std::uint32_t>(nic_.cores()));
   if (auto* reg = MetricsRegistry::current()) {
     const std::string p = name_ + ".rdma.";
     reg->add_counter(p + "wqes_posted", [this] { return counters_.wqes_posted; });
@@ -81,7 +82,8 @@ void RdmaUcChannel::rx_process(int lane, const Packet& p, sim::EventFn deliver) 
   trace::emit(trace::kCatTransport, sim_.now(), owner_, "cqe", {"lane", lane},
               {"segs", segments_of(p)}, {"bytes", p.wire_bytes()});
   const Time done = occupy(lane, params_.cqe_poll);
-  sim_.schedule_at(done + params_.rx_latency, std::move(deliver));
+  sim_.schedule_on(rx_stream0_ + static_cast<sim::StreamId>(lane), done + params_.rx_latency,
+                   std::move(deliver));
 }
 
 std::unique_ptr<Channel> make_channel(sim::Simulation& simulation, const std::string& name,

@@ -51,6 +51,7 @@ private:
   HostNic& nic_; // lane count + straggler slowdown live on the host's NIC
   RdmaUcParams params_;
   std::vector<Time> busy_; // per-lane busy-until, like HostNic's cores
+  sim::StreamId rx_stream0_ = 0; // lane l's completions ride stream rx_stream0_ + l
   Time total_busy_ = 0;
   std::uint64_t posts_since_doorbell_ = 0;
   Counters counters_;

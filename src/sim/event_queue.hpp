@@ -1,43 +1,58 @@
 // Slab-backed event queue: the storage and ordering core of the simulator.
 //
-// Two structures, deliberately separated:
+// Three structures, deliberately separated:
 //
 //   - a RECYCLING SLAB of event records (the 64-byte EventFn closure plus
-//     timer state), allocated in fixed-size chunks so a record's address
+//     ordering state), allocated in fixed-size chunks so a record's address
 //     never changes while it is queued and growth never moves a live
 //     closure. Slots are recycled through a free list when their event pops,
 //     and a per-slot generation counter invalidates stale cancellation refs.
 //
-//   - an intrusive 4-ARY MIN-HEAP over 16-byte keys {time, seq|slot}. Sifts
-//     move only keys — never closures — and a 64-byte cache line holds four
-//     of them, which is exactly one 4-ary node's children: a sift-down
-//     compares all four with a single line fetch, and the tree is half the
-//     depth of a binary heap. (The old std::priority_queue<Event> sifted
-//     whole events, moving a std::function at every level.)
+//   - two intrusive 4-ARY MIN-HEAPS over 16-byte keys {time, seq|slot}: the
+//     EVENT heap (plain events and stream heads) and the TIMER heap
+//     (cancellable and daemon timers). Sifts move only keys, never closures,
+//     and a 64-byte cache line holds four of them, which is exactly one 4-ary
+//     node's children. A pop takes the earlier of the two tops.
+//
+//   - ordered STREAMS: FIFO pipes (one link direction, one NIC core) whose
+//     events are pushed in non-decreasing time order. Only a stream's head
+//     holds a key in the event heap; its later entries wait in an intrusive
+//     FIFO threaded through their records, each holding the seq drawn when
+//     it was pushed. When the head pops, its successor is keyed in its place.
+//     A link direction with a thousand packets in flight costs the heap one
+//     key, not a thousand.
 //
 // Ordering is (time, seq) with seq a per-queue monotonic counter, i.e. FIFO
-// for same-time events — identical to the previous engine, so same-seed runs
-// stay bit-identical. The seq is packed into the key's upper 40 bits above a
-// 24-bit slot index; since seqs are unique, key comparison IS (time, seq)
-// comparison. The counter resets whenever the queue drains, so the 40-bit
-// budget (~1.1e12 schedules between drains) is effectively unbounded; both
-// limits throw rather than wrap.
+// for same-time events. Seqs are drawn at push time whatever structure the
+// event lands in, and every (time, seq) key is unique, so the pop sequence is
+// exactly that of one priority queue over all events: a stream's successor is
+// never earlier than its head, and it is keyed the moment the head pops,
+// before anything later can be popped. A push earlier than its stream's tail
+// would break that, so it becomes a plain keyed event instead. The seq is
+// packed into the key's upper 40 bits above a 24-bit slot index; since seqs
+// are unique, key comparison IS (time, seq) comparison. The counter resets
+// only when nothing at all is queued, so the 40-bit budget (~1.1e12
+// schedules between drains) is effectively unbounded; both limits throw
+// rather than wrap.
 //
 // Cancellation drops straight to the slab: the closure is destroyed
 // immediately (releasing captured resources), the record is marked dead, and
-// the heap key stays behind to pop as a no-op — O(1), no heap surgery. The
-// `inert` count tracks queued keys that will never do observable work
+// the timer key stays behind to pop as a no-op — O(1), no heap surgery. The
+// `inert` count tracks queued timer keys that will never do observable work
 // (cancelled timers plus daemon events) so live() can answer "would the
-// simulation go quiet?" without scanning.
+// simulation go quiet?" without scanning. size() counts every queued event,
+// keyed or waiting in a stream.
 //
 // Re-arming moves an armed timer without a second key. Each record keeps its
 // target (at, seq) next to the time of its one queued key; rearm() swaps the
 // closure, draws the seq a cancel + push would have drawn, and moves only
 // the target. When the stale key reaches the top it is re-filed at the
-// target by replacing the heap top (never popping, so the heap cannot drain
-// and reset the seq counter); that pop runs nothing. Since the key never
-// sits later than the target and seqs are unique, every live event still
-// runs at exactly the (time, seq) a cancel + push would have given it.
+// target by replacing the timer heap's top (never popping, so the queue
+// cannot drain and reset the seq counter); that pop runs nothing. Since the
+// key never sits later than the target and seqs are unique, every live event
+// still runs at exactly the (time, seq) a cancel + push would have given it.
+// Stream records never re-arm, so their FIFO link shares the storage of that
+// queued-key time and the record stays 96 bytes.
 //
 // Each queue carries a DOMAIN id and its own seq counter. This is the seam
 // for the planned per-rack sharded engine: one EventQueue per shard domain,
@@ -63,6 +78,9 @@ class EventQueue {
 public:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
+  // Index of a stream in this queue. Streams live as long as the queue.
+  using StreamId = std::uint32_t;
+
   // Cancellation handle contents: slab slot + generation. Refs outlive their
   // event harmlessly — the generation check makes stale refs inert.
   struct Ref {
@@ -79,15 +97,52 @@ public:
   // passing an EventFn moves it in.
   template <typename F>
   void push(Time at, F&& fn) {
-    push_record(at, std::forward<F>(fn), false);
+    const std::uint32_t slot = push_record(at, std::forward<F>(fn), kNoStream);
+    sift_push(heap_, record(slot).target);
+  }
+
+  // Opens `n` empty streams with consecutive ids; returns the first.
+  StreamId open_streams(std::uint32_t n) {
+    const auto first = static_cast<StreamId>(streams_.size());
+    streams_.resize(streams_.size() + n);
+    return first;
+  }
+
+  // Schedules a plain event on stream `s`: the same (time, seq) order as
+  // push(), but the event takes a heap key only once it heads its stream.
+  // A push earlier than the stream's tail is a plain push.
+  template <typename F>
+  void push_stream(StreamId s, Time at, F&& fn) {
+    Stream& st = streams_[s];
+    if (st.tail != kNoSlot && at < st.tail_at) {
+      push(at, std::forward<F>(fn));
+      return;
+    }
+    const std::uint32_t slot = push_record(at, std::forward<F>(fn), s);
+    if (st.tail == kNoSlot) {
+      sift_push(heap_, record(slot).target);
+    } else {
+      record(st.tail).link.next = slot;
+      ++waiting_;
+    }
+    st.tail = slot;
+    st.tail_at = at;
   }
 
   // Schedules a cancellable event. `daemon` events are inert from birth:
   // they run, but never count as live work.
   template <typename F>
   Ref push_timer(Time at, F&& fn, bool daemon) {
-    const std::uint32_t slot = push_record(at, std::forward<F>(fn), daemon);
-    return Ref{slot, record(slot).gen};
+    const std::uint32_t slot = acquire_slot();
+    Record& rec = record(slot);
+    set_fn(rec, std::forward<F>(fn));
+    rec.armed = true;
+    rec.daemon = daemon;
+    inert_ += static_cast<std::uint64_t>(daemon);
+    rec.target = Key{at, draw_order(slot)};
+    rec.keyed_at = at;
+    sift_push(timers_, rec.target);
+    return Ref{slot, rec.gen};
   }
 
   // Moves armed, non-daemon timer `r` to fire at `at` running `fn`, keeping
@@ -126,20 +181,28 @@ public:
     return r.slot != kNoSlot && record(r.slot).gen == r.gen && record(r.slot).armed;
   }
 
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  [[nodiscard]] bool empty() const { return heap_.empty() && timers_.empty(); }
+  // Every queued event: keyed, waiting in a stream, or a timer key.
+  [[nodiscard]] std::size_t size() const { return heap_.size() + waiting_ + timers_.size(); }
+  // Keys in the event heap: plain events and stream heads.
+  [[nodiscard]] std::size_t keyed() const { return heap_.size(); }
+  [[nodiscard]] std::size_t streams() const { return streams_.size(); }
 
   // Queued events that will still do observable work (excludes cancelled
   // timers and daemons). Throws if the inert bookkeeping ever drifts past
   // the queue size — the alternative is a silent unsigned wrap that would
   // make "has the sim live work?" answer yes forever.
   [[nodiscard]] std::uint64_t live() const {
-    if (inert_ > heap_.size()) throw_inert_drift();
-    return heap_.size() - inert_;
+    if (inert_ > size()) throw_inert_drift();
+    return size() - inert_;
   }
 
   // Earliest queued time; queue must be non-empty.
-  [[nodiscard]] Time next_time() const { return heap_[0].at; }
+  [[nodiscard]] Time next_time() const {
+    if (timers_.empty()) return heap_[0].at;
+    if (heap_.empty()) return timers_[0].at;
+    return heap_[0].at < timers_[0].at ? heap_[0].at : timers_[0].at;
+  }
 
   [[nodiscard]] std::uint32_t domain() const { return domain_; }
 
@@ -156,27 +219,21 @@ public:
   // without invoking `on_live`.
   template <typename OnLive>
   bool pop_and_run(OnLive&& on_live) {
+    if (!timers_.empty() && (heap_.empty() || earlier(timers_[0], heap_[0])))
+      return pop_timer(on_live);
     const Key top = heap_[0];
     const auto slot = static_cast<std::uint32_t>(top.order & kSlotMask);
     Record& rec = record(slot);
-    const bool live = rec.armed;
-    const bool daemon = rec.daemon;
-    if (live && top.order != rec.target.order) {
-      rec.keyed_at = rec.target.at; // re-armed: move the one key to the target
-      sift_down(0, rec.target);
-      return false;
+    const StreamLink link = rec.link;
+    if (link.next != kNoSlot) { // key the stream's successor in the head's place
+      sift_down(heap_, 0, record(link.next).target);
+      --waiting_;
+    } else {
+      if (link.stream != kNoStream) streams_[link.stream].tail = kNoSlot;
+      sift_pop(heap_);
+      if (empty()) next_seq_ = 0; // drained: reclaim the 40-bit seq budget
     }
-    sift_pop();
-    inert_ -= static_cast<std::uint64_t>(!live | rec.daemon);
-    ++rec.gen; // the slot's one queued key is gone: refs die, slot recycles
-    rec.armed = false;
-    rec.daemon = false;
-    if (heap_.empty()) next_seq_ = 0; // drained: reclaim the 40-bit seq budget
-    if (!live) {
-      free_.push_back(slot);
-      return false;
-    }
-    on_live(top.at, daemon);
+    on_live(top.at, false);
     // Release the slot even if the closure throws (matching the old
     // move-out-then-run behaviour, where the event was gone either way).
     const SlotRelease release{this, slot};
@@ -199,15 +256,36 @@ private:
   static constexpr std::uint32_t kChunkShift = 10;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
 
+  static constexpr std::uint32_t kNoStream = 0xFFFFFFFFu;
+
+  // A plain or stream event's place in its stream: the next waiting entry
+  // and the owning stream (kNoStream for a plain event).
+  struct StreamLink {
+    std::uint32_t next;
+    std::uint32_t stream;
+  };
+
   // 96 bytes: the 64-byte closure, the target key, the queued key's time
-  // (never later than the target) and the timer state.
+  // (timers; never later than the target) or the stream link (plain and
+  // stream events), and the timer state.
   struct Record {
     EventFn fn;
     Key target{};
-    Time keyed_at = 0;
+    union {
+      Time keyed_at = 0;
+      StreamLink link;
+    };
     std::uint32_t gen = 0;
     bool armed = false;
     bool daemon = false;
+  };
+  static_assert(sizeof(Record) == 96);
+
+  // The tail's time is cached so a push compares without touching the
+  // tail's record.
+  struct Stream {
+    Time tail_at = 0;
+    std::uint32_t tail = kNoSlot;
   };
 
   [[nodiscard]] Record& record(std::uint32_t slot) {
@@ -231,18 +309,43 @@ private:
     return (next_seq_++ << kSlotBits) | slot;
   }
 
+  // Fills a plain or stream record (not yet keyed) and returns its slot.
   template <typename F>
-  std::uint32_t push_record(Time at, F&& fn, bool daemon) {
+  std::uint32_t push_record(Time at, F&& fn, StreamId stream) {
     const std::uint32_t slot = acquire_slot();
     Record& rec = record(slot);
     set_fn(rec, std::forward<F>(fn));
-    rec.armed = true;
-    rec.daemon = daemon;
-    inert_ += static_cast<std::uint64_t>(daemon);
+    rec.link = StreamLink{kNoSlot, stream};
     rec.target = Key{at, draw_order(slot)};
-    rec.keyed_at = at;
-    sift_push(rec.target);
     return slot;
+  }
+
+  template <typename OnLive>
+  bool pop_timer(OnLive& on_live) {
+    const Key top = timers_[0];
+    const auto slot = static_cast<std::uint32_t>(top.order & kSlotMask);
+    Record& rec = record(slot);
+    const bool live = rec.armed;
+    const bool daemon = rec.daemon;
+    if (live && top.order != rec.target.order) {
+      rec.keyed_at = rec.target.at; // re-armed: move the one key to the target
+      sift_down(timers_, 0, rec.target);
+      return false;
+    }
+    sift_pop(timers_);
+    inert_ -= static_cast<std::uint64_t>(!live | rec.daemon);
+    ++rec.gen; // the slot's one queued key is gone: refs die, slot recycles
+    rec.armed = false;
+    rec.daemon = false;
+    if (empty()) next_seq_ = 0;
+    if (!live) {
+      free_.push_back(slot);
+      return false;
+    }
+    on_live(top.at, daemon);
+    const SlotRelease release{this, slot};
+    rec.fn();
+    return true;
   }
 
   // Scope guard: returns a slot to the free list (destroying its closure)
@@ -269,40 +372,40 @@ private:
     return a.at != b.at ? a.at < b.at : a.order < b.order;
   }
 
-  void sift_push(Key k) {
-    std::size_t i = heap_.size();
-    heap_.push_back(k);
+  static void sift_push(std::vector<Key>& heap, Key k) {
+    std::size_t i = heap.size();
+    heap.push_back(k);
     while (i > 0) {
       const std::size_t parent = (i - 1) / kArity;
-      if (!earlier(k, heap_[parent])) break;
-      heap_[i] = heap_[parent];
+      if (!earlier(k, heap[parent])) break;
+      heap[i] = heap[parent];
       i = parent;
     }
-    heap_[i] = k;
+    heap[i] = k;
   }
 
-  void sift_pop() {
-    const Key last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0, last);
+  static void sift_pop(std::vector<Key>& heap) {
+    const Key last = heap.back();
+    heap.pop_back();
+    if (!heap.empty()) sift_down(heap, 0, last);
   }
 
   // Places `k` at position `i` (whose old key is discarded), moving it down
   // past any earlier children.
-  void sift_down(std::size_t i, Key k) {
-    const std::size_t n = heap_.size();
+  static void sift_down(std::vector<Key>& heap, std::size_t i, Key k) {
+    const std::size_t n = heap.size();
     for (;;) {
       const std::size_t first = i * kArity + 1;
       if (first >= n) break;
       const std::size_t end = first + kArity < n ? first + kArity : n;
       std::size_t best = first;
       for (std::size_t c = first + 1; c < end; ++c)
-        if (earlier(heap_[c], heap_[best])) best = c;
-      if (!earlier(heap_[best], k)) break;
-      heap_[i] = heap_[best];
+        if (earlier(heap[c], heap[best])) best = c;
+      if (!earlier(heap[best], k)) break;
+      heap[i] = heap[best];
       i = best;
     }
-    heap_[i] = k;
+    heap[i] = k;
   }
 
   // Cold paths live in event_queue.cpp.
@@ -313,7 +416,10 @@ private:
 
   std::vector<std::unique_ptr<Record[]>> chunks_;
   std::vector<std::uint32_t> free_;
-  std::vector<Key> heap_;
+  std::vector<Key> heap_;   // plain events and stream heads
+  std::vector<Key> timers_; // cancellable and daemon timers
+  std::vector<Stream> streams_;
+  std::uint64_t waiting_ = 0; // stream entries behind their stream's head
   std::uint64_t next_seq_ = 0;
   std::uint64_t inert_ = 0;
   std::uint32_t slot_count_ = 0;

@@ -5,11 +5,12 @@
 // (FIFO tie-break), which keeps runs deterministic.
 //
 // The queue itself is an EventQueue (sim/event_queue.hpp): a recycling slab
-// of allocation-free EventFn closures ordered by an intrusive 4-ary min-heap
-// over 16-byte keys. Scheduling an event therefore never heap-allocates
-// (beyond amortized slab/heap growth), and the Simulation is a thin facade —
-// clock, run loop, and the daemon/live-work contract — over the queue seam
-// that a future sharded (per-rack) engine will plug into.
+// of allocation-free EventFn closures ordered by two intrusive 4-ary
+// min-heaps over 16-byte keys (one for events, one for timers), with ordered
+// streams that key only their head. Scheduling an event therefore never
+// heap-allocates (beyond amortized slab/heap growth), and the Simulation is a
+// thin facade — clock, run loop, and the daemon/live-work contract — over the
+// queue seam that a future sharded (per-rack) engine will plug into.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +52,10 @@ private:
   EventQueue::Ref ref_{};
 };
 
+// An ordered event stream: a FIFO pipe such as one link direction or one NIC
+// core, opened with Simulation::open_streams.
+using StreamId = EventQueue::StreamId;
+
 class Simulation {
 public:
   Simulation() = default;
@@ -72,6 +77,21 @@ public:
   void schedule_at(Time at, F&& fn) {
     check_not_past(at);
     queue_.push(at, std::forward<F>(fn));
+  }
+
+  // Opens `n` ordered event streams, one per FIFO pipe, with consecutive
+  // ids; returns the first. Streams live as long as the Simulation.
+  [[nodiscard]] StreamId open_streams(std::uint32_t n) { return queue_.open_streams(n); }
+
+  // Equivalent to schedule_at(at, fn) — the same (time, seq) order and
+  // counts — for an event of stream `s`. A stream holds one heap key however
+  // many events it queues, so a pipe's events should be pushed in
+  // non-decreasing time order; one earlier than the stream's last is queued
+  // as a plain event.
+  template <typename F>
+  void schedule_on(StreamId s, Time at, F&& fn) {
+    check_not_past(at);
+    queue_.push_stream(s, at, std::forward<F>(fn));
   }
 
   // Schedules `fn` to run `delay` ns from now.
@@ -126,9 +146,13 @@ public:
 
   // Live events run; cancelled and re-filed keys are not counted.
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
-  // Queued heap keys, inert ones included. A timer holds one key however
-  // often it is re-armed.
+  // Queued events, inert ones and those waiting in a stream included. A
+  // timer holds one key however often it is re-armed.
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
+  // Keys in the event heap: plain events and stream heads, not timers and
+  // not a stream's waiting entries.
+  [[nodiscard]] std::size_t keyed_events() const { return queue_.keyed(); }
+  [[nodiscard]] std::size_t stream_count() const { return queue_.streams(); }
 
   // Queued events that will still do observable work: excludes cancelled
   // timers (queued but inert) and daemon events. Zero means the simulation

@@ -198,7 +198,13 @@ void Worker::send_update(std::uint32_t slot_index, bool retransmission) {
 
   const Time wire_time = channel_->tx_ready(core_of(slot_index), p);
   slot.sent_at = sim_.now(); // RTT is measured end-to-end at the app layer
-  drain_wire_ledger();       // keeps the pending-wire ledger bounded
+  // Wire times are unsorted across NIC cores, so a drain scans the whole
+  // ledger: drain once it has doubled since the last drain, which keeps it
+  // bounded at amortized O(1) per send. updates_wired drains fully first.
+  if (wire_pending_.size() >= wire_drain_at_) {
+    drain_wire_ledger();
+    wire_drain_at_ = std::max<std::size_t>(2 * wire_pending_.size(), kMinWireDrain);
+  }
   wire_pending_.push_back(wire_time);
   trace::emit(trace::kCatWorker, sim_.now(), id(), retransmission ? "retransmit" : "send",
               {"slot", slot_index}, {"off", static_cast<std::int64_t>(slot.off)},

@@ -113,7 +113,9 @@ public:
 
   struct Counters {
     std::uint64_t updates_sent = 0;  // at send time; includes retransmissions
-    std::uint64_t updates_wired = 0; // at NIC wire time (tx_ready); lags updates_sent
+    // At NIC wire time (tx_ready); lags updates_sent. Counted lazily: the
+    // registry's "updates_wired" brings it up to date before each read.
+    std::uint64_t updates_wired = 0;
     std::uint64_t retransmissions = 0;
     std::uint64_t timeouts = 0;
     std::uint64_t results_received = 0;
@@ -270,9 +272,12 @@ private:
   std::function<void()> on_switch_dead_;
   // Wire times of packets handed to the NIC but not yet serialized onto the
   // link; drained lazily (like Link's occupancy ledger) to advance
-  // updates_wired without per-packet simulator events. Bounded by the
-  // in-flight window.
+  // updates_wired without per-packet simulator events. A send drains it only
+  // once it reaches wire_drain_at_ (twice its size after the last drain), so
+  // it stays within twice the in-flight window.
+  static constexpr std::size_t kMinWireDrain = 16;
   std::vector<Time> wire_pending_;
+  std::size_t wire_drain_at_ = kMinWireDrain;
   Summary rtt_;
   Histogram rtt_ns_;
   Histogram completion_ns_;

@@ -159,7 +159,7 @@ TEST(Cluster, PhaseLagInvariantAcrossSlots) {
 }
 
 // Every update a worker sends re-arms its slot's RTO timer. Re-arming moves
-// the timer in place, so the event heap holds at most one timer key per slot
+// the timer in place, so the queue holds at most one timer key per slot
 // rather than one cancelled key per update sent, and stays small however
 // long the reduction runs.
 TEST(Cluster, RtoTimersDoNotBloatTheEventHeap) {
@@ -183,6 +183,36 @@ TEST(Cluster, RtoTimersDoNotBloatTheEventHeap) {
     }
     EXPECT_GT(peak, 0u);
     EXPECT_LE(peak, 4u * 4u * 16u) << (timing ? "timing" : "data") << " mode";
+  }
+}
+
+// Each link direction and each NIC core is a FIFO pipe whose events ride one
+// ordered stream, and timers sit in a heap of their own, so the event heap
+// holds at most one key per stream however many packets are in flight.
+TEST(Cluster, StreamsBoundTheKeyedEventHeap) {
+  for (const bool timing : {true, false}) {
+    ClusterConfig cfg = small_config(4);
+    cfg.timing_only = timing;
+    Fabric cluster(cfg.fabric());
+    sim::Simulation& sim = cluster.simulation();
+    std::size_t peak_keyed = 0;
+    std::function<void()> sample = [&] {
+      peak_keyed = std::max(peak_keyed, sim.keyed_events());
+      if (sim.live_pending_events() > 0) sim.schedule_daemon_timer(usec(1), sample);
+    };
+    sim.schedule_daemon_timer(usec(1), sample);
+    constexpr std::uint64_t kElems = 1 << 16;
+    if (timing) {
+      cluster.reduce_timing(kElems);
+    } else {
+      auto updates = random_updates(4, kElems, 14);
+      ASSERT_EQ(cluster.reduce_i32(updates).outputs[0], exact_sum(updates));
+    }
+    const char* mode = timing ? "timing" : "data";
+    // 4 links x 2 directions + 4 workers x 4 NIC cores.
+    EXPECT_EQ(sim.stream_count(), 24u) << mode << " mode";
+    EXPECT_GT(peak_keyed, 0u) << mode << " mode";
+    EXPECT_LE(peak_keyed, sim.stream_count()) << mode << " mode";
   }
 }
 

@@ -217,6 +217,43 @@ TEST(Recovery, SwitchKillDegradesToFallbackBitExact) {
   EXPECT_EQ(fallback_begins, 1);
 }
 
+// The replay draws its loss from RNG streams of its own (the job's seed plus
+// a fixed offset), not a copy of the job's: reusing the job's seed would
+// replay the loss pattern the job's first packets saw. Under loss, the
+// replay's TAT and retransmission count depend on those streams; both are
+// pinned.
+TEST(Recovery, LossyFallbackReplayDrawsItsOwnLoss) {
+  ClusterConfig cfg = ClusterConfig::for_rate(gbps(10), 4);
+  cfg.pool_size = 8;
+  cfg.sync_after = 2;
+  cfg.dead_after = 6;
+  cfg.loss_prob = 0.02;
+  const std::size_t d = 8192;
+  const auto updates = make_updates(4, d);
+  cfg.faults.switch_kills.push_back({0, clean_data_tat(cfg, updates) / 2});
+
+  trace::TraceSink sink(1u << 18, trace::kCatFault | trace::kCatWorker);
+  trace::TraceSink::Scope scope(&sink);
+  Fabric cluster(cfg.fabric());
+  const auto result = cluster.reduce_i32(updates);
+  const auto expect = expected_sum(4, d);
+  for (int w = 0; w < 4; ++w)
+    ASSERT_EQ(result.outputs[static_cast<std::size_t>(w)], expect) << w;
+  ASSERT_TRUE(cluster.fallback_engaged());
+  ASSERT_EQ(sink.total_drops(), 0u);
+
+  // Every retransmission after fallback_begin is the replay's.
+  bool replaying = false;
+  int replay_retx = 0;
+  for (const trace::Event& e : sink.events()) {
+    const std::string name = e.name;
+    if (name == "fallback_begin") replaying = true;
+    replay_retx += static_cast<int>(replaying && name == "retransmit");
+  }
+  EXPECT_EQ(replay_retx, 94);
+  EXPECT_EQ(result.tat, (std::vector<Time>{124395008, 124395152, 124395296, 124395440}));
+}
+
 // A timeline's closing daemon tick runs after the drain. The fallback starts
 // from the last live event, so arming a recorder must move neither the TAT
 // nor the fallback_begin event.

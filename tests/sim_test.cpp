@@ -1,13 +1,15 @@
 // Unit tests for the discrete-event engine: ordering, timers, cancellation,
-// EventFn closure semantics, determinism of named RNG streams, and a
-// randomized fuzz that cross-checks the slab/4-ary-heap engine against a
-// std::priority_queue reference implementation.
+// ordered event streams, EventFn closure semantics, determinism of named RNG
+// streams, and a randomized fuzz that cross-checks the slab/4-ary-heap engine
+// against a std::priority_queue reference implementation.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
 #include <queue>
 #include <random>
+#include <set>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -266,6 +268,68 @@ TEST(Simulation, RearmTieWithAPlainEventKeepsScheduleOrder) {
   EXPECT_EQ(order, (std::vector<char>{'p', 't', 'q'}));
 }
 
+TEST(Simulation, StreamKeysOnlyItsHeadButCountsEveryEntry) {
+  Simulation s;
+  const StreamId a = s.open_streams(2);
+  const StreamId b = a + 1;
+  std::vector<int> order;
+  for (int i = 0; i < 100; ++i) s.schedule_on(a, 10 + i, [&order, i] { order.push_back(i); });
+  s.schedule_on(b, 50, [&order] { order.push_back(-1); });
+  s.schedule_at(20, [&order] { order.push_back(-2); });
+  EXPECT_EQ(s.stream_count(), 2u);
+  EXPECT_EQ(s.keyed_events(), 3u); // two heads and the plain event
+  EXPECT_EQ(s.pending_events(), 102u);
+  EXPECT_EQ(s.live_pending_events(), 102u);
+  s.run_until(30);
+  EXPECT_EQ(s.keyed_events(), 2u);
+  EXPECT_EQ(s.pending_events(), 80u);
+  s.run();
+  ASSERT_EQ(order.size(), 102u);
+  EXPECT_EQ(order[11], -2); // after the stream's entry at 20: it was pushed first
+  EXPECT_EQ(order[42], -1); // after entry 40 (at 50), before entry 41
+  EXPECT_EQ(s.keyed_events(), 0u);
+  EXPECT_EQ(s.pending_events(), 0u);
+}
+
+TEST(Simulation, StreamPushEarlierThanItsTailIsAPlainEvent) {
+  Simulation s;
+  const StreamId a = s.open_streams(1);
+  std::vector<int> order;
+  s.schedule_on(a, 30, [&order] { order.push_back(0); });
+  s.schedule_on(a, 40, [&order] { order.push_back(1); });
+  s.schedule_on(a, 10, [&order] { order.push_back(2); }); // earlier than the tail
+  s.schedule_on(a, 40, [&order] { order.push_back(3); }); // a tie joins the stream
+  EXPECT_EQ(s.keyed_events(), 2u);
+  EXPECT_EQ(s.pending_events(), 4u);
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 0, 1, 3}));
+  // Emptied, the stream takes any time again.
+  s.schedule_on(a, s.now() + 5, [&order] { order.push_back(4); });
+  EXPECT_EQ(s.keyed_events(), 1u);
+  s.run();
+  EXPECT_EQ(order.back(), 4);
+}
+
+TEST(Simulation, TimersInterleaveWithStreamsInScheduleOrder) {
+  // Timers sit in their own heap; ties with stream and plain events still
+  // break by schedule order, and a re-filed key runs nothing.
+  Simulation s;
+  const StreamId a = s.open_streams(1);
+  std::vector<char> order;
+  s.schedule_on(a, 10, [&] { order.push_back('a'); });
+  TimerHandle t = s.schedule_timer(10, [&] { order.push_back('x'); });
+  s.schedule_on(a, 10, [&] { order.push_back('b'); });
+  t = s.rearm_timer(t, 20, [&] { order.push_back('t'); });
+  s.schedule_on(a, 20, [&] { order.push_back('c'); });
+  s.schedule_daemon_timer(20, [&] { order.push_back('d'); });
+  EXPECT_EQ(s.pending_events(), 5u);
+  EXPECT_EQ(s.live_pending_events(), 4u);
+  EXPECT_EQ(s.keyed_events(), 1u);
+  s.run();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b', 't', 'c', 'd'}));
+  EXPECT_EQ(s.events_executed(), 5u);
+}
+
 TEST(EventFn, InvokesAndClearsOnReset) {
   int calls = 0;
   EventFn fn([&] { ++calls; });
@@ -439,9 +503,11 @@ private:
 // then spawns `children[id]` new events. Ids beyond the table spawn nothing,
 // bounding the run.
 struct FuzzScript {
+  static constexpr int kStreams = 3;
   struct Child {
-    int kind; // 0 = plain, 1 = timer, 2 = daemon timer
+    int kind; // 0 = plain, 1 = timer, 2 = daemon timer, 3 = stream push
     Time delay;
+    int stream; // kind 3: which stream
   };
   std::vector<Time> root_times;
   std::vector<std::vector<Child>> children;
@@ -455,7 +521,8 @@ FuzzScript make_script(std::uint32_t seed, int n_ids) {
   // Narrow time range on purpose: forces same-time collisions so FIFO
   // tie-breaking is exercised, not just time ordering.
   std::uniform_int_distribution<Time> time_dist(0, 40);
-  std::uniform_int_distribution<int> kind_dist(0, 2);
+  std::uniform_int_distribution<int> kind_dist(0, 3);
+  std::uniform_int_distribution<int> stream_dist(0, FuzzScript::kStreams - 1);
   std::uniform_int_distribution<int> fanout_dist(0, 3);
 
   FuzzScript sc;
@@ -473,7 +540,7 @@ FuzzScript make_script(std::uint32_t seed, int n_ids) {
     const int fanout = fanout_dist(rng);
     for (int c = 0; c < fanout; ++c)
       sc.children[static_cast<std::size_t>(id)].push_back(
-          FuzzScript::Child{kind_dist(rng), time_dist(rng)});
+          FuzzScript::Child{kind_dist(rng), time_dist(rng), stream_dist(rng)});
   }
   // Re-arms draw from their own stream, leaving the rest of the script as it
   // was. Any target is fair game, as for cancels; the narrow delay range
@@ -492,11 +559,13 @@ struct FuzzTrace {
   std::vector<int> order;          // event ids in execution order
   std::vector<std::uint64_t> live; // live_pending_events at each execution
   Time final_now = 0;
+  int earlier_than_tail = 0; // stream pushes earlier than a queued push of their stream
 };
 
 // Runs the script on either engine. `SimT` needs schedule_at /
 // schedule_timer / schedule_daemon-style entry points, which differ slightly
-// between the two — adapted via if constexpr on the handle type.
+// between the two — adapted via if constexpr on the handle type. The oracle
+// schedules a stream push as a plain schedule_at.
 template <typename SimT, typename HandleT>
 FuzzTrace run_script(const FuzzScript& sc) {
   SimT s;
@@ -504,11 +573,21 @@ FuzzTrace run_script(const FuzzScript& sc) {
   std::vector<HandleT> handles(sc.children.size());
   FuzzTrace trace;
   int next_id = static_cast<int>(sc.root_times.size());
+  StreamId first_stream = 0;
+  if constexpr (std::is_same_v<HandleT, TimerHandle>)
+    first_stream = s.open_streams(FuzzScript::kStreams);
+  // Times of each stream's queued pushes, to count the pushes that land
+  // earlier than one of them (the plain-event path).
+  std::vector<std::multiset<Time>> queued(FuzzScript::kStreams);
+  std::vector<int> stream_of(sc.children.size(), -1);
 
   std::function<void(int)> fire = [&](int id) {
     trace.order.push_back(id);
     trace.live.push_back(s.live_pending_events());
     if (id >= n_ids) return;
+    if (const int k = stream_of[static_cast<std::size_t>(id)]; k >= 0)
+      queued[static_cast<std::size_t>(k)].erase(
+          queued[static_cast<std::size_t>(k)].find(s.now()));
     const int target = sc.cancel_target[static_cast<std::size_t>(id)];
     if (target >= 0) {
       if constexpr (std::is_same_v<HandleT, TimerHandle>) {
@@ -536,6 +615,20 @@ FuzzTrace run_script(const FuzzScript& sc) {
       switch (c.kind) {
         case 0: s.schedule_at(s.now() + c.delay, [&fire, cid] { fire(cid); }); break;
         case 1: handles[slot] = s.schedule_timer(c.delay, [&fire, cid] { fire(cid); }); break;
+        case 3: {
+          const Time at = s.now() + c.delay;
+          auto& q = queued[static_cast<std::size_t>(c.stream)];
+          trace.earlier_than_tail += static_cast<int>(!q.empty() && at < *q.rbegin());
+          q.insert(at);
+          stream_of[slot] = c.stream;
+          if constexpr (std::is_same_v<HandleT, TimerHandle>) {
+            s.schedule_on(first_stream + static_cast<StreamId>(c.stream), at,
+                          [&fire, cid] { fire(cid); });
+          } else {
+            s.schedule_at(at, [&fire, cid] { fire(cid); });
+          }
+          break;
+        }
         default:
           if constexpr (std::is_same_v<HandleT, TimerHandle>) {
             handles[slot] = s.schedule_daemon_timer(c.delay, [&fire, cid] { fire(cid); });
@@ -554,6 +647,7 @@ FuzzTrace run_script(const FuzzScript& sc) {
 }
 
 TEST(SimulationFuzz, MatchesPriorityQueueOracle) {
+  int earlier_than_tail = 0;
   for (std::uint32_t seed = 0; seed < 25; ++seed) {
     const FuzzScript sc = make_script(seed, 400);
     const FuzzTrace real = run_script<Simulation, TimerHandle>(sc);
@@ -562,7 +656,9 @@ TEST(SimulationFuzz, MatchesPriorityQueueOracle) {
     ASSERT_EQ(real.live, ref.live) << "live accounting diverged, seed " << seed;
     ASSERT_EQ(real.final_now, ref.final_now) << "final clock diverged, seed " << seed;
     ASSERT_GT(real.order.size(), 8u) << "degenerate script, seed " << seed;
+    earlier_than_tail += real.earlier_than_tail;
   }
+  EXPECT_GT(earlier_than_tail, 0) << "no stream push took the plain-event path";
 }
 
 TEST(SimulationFuzz, SlotRecyclingKeepsHandlesIndependent) {
