@@ -35,16 +35,13 @@ int main(int argc, char** argv) {
   // Admission control: keep admitting 512-slot jobs until the budget is hit.
   std::printf("admission control against a 4 MiB SRAM budget (512-slot pools):\n");
   sim::Simulation sim;
-  swprog::AggregationConfig sc;
-  sc.n_workers = 8;
-  sc.pool_size = 512;
-  swprog::AggregationSwitch sw(sim, 1, "switch", sc);
-  int admitted = 1; // job 0
-  for (std::uint8_t j = 1; j < 64; ++j) {
-    swprog::JobParams p;
-    p.n_workers = 8;
-    p.pool_size = 512;
-    p.multicast_group = j;
+  swprog::AggregationSwitch sw(sim, 1, "switch", swprog::AggregationConfig{});
+  swprog::JobParams p;
+  p.n_workers = 8;
+  p.pool_size = 512;
+  int admitted = 0;
+  for (std::uint8_t j = 0; j < 64; ++j) {
+    p.multicast_group = 1u + j;
     if (!sw.admit_job(j, p)) break;
     ++admitted;
   }

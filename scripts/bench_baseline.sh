@@ -14,6 +14,16 @@
 #                   against the committed baselines (CI's baseline-compare
 #                   job, fed by the bench-smoke artifact).
 #
+# --same-as DIR is the zero-drift check for changes that must not move any
+# modelled number: after the runs (or with --compare-only) it byte-compares
+# every artifact in the output directory (reports, metrics sidecars,
+# timelines, traces, attribution and INT hop files) with the same file in
+# DIR, typically the parent commit's `--run --timelines --out DIR` output for
+# the same benches. The host-timed benches (micro_events, fig8_datatypes)
+# are skipped. It prints the number of identical files and each differing or
+# missing one, and fails on any difference. Baselines guard only report
+# metrics, at their tolerances; this covers every byte of every artifact.
+#
 # The default bench set is the sim-deterministic smoke subset; pass bench
 # names to override (e.g. fig8_datatypes, whose conversion calibration is
 # host-measured and carries a loose tolerance).
@@ -28,6 +38,7 @@
 #   --out DIR              keep reports/sidecars there instead of a temp dir
 #   --timelines            also write per-run timeline sidecars (JSONL)
 #   --tolerance-scale S    loosen every tolerance by S (forwarded to compare)
+#   --same-as DIR          byte-compare every artifact with DIR's (see above)
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -38,6 +49,7 @@ build_dir="$repo_root/build"
 out_dir=""
 timelines=0
 tolerance_scale=""
+same_as=""
 benches=()
 
 while [ $# -gt 0 ]; do
@@ -47,6 +59,7 @@ while [ $# -gt 0 ]; do
     --out) out_dir="$2"; shift ;;
     --timelines) timelines=1 ;;
     --tolerance-scale) tolerance_scale="$2"; shift ;;
+    --same-as) same_as="$2"; shift ;;
     --*) echo "bench_baseline: unknown option $1" >&2; exit 2 ;;
     *) benches+=("$1") ;;
   esac
@@ -60,6 +73,10 @@ if [ -z "$mode" ]; then
 fi
 if [ "$mode" = compare-only ] && [ -z "$out_dir" ]; then
   echo "bench_baseline: --compare-only needs --out DIR with the reports" >&2
+  exit 2
+fi
+if [ -n "$same_as" ] && [ ! -d "$same_as" ]; then
+  echo "bench_baseline: --same-as $same_as is not a directory" >&2
   exit 2
 fi
 
@@ -138,4 +155,34 @@ case "$mode" in
     fi
     ;;
 esac
+
+if [ -n "$same_as" ]; then
+  identical=0
+  differing=0
+  declare -A compared=()
+  for f in "$workdir"/* "$same_as"/*; do
+    name="$(basename "$f")"
+    case "$name" in
+      *_report.json|*_metrics.json|*_timeline*|*_trace.json|*_attribution*|*_hops*) ;;
+      *) continue ;;
+    esac
+    case "$name" in
+      *_stdout.txt|micro_events_*|fig8_datatypes_*) continue ;; # output, or host-timed
+    esac
+    [ -n "${compared[$name]:-}" ] && continue
+    compared[$name]=1
+    if [ ! -f "$workdir/$name" ] || [ ! -f "$same_as/$name" ]; then
+      echo "same-as: missing $name"
+      differing=$((differing + 1))
+    elif cmp -s "$workdir/$name" "$same_as/$name"; then
+      identical=$((identical + 1))
+    else
+      echo "same-as: differs $name"
+      differing=$((differing + 1))
+    fi
+  done
+  echo "bench_baseline: $identical artifacts identical to $same_as," \
+       "$differing differing or missing"
+  [ "$differing" -eq 0 ] || status=1
+fi
 exit "$status"

@@ -86,25 +86,6 @@ void attribute_outcome(net::NodeId shard, const net::Packet& p,
   }
 }
 
-net::Packet make_result(const net::Packet& update, net::NodeId src, net::NodeId dst,
-                        const std::vector<std::int32_t>& values) {
-  net::Packet r;
-  r.kind = net::PacketKind::SmlResult;
-  r.src = src;
-  r.dst = dst;
-  r.job = update.job;
-  r.wid = update.wid;
-  r.ver = update.ver;
-  r.idx = update.idx;
-  r.off = update.off;
-  r.elem_count = update.elem_count;
-  r.elem_bytes = update.elem_bytes;
-  r.transport = update.transport;
-  r.values = values;
-  r.seal();
-  return r;
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------- PsShard
@@ -146,7 +127,11 @@ void PsShard::handle(net::Packet&& p, net::Link& uplink) {
 
 void PsShard::reply(const net::Packet& update, net::NodeId dst,
                     const std::vector<std::int32_t>& values, net::Link& uplink) {
-  net::Packet r = make_result(update, host_.id(), dst, values);
+  net::Packet r = net::Packet::reply(net::PacketKind::SmlResult, update);
+  r.src = host_.id();
+  r.dst = dst;
+  r.values = values;
+  r.seal();
   if (dst == host_.id()) {
     // Local delivery: the worker role consumes its own shard's result
     // without touching the wire (but still pays RX processing).

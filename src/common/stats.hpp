@@ -2,9 +2,13 @@
 // violin plots (median/min/max) or rate summaries.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <string>
 #include <vector>
+
+#include "common/units.hpp"
 
 namespace switchml {
 
@@ -51,6 +55,34 @@ private:
   void sort() const;
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
+};
+
+// Jacobson/Karels smoothed round-trip time, as in RFC 6298: the first sample
+// R sets SRTT = R and RTTVAR = R/2; each later one moves RTTVAR by
+// (|R - SRTT| - RTTVAR)/4 and SRTT by (R - SRTT)/8. The worker's slot timers
+// and the reliable transport's RTO both run it.
+struct RttEstimator {
+  double srtt = 0.0;
+  double rttvar = 0.0;
+  bool have_sample = false;
+
+  void add(Time sample) {
+    const double r = static_cast<double>(sample);
+    if (!have_sample) {
+      srtt = r;
+      rttvar = r / 2.0;
+      have_sample = true;
+      return;
+    }
+    const double err = r - srtt;
+    srtt += err / 8.0;
+    rttvar += (std::abs(err) - rttvar) / 4.0;
+  }
+
+  // SRTT + 4 RTTVAR, truncated to whole nanoseconds, clamped to [lo, hi].
+  [[nodiscard]] Time rto(Time lo, Time hi) const {
+    return std::clamp(static_cast<Time>(srtt + 4.0 * rttvar), lo, hi);
+  }
 };
 
 } // namespace switchml

@@ -441,45 +441,34 @@ void Fabric::build(const LoweredTopology& topology) {
     }
 
     swprog::AggregationConfig sc;
-    sc.n_workers = static_cast<int>(job_ports[0].size());
-    sc.pool_size = p.pool_size;
     sc.elems_per_packet = p.elems_per_packet;
-    sc.wid_base = wid_at(0);
     sc.timing_only = p.timing_only;
     sc.mtu_emulation = p.mtu_emulation;
     sc.fp16_frac_bits = p.fp16_frac_bits;
-    sc.multicast_group = 1;
     sc.sram_budget_bytes = p.sram_budget_bytes;
     sc.ablate_shadow_copy = p.ablate_shadow_copy;
     sc.ablate_seen_bitmap = p.ablate_seen_bitmap;
     sc.lossless = p.lossless;
-    const int parent = spec.switch_parent[i];
-    if (parent >= 0) {
+    if (spec.switch_parent[i] >= 0) {
       sc.parent_port = n_children; // one past the child ports
       sc.leaf_wid = static_cast<std::uint16_t>(port[i]);
     }
-    const auto role = lone ? swprog::SwitchRole::Standalone
-                           : (parent < 0 ? swprog::SwitchRole::Root : swprog::SwitchRole::Leaf);
     auto sw = std::make_unique<swprog::AggregationSwitch>(
         sim_, lone ? kSwitchId : kTreeSwitchBase + static_cast<net::NodeId>(i),
-        lone ? "switch" : "sw-" + std::to_string(i), sc, role, p.switch_latency);
-    // The constructor admitted job 0 from `sc`; further jobs go through the
-    // §6 admission control.
+        lone ? "switch" : "sw-" + std::to_string(i), sc, p.switch_latency);
+    // Every job with children here goes through the §6 admission control.
     for (std::size_t j = 0; j < job_ports.size(); ++j) {
       const std::vector<int>& ports = job_ports[j];
       if (ports.empty()) continue;
-      const auto group = static_cast<std::uint32_t>(1 + j);
-      if (j > 0) {
-        swprog::JobParams jp;
-        jp.n_workers = static_cast<int>(ports.size());
-        jp.pool_size = p.pool_size;
-        jp.wid_base = wid_at(ports.front());
-        jp.multicast_group = group;
-        if (!sw->admit_job(static_cast<std::uint8_t>(j), jp))
-          throw std::runtime_error("Fabric: job " + std::to_string(j) +
-                                   " rejected by admission control (SRAM budget)");
-      }
-      sw->add_multicast_group(group, ports);
+      swprog::JobParams jp;
+      jp.n_workers = static_cast<int>(ports.size());
+      jp.pool_size = p.pool_size;
+      jp.wid_base = wid_at(ports.front());
+      jp.multicast_group = static_cast<std::uint32_t>(1 + j);
+      if (!sw->admit_job(static_cast<std::uint8_t>(j), jp))
+        throw std::runtime_error("Fabric: job " + std::to_string(j) +
+                                 " rejected by admission control (SRAM budget)");
+      sw->add_multicast_group(jp.multicast_group, ports);
     }
     switches_.push_back(std::move(sw));
   }

@@ -29,11 +29,15 @@ void L2Switch::forward(Packet&& p) {
   link->send_from(*this, std::move(p), sim_.now() + pipeline_latency_);
 }
 
-void L2Switch::multicast(std::uint32_t group, const Packet& p) {
+const std::vector<int>& L2Switch::group_ports(std::uint32_t group) const {
   auto it = mcast_.find(group);
   if (it == mcast_.end()) throw std::runtime_error(name() + ": unknown multicast group");
+  return it->second;
+}
+
+void L2Switch::multicast(std::uint32_t group, const Packet& p) {
   const Time ready = sim_.now() + pipeline_latency_;
-  for (int port : it->second) {
+  for (int port : group_ports(group)) {
     Packet copy = p;
     Link* link = links_.at(port);
     copy.dst = link->peer_of(*this).id();

@@ -35,11 +35,9 @@ public:
   [[nodiscard]] int port_of(NodeId dst) const;
   [[nodiscard]] Link* link_at(int port) const;
   // The member ports of `group`, in the order they were registered (the
-  // fabric registers them in local-worker-index order). nullptr if unknown.
-  [[nodiscard]] const std::vector<int>* multicast_ports(std::uint32_t group) const {
-    auto it = mcast_.find(group);
-    return it == mcast_.end() ? nullptr : &it->second;
-  }
+  // fabric registers them in local-worker-index order). Throws for an
+  // unknown group, as multicast() does.
+  [[nodiscard]] const std::vector<int>& group_ports(std::uint32_t group) const;
 
 private:
   Time pipeline_latency_;

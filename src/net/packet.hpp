@@ -150,6 +150,24 @@ struct Packet {
 
   [[nodiscard]] std::uint32_t wire_bytes() const;
 
+  // The header of an answer to `from` (a result, or a sync response): its
+  // job, wid, ver, idx, off, element count and width, INT mode and
+  // transport. The responder fills in src, dst, epoch and the payload.
+  [[nodiscard]] static Packet reply(PacketKind kind, const Packet& from) {
+    Packet r;
+    r.kind = kind;
+    r.job = from.job;
+    r.transport = from.transport;
+    r.wid = from.wid;
+    r.ver = from.ver;
+    r.idx = from.idx;
+    r.off = from.off;
+    r.elem_count = from.elem_count;
+    r.elem_bytes = from.elem_bytes;
+    r.int_mode = from.int_mode;
+    return r;
+  }
+
 private:
   [[nodiscard]] std::uint64_t compute_checksum() const;
 };

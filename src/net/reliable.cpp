@@ -1,7 +1,6 @@
 #include "net/reliable.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "common/attribution.hpp"
@@ -143,10 +142,7 @@ void ReliableSender::send_segment(std::int64_t seq) {
 }
 
 void ReliableSender::pump() {
-  const std::int64_t window =
-      profile_.congestion_control ? std::min(cwnd_, profile_.window_bytes)
-                                  : profile_.window_bytes;
-  const std::int64_t limit = std::min(total_, snd_una_ + window);
+  const std::int64_t limit = std::min(total_, snd_una_ + std::min(cwnd_, profile_.window_bytes));
   while (snd_nxt_ < limit) {
     send_segment(snd_nxt_);
     snd_nxt_ += std::min<std::int64_t>(profile_.mss, total_ - snd_nxt_);
@@ -172,38 +168,19 @@ void ReliableSender::on_timeout() {
                      retx_since_);
   }
   snd_nxt_ = snd_una_; // go-back-N
-  if (profile_.congestion_control) {
-    // RTO is a serious congestion signal: collapse to one segment and
-    // slow-start back up to half the pre-loss window.
-    ssthresh_ = std::max<std::int64_t>(cwnd_ / 2, 2 * profile_.mss);
-    cwnd_ = profile_.mss;
-    in_fast_recovery_ = false;
-  }
-  rto_ = std::min<Time>(static_cast<Time>(static_cast<double>(rto_) * profile_.rto_backoff),
+  // RTO is a serious congestion signal: collapse to one segment and
+  // slow-start back up to half the pre-loss window.
+  ssthresh_ = std::max<std::int64_t>(cwnd_ / 2, 2 * profile_.mss);
+  cwnd_ = profile_.mss;
+  in_fast_recovery_ = false;
+  rto_ = std::min<Time>(static_cast<Time>(static_cast<double>(rto_) * kRtoBackoff),
                         profile_.rto_max);
   pump();
 }
 
-void ReliableSender::rtt_sample(Time sample) {
-  // Jacobson/Karels: SRTT <- SRTT + (R - SRTT)/8, RTTVAR <- RTTVAR +
-  // (|R - SRTT| - RTTVAR)/4. Samples are already Karn-filtered upstream (one
-  // probe per window, invalidated by any retransmission).
-  const double r = static_cast<double>(sample);
-  if (!have_rtt_) {
-    srtt_ = r;
-    rttvar_ = r / 2.0;
-    have_rtt_ = true;
-  } else {
-    const double err = r - srtt_;
-    srtt_ += err / 8.0;
-    rttvar_ += (std::abs(err) - rttvar_) / 4.0;
-  }
-}
-
 Time ReliableSender::base_rto() const {
-  if (!profile_.adaptive_rto || !have_rtt_) return profile_.rto_initial;
-  const auto rto = static_cast<Time>(srtt_ + 4.0 * rttvar_);
-  return std::clamp(rto, profile_.rto_min, profile_.rto_max);
+  if (!profile_.adaptive_rto || !rtt_est_.have_sample) return profile_.rto_initial;
+  return rtt_est_.rto(kRtoMin, profile_.rto_max);
 }
 
 void ReliableSender::on_ack(const Packet& ack) {
@@ -212,7 +189,8 @@ void ReliableSender::on_ack(const Packet& ack) {
     const Time now = host_.simulation().now();
     if (probe_end_ >= 0 && acked >= probe_end_) {
       host_.rtt_hist().record(now - probe_sent_at_);
-      if (profile_.adaptive_rto) rtt_sample(now - probe_sent_at_);
+      // Karn-filtered: one probe per window, invalidated by any resend.
+      if (profile_.adaptive_rto) rtt_est_.add(now - probe_sent_at_);
       probe_end_ = -1;
     }
     if (retx_since_ >= 0) {
@@ -229,7 +207,7 @@ void ReliableSender::on_ack(const Packet& ack) {
     // (the bug this replaces: the estimator's samples were recorded but the
     // RTO never consulted them).
     rto_ = base_rto();
-    if (profile_.congestion_control && cwnd_ < profile_.window_bytes) {
+    if (cwnd_ < profile_.window_bytes) {
       if (cwnd_ < ssthresh_) {
         cwnd_ += newly_acked; // slow start
       } else {
@@ -259,11 +237,9 @@ void ReliableSender::on_ack(const Packet& ack) {
         attr::transition(host_.id(), stream_slot(stream_), attr::Component::kRtoStall,
                          retx_since_);
       }
-      if (profile_.congestion_control) {
-        // Multiplicative decrease.
-        ssthresh_ = std::max<std::int64_t>(cwnd_ / 2, 2 * profile_.mss);
-        cwnd_ = ssthresh_;
-      }
+      // Multiplicative decrease.
+      ssthresh_ = std::max<std::int64_t>(cwnd_ / 2, 2 * profile_.mss);
+      cwnd_ = ssthresh_;
       send_segment(snd_una_);
       arm_rto();
     }

@@ -19,30 +19,29 @@
 #include <unordered_map>
 
 #include "common/histogram.hpp"
+#include "common/stats.hpp"
 #include "net/link.hpp"
 #include "net/nic.hpp"
 #include "net/node.hpp"
 
 namespace switchml::net {
 
+// Every sender runs TCP congestion control (AIMD). Connections are
+// persistent (Gloo/NCCL reuse them across rounds), so cwnd STARTS at the
+// window cap and only reacts to loss: halve on fast retransmit, collapse to
+// one MSS on RTO, then grow additively — the 1/sqrt(p) throughput collapse
+// that makes the TCP baselines inflate so badly in Fig 5.
 struct TransportProfile {
   std::int64_t mss = 1460;                 // payload bytes per segment
   std::int64_t window_bytes = 256 * 1024;  // receive/flow-control window cap
   Time rto_initial = msec(2);
-  double rto_backoff = 2.0;
-  Time rto_max = msec(64);
+  Time rto_max = msec(64); // cap of the doubling RTO backoff and the adaptive RTO
   // RTT-adaptive RTO (Jacobson/Karels SRTT + 4*RTTVAR, fed by the Karn-
-  // filtered probe samples the sender already records). Off by default: the
-  // legacy behaviour resets the RTO to rto_initial on every forward ACK.
+  // filtered probe samples the sender already records), never below
+  // ReliableSender::kRtoMin. Off by default: the legacy behaviour resets the
+  // RTO to rto_initial on every forward ACK.
   bool adaptive_rto = false;
-  Time rto_min = usec(100);
   int dupack_threshold = 3;
-  // TCP congestion control (AIMD). Connections are persistent (Gloo/NCCL
-  // reuse them across rounds), so cwnd STARTS at the window cap and only
-  // reacts to loss: halve on fast retransmit, collapse to one MSS on RTO,
-  // then grow additively — the 1/sqrt(p) throughput collapse that makes the
-  // TCP baselines inflate so badly in Fig 5. Disable to get a fixed window.
-  bool congestion_control = true;
 };
 
 class ReliableSender;
@@ -101,6 +100,11 @@ private:
 // timing-only.
 class ReliableSender {
 public:
+  // Each timeout multiplies the RTO by kRtoBackoff (up to rto_max); the
+  // adaptive RTO never drops below kRtoMin.
+  static constexpr double kRtoBackoff = 2.0;
+  static constexpr Time kRtoMin = usec(100);
+
   ReliableSender(TransportHost& host, NodeId dst, std::uint32_t stream,
                  const TransportProfile& profile, std::function<void()> on_complete);
   ~ReliableSender();
@@ -125,7 +129,6 @@ private:
   void send_segment(std::int64_t seq);
   void arm_rto();
   void on_timeout();
-  void rtt_sample(Time sample);
   [[nodiscard]] Time base_rto() const;
 
   TransportHost& host_;
@@ -153,10 +156,7 @@ private:
   // Loss-recovery span: first retransmission (RTO or fast retransmit) until
   // the next cumulative ACK advance.
   Time retx_since_ = -1;
-  // Jacobson/Karels state (profile_.adaptive_rto).
-  double srtt_ = 0.0;
-  double rttvar_ = 0.0;
-  bool have_rtt_ = false;
+  RttEstimator rtt_est_; // profile_.adaptive_rto
 };
 
 // Receives a single stream of `total_bytes`. Out-of-order segments are

@@ -53,11 +53,6 @@
 // still runs at exactly the (time, seq) a cancel + push would have given it.
 // Stream records never re-arm, so their FIFO link shares the storage of that
 // queued-key time and the record stays 96 bytes.
-//
-// Each queue carries a DOMAIN id and its own seq counter. This is the seam
-// for the planned per-rack sharded engine: one EventQueue per shard domain,
-// merged on (time, domain, seq), with no caller-visible change — callers
-// already go through the Simulation facade only.
 #pragma once
 
 #include <cstddef>
@@ -88,7 +83,7 @@ public:
     std::uint32_t gen = 0;
   };
 
-  explicit EventQueue(std::uint32_t domain = 0) : domain_(domain) {}
+  EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -203,8 +198,6 @@ public:
     if (heap_.empty()) return timers_[0].at;
     return heap_[0].at < timers_[0].at ? heap_[0].at : timers_[0].at;
   }
-
-  [[nodiscard]] std::uint32_t domain() const { return domain_; }
 
   // Pops the earliest event, recycles its slot (invalidating refs to it),
   // and — for live events — invokes its closure IN PLACE in the slab after
@@ -423,7 +416,6 @@ private:
   std::uint64_t next_seq_ = 0;
   std::uint64_t inert_ = 0;
   std::uint32_t slot_count_ = 0;
-  std::uint32_t domain_ = 0;
 };
 
 } // namespace switchml::sim

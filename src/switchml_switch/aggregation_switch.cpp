@@ -17,25 +17,14 @@ constexpr std::uint64_t worker_bit(int ver, int wid_local) {
 
 AggregationSwitch::AggregationSwitch(sim::Simulation& simulation, net::NodeId id,
                                      std::string name, AggregationConfig config,
-                                     SwitchRole role, Time pipeline_latency)
+                                     Time pipeline_latency)
     : L2Switch(simulation, id, std::move(name), pipeline_latency),
       config_(config),
-      role_(role),
-      pipeline_(config.pipeline_stages) {
-  if (role == SwitchRole::Leaf && config.parent_port < 0)
-    throw std::invalid_argument("AggregationSwitch: leaf role requires parent_port");
-  if (!config.mtu_emulation && config.elems_per_packet > config.hw_elems_limit)
+      pipeline_(kPipelineStages) {
+  if (!config.mtu_emulation && config.elems_per_packet > kHwElemsLimit)
     throw std::invalid_argument(
         "AggregationSwitch: elems_per_packet exceeds the hardware per-packet limit; "
         "enable mtu_emulation to model the paper's enhanced baseline (§5.5)");
-
-  JobParams job0;
-  job0.n_workers = config.n_workers;
-  job0.pool_size = config.pool_size;
-  job0.wid_base = config.wid_base;
-  job0.multicast_group = config.multicast_group;
-  if (!admit_job(0, job0))
-    throw std::invalid_argument("AggregationSwitch: job 0 does not fit the SRAM budget");
 
   if (auto* reg = MetricsRegistry::current()) {
     const std::string p = this->name() + ".";
@@ -64,8 +53,7 @@ AggregationSwitch::AggregationSwitch(sim::Simulation& simulation, net::NodeId id
 std::size_t AggregationSwitch::job_register_bytes(const JobParams& params) const {
   const std::size_t k_agg = config_.timing_only
                                 ? 0
-                                : std::min<std::size_t>(config_.elems_per_packet,
-                                                        config_.hw_elems_limit);
+                                : std::min<std::size_t>(config_.elems_per_packet, kHwElemsLimit);
   if (config_.lossless) {
     // Algorithm 1: one 32-bit counter + one 32-bit value slot per element —
     // no shadow copies, no bitmaps (§3.5's memory-cost discussion).
@@ -109,11 +97,8 @@ bool AggregationSwitch::admit_job(std::uint8_t job, const JobParams& params) {
   state.count = std::make_unique<dp::RegisterArray>(pipeline_, prefix + "count", 1,
                                                     params.pool_size);
   if (!config_.timing_only) {
-    const std::size_t k_agg =
-        std::min<std::size_t>(config_.elems_per_packet, config_.hw_elems_limit);
-    const int value_stages = config_.pipeline_stages - 2;
-    if (value_stages < 1)
-      throw std::invalid_argument("AggregationSwitch: pipeline too short for value registers");
+    const std::size_t k_agg = std::min<std::size_t>(config_.elems_per_packet, kHwElemsLimit);
+    const int value_stages = kPipelineStages - 2;
     state.pool.reserve(k_agg);
     for (std::size_t j = 0; j < k_agg; ++j) {
       // Spread the k value registers across the remaining stages,
@@ -165,12 +150,25 @@ const quant::Fp16Table& AggregationSwitch::fp16_table() {
   return *fp16_table_;
 }
 
-int AggregationSwitch::local_worker_index(const JobState& job, std::uint16_t wid) {
-  const int local = static_cast<int>(wid) - static_cast<int>(job.params.wid_base);
-  if (local < 0 || local >= job.params.n_workers)
-    throw std::runtime_error("AggregationSwitch: update from unknown worker id " +
-                             std::to_string(wid));
-  return local;
+AggregationSwitch::JobState* AggregationSwitch::find_job(const net::Packet& p) {
+  auto it = jobs_.find(p.job);
+  if (it != jobs_.end()) return &it->second;
+  ++counters_.unknown_job_drops;
+  trace::emit(trace::kCatSwitch, sim_.now(), id(), "unknown_job_drop", {"job", p.job});
+  return nullptr;
+}
+
+AggregationSwitch::Pass AggregationSwitch::begin_pass(const net::Packet& p) {
+  JobState* job = find_job(p);
+  if (job == nullptr) return {};
+  if (p.idx >= job->params.pool_size)
+    throw std::runtime_error(name() + ": slot index out of range");
+  const int wid_local = static_cast<int>(p.wid) - static_cast<int>(job->params.wid_base);
+  if (wid_local < 0 || wid_local >= job->params.n_workers)
+    throw std::runtime_error(name() + ": packet from unknown worker id " +
+                             std::to_string(p.wid));
+  pipeline_.begin_packet();
+  return {job, wid_local};
 }
 
 void AggregationSwitch::receive(net::Packet&& p, int port) {
@@ -183,7 +181,7 @@ void AggregationSwitch::receive(net::Packet&& p, int port) {
     return;
   }
   if (p.kind == net::PacketKind::SmlUpdate) {
-    handle_update(std::move(p), port);
+    handle_update(std::move(p));
     return;
   }
   if (p.kind == net::PacketKind::SmlSyncQuery) {
@@ -194,65 +192,95 @@ void AggregationSwitch::receive(net::Packet&& p, int port) {
     handle_rescue(std::move(p));
     return;
   }
-  if (role_ == SwitchRole::Leaf && p.kind == net::PacketKind::SmlResult &&
-      port == config_.parent_port) {
+  if (leaf() && p.kind == net::PacketKind::SmlResult && port == config_.parent_port) {
     // Root result arriving at a leaf: relay to our workers. Workers ignore
     // duplicates by offset matching, so re-multicasting a retransmitted root
     // result is safe. The epoch is rewritten to OUR incarnation: a worker's
     // epoch domain is its directly-attached switch, not the root.
+    JobState* job = find_job(p);
+    if (job == nullptr) return;
     ++counters_.results_from_parent;
     ++counters_.results_multicast;
-    auto it = jobs_.find(p.job);
-    const std::uint32_t group =
-        it != jobs_.end() ? it->second.params.multicast_group : config_.multicast_group;
     p.epoch = epoch_;
     p.seal();
-    if (inttel::kCompiledIn && p.int_mode != inttel::kModeOff && it != jobs_.end()) {
+    if (inttel::kCompiledIn && p.int_mode != inttel::kModeOff) {
       // Like the epoch, a worker's telemetry domain is its directly-attached
       // switch: replace the root-side stack with each worker's own uplink
       // echo plus THIS switch's record (now - uplink arrival spans the whole
       // root round trip, so hop sums stay conservative).
-      multicast_int_echo(it->second, p);
+      multicast_int_echo(*job, p);
     } else {
-      multicast(group, p);
+      multicast(job->params.multicast_group, p);
     }
     return;
   }
   L2Switch::receive(std::move(p), port); // ordinary forwarding for other traffic
 }
 
-void AggregationSwitch::emit_result(const JobState& job, const net::Packet& update,
-                                    std::vector<std::int32_t>&& values) {
-  net::Packet result;
-  result.kind = net::PacketKind::SmlResult;
+std::vector<std::int32_t> AggregationSwitch::fold(JobState& job, const net::Packet& p, int ver,
+                                                  bool first, bool complete) {
+  std::vector<std::int32_t> result;
+  if (config_.timing_only || p.values.empty()) return result;
+  // §3.7 16-bit path: ingress tables turn binary16 wire values into fixed
+  // point before aggregation.
+  const bool fp16 = p.elem_bytes == 2;
+  const quant::Fp16Table* table = fp16 ? &fp16_table() : nullptr;
+  if (complete) result.resize(p.values.size());
+  // The ASIC aggregates at most kHwElemsLimit elements, one value register
+  // each.
+  const std::size_t k_agg = std::min<std::size_t>(p.elem_count, job.pool.size());
+  for (std::size_t j = 0; j < k_agg; ++j) {
+    const std::int32_t x =
+        fp16 ? table->to_fixed(static_cast<quant::half>(static_cast<std::uint32_t>(p.values[j])))
+             : p.values[j];
+    std::int32_t updated = 0;
+    job.pool[j]->rmw(p.idx, [&](std::uint64_t w) {
+      // Line 9: the first contribution of a phase OVERWRITES the slot.
+      // Otherwise a two's-complement add with wraparound, exactly as the
+      // switch ALU behaves on overflow (Appendix C relies on f keeping sums
+      // in range).
+      const std::int32_t old = dp::half_as_i32(w, ver);
+      updated = first ? x
+                      : static_cast<std::int32_t>(static_cast<std::uint32_t>(old) +
+                                                  static_cast<std::uint32_t>(x));
+      return dp::half_store_i32(w, ver, updated);
+    });
+    // Egress: fixed point back to binary16 for the 16-bit wire format.
+    if (complete) result[j] = fp16 ? table->to_half(updated) : updated;
+  }
+  // mtu_emulation: elements beyond the ASIC limit pass through as-is
+  // (timing experiments only — the values are not actually aggregated).
+  if (complete)
+    for (std::size_t j = k_agg; j < p.values.size(); ++j) result[j] = p.values[j];
+  return result;
+}
+
+void AggregationSwitch::complete_slot(JobState& job, const net::Packet& p, int ver,
+                                      std::vector<std::int32_t>&& values) {
+  const std::uint32_t idx = p.idx;
+  ++counters_.completions;
+  if (job.active_phases > 0) --job.active_phases;
+  if (job.claim_at[idx] >= 0) slot_dwell_ns_.record(sim_.now() - job.claim_at[idx]);
+  trace::emit(trace::kCatSwitch, sim_.now(), id(), "complete", {"slot", idx}, {"ver", ver},
+              {"off", static_cast<std::int64_t>(p.off)});
+  attr::complete_slot(id(), p.job, static_cast<std::uint32_t>(ver), idx, p.off, sim_.now());
+
+  net::Packet result = net::Packet::reply(net::PacketKind::SmlResult, p);
   result.src = id();
-  result.job = update.job;
-  result.wid = update.wid;
-  result.ver = update.ver;
-  result.idx = update.idx;
-  result.off = update.off;
   result.epoch = epoch_;
-  result.elem_count = update.elem_count;
-  result.elem_bytes = update.elem_bytes;
-  result.int_mode = update.int_mode; // telemetry rides the whole reduction path
-  result.transport = update.transport; // results framed like the updates
   result.values = std::move(values);
-  if (role_ == SwitchRole::Leaf) {
+  if (leaf()) {
     // Completion at a leaf produces ONE partial-aggregate update packet for
-    // the parent, with this leaf acting as worker `leaf_wid` of the parent.
-    net::Packet up = std::move(result);
-    up.kind = net::PacketKind::SmlUpdate;
-    up.wid = config_.leaf_wid;
-    up.seal();
-    send_upstream(std::move(up));
+    // the parent.
+    send_upstream(std::move(result));
+    return;
+  }
+  result.seal();
+  ++counters_.results_multicast;
+  if (inttel::kCompiledIn && result.int_mode != inttel::kModeOff) {
+    multicast_int_echo(job, result);
   } else {
-    result.seal();
-    ++counters_.results_multicast;
-    if (inttel::kCompiledIn && result.int_mode != inttel::kModeOff) {
-      multicast_int_echo(job, result);
-    } else {
-      multicast(job.params.multicast_group, result);
-    }
+    multicast(job.params.multicast_group, result);
   }
 }
 
@@ -260,12 +288,15 @@ void AggregationSwitch::send_upstream(net::Packet&& p) {
   net::Link* up = link_at(config_.parent_port);
   if (up == nullptr) throw std::logic_error(name() + ": leaf has no parent link");
   ++counters_.upstream_partials;
+  p.kind = net::PacketKind::SmlUpdate;
   p.src = id();
   p.dst = up->peer_of(*this).id();
+  p.wid = config_.leaf_wid;
+  p.seal();
   up->send_from(*this, std::move(p), sim_.now() + pipeline_latency());
 }
 
-void AggregationSwitch::handle_update(net::Packet&& p, int /*in_port*/) {
+void AggregationSwitch::handle_update(net::Packet&& p) {
   ++counters_.updates_received;
   if (!p.verify()) {
     // §3.4: the checksum discards corrupted updates; worker-side timers
@@ -276,20 +307,12 @@ void AggregationSwitch::handle_update(net::Packet&& p, int /*in_port*/) {
     attr::transition_matching(p.src, p.idx, p.off, attr::Component::kRtoStall, sim_.now());
     return;
   }
-  auto jit = jobs_.find(p.job);
-  if (jit == jobs_.end()) {
-    ++counters_.unknown_job_drops;
-    trace::emit(trace::kCatSwitch, sim_.now(), id(), "unknown_job_drop", {"job", p.job});
-    return;
-  }
-  JobState& job = jit->second;
-  pipeline_.begin_packet();
-
+  const Pass pass = begin_pass(p);
+  if (pass.job == nullptr) return;
+  JobState& job = *pass.job;
+  const int wid_local = pass.wid_local;
   const int ver = p.ver & 1;
   const std::uint32_t idx = p.idx;
-  if (idx >= job.params.pool_size)
-    throw std::runtime_error(name() + ": slot index out of range");
-  const int wid_local = local_worker_index(job, p.wid);
   const auto n = static_cast<std::uint32_t>(job.params.n_workers);
   if (inttel::kCompiledIn && p.int_mode != inttel::kModeOff)
     store_int_contribution(job, idx, wid_local, p);
@@ -308,95 +331,7 @@ void AggregationSwitch::handle_update(net::Packet&& p, int /*in_port*/) {
                    (seen_before & worker_bit(ver, wid_local)) != 0;
   }
 
-  // The ASIC aggregates at most hw_elems_limit elements; with mtu_emulation
-  // the remaining payload is carried through unmodified (§5.5).
-  const std::size_t k_agg = std::min<std::size_t>(
-      {static_cast<std::size_t>(p.elem_count), static_cast<std::size_t>(config_.hw_elems_limit),
-       job.pool.size()});
-
-  if (!already_seen) {
-    // --- Algorithm 3, line 8: count[ver, idx] = (count + 1) % n.
-    const std::uint64_t count_before = job.count->rmw(idx, [ver, n](std::uint64_t w) {
-      const std::uint32_t c = (static_cast<std::uint32_t>(dp::half_get(w, ver)) + 1) % n;
-      return dp::half_set(w, ver, c);
-    });
-    const std::uint32_t new_count =
-        (static_cast<std::uint32_t>(dp::half_get(count_before, ver)) + 1) % n;
-    // Line 9: the first contribution of a phase OVERWRITES the slot, which is
-    // how a slot is recycled without an explicit reset. (With n == 1 every
-    // packet is simultaneously first and complete.)
-    const bool first = new_count == 1 || n == 1;
-    const bool complete = new_count == 0;
-
-    if (first) {
-      ++job.active_phases;
-      // Latch the offset this version is now aggregating (read by sync
-      // responses) and reset the version's rescue dedup bits: a fresh claim
-      // starts a fresh phase, so older rescues must not be confused with it.
-      job.claim_off[ver][idx] = p.off;
-      job.rescue_seen[idx] &= ~(0xFFFFFFFFull << (ver * 32));
-      // Telemetry-only generation tracking: a claim under the other pool
-      // version means this slot just turned over (Algorithm 4's ver flip).
-      const std::uint8_t prev_ver = job.claim_ver[idx];
-      job.claim_ver[idx] = static_cast<std::uint8_t>(ver);
-      job.claim_at[idx] = sim_.now();
-      if (prev_ver != 255 && prev_ver != static_cast<std::uint8_t>(ver)) {
-        if (job.flip_at[idx] >= 0) flip_interval_ns_.record(sim_.now() - job.flip_at[idx]);
-        job.flip_at[idx] = sim_.now();
-        trace::emit(trace::kCatSwitch, sim_.now(), id(), "version_flip", {"slot", idx},
-                    {"ver", ver});
-      }
-      trace::emit(trace::kCatSwitch, sim_.now(), id(), "claim", {"slot", idx},
-                  {"wid", wid_local}, {"ver", ver});
-    } else {
-      trace::emit(trace::kCatSwitch, sim_.now(), id(), "aggregate", {"slot", idx},
-                  {"wid", wid_local}, {"count", new_count});
-    }
-    attr::contribute(id(), p.job, static_cast<std::uint32_t>(ver), idx, p.src, p.off, sim_.now());
-    trace::emit_flow(sim_.now(), id(), "chunk", trace::chunk_flow_id(p.src, p.off),
-                     trace::FlowPhase::kStep);
-
-    std::vector<std::int32_t> result_values;
-    if (!config_.timing_only && !p.values.empty()) {
-      // §3.7 16-bit path: ingress tables turn binary16 wire values into
-      // fixed point before aggregation.
-      const bool fp16 = p.elem_bytes == 2;
-      const quant::Fp16Table* table = fp16 ? &fp16_table() : nullptr;
-      if (complete) result_values.resize(p.values.size());
-      for (std::size_t j = 0; j < k_agg; ++j) {
-        const std::int32_t x =
-            fp16 ? table->to_fixed(static_cast<quant::half>(static_cast<std::uint32_t>(p.values[j])))
-                 : p.values[j];
-        std::int32_t updated = 0;
-        job.pool[j]->rmw(idx, [&](std::uint64_t w) {
-          // Two's-complement add with wraparound, exactly as the switch ALU
-          // behaves on overflow (Appendix C relies on f keeping sums in range).
-          const std::int32_t old = dp::half_as_i32(w, ver);
-          updated = first ? x
-                          : static_cast<std::int32_t>(static_cast<std::uint32_t>(old) +
-                                                      static_cast<std::uint32_t>(x));
-          return dp::half_store_i32(w, ver, updated);
-        });
-        // Egress: fixed point back to binary16 for the 16-bit wire format.
-        if (complete) result_values[j] = fp16 ? table->to_half(updated) : updated;
-      }
-      // mtu_emulation: elements beyond the ASIC limit pass through as-is
-      // (timing experiments only — the values are not actually aggregated).
-      if (complete)
-        for (std::size_t j = k_agg; j < p.values.size(); ++j) result_values[j] = p.values[j];
-    }
-
-    if (complete) {
-      ++counters_.completions;
-      if (job.active_phases > 0) --job.active_phases;
-      if (job.claim_at[idx] >= 0) slot_dwell_ns_.record(sim_.now() - job.claim_at[idx]);
-      trace::emit(trace::kCatSwitch, sim_.now(), id(), "complete", {"slot", idx}, {"ver", ver},
-                  {"off", static_cast<std::int64_t>(p.off)});
-      attr::complete_slot(id(), p.job, static_cast<std::uint32_t>(ver), idx, p.off, sim_.now());
-      emit_result(job, p, std::move(result_values));
-    }
-    // else: drop p (the update is absorbed into the slot)
-  } else {
+  if (already_seen) {
     ++counters_.duplicate_updates;
     trace::emit(trace::kCatSwitch, sim_.now(), id(), "dup_update", {"slot", idx},
                 {"wid", wid_local}, {"ver", ver});
@@ -410,59 +345,92 @@ void AggregationSwitch::handle_update(net::Packet&& p, int /*in_port*/) {
     // (count wrapped to 0), answer from the shadow copy; otherwise drop.
     const std::uint32_t count_now =
         static_cast<std::uint32_t>(dp::half_get(job.count->read(idx), ver));
-    if (count_now == 0) {
-      trace::emit(trace::kCatSwitch, sim_.now(), id(), "shadow_reply", {"slot", idx},
-                  {"wid", wid_local}, {"ver", ver});
-      attr::transition_matching(p.src, p.idx, p.off, attr::Component::kSwitchReady, sim_.now());
-      std::vector<std::int32_t> result_values;
-      if (!config_.timing_only && !p.values.empty()) {
-        const bool fp16 = p.elem_bytes == 2;
-        const quant::Fp16Table* table = fp16 ? &fp16_table() : nullptr;
-        result_values.resize(p.values.size());
-        for (std::size_t j = 0; j < k_agg; ++j) {
-          const std::int32_t stored = dp::half_as_i32(job.pool[j]->read(idx), ver);
-          result_values[j] = fp16 ? table->to_half(stored) : stored;
-        }
-        for (std::size_t j = k_agg; j < p.values.size(); ++j) result_values[j] = p.values[j];
-      }
-      if (role_ == SwitchRole::Leaf) {
-        // §6: convert the worker's retransmission into an upstream
-        // retransmission of our partial aggregate; the parent will answer
-        // with the (re)multicast of the final result.
-        net::Packet up = std::move(p);
-        up.kind = net::PacketKind::SmlUpdate;
-        up.wid = config_.leaf_wid;
-        up.values = std::move(result_values);
-        up.seal();
-        send_upstream(std::move(up));
-      } else {
-        ++counters_.unicast_replies;
-        net::Packet reply;
-        reply.kind = net::PacketKind::SmlResult;
-        reply.src = id();
-        reply.dst = p.src;
-        reply.job = p.job;
-        reply.wid = p.wid;
-        reply.ver = p.ver;
-        reply.idx = p.idx;
-        reply.off = p.off;
-        reply.epoch = epoch_;
-        reply.elem_count = p.elem_count;
-        reply.elem_bytes = p.elem_bytes;
-        reply.int_mode = p.int_mode;
-        reply.transport = p.transport;
-        reply.values = std::move(result_values);
-        if (inttel::kCompiledIn && reply.int_mode != inttel::kModeOff)
-          attach_int_echo(job, reply, wid_local);
-        reply.seal();
-        forward(std::move(reply));
-      }
-    } else {
+    if (count_now != 0) {
       // Still aggregating: the duplicate is absorbed, the chunk keeps waiting
       // for the remaining workers.
       attr::transition_matching(p.src, p.idx, p.off, attr::Component::kSwitchWait, sim_.now());
+      return;
     }
+    trace::emit(trace::kCatSwitch, sim_.now(), id(), "shadow_reply", {"slot", idx},
+                {"wid", wid_local}, {"ver", ver});
+    attr::transition_matching(p.src, p.idx, p.off, attr::Component::kSwitchReady, sim_.now());
+    std::vector<std::int32_t> values;
+    if (!config_.timing_only && !p.values.empty()) {
+      const bool fp16 = p.elem_bytes == 2;
+      const quant::Fp16Table* table = fp16 ? &fp16_table() : nullptr;
+      const std::size_t k_agg = std::min<std::size_t>(p.elem_count, job.pool.size());
+      values.resize(p.values.size());
+      for (std::size_t j = 0; j < k_agg; ++j) {
+        const std::int32_t stored = dp::half_as_i32(job.pool[j]->read(idx), ver);
+        values[j] = fp16 ? table->to_half(stored) : stored;
+      }
+      for (std::size_t j = k_agg; j < p.values.size(); ++j) values[j] = p.values[j];
+    }
+    if (leaf()) {
+      // §6: convert the worker's retransmission into an upstream
+      // retransmission of our partial aggregate; the parent will answer
+      // with the (re)multicast of the final result.
+      p.values = std::move(values);
+      send_upstream(std::move(p));
+      return;
+    }
+    ++counters_.unicast_replies;
+    net::Packet reply = net::Packet::reply(net::PacketKind::SmlResult, p);
+    reply.src = id();
+    reply.dst = p.src;
+    reply.epoch = epoch_;
+    reply.values = std::move(values);
+    if (inttel::kCompiledIn && reply.int_mode != inttel::kModeOff)
+      attach_int_echo(job, reply, wid_local);
+    reply.seal();
+    forward(std::move(reply));
+    return;
   }
+
+  // --- Algorithm 3, line 8: count[ver, idx] = (count + 1) % n.
+  const std::uint64_t count_before = job.count->rmw(idx, [ver, n](std::uint64_t w) {
+    const std::uint32_t c = (static_cast<std::uint32_t>(dp::half_get(w, ver)) + 1) % n;
+    return dp::half_set(w, ver, c);
+  });
+  const std::uint32_t new_count =
+      (static_cast<std::uint32_t>(dp::half_get(count_before, ver)) + 1) % n;
+  // Line 9: the first contribution of a phase overwrites the slot, which is
+  // how a slot is recycled without an explicit reset. (With n == 1 every
+  // packet is simultaneously first and complete.)
+  const bool first = new_count == 1 || n == 1;
+  const bool complete = new_count == 0;
+
+  if (first) {
+    ++job.active_phases;
+    // Latch the offset this version is now aggregating (read by sync
+    // responses) and reset the version's rescue dedup bits: a fresh claim
+    // starts a fresh phase, so older rescues must not be confused with it.
+    job.claim_off[ver][idx] = p.off;
+    job.rescue_seen[idx] &= ~(0xFFFFFFFFull << (ver * 32));
+    // Telemetry-only generation tracking: a claim under the other pool
+    // version means this slot just turned over (Algorithm 4's ver flip).
+    const std::uint8_t prev_ver = job.claim_ver[idx];
+    job.claim_ver[idx] = static_cast<std::uint8_t>(ver);
+    job.claim_at[idx] = sim_.now();
+    if (prev_ver != 255 && prev_ver != static_cast<std::uint8_t>(ver)) {
+      if (job.flip_at[idx] >= 0) flip_interval_ns_.record(sim_.now() - job.flip_at[idx]);
+      job.flip_at[idx] = sim_.now();
+      trace::emit(trace::kCatSwitch, sim_.now(), id(), "version_flip", {"slot", idx},
+                  {"ver", ver});
+    }
+    trace::emit(trace::kCatSwitch, sim_.now(), id(), "claim", {"slot", idx},
+                {"wid", wid_local}, {"ver", ver});
+  } else {
+    trace::emit(trace::kCatSwitch, sim_.now(), id(), "aggregate", {"slot", idx},
+                {"wid", wid_local}, {"count", new_count});
+  }
+  attr::contribute(id(), p.job, static_cast<std::uint32_t>(ver), idx, p.src, p.off, sim_.now());
+  trace::emit_flow(sim_.now(), id(), "chunk", trace::chunk_flow_id(p.src, p.off),
+                   trace::FlowPhase::kStep);
+
+  std::vector<std::int32_t> values = fold(job, p, ver, first, complete);
+  if (complete) complete_slot(job, p, ver, std::move(values));
+  // else: the update is absorbed into the slot
 }
 
 void AggregationSwitch::handle_sync_query(const net::Packet& p) {
@@ -470,16 +438,9 @@ void AggregationSwitch::handle_sync_query(const net::Packet& p) {
     ++counters_.checksum_drops;
     return;
   }
-  auto jit = jobs_.find(p.job);
-  if (jit == jobs_.end()) {
-    ++counters_.unknown_job_drops;
-    return;
-  }
-  JobState& job = jit->second;
-  if (p.idx >= job.params.pool_size)
-    throw std::runtime_error(name() + ": sync query slot index out of range");
-  const int wid_local = local_worker_index(job, p.wid);
-  pipeline_.begin_packet();
+  const Pass pass = begin_pass(p);
+  if (pass.job == nullptr) return;
+  JobState& job = *pass.job;
 
   // Control-plane read of the slot's registers: per-version counters, the
   // offsets currently claimed, and each worker's own seen bits. The state
@@ -487,16 +448,11 @@ void AggregationSwitch::handle_sync_query(const net::Packet& p) {
   // one probe reply, like a result multicast): a stranded worker's peers may
   // have already retired the slot after consuming its final result, and only
   // hear about the re-claimed phase — and volunteer the rescue — if the
-  // announcement reaches them too.
-  net::Packet reply;
-  reply.kind = net::PacketKind::SmlSyncResponse;
+  // announcement reaches them too. The query's offset is echoed so a worker
+  // can match the reply to the stuck phase.
+  net::Packet reply = net::Packet::reply(net::PacketKind::SmlSyncResponse, p);
   reply.src = id();
-  reply.job = p.job;
-  reply.ver = p.ver;
-  reply.idx = p.idx;
-  reply.off = p.off; // echoed so the worker can match it to the stuck phase
   reply.epoch = epoch_;
-  reply.transport = p.transport;
   // Register reads in pipeline-stage order: seen (stage 0) before count
   // (stage 1), exactly as a real probe packet would traverse them.
   std::uint64_t seen = 0;
@@ -508,22 +464,11 @@ void AggregationSwitch::handle_sync_query(const net::Packet& p) {
   reply.sync_off1 = job.claim_off[1][p.idx];
   ++counters_.sync_replies;
   trace::emit(trace::kCatFault, sim_.now(), id(), "slot_sync", {"slot", p.idx},
-              {"wid", wid_local}, {"epoch", static_cast<std::int64_t>(epoch_)});
-  const std::vector<int>* ports = multicast_ports(job.params.multicast_group);
-  if (ports == nullptr) { // no replication group (unit fixtures): unicast
-    reply.dst = p.src;
-    reply.wid = p.wid;
-    if (job.seen)
-      reply.sync_seen =
-          static_cast<std::uint8_t>(((seen >> wid_local) & 1) |
-                                    (((seen >> (32 + wid_local)) & 1) << 1));
-    reply.seal();
-    forward(std::move(reply));
-    return;
-  }
+              {"wid", pass.wid_local}, {"epoch", static_cast<std::int64_t>(epoch_)});
+  const std::vector<int>& ports = group_ports(job.params.multicast_group);
   const Time ready = sim_.now() + pipeline_latency();
-  for (std::size_t i = 0; i < ports->size(); ++i) {
-    net::Link* link = link_at((*ports)[i]);
+  for (std::size_t i = 0; i < ports.size(); ++i) {
+    net::Link* link = link_at(ports[i]);
     net::Packet copy = reply;
     copy.dst = link->peer_of(*this).id();
     copy.wid = static_cast<std::uint16_t>(job.params.wid_base + i);
@@ -540,26 +485,19 @@ void AggregationSwitch::handle_rescue(net::Packet&& p) {
     ++counters_.checksum_drops;
     return;
   }
-  auto jit = jobs_.find(p.job);
-  if (jit == jobs_.end()) {
-    ++counters_.unknown_job_drops;
-    return;
-  }
-  JobState& job = jit->second;
+  const Pass pass = begin_pass(p);
+  if (pass.job == nullptr) return;
   if (config_.lossless) {
     ++counters_.rescues_ignored;
     return;
   }
+  JobState& job = *pass.job;
+  const int wid_local = pass.wid_local;
   const int ver = p.ver & 1;
   const std::uint32_t idx = p.idx;
-  if (idx >= job.params.pool_size)
-    throw std::runtime_error(name() + ": rescue slot index out of range");
-  const int wid_local = local_worker_index(job, p.wid);
   const auto n = static_cast<std::uint32_t>(job.params.n_workers);
   if (inttel::kCompiledIn && p.int_mode != inttel::kModeOff)
     store_int_contribution(job, idx, wid_local, p);
-
-  pipeline_.begin_packet();
 
   // A rescue is valid only against the version's CURRENT, still-incomplete
   // phase; anything else is stale evidence from before the state moved on.
@@ -568,21 +506,17 @@ void AggregationSwitch::handle_rescue(net::Packet&& p) {
   // touched exactly once (a conditional rmw), respecting the one-access-per-
   // packet dataplane constraint.
   const std::uint64_t bit = worker_bit(ver, wid_local);
-  if ((job.rescue_seen[idx] & bit) != 0 || job.claim_off[ver][idx] != p.off) {
-    ++counters_.rescues_ignored;
-    trace::emit(trace::kCatFault, sim_.now(), id(), "rescue_ignore", {"slot", idx},
-                {"wid", wid_local}, {"ver", ver});
-    return;
-  }
   bool applied = false;
   std::uint32_t new_count = 0;
-  job.count->rmw(idx, [&](std::uint64_t w) {
-    const auto c = static_cast<std::uint32_t>(dp::half_get(w, ver));
-    if (c == 0) return w; // version idle or already complete: stale rescue
-    applied = true;
-    new_count = (c + 1) % n;
-    return dp::half_set(w, ver, new_count);
-  });
+  if ((job.rescue_seen[idx] & bit) == 0 && job.claim_off[ver][idx] == p.off) {
+    job.count->rmw(idx, [&](std::uint64_t w) {
+      const auto c = static_cast<std::uint32_t>(dp::half_get(w, ver));
+      if (c == 0) return w; // version idle or already complete: stale rescue
+      applied = true;
+      new_count = (c + 1) % n;
+      return dp::half_set(w, ver, new_count);
+    });
+  }
   if (!applied) {
     ++counters_.rescues_ignored;
     trace::emit(trace::kCatFault, sim_.now(), id(), "rescue_ignore", {"slot", idx},
@@ -594,45 +528,12 @@ void AggregationSwitch::handle_rescue(net::Packet&& p) {
   trace::emit(trace::kCatFault, sim_.now(), id(), "rescue_apply", {"slot", idx},
               {"wid", wid_local}, {"off", static_cast<std::int64_t>(p.off)});
 
-  // Aggregate like a non-first contribution, WITHOUT touching the seen
-  // bitmap: the rescuer's data-plane bits still describe its current-phase
+  // Fold like a non-first contribution, WITHOUT touching the seen bitmap:
+  // the rescuer's data-plane bits still describe its current-phase
   // contribution at the other version, and must stay that way.
   const bool complete = new_count == 0;
-
-  const std::size_t k_agg = std::min<std::size_t>(
-      {static_cast<std::size_t>(p.elem_count), static_cast<std::size_t>(config_.hw_elems_limit),
-       job.pool.size()});
-  std::vector<std::int32_t> result_values;
-  if (!config_.timing_only && !p.values.empty()) {
-    const bool fp16 = p.elem_bytes == 2;
-    const quant::Fp16Table* table = fp16 ? &fp16_table() : nullptr;
-    if (complete) result_values.resize(p.values.size());
-    for (std::size_t j = 0; j < k_agg; ++j) {
-      const std::int32_t x =
-          fp16 ? table->to_fixed(static_cast<quant::half>(static_cast<std::uint32_t>(p.values[j])))
-               : p.values[j];
-      std::int32_t updated = 0;
-      job.pool[j]->rmw(idx, [&](std::uint64_t w) {
-        const std::int32_t old = dp::half_as_i32(w, ver);
-        updated = static_cast<std::int32_t>(static_cast<std::uint32_t>(old) +
-                                            static_cast<std::uint32_t>(x));
-        return dp::half_store_i32(w, ver, updated);
-      });
-      if (complete) result_values[j] = fp16 ? table->to_half(updated) : updated;
-    }
-    if (complete)
-      for (std::size_t j = k_agg; j < p.values.size(); ++j) result_values[j] = p.values[j];
-  }
-
-  if (complete) {
-    ++counters_.completions;
-    if (job.active_phases > 0) --job.active_phases;
-    if (job.claim_at[idx] >= 0) slot_dwell_ns_.record(sim_.now() - job.claim_at[idx]);
-    trace::emit(trace::kCatSwitch, sim_.now(), id(), "complete", {"slot", idx}, {"ver", ver},
-                {"off", static_cast<std::int64_t>(p.off)});
-    attr::complete_slot(id(), p.job, static_cast<std::uint32_t>(ver), idx, p.off, sim_.now());
-    emit_result(job, p, std::move(result_values));
-  }
+  std::vector<std::int32_t> values = fold(job, p, ver, /*first=*/false, complete);
+  if (complete) complete_slot(job, p, ver, std::move(values));
 }
 
 void AggregationSwitch::store_int_contribution(JobState& job, std::uint32_t idx, int wid_local,
@@ -695,14 +596,10 @@ void AggregationSwitch::attach_int_echo(const JobState& job, net::Packet& copy, 
 }
 
 void AggregationSwitch::multicast_int_echo(const JobState& job, const net::Packet& p) {
-  const std::vector<int>* ports = multicast_ports(job.params.multicast_group);
-  if (ports == nullptr) {
-    multicast(job.params.multicast_group, p); // unit fixtures: same diagnostics
-    return;
-  }
+  const std::vector<int>& ports = group_ports(job.params.multicast_group);
   const Time ready = sim_.now() + pipeline_latency();
-  for (std::size_t i = 0; i < ports->size(); ++i) {
-    net::Link* link = link_at((*ports)[i]);
+  for (std::size_t i = 0; i < ports.size(); ++i) {
+    net::Link* link = link_at(ports[i]);
     net::Packet copy = p;
     copy.dst = link->peer_of(*this).id();
     attach_int_echo(job, copy, static_cast<int>(i));

@@ -18,22 +18,29 @@
 //  * retransmissions of already-aggregated updates for a COMPLETE slot are
 //    answered with a unicast copy of the result read from the shadow copy.
 //
+// Every packet makes one pipeline pass (Appendix B), written once: a shared
+// lookup (job, slot, local worker index), then for an update the seen
+// bitmap and the count, then one fold of the values into the pool, and on
+// completion one step that sends the result on. A rescue is the same fold,
+// never the first of its phase, and leaves the seen bitmap alone.
+//
 // Multi-tenancy (§6): every job gets its own pool of aggregators, admitted
 // by the control plane against the dataplane SRAM budget. Packets select
-// their job's pool with the `job` header field.
+// their job's pool with the `job` header field. Every job, job 0 included,
+// goes through admit_job().
 //
 // The same class implements the paper's §6 hierarchical composition: a
-// switch configured as a LEAF forwards each completed partial aggregate
-// upstream as a single update packet (acting as one "worker" of its parent),
-// relays parent results downward as a multicast, and converts worker
-// retransmissions into upstream retransmissions so a loss anywhere in the
-// tree is always repaired.
+// switch with a parent port is a LEAF. It forwards each completed partial
+// aggregate upstream as a single update packet (acting as one "worker" of
+// its parent), relays parent results downward as a multicast, and converts
+// worker retransmissions into upstream retransmissions so a loss anywhere in
+// the tree is always repaired. A switch without one multicasts its results
+// to its children.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/histogram.hpp"
@@ -43,11 +50,13 @@
 
 namespace switchml::swprog {
 
-enum class SwitchRole : std::uint8_t {
-  Standalone, // single-rack deployment: completion => multicast to workers
-  Leaf,       // hierarchical: completion => one partial-aggregate packet upstream
-  Root,       // hierarchical top: aggregates leaves, multicasts down to leaves
-};
+// Elements the ASIC can aggregate per packet (§3.4); with mtu_emulation the
+// rest of a packet passes through.
+constexpr std::uint32_t kHwElemsLimit = 32;
+// Match-action stages of one pipeline: the bitmap, the counter, then the
+// value registers spread over the rest.
+constexpr int kPipelineStages = 12;
+static_assert(kPipelineStages > 2, "the value registers need stages after seen and count");
 
 // Per-job admission parameters (§6 multi-tenancy).
 struct JobParams {
@@ -58,24 +67,18 @@ struct JobParams {
 };
 
 struct AggregationConfig {
-  int n_workers = 8;
-  std::uint32_t pool_size = 128;
   std::uint32_t elems_per_packet = net::kDefaultElemsPerPacket; // k
-  std::uint16_t wid_base = 0;
   bool timing_only = false;      // skip value registers (protocol state still exact)
-  std::uint32_t hw_elems_limit = 32;  // elements the ASIC can aggregate per packet (§3.4)
-  bool mtu_emulation = false;    // §5.5: aggregate first hw_elems_limit, pass the rest through
-  int pipeline_stages = 12;
+  bool mtu_emulation = false;    // §5.5: aggregate first kHwElemsLimit, pass the rest through
   // §3.7 16-bit wire format: packets with elem_bytes == 2 carry raw binary16
   // patterns; the switch converts them to fixed point with `fp16_frac_bits`
   // fractional bits via lookup tables at ingress and back at egress.
   int fp16_frac_bits = 12;
-  std::uint32_t multicast_group = 1;
   // Dataplane SRAM available for aggregation state; admission control
   // rejects jobs that would exceed it (§6: "an admission mechanism would be
   // needed to control the assignment of jobs to pools").
   std::size_t sram_budget_bytes = 4 * kMiB;
-  // Leaf-only:
+  // A switch with a parent port is a leaf of a hierarchy (-1: none).
   int parent_port = -1;
   std::uint16_t leaf_wid = 0; // this switch's worker id at its parent
 
@@ -96,15 +99,14 @@ struct AggregationConfig {
 class AggregationSwitch : public net::L2Switch {
 public:
   AggregationSwitch(sim::Simulation& simulation, net::NodeId id, std::string name,
-                    AggregationConfig config, SwitchRole role = SwitchRole::Standalone,
-                    Time pipeline_latency = nsec(400));
+                    AggregationConfig config, Time pipeline_latency = nsec(400));
 
   void receive(net::Packet&& p, int port) override;
 
   // --- control plane: job admission (§6 multi-tenancy) ----------------------
   // Returns false (and admits nothing) if the job's registers would not fit
-  // in the SRAM budget or the id is taken. Job 0 is admitted at construction
-  // from `config`.
+  // in the SRAM budget or the id is taken. A new switch has no job: the
+  // fabric admits each of its jobs, job 0 included.
   bool admit_job(std::uint8_t job, const JobParams& params);
   void evict_job(std::uint8_t job);
 
@@ -130,6 +132,11 @@ public:
   [[nodiscard]] std::uint32_t epoch() const { return epoch_; }
   [[nodiscard]] bool has_job(std::uint8_t job) const { return jobs_.count(job) != 0; }
   [[nodiscard]] std::size_t jobs_admitted() const { return jobs_.size(); }
+  // The admission parameters of an admitted job (throws std::out_of_range).
+  [[nodiscard]] const JobParams& job_params(std::uint8_t job) const {
+    return jobs_.at(job).params;
+  }
+  [[nodiscard]] bool leaf() const { return config_.parent_port >= 0; }
   [[nodiscard]] std::size_t sram_free_bytes() const;
 
   struct Counters {
@@ -210,11 +217,35 @@ private:
     std::vector<IntContribution> int_rx; // [idx * n_workers + wid_local]
   };
 
-  void handle_update(net::Packet&& p, int in_port);
+  // The helpers every update runs are forced inline, so sharing them costs
+  // the update path no call; aggregation_switch.cpp defines them.
+  //
+  // The packet's job, or null after counting (and tracing) the drop of a
+  // packet for an unadmitted job.
+  [[gnu::always_inline]] inline JobState* find_job(const net::Packet& p);
+  // The lookup shared by updates, sync queries and rescues: find_job, the
+  // slot-index range check, the sender's index among the job's contributors,
+  // and the start of the packet's pipeline pass. `job` is null if dropped.
+  struct Pass {
+    JobState* job = nullptr;
+    int wid_local = 0;
+  };
+  [[gnu::always_inline]] inline Pass begin_pass(const net::Packet& p);
+  void handle_update(net::Packet&& p);
   void handle_sync_query(const net::Packet& p);
   void handle_rescue(net::Packet&& p);
-  void emit_result(const JobState& job, const net::Packet& update,
-                   std::vector<std::int32_t>&& values);
+  // Algorithm 3's value step for updates and rescues: the ingress fp16
+  // conversion, one rmw per value register on version `ver` (overwriting it
+  // when `first`), and when `complete` the result payload: the egress
+  // conversion plus the MTU pass-through of elements beyond the ASIC limit.
+  [[gnu::always_inline]] inline std::vector<std::int32_t> fold(JobState& job,
+                                                                const net::Packet& p, int ver,
+                                                                bool first, bool complete);
+  // The completing contribution `p`: counters, dwell, trace and attribution,
+  // then the result goes to the children, or upstream at a leaf.
+  [[gnu::always_inline]] inline void complete_slot(JobState& job, const net::Packet& p,
+                                                   int ver, std::vector<std::int32_t>&& values);
+  // Sends `p` to the parent as an update from worker `leaf_wid`.
   void send_upstream(net::Packet&& p);
 
   // --- in-band telemetry ----------------------------------------------------
@@ -234,7 +265,6 @@ private:
   // per copy.
   void multicast_int_echo(const JobState& job, const net::Packet& p);
 
-  [[nodiscard]] static int local_worker_index(const JobState& job, std::uint16_t wid);
   [[nodiscard]] std::size_t job_register_bytes(const JobParams& params) const;
 
   // Lazily-built §3.7 conversion tables (the Tofino implements these as
@@ -242,7 +272,6 @@ private:
   const quant::Fp16Table& fp16_table();
 
   AggregationConfig config_;
-  SwitchRole role_;
   dp::Pipeline pipeline_;
   std::uint32_t epoch_ = 0;
   bool dead_ = false;

@@ -1,7 +1,6 @@
 #include "worker/worker.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <stdexcept>
 
@@ -96,20 +95,8 @@ void Worker::rtt_sample(Time sample) {
   rtt_.add(to_usec(sample));
   rtt_ns_.record(sample);
   if (!config_.adaptive_rto) return;
-  // Jacobson/Karels: SRTT <- SRTT + (R - SRTT)/8, RTTVAR <- RTTVAR +
-  // (|R - SRTT| - RTTVAR)/4, RTO = SRTT + 4 RTTVAR.
-  const double r = static_cast<double>(sample);
-  if (!have_rtt_) {
-    srtt_ = r;
-    rttvar_ = r / 2.0;
-    have_rtt_ = true;
-  } else {
-    const double err = r - srtt_;
-    srtt_ += err / 8.0;
-    rttvar_ += (std::abs(err) - rttvar_) / 4.0;
-  }
-  const auto rto = static_cast<Time>(srtt_ + 4.0 * rttvar_);
-  rto_ = std::clamp(rto, config_.rto_min, config_.rto_max);
+  rtt_est_.add(sample);
+  rto_ = rtt_est_.rto(kRtoMin, kRtoMax);
 }
 
 std::uint32_t Worker::chunk_elems(std::uint64_t off) const {
@@ -160,27 +147,35 @@ void Worker::start_reduction(std::uint64_t total_elems, std::function<void()> on
   }
 }
 
-void Worker::send_update(std::uint32_t slot_index, bool retransmission) {
-  Slot& slot = slots_[slot_index];
+net::Packet Worker::slot_packet(net::PacketKind kind, std::uint32_t slot_index, std::uint8_t ver,
+                                std::uint64_t off, std::uint32_t elem_count) const {
   net::Packet p;
-  p.kind = net::PacketKind::SmlUpdate;
+  p.kind = kind;
   p.src = id();
   p.dst = dst_resolver_ ? dst_resolver_(slot_index) : config_.switch_id;
   p.job = config_.job;
   p.wid = config_.wid;
-  p.ver = slot_ver_[slot_index];
+  p.ver = ver;
   p.idx = slot_index;
-  p.off = slot.off;
-  p.elem_count = chunk_elems(slot.off);
-  p.elem_bytes = config_.wire_elem_bytes;
-  if (!config_.timing_only && !update_.empty()) {
-    const auto first = static_cast<std::ptrdiff_t>(slot.off);
-    p.values.assign(update_.begin() + first, update_.begin() + first + p.elem_count);
-  }
-  p.int_mode = config_.int_mode;
+  p.off = off;
   p.transport = config_.transport;
-
+  if (elem_count > 0) { // updates and rescues carry the chunk at `off`
+    p.elem_count = elem_count;
+    p.elem_bytes = config_.wire_elem_bytes;
+    if (!config_.timing_only && !update_.empty()) {
+      const auto first = static_cast<std::ptrdiff_t>(off);
+      p.values.assign(update_.begin() + first, update_.begin() + first + elem_count);
+    }
+    p.int_mode = config_.int_mode;
+  }
   p.seal();
+  return p;
+}
+
+void Worker::send_update(std::uint32_t slot_index, bool retransmission) {
+  Slot& slot = slots_[slot_index];
+  net::Packet p = slot_packet(net::PacketKind::SmlUpdate, slot_index, slot_ver_[slot_index],
+                              slot.off, chunk_elems(slot.off));
   slot.epoch = switch_epoch_;
   ++counters_.updates_sent;
   if (retransmission) {
@@ -218,7 +213,7 @@ void Worker::arm_timer(std::uint32_t slot_index) {
   // Exponential backoff is PER SLOT: repeated losses on one slot must not
   // inflate the timers of healthy slots.
   const int shift = std::min(slot.backoff, 10);
-  const Time rto = std::min<Time>(rto_ << shift, config_.rto_max);
+  const Time rto = std::min<Time>(rto_ << shift, kRtoMax);
   // The slot's timer stays armed from phase to phase: re-arming moves it in
   // place instead of leaving one cancelled heap key per update sent.
   slot.timer = sim_.rearm_timer(slot.timer, rto, [this, slot_index] {
@@ -384,17 +379,8 @@ void Worker::observe_epoch(std::uint32_t epoch) {
 
 void Worker::send_sync_query(std::uint32_t slot_index) {
   Slot& slot = slots_[slot_index];
-  net::Packet p;
-  p.kind = net::PacketKind::SmlSyncQuery;
-  p.src = id();
-  p.dst = dst_resolver_ ? dst_resolver_(slot_index) : config_.switch_id;
-  p.job = config_.job;
-  p.wid = config_.wid;
-  p.ver = slot_ver_[slot_index];
-  p.idx = slot_index;
-  p.off = slot.off;
-  p.transport = config_.transport;
-  p.seal();
+  net::Packet p =
+      slot_packet(net::PacketKind::SmlSyncQuery, slot_index, slot_ver_[slot_index], slot.off);
   ++recovery_.sync_queries;
   const Time wire_time = channel_->tx_ready(core_of(slot_index), p);
   trace::emit(trace::kCatFault, sim_.now(), id(), "sync_query", {"slot", slot_index},
@@ -452,24 +438,7 @@ void Worker::handle_sync_response(net::Packet&& p) {
 
 void Worker::send_rescue(std::uint32_t slot_index, std::uint64_t off, std::uint8_t ver,
                          std::uint32_t elem_count) {
-  net::Packet p;
-  p.kind = net::PacketKind::SmlRescue;
-  p.src = id();
-  p.dst = dst_resolver_ ? dst_resolver_(slot_index) : config_.switch_id;
-  p.job = config_.job;
-  p.wid = config_.wid;
-  p.ver = ver;
-  p.idx = slot_index;
-  p.off = off;
-  p.elem_count = elem_count;
-  p.elem_bytes = config_.wire_elem_bytes;
-  if (!config_.timing_only && !update_.empty()) {
-    const auto first = static_cast<std::ptrdiff_t>(off);
-    p.values.assign(update_.begin() + first, update_.begin() + first + p.elem_count);
-  }
-  p.int_mode = config_.int_mode;
-  p.transport = config_.transport;
-  p.seal();
+  net::Packet p = slot_packet(net::PacketKind::SmlRescue, slot_index, ver, off, elem_count);
   ++recovery_.rescues_sent;
   const Time wire_time = channel_->tx_ready(core_of(slot_index), p);
   trace::emit(trace::kCatFault, sim_.now(), id(), "rescue_send", {"slot", slot_index},

@@ -45,12 +45,11 @@ struct WorkerConfig {
   // §6: "one should take care to adapt the retransmission timeout according
   // to variations in end-to-end RTT". When enabled, the worker runs a
   // Jacobson/Karels estimator (SRTT + 4*RTTVAR) seeded from
-  // retransmit_timeout, clamped to [rto_min, rto_max]. Capped per-slot
-  // exponential backoff on repeated timeouts applies in BOTH modes (fixed
-  // mode backs off from the fixed base instead of the estimator).
+  // retransmit_timeout, clamped to [Worker::kRtoMin, Worker::kRtoMax].
+  // Capped per-slot exponential backoff on repeated timeouts applies in BOTH
+  // modes (fixed mode backs off from the fixed base instead of the
+  // estimator), never past kRtoMax.
   bool adaptive_rto = false;
-  Time rto_min = usec(150);
-  Time rto_max = msec(64);
   // Recovery escalation budgets, counted in CONSECUTIVE timeouts of one
   // slot (0 disables the stage). After `sync_after` timeouts each further
   // timeout also sends a SlotSyncQuery probing the switch's slot state
@@ -82,6 +81,11 @@ struct WorkerConfig {
 
 class Worker : public net::Node {
 public:
+  // Bounds of the retransmission timeout: the adaptive estimate is clamped
+  // to [kRtoMin, kRtoMax], and backoff never exceeds kRtoMax.
+  static constexpr Time kRtoMin = usec(150);
+  static constexpr Time kRtoMax = msec(64);
+
   Worker(sim::Simulation& simulation, net::NodeId id, std::string name, WorkerConfig config);
 
   void set_uplink(net::Link& link) { uplink_ = &link; }
@@ -224,6 +228,12 @@ private:
     std::uint32_t retired_elems = 0;
   };
 
+  // The sealed packet every request about a slot starts as: an update, a
+  // sync query or a rescue. A non-zero `elem_count` adds the chunk at `off`
+  // (updates and rescues). Forced inline: every update is built here.
+  [[gnu::always_inline]] [[nodiscard]] inline net::Packet slot_packet(
+      net::PacketKind kind, std::uint32_t slot_index, std::uint8_t ver, std::uint64_t off,
+      std::uint32_t elem_count = 0) const;
   void send_update(std::uint32_t slot_index, bool retransmission);
   void handle_result(net::Packet&& p, Time rx_at);
   void handle_sync_response(net::Packet&& p);
@@ -283,11 +293,8 @@ private:
   Histogram completion_ns_;
   Histogram resync_ns_;
   Time reduction_started_at_ = 0;
-  // Jacobson/Karels state (adaptive_rto).
   Time rto_ = 0;
-  double srtt_ = 0.0;
-  double rttvar_ = 0.0;
-  bool have_rtt_ = false;
+  RttEstimator rtt_est_; // adaptive_rto
 };
 
 } // namespace switchml::worker

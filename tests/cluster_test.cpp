@@ -193,6 +193,7 @@ TEST(Cluster, StreamsBoundTheKeyedEventHeap) {
   for (const bool timing : {true, false}) {
     ClusterConfig cfg = small_config(4);
     cfg.timing_only = timing;
+    cfg.transport = net::TransportKind::kUdp; // the stream count below is UDP's NIC cores
     Fabric cluster(cfg.fabric());
     sim::Simulation& sim = cluster.simulation();
     std::size_t peak_keyed = 0;

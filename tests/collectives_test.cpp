@@ -270,16 +270,19 @@ TEST(StreamingPs, AttributionConservesOnBothPlacements) {
       cfg.timing_only = true;
       core::Fabric cluster(cfg);
       cluster.reduce_timing(8192);
+      const auto snap = cluster.metrics().snapshot();
+      if (loss > 0) {
+        EXPECT_GT(snap.sum(".duplicates"), 0u);
+      }
+      if (!attr::kCompiledIn) continue; // the ledger records nothing
       EXPECT_EQ(ledger.max_residual_ns(), 0u);
       EXPECT_EQ(ledger.chunks_closed(), 4u * 8192 / net::kDefaultElemsPerPacket);
       EXPECT_EQ(ledger.reopened(), 0u);
       EXPECT_GT(ledger.total(attr::Component::kSwitchWait), 0u);
       EXPECT_GT(ledger.total(attr::Component::kSwitchReady), 0u);
-      const auto snap = cluster.metrics().snapshot();
       EXPECT_EQ(snap.counter("attr.chunks_closed"), ledger.chunks_closed());
       if (loss > 0) {
         EXPECT_GT(ledger.total(attr::Component::kRtoStall), 0u);
-        EXPECT_GT(snap.sum(".duplicates"), 0u);
       }
     }
   }

@@ -421,6 +421,14 @@ TEST(L2Switch, UnknownMulticastGroupThrows) {
   EXPECT_THROW(sw.multicast(42, raw_packet(100, 1, 0)), std::runtime_error);
 }
 
+TEST(L2Switch, GroupPortsKeepRegistrationOrderAndThrowForUnknownGroups) {
+  sim::Simulation sim;
+  L2Switch sw(sim, 100, "sw");
+  sw.add_multicast_group(7, {2, 0, 1});
+  EXPECT_EQ(sw.group_ports(7), (std::vector<int>{2, 0, 1}));
+  EXPECT_THROW((void)sw.group_ports(42), std::runtime_error);
+}
+
 TEST(L2Switch, UnknownDestinationThrows) {
   sim::Simulation sim;
   SinkNode a{sim, 1, "a"};

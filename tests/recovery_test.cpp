@@ -224,6 +224,7 @@ TEST(Recovery, SwitchKillDegradesToFallbackBitExact) {
 // pinned.
 TEST(Recovery, LossyFallbackReplayDrawsItsOwnLoss) {
   ClusterConfig cfg = ClusterConfig::for_rate(gbps(10), 4);
+  cfg.transport = net::TransportKind::kUdp; // the pinned TATs are the UDP channel's
   cfg.pool_size = 8;
   cfg.sync_after = 2;
   cfg.dead_after = 6;

@@ -323,8 +323,10 @@ TEST(ScenarioShapes, WiringFollowsOneRule) {
                                    static_cast<int>(i)) > 0;
       const int parent = c.switch_parent[i];
       const swprog::AggregationConfig& sc = sw.config();
-      EXPECT_EQ(sc.n_workers, static_cast<int>(kids.size()) / (leaf ? c.jobs : 1));
-      EXPECT_EQ(sc.wid_base, leaf ? kids.front()->id() : 0u) << "switch " << i;
+      const swprog::JobParams& job0 = sw.job_params(0);
+      EXPECT_EQ(job0.n_workers, static_cast<int>(kids.size()) / (leaf ? c.jobs : 1));
+      EXPECT_EQ(job0.wid_base, leaf ? kids.front()->id() : 0u) << "switch " << i;
+      EXPECT_EQ(sw.leaf(), parent >= 0) << "switch " << i;
       if (parent < 0) {
         EXPECT_EQ(sc.parent_port, -1);
         continue;

@@ -46,7 +46,9 @@ TEST(Tenancy, AdmissionRejectsDuplicateJobIds) {
   swprog::AggregationConfig cfg;
   swprog::AggregationSwitch sw(sim, 1, "sw", cfg);
   swprog::JobParams p;
-  EXPECT_FALSE(sw.admit_job(0, p)); // job 0 exists from construction
+  EXPECT_EQ(sw.jobs_admitted(), 0u); // job 0 is admitted like any other job
+  EXPECT_TRUE(sw.admit_job(0, p));
+  EXPECT_FALSE(sw.admit_job(0, p));
   EXPECT_TRUE(sw.admit_job(1, p));
   EXPECT_FALSE(sw.admit_job(1, p));
 }
@@ -54,12 +56,12 @@ TEST(Tenancy, AdmissionRejectsDuplicateJobIds) {
 TEST(Tenancy, AdmissionEnforcesSramBudget) {
   sim::Simulation sim;
   swprog::AggregationConfig cfg;
-  cfg.pool_size = 128;
   // Budget fits exactly two 128-slot jobs: (2+32)*128*8 = 34816 B each.
   cfg.sram_budget_bytes = 2 * 34816;
   swprog::AggregationSwitch sw(sim, 1, "sw", cfg);
   swprog::JobParams p;
   p.pool_size = 128;
+  EXPECT_TRUE(sw.admit_job(0, p));
   EXPECT_TRUE(sw.admit_job(1, p));
   EXPECT_FALSE(sw.admit_job(2, p)); // budget exhausted
   EXPECT_EQ(sw.sram_free_bytes(), 0u);
@@ -68,11 +70,11 @@ TEST(Tenancy, AdmissionEnforcesSramBudget) {
 TEST(Tenancy, EvictionFreesSram) {
   sim::Simulation sim;
   swprog::AggregationConfig cfg;
-  cfg.pool_size = 128;
   cfg.sram_budget_bytes = 2 * 34816;
   swprog::AggregationSwitch sw(sim, 1, "sw", cfg);
   swprog::JobParams p;
   p.pool_size = 128;
+  ASSERT_TRUE(sw.admit_job(0, p));
   ASSERT_TRUE(sw.admit_job(1, p));
   ASSERT_FALSE(sw.admit_job(2, p));
   sw.evict_job(1);
@@ -95,10 +97,18 @@ TEST(Tenancy, UnknownJobPacketsAreDropped) {
 }
 
 TEST(Tenancy, SwitchConstructorRejectsOversizedJob0) {
+  // Job 0 goes through admission like every job: a pool that needs 34 MB of
+  // registers does not fit the 4 MiB budget, so the switch admits nothing
+  // and a fabric built with that pool fails to construct.
   sim::Simulation sim;
-  swprog::AggregationConfig cfg;
-  cfg.pool_size = 1 << 20; // 34 MB of registers > 4 MiB budget
-  EXPECT_THROW(swprog::AggregationSwitch(sim, 1, "sw", cfg), std::invalid_argument);
+  swprog::AggregationSwitch sw(sim, 1, "sw", swprog::AggregationConfig{});
+  swprog::JobParams p;
+  p.pool_size = 1 << 20;
+  EXPECT_FALSE(sw.admit_job(0, p));
+  EXPECT_EQ(sw.jobs_admitted(), 0u);
+  FabricConfig cfg;
+  cfg.pool_size = 1 << 20;
+  EXPECT_THROW(Fabric{cfg}, std::runtime_error);
 }
 
 } // namespace
