@@ -129,9 +129,14 @@ int main(int argc, char** argv) try {
     const Time t = ring.run(static_cast<std::int64_t>(elems) * 4);
     report(args.strategy == "gloo" ? "Gloo (ring)" : "NCCL (ring)", to_msec(t), elems,
            collectives::ring_ate_rate(rate, args.workers));
+    std::uint64_t segments = 0, retransmissions = 0;
+    for (int h = 0; h < cluster.n_hosts(); ++h) {
+      segments += cluster.host(h).transport_counters().segments_sent;
+      retransmissions += cluster.host(h).transport_counters().retransmissions;
+    }
     std::printf("transport: %llu segments, %llu retransmissions\n",
-                static_cast<unsigned long long>(ring.counters().segments_sent),
-                static_cast<unsigned long long>(ring.counters().retransmissions));
+                static_cast<unsigned long long>(segments),
+                static_cast<unsigned long long>(retransmissions));
   } else if (args.strategy == "dedicated-ps" || args.strategy == "colocated-ps") {
     core::FabricConfig cfg;
     cfg.topology = core::StreamingPsSpec{args.workers, args.strategy == "dedicated-ps"

@@ -4,7 +4,7 @@
 
 namespace switchml::collectives {
 
-BaselineCluster::BaselineCluster(const BaselineClusterConfig& config) : config_(config) {
+BaselineCluster::BaselineCluster(const BaselineClusterConfig& config) {
   if (config.n_hosts < 2) throw std::invalid_argument("BaselineCluster: need >= 2 hosts");
   // Hosts and links register their counters into this cluster's registry,
   // same as the SwitchML fabric does.

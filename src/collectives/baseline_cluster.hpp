@@ -37,7 +37,6 @@ public:
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
 
 private:
-  BaselineClusterConfig config_;
   MetricsRegistry metrics_;
   sim::Simulation sim_;
   std::unique_ptr<net::L2Switch> switch_;

@@ -1,13 +1,14 @@
 // Recursive halving-and-doubling all-reduce [Thakur et al.], the other
 // classic collective the paper discusses (§2.1): log2(n) reduce-scatter
 // rounds exchanging halves with exponentially closer partners, then log2(n)
-// all-gather rounds in reverse. Requires a power-of-two host count.
+// all-gather rounds in reverse. Requires a power-of-two host count. It is one
+// schedule on the round engine (rounds.hpp).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "collectives/baseline_cluster.hpp"
+#include "collectives/rounds.hpp"
 
 namespace switchml::collectives {
 
@@ -15,15 +16,17 @@ class HalvingDoublingAllReduce {
 public:
   HalvingDoublingAllReduce(BaselineCluster& cluster, net::TransportProfile transport);
 
-  Time run(std::int64_t tensor_bytes);                 // timing-only
-  Time run(std::vector<std::vector<float>>& buffers);  // data mode
+  // Both return the time from the start to the last round's barrier; the run
+  // drains the NICs' ACK backlog too, so the next run on this cluster starts
+  // on a quiet fabric. Data mode needs buffers of the same length.
+  Time run(std::int64_t tensor_bytes);
+  Time run(std::vector<std::vector<float>>& buffers);
 
 private:
-  Time execute(std::int64_t elems, std::vector<std::vector<float>>* buffers);
+  void require_power_of_two() const;
 
-  BaselineCluster& cluster_;
-  net::TransportProfile transport_;
-  std::uint32_t next_stream_ = 1'000'000;
+  int n_hosts_;
+  RoundExchange exchange_;
 };
 
 } // namespace switchml::collectives

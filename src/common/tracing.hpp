@@ -48,6 +48,9 @@ inline constexpr unsigned kCategoryCount = 6;
 #endif
 inline constexpr unsigned kCompiledMask = SWITCHML_TRACE_MASK;
 
+// True when every category in `cats` is compiled in.
+inline constexpr bool compiled_in(unsigned cats) { return (kCompiledMask & cats) == cats; }
+
 // Parses a comma-separated list of category names ("switch,worker,link",
 // "all") into a bitmask; throws std::invalid_argument naming the unknown
 // category otherwise. The bench drivers' --trace-mask speaks names, not bits.

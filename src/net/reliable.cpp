@@ -11,9 +11,11 @@
 namespace switchml::net {
 
 namespace {
-// Stream ids are sparse (per-collective bases of 1M/2M), so the attribution
-// slot key masks down to a dense index; streams open concurrently on one host
-// have nearby sequential ids and never collide within the mask.
+// Stream ids are sparse (each collective numbers its transfers up from its
+// own base: ring 1, halving-doubling 1,000,000; see collectives/rounds.hpp),
+// so the attribution slot key masks down to a dense index; streams open
+// concurrently on one host have nearby sequential ids and never collide
+// within the mask.
 constexpr std::uint32_t stream_slot(std::uint32_t stream) { return stream & 0xFFFu; }
 } // namespace
 
@@ -118,14 +120,12 @@ void ReliableSender::send_segment(std::int64_t seq) {
     p.fvalues.assign(data_.begin() + static_cast<std::ptrdiff_t>(first),
                      data_.begin() + static_cast<std::ptrdiff_t>(first + count));
   }
-  ++counters_.segments_sent;
   ++host_.transport_counters().segments_sent;
   if (seq < snd_max_) {
     // The single place retransmissions are counted: a byte below the
     // high-water mark is actually going on the wire again. (The RTO handler
     // used to credit the whole outstanding window up front, but go-back-N
     // with the collapsed cwnd only resends one MSS per round-trip.)
-    ++counters_.retransmissions;
     ++host_.transport_counters().retransmissions;
   }
   trace::emit(trace::kCatTransport, host_.simulation().now(), host_.id(),
@@ -158,7 +158,6 @@ void ReliableSender::arm_rto() {
 
 void ReliableSender::on_timeout() {
   if (done()) return;
-  ++counters_.timeouts;
   ++host_.transport_counters().timeouts;
   trace::emit(trace::kCatTransport, host_.simulation().now(), host_.id(), "rto",
               {"stream", stream_}, {"snd_una", snd_una_}, {"snd_nxt", snd_nxt_});
@@ -228,7 +227,6 @@ void ReliableSender::on_ack(const Packet& ack) {
       // Fast retransmit: the receiver buffers out-of-order data, so only the
       // missing segment needs to be resent. Further duplicate ACKs for the
       // same hole are ignored until it is repaired (fast recovery).
-      ++counters_.fast_retransmits;
       ++host_.transport_counters().fast_retransmits;
       in_fast_recovery_ = true;
       dupacks_ = 0;

@@ -48,8 +48,9 @@ class ReliableSender;
 class ReliableReceiver;
 
 // Host-wide transport totals, aggregated across all senders that ever lived
-// on the host. Senders are per-transfer and ephemeral, so the registered
-// metrics hang off the host, which lives as long as the cluster.
+// on the host; a sender counts its events here and nowhere else. Senders are
+// per-transfer and ephemeral, so the registered metrics hang off the host,
+// which lives as long as the cluster.
 struct TransportCounters {
   std::uint64_t segments_sent = 0;
   std::uint64_t retransmissions = 0;
@@ -114,13 +115,6 @@ public:
   void start(std::int64_t total_bytes, std::span<const float> data = {});
   void on_ack(const Packet& ack);
 
-  struct Counters {
-    std::uint64_t segments_sent = 0;
-    std::uint64_t retransmissions = 0;
-    std::uint64_t timeouts = 0;
-    std::uint64_t fast_retransmits = 0;
-  };
-  [[nodiscard]] const Counters& counters() const { return counters_; }
   [[nodiscard]] bool done() const { return total_ > 0 && snd_una_ >= total_; }
   [[nodiscard]] std::int64_t cwnd() const { return cwnd_; }
 
@@ -148,7 +142,6 @@ private:
   std::int64_t ssthresh_ = 0; // slow-start threshold (bytes)
   Time rto_;
   sim::TimerHandle timer_;
-  Counters counters_;
   // RTT probe: one timed segment per window; any retransmission while it is
   // outstanding invalidates the sample (Karn's rule, ambiguous ACK).
   std::int64_t probe_end_ = -1; // byte the probe's cumulative ACK must reach

@@ -26,6 +26,11 @@ class AppendixATrace : public ::testing::Test {
 protected:
   static constexpr std::uint32_t kSlot = 1;
   static constexpr std::uint64_t kOff = 32; // slot 1, first phase (off = k * idx)
+  static constexpr unsigned kCats = trace::kCatSwitch | trace::kCatWorker | trace::kCatLink;
+
+  void SetUp() override {
+    if (!trace::compiled_in(kCats)) GTEST_SKIP() << "switch, worker or link tracing compiled out";
+  }
 
   ClusterConfig make_config() {
     ClusterConfig cfg;
@@ -90,7 +95,7 @@ protected:
     return out;
   }
 
-  trace::TraceSink sink_{1u << 12, trace::kCatSwitch | trace::kCatWorker | trace::kCatLink};
+  trace::TraceSink sink_{1u << 12, kCats};
   trace::TraceSink::Scope scope_{&sink_};
 };
 

@@ -444,6 +444,7 @@ TEST(AllReduce, Int8StochasticWireFormat) {
 }
 
 TEST(AllReduce, TraceRecordsProtocolTimeline) {
+  if (!trace::compiled_in(trace::kCatLink)) GTEST_SKIP() << "link tracing compiled out";
   ClusterConfig cfg = small_config(2);
   Fabric cluster(cfg.fabric());
   trace::TraceSink sink(1u << 12, trace::kCatLink);

@@ -43,6 +43,40 @@ BaselineClusterConfig small_cfg(int hosts) {
   return cfg;
 }
 
+// Transport events summed over the hosts; each host counts its senders'.
+net::TransportCounters host_totals(BaselineCluster& cluster) {
+  net::TransportCounters sum;
+  for (int h = 0; h < cluster.n_hosts(); ++h) {
+    const net::TransportCounters& c = cluster.host(h).transport_counters();
+    sum.segments_sent += c.segments_sent;
+    sum.retransmissions += c.retransmissions;
+    sum.timeouts += c.timeouts;
+    sum.fast_retransmits += c.fast_retransmits;
+  }
+  return sum;
+}
+
+// Buffers of unequal length are rejected before anything is sent, whether
+// the odd one is shorter (it would be read and written past its end) or
+// longer (its tail would never be reduced); the collective stays usable.
+template <typename Collective>
+void expect_unequal_lengths_rejected(int hosts) {
+  for (const std::size_t odd_len : {std::size_t{4095}, std::size_t{4097}}) {
+    BaselineCluster cluster(small_cfg(hosts));
+    Collective collective(cluster, core::gloo_tcp(gbps(10)).transport);
+    auto buffers = random_buffers(hosts, 4096, 7);
+    buffers[1].resize(odd_len, 1.0f);
+    const auto before = buffers;
+    EXPECT_THROW(collective.run(buffers), std::invalid_argument) << odd_len;
+    EXPECT_EQ(buffers, before) << odd_len;
+    EXPECT_EQ(cluster.simulation().pending_events(), 0u) << odd_len;
+    buffers[1].resize(4096);
+    const auto expect = float_sum(buffers);
+    collective.run(buffers);
+    EXPECT_EQ(buffers[0], expect) << odd_len;
+  }
+}
+
 // --------------------------------------------------------------------- ring
 
 TEST(Ring, ComputesExactSums) {
@@ -82,7 +116,62 @@ TEST(Ring, SurvivesUniformLoss) {
   RingAllReduce ring(cluster, core::gloo_tcp(gbps(10)).transport);
   ring.run(buffers);
   EXPECT_EQ(buffers[0], expect);
-  EXPECT_GT(ring.counters().retransmissions, 0u);
+  EXPECT_GT(host_totals(cluster).retransmissions, 0u);
+}
+
+// A lossy run exercises fast retransmit, RTO and the round barrier, so its
+// pinned TAT and transport counts move with any change in the order of events.
+TEST(Ring, LossyDataRunKeepsItsTatAndTransportCounts) {
+  auto cfg = small_cfg(4);
+  cfg.loss_prob = 0.02;
+  BaselineCluster cluster(cfg);
+  auto buffers = random_buffers(4, 32768, 4);
+  const auto expect = float_sum(buffers);
+  RingAllReduce ring(cluster, core::gloo_tcp(gbps(10)).transport);
+  EXPECT_EQ(ring.run(buffers), 11'411'362);
+  for (int h = 0; h < 4; ++h) EXPECT_EQ(buffers[static_cast<std::size_t>(h)], expect);
+  const net::TransportCounters c = host_totals(cluster);
+  EXPECT_EQ(c.segments_sent, 571u);
+  EXPECT_EQ(c.retransmissions, 19u);
+  EXPECT_EQ(c.timeouts, 1u);
+  EXPECT_EQ(c.fast_retransmits, 14u);
+}
+
+TEST(Ring, RejectsBuffersOfDifferentLengths) {
+  expect_unequal_lengths_rejected<RingAllReduce>(4);
+}
+
+TEST(Ring, AsyncRestartFromOnDoneKeepsItsTat) {
+  // training_sim's fusion buffer starts the next reduction from inside the
+  // previous one's on_done, then keeps using what that on_done captured. The
+  // second TAT is longer than the first: it starts while the first run's ACK
+  // backlog is still draining.
+  BaselineCluster cluster(small_cfg(4));
+  RingAllReduce ring(cluster, core::gloo_tcp(gbps(10)).transport);
+  auto& sim = cluster.simulation();
+  auto first = std::make_shared<Time>(-1);
+  Time second = -1;
+  ring.start_async(std::int64_t{1} << 20, [&ring, &sim, &second, first] {
+    *first = sim.now();
+    ring.start_async(std::int64_t{1} << 20,
+                     [&sim, &second, first] { second = sim.now() - *first; });
+    EXPECT_EQ(*first, 6'103'810); // this callback outlives the restart
+  });
+  sim.run();
+  EXPECT_EQ(*first, 6'103'810);
+  EXPECT_EQ(second, 6'139'548);
+}
+
+TEST(Ring, StartAsyncOnABusyRingThrows) {
+  BaselineCluster cluster(small_cfg(4));
+  RingAllReduce ring(cluster, core::gloo_tcp(gbps(10)).transport);
+  int done = 0;
+  ring.start_async(std::int64_t{1} << 16, [&] { ++done; });
+  EXPECT_THROW(ring.start_async(std::int64_t{1} << 16, nullptr), std::logic_error);
+  EXPECT_THROW(ring.run(std::int64_t{1} << 16), std::logic_error);
+  cluster.simulation().run();
+  EXPECT_EQ(done, 1);
+  EXPECT_GT(ring.run(std::int64_t{1} << 16), 0); // idle again
 }
 
 TEST(Ring, LossInflatesCompletionTime) {
@@ -135,6 +224,26 @@ TEST(HalvingDoubling, OddSizesAndSmallVectors) {
   HalvingDoublingAllReduce hd(cluster, core::gloo_tcp(gbps(10)).transport);
   hd.run(buffers);
   EXPECT_EQ(buffers[2], expect);
+}
+
+TEST(HalvingDoubling, LossyDataRunKeepsItsTatAndTransportCounts) {
+  auto cfg = small_cfg(8);
+  cfg.loss_prob = 0.02;
+  BaselineCluster cluster(cfg);
+  auto buffers = random_buffers(8, 32768, 8);
+  const auto expect = float_sum(buffers);
+  HalvingDoublingAllReduce hd(cluster, core::gloo_tcp(gbps(10)).transport);
+  EXPECT_EQ(hd.run(buffers), 34'232'123);
+  for (int h = 0; h < 8; ++h) EXPECT_EQ(buffers[static_cast<std::size_t>(h)], expect);
+  const net::TransportCounters c = host_totals(cluster);
+  EXPECT_EQ(c.segments_sent, 1445u);
+  EXPECT_EQ(c.retransmissions, 165u);
+  EXPECT_EQ(c.timeouts, 13u);
+  EXPECT_EQ(c.fast_retransmits, 25u);
+}
+
+TEST(HalvingDoubling, RejectsBuffersOfDifferentLengths) {
+  expect_unequal_lengths_rejected<HalvingDoublingAllReduce>(8);
 }
 
 TEST(HalvingDoubling, RejectsNonPowerOfTwo) {

@@ -522,7 +522,7 @@ TEST(Reliable, RecoversFromHeavyLoss) {
   tx.start(500'000);
   t.sim.run();
   EXPECT_TRUE(done);
-  EXPECT_GT(tx.counters().retransmissions, 0u);
+  EXPECT_GT(t.a->transport_counters().retransmissions, 0u);
 }
 
 TEST(Reliable, ThroughputApproachesLineRateWhenWindowExceedsBdp) {
@@ -586,8 +586,8 @@ TEST(Reliable, FastRetransmitRecoversWithoutWaitingForRto) {
   tx.start(200'000);
   t.sim.run();
   EXPECT_TRUE(done);
-  EXPECT_GE(tx.counters().fast_retransmits, 1u);
-  EXPECT_EQ(tx.counters().timeouts, 0u); // never needed the 50 ms timer
+  EXPECT_GE(t.a->transport_counters().fast_retransmits, 1u);
+  EXPECT_EQ(t.a->transport_counters().timeouts, 0u); // never needed the 50 ms timer
   EXPECT_LT(t.sim.now(), msec(10));
 }
 
@@ -608,8 +608,8 @@ TEST(Reliable, RtoBacksOffExponentiallyUnderBlackout) {
   EXPECT_TRUE(done);
   // With exponential backoff capped at 8 ms, the 20 ms blackout costs a
   // handful of timeouts (1+2+4+8+8 = 23 ms), not 20.
-  EXPECT_GE(tx.counters().timeouts, 4u);
-  EXPECT_LE(tx.counters().timeouts, 8u);
+  EXPECT_GE(t.a->transport_counters().timeouts, 4u);
+  EXPECT_LE(t.a->transport_counters().timeouts, 8u);
 }
 
 TEST(Reliable, OutOfOrderSegmentsAreBufferedAndOnlyTheHoleIsResent) {
@@ -638,8 +638,8 @@ TEST(Reliable, OutOfOrderSegmentsAreBufferedAndOnlyTheHoleIsResent) {
   tx.start(16 * 1460);
   t.sim.run();
   EXPECT_TRUE(done);
-  EXPECT_EQ(tx.counters().segments_sent, 17u); // 16 + the one hole
-  EXPECT_EQ(tx.counters().retransmissions, 1u);
+  EXPECT_EQ(t.a->transport_counters().segments_sent, 17u); // 16 + the one hole
+  EXPECT_EQ(t.a->transport_counters().retransmissions, 1u);
   EXPECT_EQ(rx.buffered_segments(), 0u);
 }
 
@@ -660,6 +660,7 @@ void expect_link_args(const trace::Event& e, NodeId from, NodeId to, std::uint32
 }
 
 TEST(LinkTrace, EnqueueAndDeliverCarryEndpointsSlotAndBytes) {
+  if (!trace::compiled_in(trace::kCatLink)) GTEST_SKIP() << "link tracing compiled out";
   sim::Simulation sim;
   SinkNode a{sim, 1, "a"}, b{sim, 2, "b"};
   LinkConfig lc;
@@ -684,6 +685,7 @@ TEST(LinkTrace, EnqueueAndDeliverCarryEndpointsSlotAndBytes) {
 }
 
 TEST(LinkTrace, DropLossFollowsEnqueue) {
+  if (!trace::compiled_in(trace::kCatLink)) GTEST_SKIP() << "link tracing compiled out";
   sim::Simulation sim;
   SinkNode a{sim, 1, "a"}, b{sim, 2, "b"};
   LinkConfig lc;

@@ -133,6 +133,7 @@ TEST(Recovery, RestartRacingLostResultConvergesBitExact) {
   EXPECT_EQ(cluster.worker(1).switch_epoch(), 1u);
   EXPECT_FALSE(cluster.fallback_engaged());
 
+  if (!trace::compiled_in(trace::kCatFault)) GTEST_SKIP() << "fault tracing compiled out";
   int rescue_applies = 0;
   for (const trace::Event& e : sink.events())
     rescue_applies += std::string(e.name) == "rescue_apply";
@@ -161,6 +162,7 @@ TEST(Recovery, FixedRtoBacksOffExponentiallyBeforeDeadDeclaration) {
   Fabric cluster(cfg.fabric());
   const auto tat = cluster.reduce_timing(16 * 1024);
 
+  if (!trace::compiled_in(trace::kCatFault)) GTEST_SKIP() << "fault tracing compiled out";
   // 8 consecutive timeouts with doubling: 1+2+4+...+128 = 255 ms, versus
   // 8 ms if the backoff were (still) skipped in fixed-RTO mode.
   Time dead_ts = -1;
@@ -205,6 +207,7 @@ TEST(Recovery, SwitchKillDegradesToFallbackBitExact) {
   std::uint64_t dead = 0;
   for (int w = 0; w < 4; ++w) dead += cluster.worker(w).recovery().dead_declared;
   EXPECT_GE(dead, 1u);
+  if (!trace::compiled_in(trace::kCatFault)) GTEST_SKIP() << "fault tracing compiled out";
   int dead_events = 0, fallback_begins = 0, kills = 0;
   for (const trace::Event& e : sink.events()) {
     const std::string name = e.name;
@@ -242,7 +245,10 @@ TEST(Recovery, LossyFallbackReplayDrawsItsOwnLoss) {
     ASSERT_EQ(result.outputs[static_cast<std::size_t>(w)], expect) << w;
   ASSERT_TRUE(cluster.fallback_engaged());
   ASSERT_EQ(sink.total_drops(), 0u);
+  EXPECT_EQ(result.tat, (std::vector<Time>{124395008, 124395152, 124395296, 124395440}));
 
+  if (!trace::compiled_in(trace::kCatFault | trace::kCatWorker))
+    GTEST_SKIP() << "fault or worker tracing compiled out";
   // Every retransmission after fallback_begin is the replay's.
   bool replaying = false;
   int replay_retx = 0;
@@ -252,7 +258,6 @@ TEST(Recovery, LossyFallbackReplayDrawsItsOwnLoss) {
     replay_retx += static_cast<int>(replaying && name == "retransmit");
   }
   EXPECT_EQ(replay_retx, 94);
-  EXPECT_EQ(result.tat, (std::vector<Time>{124395008, 124395152, 124395296, 124395440}));
 }
 
 // A timeline's closing daemon tick runs after the drain. The fallback starts
@@ -297,8 +302,9 @@ TEST(Recovery, TimelineDoesNotMoveFallbackTat) {
     return std::pair{tats[0], fallback_at};
   };
   const auto untimed = run(false);
-  EXPECT_GE(untimed.second, 0);
   EXPECT_EQ(run(true), untimed);
+  if (!trace::compiled_in(trace::kCatFault)) GTEST_SKIP() << "fault tracing compiled out";
+  EXPECT_GE(untimed.second, 0);
 }
 
 // A root kill strands every rack: leaves stay healthy (they even answer

@@ -41,6 +41,7 @@ namespace switchml {
 namespace {
 
 TEST(Tracing, RecordsEventsWithArgsInsideScope) {
+  if (!trace::compiled_in(trace::kCatWorker)) GTEST_SKIP() << "worker tracing compiled out";
   trace::TraceSink sink(128);
   trace::TraceSink::Scope scope(&sink);
   ASSERT_TRUE(trace::enabled(trace::kCatWorker));
@@ -57,6 +58,7 @@ TEST(Tracing, RecordsEventsWithArgsInsideScope) {
 }
 
 TEST(Tracing, RuntimeMaskFiltersCategories) {
+  if (!trace::compiled_in(trace::kCatWorker)) GTEST_SKIP() << "worker tracing compiled out";
   trace::TraceSink sink(128, trace::kCatWorker);
   trace::TraceSink::Scope scope(&sink);
   EXPECT_TRUE(trace::enabled(trace::kCatWorker));
@@ -70,6 +72,8 @@ TEST(Tracing, RuntimeMaskFiltersCategories) {
 }
 
 TEST(Tracing, FullBufferDropsAreCountedPerCategory) {
+  if (!trace::compiled_in(trace::kCatLink | trace::kCatSwitch))
+    GTEST_SKIP() << "link or switch tracing compiled out";
   trace::TraceSink sink(4);
   trace::TraceSink::Scope scope(&sink);
   for (int i = 0; i < 10; ++i) trace::emit(trace::kCatLink, i, 1, "enqueue");
@@ -117,6 +121,7 @@ TEST(Tracing, DisabledTracingEmitsNothingAndAllocatesNothing) {
   EXPECT_EQ(g_allocations.load(), before2);
   EXPECT_TRUE(sink.events().empty());
 
+  if (!trace::compiled_in(trace::kCatWorker)) GTEST_SKIP() << "worker tracing compiled out";
   // Recording within capacity is also allocation-free: the buffer was
   // reserved at construction and event payloads are PODs.
   trace::TraceSink hot(2048, trace::kCatAll);
@@ -165,6 +170,7 @@ TEST(Tracing, ParseMaskRejectsUnknownNamesWithGuidance) {
 }
 
 TEST(Tracing, FlowEventsExportChromeFlowPhases) {
+  if (!trace::compiled_in(trace::kCatFlow)) GTEST_SKIP() << "flow tracing compiled out";
   trace::TraceSink sink(64);
   trace::TraceSink::Scope scope(&sink);
   const std::uint64_t id = trace::chunk_flow_id(3, 4096);
@@ -196,6 +202,9 @@ TEST(Tracing, ChunkFlowIdSeparatesNodesAndOffsets) {
 TEST(Tracing, LossyClusterRunExportsValidChromeJson) {
   // A fig6-style lossy run: every instrumentation point fires (sends,
   // retransmits, timeouts, claims, dups, shadow replies, link drops).
+  if (!trace::compiled_in(trace::kCatWorker | trace::kCatSwitch | trace::kCatLink |
+                          trace::kCatFlow))
+    GTEST_SKIP() << "worker, switch, link or flow tracing compiled out";
   trace::TraceSink sink(1u << 16);
   trace::TraceSink::Scope scope(&sink);
   core::ClusterConfig cfg = core::ClusterConfig::for_rate(gbps(10), 4);

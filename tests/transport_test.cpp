@@ -235,11 +235,11 @@ TEST(ReliableCounters, RtoRetransmissionCountsSegmentsActuallyResent) {
   tx.start(8 * 1460);
   t.sim.run();
   ASSERT_TRUE(done);
-  EXPECT_EQ(tx.counters().timeouts, 1u);
-  EXPECT_EQ(tx.counters().fast_retransmits, 0u);
-  EXPECT_EQ(tx.counters().retransmissions, 1u);
-  EXPECT_EQ(tx.counters().segments_sent, 9u); // 8 new + 1 resend
-  EXPECT_EQ(t.a->transport_counters().retransmissions, 1u);
+  const TransportCounters& c = t.a->transport_counters();
+  EXPECT_EQ(c.timeouts, 1u);
+  EXPECT_EQ(c.fast_retransmits, 0u);
+  EXPECT_EQ(c.retransmissions, 1u);
+  EXPECT_EQ(c.segments_sent, 9u); // 8 new + 1 resend
 }
 
 TEST(ReliableReceiverDup, DuplicateOutOfOrderSegmentsBufferOnce) {
@@ -286,7 +286,7 @@ TEST(ReliableReceiverDup, DuplicateOutOfOrderSegmentsBufferOnce) {
 // One blackout recovery with the RTO policy under test: drops a mid-stream
 // segment after the RTT estimator has converged, forces the RTO path (window
 // of two segments -> a single dup-ACK), returns the completion time.
-Time blackout_completion(bool adaptive, ReliableSender::Counters& out) {
+Time blackout_completion(bool adaptive, TransportCounters& out) {
   TransportPair t;
   TransportProfile prof;
   prof.rto_initial = msec(20); // deliberately far above the ~us-scale RTT
@@ -306,12 +306,12 @@ Time blackout_completion(bool adaptive, ReliableSender::Counters& out) {
   tx.start(64 * 1460);
   t.sim.run();
   EXPECT_TRUE(done);
-  out = tx.counters();
+  out = t.a->transport_counters();
   return t.sim.now();
 }
 
 TEST(AdaptiveRto, ConvergesToMeasuredRttInsteadOfInitial) {
-  ReliableSender::Counters legacy{}, adaptive{};
+  TransportCounters legacy{}, adaptive{};
   const Time legacy_t = blackout_completion(false, legacy);
   const Time adaptive_t = blackout_completion(true, adaptive);
   // Same single loss, same repair work in both modes (go-back-N redrives the
