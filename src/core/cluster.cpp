@@ -7,7 +7,7 @@ ClusterConfig ClusterConfig::for_rate(BitsPerSecond rate, int n_workers) {
   c.n_workers = n_workers;
   c.link_rate = rate;
   c.nic = switchml_worker_nic(rate);
-  c.pool_size = rate >= gbps(100) ? 512 : 128; // §3.6 measured values
+  c.pool_size = switchml_pool_size(rate);
   return c;
 }
 

@@ -41,6 +41,11 @@ inline net::NicConfig switchml_worker_nic(BitsPerSecond rate, int cores = 4) {
   return rate >= gbps(100) ? switchml_worker_nic_100g(cores) : switchml_worker_nic_10g(cores);
 }
 
+// §3.6: the aggregator pool size measured best at each rate.
+inline std::uint32_t switchml_pool_size(BitsPerSecond rate) {
+  return rate >= gbps(100) ? 512 : 128;
+}
+
 // --- UDP-vs-RDMA crossover (bench/transport_crossover) ----------------------
 //
 // The calibrated worker NICs above carry the whole DPDK datapath cost in the

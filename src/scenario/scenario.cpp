@@ -2,17 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "core/profiles.hpp"
 
 namespace switchml::scenario {
 
 namespace {
-
-template <class... Ts> struct overloaded : Ts... { using Ts::operator()...; };
-template <class... Ts> overloaded(Ts...) -> overloaded<Ts...>;
 
 [[noreturn]] void fail(const std::string& path, const std::string& why) {
   throw std::invalid_argument(path + ": " + why);
@@ -83,84 +84,348 @@ const std::string& as_str(const json::Value& v, const std::string& path) {
   return v.as_string();
 }
 
-std::int64_t opt_int(Obj& o, const std::string& key, std::int64_t fallback) {
-  const json::Value* v = o.get(key);
-  return v != nullptr ? as_int(*v, o.path() + "." + key) : fallback;
-}
-
-double opt_num(Obj& o, const std::string& key, double fallback) {
-  const json::Value* v = o.get(key);
-  return v != nullptr ? as_num(*v, o.path() + "." + key) : fallback;
-}
-
-bool opt_bool(Obj& o, const std::string& key, bool fallback) {
-  const json::Value* v = o.get(key);
-  return v != nullptr ? as_bool(*v, o.path() + "." + key) : fallback;
-}
-
-std::string opt_str(Obj& o, const std::string& key, std::string fallback) {
-  const json::Value* v = o.get(key);
-  return v != nullptr ? as_str(*v, o.path() + "." + key) : std::move(fallback);
-}
-
-std::vector<int> as_int_array(const json::Value& v, const std::string& path) {
+const json::Array& as_array(const json::Value& v, const std::string& path) {
   if (!v.is_array())
-    fail(path, std::string("expected an array of integers, got ") + json::to_string(v.kind()));
-  std::vector<int> out;
-  const auto& a = v.as_array();
-  out.reserve(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    out.push_back(
-        static_cast<int>(as_int(a[i], path + "[" + std::to_string(i) + "]")));
+    fail(path, std::string("expected an array, got ") + json::to_string(v.kind()));
+  return v.as_array();
+}
+
+// --- the schema --------------------------------------------------------------
+//
+// fields(s, f) below is the whole schema: for each section's struct, one row
+// f(key, member, ...) per key, in the order to_json emits them. from_json
+// walks it with a Reader, to_json with a Writer. An absent key keeps the
+// member's initializer (FabricParams{}, Workload{}, the fault specs); only
+// pool_size and elems_per_packet have a default rule (load_fabric).
+
+// What a key's value must be, in the file's units: present when `required`;
+// from lo to hi (hi excluded when hi_open), or one of `one_of` when that is
+// non-empty. An integer must also fit its member.
+struct Rule {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool hi_open = false;
+  std::span<const double> one_of = {};
+  bool required = false;
+};
+
+constexpr Rule at_least(double lo) { return {lo}; }
+constexpr Rule kRequired{.required = true};
+constexpr double kWireWidths[] = {1, 2, 4}; // int8, fp16, int32
+// The two rates are written in Gbit/s and held in bit/s.
+constexpr double kGbps = 1e9;
+
+// A named value. from_json reads each name as its value; to_json writes a
+// value's first name ("default" is the build's default transport).
+template <class T>
+struct Name {
+  const char* name;
+  T value;
+};
+
+constexpr Name<net::TransportKind> kTransports[] = {{"udp", net::TransportKind::kUdp},
+                                                    {"rdma_uc", net::TransportKind::kRdmaUc},
+                                                    {"default", net::kDefaultTransport}};
+constexpr Name<std::uint8_t> kIntModes[] = {
+    {"off", inttel::kModeOff}, {"phantom", inttel::kModePhantom}, {"on_wire", inttel::kModeOnWire}};
+constexpr Name<NicProfile> kNicProfiles[] = {{"switchml", NicProfile::kSwitchml},
+                                             {"crossover_udp", NicProfile::kCrossoverUdp},
+                                             {"ps_host", NicProfile::kPsHost}};
+// The calibrated NIC of each profile, in NicProfile's order.
+constexpr net::NicConfig (*kNicOf[])(BitsPerSecond, int) = {
+    core::switchml_worker_nic, core::crossover_udp_nic, core::ps_host_nic};
+constexpr Name<bool> kModes[] = {{"timing", true}, {"data", false}};
+constexpr Name<core::PsPlacement> kPlacements[] = {{"dedicated", core::PsPlacement::Dedicated},
+                                                   {"colocated", core::PsPlacement::Colocated}};
+
+// TopologySpec's alternatives in order, each with its default spec.
+std::span<const Name<core::TopologySpec>> kinds() {
+  static const Name<core::TopologySpec> k[] = {
+      {"rack", core::RackSpec{}},           {"multi_job", core::MultiJobSpec{}},
+      {"hierarchy", core::HierarchySpec{}}, {"tree", core::TreeSpec{}},
+      {"irregular", core::IrregularSpec{}}, {"streaming_ps", core::StreamingPsSpec{}}};
+  return k;
+}
+
+// `s` is one section's struct, const when writing.
+template <class S, class F>
+void fields(S& s, F&& f) {
+  using T = std::remove_const_t<S>;
+  if constexpr (std::is_same_v<T, core::RackSpec>) {
+    f("workers", s.n_workers);
+  } else if constexpr (std::is_same_v<T, core::MultiJobSpec>) {
+    f("jobs", s.n_jobs);
+    f("workers_per_job", s.workers_per_job);
+  } else if constexpr (std::is_same_v<T, core::HierarchySpec>) {
+    f("racks", s.racks);
+    f("workers_per_rack", s.workers_per_rack);
+  } else if constexpr (std::is_same_v<T, core::TreeSpec>) {
+    f("levels", s.levels);
+    f("branching", s.branching);
+    f("workers_per_rack", s.workers_per_rack);
+  } else if constexpr (std::is_same_v<T, core::IrregularSpec>) {
+    f("switch_parent", s.switch_parent, kRequired);
+    f("worker_switch", s.worker_switch, kRequired);
+  } else if constexpr (std::is_same_v<T, core::StreamingPsSpec>) {
+    f("workers", s.n_workers);
+    f("placement", s.placement, kPlacements);
+  } else if constexpr (std::is_same_v<T, Scenario>) { // the fabric section
+    auto& p = s.fabric;
+    f("link_rate_gbps", p.link_rate, at_least(1e-9), kGbps); // >= 1 bit/s
+    f("uplink_rate_gbps", p.uplink_rate, at_least(0), kGbps); // 0: as link_rate
+    f("propagation_ns", p.propagation, at_least(0));
+    f("switch_latency_ns", p.switch_latency, at_least(0));
+    f("queue_limit_bytes", p.queue_limit_bytes); // at least one frame: load_fabric
+    f("loss_prob", p.loss_prob, Rule{0, 1, true});
+    f("pool_size", p.pool_size, at_least(1));
+    // At most 2^24 values keep a frame's 32-bit wire size exact.
+    f("elems_per_packet", p.elems_per_packet, Rule{1, 0x1p24});
+    f("wire_elem_bytes", p.wire_elem_bytes, Rule{.one_of = kWireWidths});
+    f("mtu_emulation", p.mtu_emulation);
+    f("retransmit_timeout_ns", p.retransmit_timeout, at_least(1));
+    f("adaptive_rto", p.adaptive_rto);
+    f("lossless", p.lossless);
+    f("sram_budget_bytes", p.sram_budget_bytes);
+    f("fp16_frac_bits", p.fp16_frac_bits, Rule{0, 30}); // what quant::Fp16Table takes
+    f("ablate_shadow_copy", p.ablate_shadow_copy);
+    f("ablate_seen_bitmap", p.ablate_seen_bitmap);
+    f("seed", p.seed);
+    f("sync_after", p.sync_after, at_least(0)); // 0 disables the stage
+    f("dead_after", p.dead_after, at_least(0));
+    f("fallback_reprovision_ns", p.fallback_reprovision, at_least(0));
+    f("transport", p.transport, kTransports);
+    f("rdma", p.rdma);
+    f("int_mode", p.int_mode, kIntModes);
+    f("nic", s.nic_selection);
+  } else if constexpr (std::is_same_v<T, net::RdmaUcParams>) {
+    f("wqe_post_ns", s.wqe_post, at_least(0));
+    f("doorbell_ns", s.doorbell, at_least(0));
+    f("doorbell_batch", s.doorbell_batch, at_least(1));
+    f("cqe_poll_ns", s.cqe_poll, at_least(0));
+    f("tx_latency_ns", s.tx_latency, at_least(0));
+    f("rx_latency_ns", s.rx_latency, at_least(0));
+  } else if constexpr (std::is_same_v<T, NicSelection>) {
+    f("profile", s.profile, kNicProfiles);
+    f("cores", s.cores, at_least(1));
+  } else if constexpr (std::is_same_v<T, Workload>) {
+    f("mode", s.timing, kModes);
+    f("tensor_elems", s.tensor_elems, at_least(1));
+    f("reductions", s.reductions, at_least(1));
+    f("data_seed", s.data_seed);
+  } else if constexpr (std::is_same_v<T, core::FaultPlan>) {
+    // Each kind's times, indices and factors are checked against the shape
+    // by core::validate_fault_plan (from_json).
+    f("stragglers", s.stragglers);
+    f("flaps", s.flaps);
+    f("flap_cycles", s.flap_cycles);
+    f("bursts", s.bursts);
+    f("switch_restarts", s.switch_restarts);
+    f("switch_kills", s.switch_kills);
+  } else if constexpr (std::is_same_v<T, core::StragglerSpec>) {
+    f("worker", s.worker, kRequired);
+    f("factor", s.factor, kRequired);
+    f("start_ns", s.start);
+    f("stop_ns", s.stop);
+  } else if constexpr (std::is_same_v<T, core::LinkFlapSpec>) {
+    f("link", s.link, kRequired);
+    f("down_ns", s.down_at, kRequired);
+    f("up_ns", s.up_at, kRequired);
+  } else if constexpr (std::is_same_v<T, core::LinkFlapCycleSpec>) {
+    f("link", s.link, kRequired);
+    f("period_ns", s.period, kRequired);
+    f("duty_down", s.duty_down, kRequired);
+    f("start_ns", s.start);
+    f("cycles", s.cycles);
+  } else if constexpr (std::is_same_v<T, core::BurstLossSpec>) {
+    f("link", s.link);
+    f("p_enter", s.gilbert.p_enter, kRequired);
+    f("p_exit", s.gilbert.p_exit, kRequired);
+    f("loss_good", s.gilbert.loss_good);
+    f("loss_bad", s.gilbert.loss_bad, kRequired);
+  } else { // a switch restart or kill
+    static_assert(std::is_same_v<T, core::SwitchRestartSpec> ||
+                  std::is_same_v<T, core::SwitchKillSpec>);
+    f("switch", s.switch_index, kRequired);
+    f("at_ns", s.at, kRequired);
+  }
+}
+
+// --- walking the schema ------------------------------------------------------
+
+std::string str(double x) {
+  if (x == std::trunc(x) && std::abs(x) < 0x1p53)
+    return std::to_string(static_cast<std::int64_t>(x));
+  return json::Value(x).dump();
+}
+
+// "must be ..."; a bound at or past a JSON integer's reach is no bound.
+std::string describe(const Rule& r) {
+  std::string s;
+  for (double x : r.one_of) s += (s.empty() ? "one of " : ", ") + str(x);
+  if (!s.empty()) return s;
+  if (r.hi >= 0x1p63) return ">= " + str(r.lo);
+  return "in [" + str(r.lo) + ", " + str(r.hi) + (r.hi_open ? ")" : "]");
+}
+
+bool allows(const Rule& r, double x) {
+  if (!r.one_of.empty()) return std::find(r.one_of.begin(), r.one_of.end(), x) != r.one_of.end();
+  return x >= r.lo && (r.hi_open ? x < r.hi : x <= r.hi);
+}
+
+// A bool or a number held in a T, `scale` member units to one file unit.
+template <class T>
+T read_number(const json::Value& v, const std::string& path, Rule r, double scale) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return as_bool(v, path);
+  } else {
+    if constexpr (std::is_integral_v<T>) { // cut to what T holds
+      r.lo = std::max(r.lo, static_cast<double>(std::numeric_limits<T>::min()) / scale);
+      const double top = (static_cast<double>(std::numeric_limits<T>::max()) + 1) / scale;
+      if (top <= r.hi) {
+        r.hi = scale == 1 ? top - 1 : top;
+        r.hi_open = scale != 1;
+      }
+    }
+    const bool exact = std::is_integral_v<T> && scale == 1;
+    const double x = exact ? static_cast<double>(as_int(v, path)) : as_num(v, path);
+    if (!allows(r, x)) fail(path, "must be " + describe(r));
+    if constexpr (std::is_integral_v<T>)
+      return exact ? static_cast<T>(v.as_int()) : static_cast<T>(std::llround(x * scale));
+    else
+      return x;
+  }
+}
+
+template <class T>
+const Name<T>& by_name(std::span<const Name<T>> names, const std::string& name,
+                       const std::string& path, const std::string& what) {
+  for (const Name<T>& n : names)
+    if (name == n.name) return n;
+  std::string valid;
+  for (const Name<T>& n : names) valid += (valid.empty() ? "" : ", ") + std::string(n.name);
+  fail(path, "unknown " + what + " \"" + name + "\" (valid: " + valid + ")");
+}
+
+template <class S> void read_section(const json::Value& v, const std::string& path, S& s);
+template <class S> json::Value write_section(const S& s);
+
+// Reads each row's key of one object into its member.
+class Reader {
+public:
+  explicit Reader(Obj& o) : o_(o) {}
+
+  template <class T>
+    requires std::is_arithmetic_v<T>
+  void operator()(const char* key, T& m, const Rule& rule = {}, double scale = 1) {
+    if (const json::Value* v = find(key, rule)) m = read_number<T>(*v, at(key), rule, scale);
+  }
+
+  template <class T, std::size_t N>
+  void operator()(const char* key, T& m, const Name<T> (&names)[N]) {
+    if (const json::Value* v = find(key, {}))
+      m = by_name<T>(names, as_str(*v, at(key)), at(key), key).value;
+  }
+
+  void operator()(const char* key, std::vector<int>& m, const Rule& rule) {
+    const json::Value* v = find(key, rule);
+    if (v == nullptr) return;
+    const json::Array& a = as_array(*v, at(key));
+    m.clear();
+    for (std::size_t i = 0; i < a.size(); ++i)
+      m.push_back(read_number<int>(a[i], at(key) + "[" + std::to_string(i) + "]", {}, 1));
+  }
+
+  template <class E>
+  void operator()(const char* key, std::vector<E>& m) {
+    if (const json::Value* v = find(key, {})) {
+      const json::Array& a = as_array(*v, at(key));
+      for (std::size_t i = 0; i < a.size(); ++i)
+        read_section(a[i], at(key) + "[" + std::to_string(i) + "]", m.emplace_back());
+    }
+  }
+
+  template <class M>
+    requires std::is_class_v<M>
+  void operator()(const char* key, M& m) {
+    if (const json::Value* v = find(key, {})) read_section(*v, at(key), m);
+  }
+
+private:
+  const json::Value* find(const char* key, const Rule& rule) {
+    return rule.required ? &o_.require(key) : o_.get(key);
+  }
+  std::string at(const char* key) const { return o_.path() + "." + key; }
+
+  Obj& o_;
+};
+
+// Writes each row's member under its key, in schema order.
+class Writer {
+public:
+  explicit Writer(json::Value& out) : out_(out) {}
+
+  template <class T>
+    requires std::is_arithmetic_v<T>
+  void operator()(const char* key, const T& m, const Rule& = {}, double scale = 1) {
+    if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>)
+      out_.set(key, scale != 1 ? json::Value(static_cast<double>(m) / scale)
+                               : json::Value(static_cast<std::int64_t>(m)));
+    else
+      out_.set(key, m);
+  }
+
+  // The first name of the value.
+  template <class T, std::size_t N>
+  void operator()(const char* key, const T& m, const Name<T> (&names)[N]) {
+    for (const Name<T>& n : names)
+      if (n.value == m) return out_.set(key, n.name);
+    throw std::logic_error(std::string("to_json: no name for this ") + key);
+  }
+
+  void operator()(const char* key, const std::vector<int>& m, const Rule&) {
+    out_.set(key, json::Array(m.begin(), m.end()));
+  }
+
+  // Written only when non-empty.
+  template <class E>
+  void operator()(const char* key, const std::vector<E>& m) {
+    if (m.empty()) return;
+    json::Array a;
+    for (const E& e : m) a.push_back(write_section(e));
+    out_.set(key, std::move(a));
+  }
+
+  template <class M>
+    requires std::is_class_v<M>
+  void operator()(const char* key, const M& m) {
+    out_.set(key, write_section(m));
+  }
+
+private:
+  json::Value& out_;
+};
+
+template <class S>
+void read_section(const json::Value& v, const std::string& path, S& s) {
+  Obj o(v, path);
+  fields(s, Reader(o));
+  o.finish();
+}
+
+template <class S>
+json::Value write_section(const S& s) {
+  json::Value out;
+  fields(s, Writer(out));
   return out;
 }
 
-// --- sections ----------------------------------------------------------------
+// --- sections with more than their rows --------------------------------------
 
 core::TopologySpec load_topology(const json::Value& v, const std::string& path) {
   Obj o(v, path);
-  const std::string kind = as_str(o.require("kind"), path + ".kind");
-  core::TopologySpec spec;
-  if (kind == "rack") {
-    core::RackSpec s;
-    s.n_workers = static_cast<int>(opt_int(o, "workers", s.n_workers));
-    spec = s;
-  } else if (kind == "multi_job") {
-    core::MultiJobSpec s;
-    s.n_jobs = static_cast<int>(opt_int(o, "jobs", s.n_jobs));
-    s.workers_per_job = static_cast<int>(opt_int(o, "workers_per_job", s.workers_per_job));
-    spec = s;
-  } else if (kind == "hierarchy") {
-    core::HierarchySpec s;
-    s.racks = static_cast<int>(opt_int(o, "racks", s.racks));
-    s.workers_per_rack = static_cast<int>(opt_int(o, "workers_per_rack", s.workers_per_rack));
-    spec = s;
-  } else if (kind == "tree") {
-    core::TreeSpec s;
-    s.levels = static_cast<int>(opt_int(o, "levels", s.levels));
-    s.branching = static_cast<int>(opt_int(o, "branching", s.branching));
-    s.workers_per_rack = static_cast<int>(opt_int(o, "workers_per_rack", s.workers_per_rack));
-    spec = s;
-  } else if (kind == "irregular") {
-    core::IrregularSpec s;
-    s.switch_parent = as_int_array(o.require("switch_parent"), path + ".switch_parent");
-    s.worker_switch = as_int_array(o.require("worker_switch"), path + ".worker_switch");
-    spec = s;
-  } else if (kind == "streaming_ps") {
-    core::StreamingPsSpec s;
-    s.n_workers = static_cast<int>(opt_int(o, "workers", s.n_workers));
-    const std::string placement = opt_str(o, "placement", "dedicated");
-    if (placement == "colocated")
-      s.placement = core::PsPlacement::Colocated;
-    else if (placement != "dedicated")
-      fail(path + ".placement",
-           "unknown placement \"" + placement + "\" (valid: dedicated, colocated)");
-    spec = s;
-  } else {
-    fail(path + ".kind",
-         "unknown topology kind \"" + kind +
-             "\" (valid: rack, multi_job, hierarchy, tree, irregular, streaming_ps)");
-  }
+  const std::string& kind = as_str(o.require("kind"), path + ".kind");
+  core::TopologySpec spec = by_name(kinds(), kind, path + ".kind", "topology kind").value;
+  std::visit([&](auto& t) { fields(t, Reader(o)); }, spec);
   o.finish();
   // Structural validation now, with the topology's path on the error.
   try {
@@ -171,200 +436,34 @@ core::TopologySpec load_topology(const json::Value& v, const std::string& path) 
   return spec;
 }
 
-void load_faults(const json::Value& v, const std::string& path, core::FaultPlan& plan) {
-  Obj o(v, path);
-  const auto each = [&](const char* key, auto&& parse_one) {
-    const json::Value* arr = o.get(key);
-    if (arr == nullptr) return;
-    const std::string apath = path + "." + key;
-    if (!arr->is_array())
-      fail(apath, std::string("expected an array, got ") + json::to_string(arr->kind()));
-    const auto& a = arr->as_array();
-    for (std::size_t i = 0; i < a.size(); ++i)
-      parse_one(a[i], apath + "[" + std::to_string(i) + "]");
-  };
-  each("stragglers", [&](const json::Value& e, const std::string& p) {
-    Obj f(e, p);
-    core::StragglerSpec s;
-    s.worker = static_cast<int>(as_int(f.require("worker"), p + ".worker"));
-    s.factor = as_num(f.require("factor"), p + ".factor");
-    s.start = opt_int(f, "start_ns", 0);
-    s.stop = opt_int(f, "stop_ns", -1);
-    f.finish();
-    plan.stragglers.push_back(s);
-  });
-  each("flaps", [&](const json::Value& e, const std::string& p) {
-    Obj f(e, p);
-    core::LinkFlapSpec s;
-    s.link = static_cast<std::size_t>(as_int(f.require("link"), p + ".link"));
-    s.down_at = as_int(f.require("down_ns"), p + ".down_ns");
-    s.up_at = as_int(f.require("up_ns"), p + ".up_ns");
-    f.finish();
-    plan.flaps.push_back(s);
-  });
-  each("flap_cycles", [&](const json::Value& e, const std::string& p) {
-    Obj f(e, p);
-    core::LinkFlapCycleSpec s;
-    s.link = static_cast<std::size_t>(as_int(f.require("link"), p + ".link"));
-    s.period = as_int(f.require("period_ns"), p + ".period_ns");
-    s.duty_down = as_num(f.require("duty_down"), p + ".duty_down");
-    s.start = opt_int(f, "start_ns", 0);
-    s.cycles = static_cast<int>(opt_int(f, "cycles", 0));
-    f.finish();
-    plan.flap_cycles.push_back(s);
-  });
-  each("bursts", [&](const json::Value& e, const std::string& p) {
-    Obj f(e, p);
-    core::BurstLossSpec s;
-    s.link = static_cast<int>(opt_int(f, "link", -1));
-    s.gilbert.p_enter = as_num(f.require("p_enter"), p + ".p_enter");
-    s.gilbert.p_exit = as_num(f.require("p_exit"), p + ".p_exit");
-    s.gilbert.loss_good = opt_num(f, "loss_good", 0.0);
-    s.gilbert.loss_bad = as_num(f.require("loss_bad"), p + ".loss_bad");
-    f.finish();
-    plan.bursts.push_back(s);
-  });
-  each("switch_restarts", [&](const json::Value& e, const std::string& p) {
-    Obj f(e, p);
-    core::SwitchRestartSpec s;
-    s.switch_index = static_cast<std::size_t>(as_int(f.require("switch"), p + ".switch"));
-    s.at = as_int(f.require("at_ns"), p + ".at_ns");
-    f.finish();
-    plan.switch_restarts.push_back(s);
-  });
-  each("switch_kills", [&](const json::Value& e, const std::string& p) {
-    Obj f(e, p);
-    core::SwitchKillSpec s;
-    s.switch_index = static_cast<std::size_t>(as_int(f.require("switch"), p + ".switch"));
-    s.at = as_int(f.require("at_ns"), p + ".at_ns");
-    f.finish();
-    plan.switch_kills.push_back(s);
-  });
-  o.finish();
-}
-
 void load_fabric(const json::Value& v, const std::string& path, Scenario& s) {
-  Obj o(v, path);
+  read_section(v, path, s);
   core::FabricParams& p = s.fabric;
-  const double rate_gbps = opt_num(o, "link_rate_gbps", 10.0);
-  if (rate_gbps <= 0) fail(path + ".link_rate_gbps", "rate must be > 0");
-  p.link_rate = static_cast<BitsPerSecond>(std::llround(rate_gbps * 1e9));
-  const double up_gbps = opt_num(o, "uplink_rate_gbps", 0.0);
-  if (up_gbps < 0) fail(path + ".uplink_rate_gbps", "rate must be >= 0 (0 = same as link)");
-  p.uplink_rate = static_cast<BitsPerSecond>(std::llround(up_gbps * 1e9));
-  p.propagation = opt_int(o, "propagation_ns", p.propagation);
-  p.switch_latency = opt_int(o, "switch_latency_ns", p.switch_latency);
-  p.queue_limit_bytes = opt_int(o, "queue_limit_bytes", p.queue_limit_bytes);
-  p.loss_prob = opt_num(o, "loss_prob", 0.0);
-  if (p.loss_prob < 0 || p.loss_prob >= 1) fail(path + ".loss_prob", "must be in [0, 1)");
-  // Absent pool_size follows ClusterConfig::for_rate's §3.6 rule so a
-  // scenario file matches what the benches build for the same rate.
-  const std::int64_t pool =
-      opt_int(o, "pool_size", p.link_rate >= gbps(100) ? 512 : 128);
-  if (pool < 1) fail(path + ".pool_size", "must be >= 1");
-  p.pool_size = static_cast<std::uint32_t>(pool);
-  p.mtu_emulation = opt_bool(o, "mtu_emulation", false);
-  p.elems_per_packet = static_cast<std::uint32_t>(
-      opt_int(o, "elems_per_packet",
-              p.mtu_emulation ? net::kMtuElemsPerPacket : net::kDefaultElemsPerPacket));
-  p.wire_elem_bytes = static_cast<std::uint8_t>(opt_int(o, "wire_elem_bytes", 4));
-  p.retransmit_timeout = opt_int(o, "retransmit_timeout_ns", p.retransmit_timeout);
-  p.adaptive_rto = opt_bool(o, "adaptive_rto", false);
-  p.lossless = opt_bool(o, "lossless", false);
-  p.sram_budget_bytes =
-      static_cast<std::size_t>(opt_int(o, "sram_budget_bytes",
-                                       static_cast<std::int64_t>(p.sram_budget_bytes)));
-  p.fp16_frac_bits = static_cast<int>(opt_int(o, "fp16_frac_bits", p.fp16_frac_bits));
-  p.ablate_shadow_copy = opt_bool(o, "ablate_shadow_copy", false);
-  p.ablate_seen_bitmap = opt_bool(o, "ablate_seen_bitmap", false);
-  p.seed = static_cast<std::uint64_t>(opt_int(o, "seed", static_cast<std::int64_t>(p.seed)));
-  p.sync_after = static_cast<int>(opt_int(o, "sync_after", p.sync_after));
-  p.dead_after = static_cast<int>(opt_int(o, "dead_after", p.dead_after));
-  p.fallback_reprovision =
-      opt_int(o, "fallback_reprovision_ns", p.fallback_reprovision);
-
-  const std::string transport = opt_str(o, "transport", "default");
-  if (transport == "udp") p.transport = net::TransportKind::kUdp;
-  else if (transport == "rdma_uc") p.transport = net::TransportKind::kRdmaUc;
-  else if (transport == "default") p.transport = net::kDefaultTransport;
-  else fail(path + ".transport", "unknown transport \"" + transport +
-                                     "\" (valid: udp, rdma_uc, default)");
-  if (const json::Value* rv = o.get("rdma")) {
-    const std::string rp = path + ".rdma";
-    Obj r(*rv, rp);
-    p.rdma.wqe_post = opt_int(r, "wqe_post_ns", p.rdma.wqe_post);
-    p.rdma.doorbell = opt_int(r, "doorbell_ns", p.rdma.doorbell);
-    p.rdma.doorbell_batch = static_cast<int>(opt_int(r, "doorbell_batch", p.rdma.doorbell_batch));
-    p.rdma.cqe_poll = opt_int(r, "cqe_poll_ns", p.rdma.cqe_poll);
-    p.rdma.tx_latency = opt_int(r, "tx_latency_ns", p.rdma.tx_latency);
-    p.rdma.rx_latency = opt_int(r, "rx_latency_ns", p.rdma.rx_latency);
-    r.finish();
-  }
-
-  const std::string int_mode = opt_str(o, "int_mode", "off");
-  if (int_mode == "off") p.int_mode = inttel::kModeOff;
-  else if (int_mode == "phantom") p.int_mode = inttel::kModePhantom;
-  else if (int_mode == "on_wire") p.int_mode = inttel::kModeOnWire;
-  else fail(path + ".int_mode", "unknown int_mode \"" + int_mode +
-                                    "\" (valid: off, phantom, on_wire)");
-
-  if (const json::Value* nv = o.get("nic")) {
-    const std::string np = path + ".nic";
-    Obj n(*nv, np);
-    const std::string profile = opt_str(n, "profile", "switchml");
-    if (profile == "switchml") s.nic_selection.profile = NicProfile::kSwitchml;
-    else if (profile == "crossover_udp") s.nic_selection.profile = NicProfile::kCrossoverUdp;
-    else if (profile == "ps_host") s.nic_selection.profile = NicProfile::kPsHost;
-    else fail(np + ".profile", "unknown NIC profile \"" + profile +
-                                   "\" (valid: switchml, crossover_udp, ps_host)");
-    s.nic_selection.cores = static_cast<int>(opt_int(n, "cores", 4));
-    if (s.nic_selection.cores < 1) fail(np + ".cores", "must be >= 1");
-    n.finish();
-  }
-  switch (s.nic_selection.profile) {
-  case NicProfile::kSwitchml:
-    p.nic = core::switchml_worker_nic(p.link_rate, s.nic_selection.cores);
-    break;
-  case NicProfile::kCrossoverUdp:
-    p.nic = core::crossover_udp_nic(p.link_rate, s.nic_selection.cores);
-    break;
-  case NicProfile::kPsHost:
-    p.nic = core::ps_host_nic(p.link_rate, s.nic_selection.cores);
-    break;
-  }
-  o.finish();
+  // The two keys whose default follows another key's value.
+  if (v.find("pool_size") == nullptr) p.pool_size = core::switchml_pool_size(p.link_rate);
+  if (v.find("elems_per_packet") == nullptr)
+    p.elems_per_packet = p.mtu_emulation ? net::kMtuElemsPerPacket : net::kDefaultElemsPerPacket;
+  p.nic = kNicOf[static_cast<std::size_t>(s.nic_selection.profile)](p.link_rate,
+                                                                    s.nic_selection.cores);
 
   if (p.lossless && p.loss_prob > 0)
     fail(path, "lossless mode requires loss_prob == 0 (the network contract IS zero loss)");
-}
-
-void load_workload(const json::Value& v, const std::string& path, Workload& w) {
-  Obj o(v, path);
-  const std::string mode = opt_str(o, "mode", "timing");
-  if (mode == "timing") w.timing = true;
-  else if (mode == "data") w.timing = false;
-  else fail(path + ".mode", "unknown mode \"" + mode + "\" (valid: timing, data)");
-  const std::int64_t elems =
-      opt_int(o, "tensor_elems", static_cast<std::int64_t>(w.tensor_elems));
-  if (elems < 1) fail(path + ".tensor_elems", "must be >= 1");
-  w.tensor_elems = static_cast<std::uint64_t>(elems);
-  w.reductions = static_cast<int>(opt_int(o, "reductions", 1));
-  if (w.reductions < 1) fail(path + ".reductions", "must be >= 1");
-  w.data_seed =
-      static_cast<std::uint64_t>(opt_int(o, "data_seed", static_cast<std::int64_t>(w.data_seed)));
-  o.finish();
+  // Link::transmit drops a frame its queue cannot hold, so a queue smaller
+  // than one update (with a full INT stack when that is on the wire) drops
+  // every update.
+  net::Packet frame;
+  frame.kind = net::PacketKind::SmlUpdate;
+  frame.transport = p.transport;
+  frame.elem_count = p.elems_per_packet;
+  frame.elem_bytes = p.wire_elem_bytes;
+  frame.int_mode = p.int_mode;
+  frame.int_stack.resize(inttel::kShimBytes + inttel::kMaxHops * inttel::kRecordBytes);
+  if (p.queue_limit_bytes < frame.wire_bytes())
+    fail(path + ".queue_limit_bytes",
+         "must hold one update frame (" + std::to_string(frame.wire_bytes()) + " bytes)");
 }
 
 } // namespace
-
-const char* to_string(NicProfile p) {
-  switch (p) {
-  case NicProfile::kSwitchml: return "switchml";
-  case NicProfile::kCrossoverUdp: return "crossover_udp";
-  case NicProfile::kPsHost: return "ps_host";
-  }
-  return "?";
-}
 
 core::FaultTargets shape_counts(const core::TopologySpec& topology) {
   if (const auto* ps = std::get_if<core::StreamingPsSpec>(&topology)) {
@@ -391,15 +490,13 @@ Scenario from_json(const json::Value& doc) {
                                  std::to_string(Scenario::kSchemaVersion) + ")");
   s.name = as_str(o.require("name"), "$.name");
   if (s.name.empty()) fail("$.name", "must be non-empty");
-  s.description = opt_str(o, "description", "");
+  if (const json::Value* d = o.get("description")) s.description = as_str(*d, "$.description");
   s.topology = load_topology(o.require("topology"), "$.topology");
-  if (const json::Value* f = o.get("fabric")) load_fabric(*f, "$.fabric", s);
-  else {
-    // Defaults still resolve the NIC from the (default 10G) rate.
-    s.fabric.nic = core::switchml_worker_nic(s.fabric.link_rate, s.nic_selection.cores);
-  }
-  if (const json::Value* w = o.get("workload")) load_workload(*w, "$.workload", s.workload);
-  if (const json::Value* f = o.get("faults")) load_faults(*f, "$.faults", s.fabric.faults);
+  // An absent fabric section is an empty one: the same defaults and NIC.
+  const json::Value* fabric = o.get("fabric");
+  load_fabric(fabric != nullptr ? *fabric : json::Value(json::Object{}), "$.fabric", s);
+  if (const json::Value* w = o.get("workload")) read_section(*w, "$.workload", s.workload);
+  if (const json::Value* f = o.get("faults")) read_section(*f, "$.faults", s.fabric.faults);
   o.finish();
 
   // Eager FaultPlan validation against the shape — the PR 5 messages
@@ -430,170 +527,13 @@ json::Value to_json(const Scenario& s) {
   doc.set("schema_version", Scenario::kSchemaVersion);
   doc.set("name", s.name);
   if (!s.description.empty()) doc.set("description", s.description);
-
   json::Value topo;
-  std::visit(overloaded{
-                 [&](const core::RackSpec& t) {
-                   topo.set("kind", "rack");
-                   topo.set("workers", t.n_workers);
-                 },
-                 [&](const core::MultiJobSpec& t) {
-                   topo.set("kind", "multi_job");
-                   topo.set("jobs", t.n_jobs);
-                   topo.set("workers_per_job", t.workers_per_job);
-                 },
-                 [&](const core::HierarchySpec& t) {
-                   topo.set("kind", "hierarchy");
-                   topo.set("racks", t.racks);
-                   topo.set("workers_per_rack", t.workers_per_rack);
-                 },
-                 [&](const core::TreeSpec& t) {
-                   topo.set("kind", "tree");
-                   topo.set("levels", t.levels);
-                   topo.set("branching", t.branching);
-                   topo.set("workers_per_rack", t.workers_per_rack);
-                 },
-                 [&](const core::IrregularSpec& t) {
-                   topo.set("kind", "irregular");
-                   json::Array parent, ws;
-                   for (int p : t.switch_parent) parent.emplace_back(p);
-                   for (int w : t.worker_switch) ws.emplace_back(w);
-                   topo.set("switch_parent", std::move(parent));
-                   topo.set("worker_switch", std::move(ws));
-                 },
-                 [&](const core::StreamingPsSpec& t) {
-                   topo.set("kind", "streaming_ps");
-                   topo.set("workers", t.n_workers);
-                   topo.set("placement", t.placement == core::PsPlacement::Dedicated
-                                             ? "dedicated"
-                                             : "colocated");
-                 },
-             },
-             s.topology);
+  topo.set("kind", kinds()[s.topology.index()].name);
+  std::visit([&](const auto& t) { fields(t, Writer(topo)); }, s.topology);
   doc.set("topology", std::move(topo));
-
-  const core::FabricParams& p = s.fabric;
-  json::Value fab;
-  fab.set("link_rate_gbps", static_cast<double>(p.link_rate) / 1e9);
-  fab.set("uplink_rate_gbps", static_cast<double>(p.uplink_rate) / 1e9);
-  fab.set("propagation_ns", p.propagation);
-  fab.set("switch_latency_ns", p.switch_latency);
-  fab.set("queue_limit_bytes", p.queue_limit_bytes);
-  fab.set("loss_prob", p.loss_prob);
-  fab.set("pool_size", static_cast<std::int64_t>(p.pool_size));
-  fab.set("elems_per_packet", static_cast<std::int64_t>(p.elems_per_packet));
-  fab.set("wire_elem_bytes", static_cast<std::int64_t>(p.wire_elem_bytes));
-  fab.set("mtu_emulation", p.mtu_emulation);
-  fab.set("retransmit_timeout_ns", p.retransmit_timeout);
-  fab.set("adaptive_rto", p.adaptive_rto);
-  fab.set("lossless", p.lossless);
-  fab.set("sram_budget_bytes", static_cast<std::int64_t>(p.sram_budget_bytes));
-  fab.set("fp16_frac_bits", p.fp16_frac_bits);
-  fab.set("ablate_shadow_copy", p.ablate_shadow_copy);
-  fab.set("ablate_seen_bitmap", p.ablate_seen_bitmap);
-  fab.set("seed", static_cast<std::int64_t>(p.seed));
-  fab.set("sync_after", p.sync_after);
-  fab.set("dead_after", p.dead_after);
-  fab.set("fallback_reprovision_ns", p.fallback_reprovision);
-  fab.set("transport", p.transport == net::TransportKind::kUdp ? "udp" : "rdma_uc");
-  json::Value rdma;
-  rdma.set("wqe_post_ns", p.rdma.wqe_post);
-  rdma.set("doorbell_ns", p.rdma.doorbell);
-  rdma.set("doorbell_batch", p.rdma.doorbell_batch);
-  rdma.set("cqe_poll_ns", p.rdma.cqe_poll);
-  rdma.set("tx_latency_ns", p.rdma.tx_latency);
-  rdma.set("rx_latency_ns", p.rdma.rx_latency);
-  fab.set("rdma", std::move(rdma));
-  fab.set("int_mode", p.int_mode == inttel::kModeOff
-                          ? "off"
-                          : (p.int_mode == inttel::kModePhantom ? "phantom" : "on_wire"));
-  json::Value nic;
-  nic.set("profile", to_string(s.nic_selection.profile));
-  nic.set("cores", s.nic_selection.cores);
-  fab.set("nic", std::move(nic));
-  doc.set("fabric", std::move(fab));
-
-  json::Value wl;
-  wl.set("mode", s.workload.timing ? "timing" : "data");
-  wl.set("tensor_elems", static_cast<std::int64_t>(s.workload.tensor_elems));
-  wl.set("reductions", s.workload.reductions);
-  wl.set("data_seed", static_cast<std::int64_t>(s.workload.data_seed));
-  doc.set("workload", std::move(wl));
-
-  const core::FaultPlan& fp = p.faults;
-  if (!fp.empty()) {
-    json::Value faults;
-    if (!fp.stragglers.empty()) {
-      json::Array a;
-      for (const auto& f : fp.stragglers) {
-        json::Value e;
-        e.set("worker", f.worker);
-        e.set("factor", f.factor);
-        e.set("start_ns", f.start);
-        e.set("stop_ns", f.stop);
-        a.push_back(std::move(e));
-      }
-      faults.set("stragglers", std::move(a));
-    }
-    if (!fp.flaps.empty()) {
-      json::Array a;
-      for (const auto& f : fp.flaps) {
-        json::Value e;
-        e.set("link", static_cast<std::int64_t>(f.link));
-        e.set("down_ns", f.down_at);
-        e.set("up_ns", f.up_at);
-        a.push_back(std::move(e));
-      }
-      faults.set("flaps", std::move(a));
-    }
-    if (!fp.flap_cycles.empty()) {
-      json::Array a;
-      for (const auto& f : fp.flap_cycles) {
-        json::Value e;
-        e.set("link", static_cast<std::int64_t>(f.link));
-        e.set("period_ns", f.period);
-        e.set("duty_down", f.duty_down);
-        e.set("start_ns", f.start);
-        e.set("cycles", f.cycles);
-        a.push_back(std::move(e));
-      }
-      faults.set("flap_cycles", std::move(a));
-    }
-    if (!fp.bursts.empty()) {
-      json::Array a;
-      for (const auto& f : fp.bursts) {
-        json::Value e;
-        e.set("link", f.link);
-        e.set("p_enter", f.gilbert.p_enter);
-        e.set("p_exit", f.gilbert.p_exit);
-        e.set("loss_good", f.gilbert.loss_good);
-        e.set("loss_bad", f.gilbert.loss_bad);
-        a.push_back(std::move(e));
-      }
-      faults.set("bursts", std::move(a));
-    }
-    if (!fp.switch_restarts.empty()) {
-      json::Array a;
-      for (const auto& f : fp.switch_restarts) {
-        json::Value e;
-        e.set("switch", static_cast<std::int64_t>(f.switch_index));
-        e.set("at_ns", f.at);
-        a.push_back(std::move(e));
-      }
-      faults.set("switch_restarts", std::move(a));
-    }
-    if (!fp.switch_kills.empty()) {
-      json::Array a;
-      for (const auto& f : fp.switch_kills) {
-        json::Value e;
-        e.set("switch", static_cast<std::int64_t>(f.switch_index));
-        e.set("at_ns", f.at);
-        a.push_back(std::move(e));
-      }
-      faults.set("switch_kills", std::move(a));
-    }
-    doc.set("faults", std::move(faults));
-  }
+  doc.set("fabric", write_section(s));
+  doc.set("workload", write_section(s.workload));
+  if (!s.fabric.faults.empty()) doc.set("faults", write_section(s.fabric.faults));
   return doc;
 }
 

@@ -8,15 +8,18 @@
 //   * unknown keys are rejected, naming the key, its JSON path, and the keys
 //     that ARE valid there;
 //   * every type/range error is JSON-path-qualified ("$.faults.flap_cycles[2]
-//     .duty_down: ...") and fault-plan errors reuse the PR 5 validation
-//     messages from core::validate_fault_plan, which runs eagerly at load
-//     time against shape_counts() — no fabric build needed to reject a plan;
+//     .duty_down: ..."): an integer must fit its member, and each key has
+//     the range its row in scenario.cpp gives; fault-plan errors reuse the
+//     messages of core::validate_fault_plan, which runs eagerly at load time
+//     against shape_counts() — no fabric build needed to reject a plan;
 //   * `to_json` emits the fully-resolved (normalized) form, and
-//     load(to_json(s)) round-trips to an identical document — the scenario
-//     fuzzer and json_test pin that.
+//     load(to_json(s)) round-trips to an identical document —
+//     ScenarioRoundTrip.NormalizedFormIsAFixedPoint and the scenario soak pin
+//     that.
 //
 // Schema reference lives in DESIGN.md ("Scenario engine"); the committed
-// corpus under scenarios/ holds one file per ported bench configuration.
+// corpus under scenarios/ holds one file per ported bench configuration, each
+// its own normal form.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +38,6 @@ namespace switchml::scenario {
 // kept symbolic (not a resolved NicConfig) so a scenario re-emits the
 // profile name it was written with.
 enum class NicProfile : std::uint8_t { kSwitchml, kCrossoverUdp, kPsHost };
-
-[[nodiscard]] const char* to_string(NicProfile p);
 
 struct NicSelection {
   NicProfile profile = NicProfile::kSwitchml;

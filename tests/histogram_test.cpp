@@ -30,6 +30,7 @@ TEST(Histogram, ExactAggregatesAndUnitResolutionBelowSubBucketCount) {
   // Values below 2^precision_bits (=128) are recorded at unit resolution:
   // every percentile is exact.
   for (std::int64_t v = 0; v < 128; ++v) h.record(v);
+  if (!kHistogramsCompiledIn) GTEST_SKIP() << "histograms compiled out";
   EXPECT_EQ(h.count(), 128u);
   EXPECT_EQ(h.sum(), 127 * 128 / 2);
   EXPECT_EQ(h.min(), 0);
@@ -100,6 +101,7 @@ TEST(Histogram, OverflowBucket) {
   h.record(500);
   h.record(5000);   // beyond max_value
   h.record(50000);  // beyond max_value
+  if (!kHistogramsCompiledIn) GTEST_SKIP() << "histograms compiled out";
   EXPECT_EQ(h.count(), 3u);
   EXPECT_EQ(h.overflow_count(), 2u);
   EXPECT_EQ(h.sum(), 500 + 5000 + 50000); // sum stays exact
@@ -113,6 +115,7 @@ TEST(Histogram, OverflowBucket) {
 TEST(Histogram, NegativeValuesClampToZero) {
   Histogram h;
   h.record(-5);
+  if (!kHistogramsCompiledIn) GTEST_SKIP() << "histograms compiled out";
   EXPECT_EQ(h.count(), 1u);
   EXPECT_EQ(h.min(), 0);
   EXPECT_EQ(h.sum(), 0);
@@ -122,6 +125,7 @@ TEST(Histogram, MergeAddsBucketsAndAggregates) {
   Histogram a, b;
   for (int i = 0; i < 100; ++i) a.record(i * 10);
   for (int i = 0; i < 50; ++i) b.record(1'000'000 + i);
+  if (!kHistogramsCompiledIn) GTEST_SKIP() << "histograms compiled out";
   const std::int64_t sum_before = a.sum() + b.sum();
   a.merge(b);
   EXPECT_EQ(a.count(), 150u);
@@ -152,6 +156,7 @@ TEST(Histogram, ResetKeepsLayout) {
   EXPECT_TRUE(h.empty());
   EXPECT_EQ(h.counts().size(), buckets);
   EXPECT_EQ(h.percentile(50), 0);
+  if (!kHistogramsCompiledIn) GTEST_SKIP() << "histograms compiled out";
   h.record(42);
   EXPECT_EQ(h.min(), 42);
   EXPECT_EQ(h.max(), 42);
@@ -168,6 +173,7 @@ TEST(Histogram, RecordIsAllocationFree) {
 TEST(Histogram, QuantilesOfDeltaCounts) {
   Histogram h;
   for (int i = 0; i < 1000; ++i) h.record(i);
+  if (!kHistogramsCompiledIn) GTEST_SKIP() << "histograms compiled out";
   std::vector<std::uint64_t> baseline = h.counts();
   for (int i = 0; i < 1000; ++i) h.record(1'000'000 + i);
   // Delta between two count snapshots covers only the second batch.
@@ -215,6 +221,7 @@ TEST(MetricsRegistryHistogram, SnapshotAndJson) {
   EXPECT_THROW(registry.add_histogram("worker-0.rtt_ns", &h), std::invalid_argument);
   EXPECT_EQ(registry.size(), 1u);
   for (int i = 1; i <= 100; ++i) h.record(i * 1000);
+  if (!kHistogramsCompiledIn) GTEST_SKIP() << "histograms compiled out";
   const MetricsRegistry::Snapshot snap = registry.snapshot();
   ASSERT_TRUE(snap.has_histogram("worker-0.rtt_ns"));
   const MetricsRegistry::HistogramStats& stats = snap.histogram("worker-0.rtt_ns");

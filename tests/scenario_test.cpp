@@ -1,12 +1,10 @@
 // Scenario engine tests: strict-loader semantics (unknown keys, JSON-path
-// errors, eager FaultPlan validation), normalized round-trips, shape_counts
-// and the one wiring rule vs built fabrics, the IrregularSpec build path —
-// and the corpus contract: every scenarios/*.json is pinned byte-for-byte to
-// its in-code definition, and every ported bench configuration reproduces
-// its committed baseline metric bit-identically (BenchReport::kSimTol).
-//
-// Regenerating the corpus after an intentional schema or baseline change:
-//   SWITCHML_REGEN_CORPUS=1 ./tests/scenario_test --gtest_filter='*Regenerate*'
+// errors, every range and name the schema checks, eager FaultPlan
+// validation), normalized round-trips, shape_counts and the one wiring rule
+// vs built fabrics, the IrregularSpec build path — and the corpus contract:
+// every scenarios/*.json is its own normal form, and every ported bench
+// configuration reproduces its committed baseline metric bit-identically
+// (BenchReport::kSimTol).
 #include "scenario/scenario.hpp"
 
 #include <gtest/gtest.h>
@@ -14,8 +12,9 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -141,6 +140,121 @@ TEST(ScenarioLoader, BadTopologyRejected) {
                         "faults": {"switch_kills": [{"switch": 0, "at_ns": 1000}]}})",
                     "$.faults: FaultPlan: switch_kills[0] at t=1000 ns: switch 0 out of range "
                     "(fabric has 0 switches)");
+}
+
+// One key's edge: `bad`, a value just outside what the loader accepts, must
+// fail naming `path`, and `good`, the boundary value where there is one,
+// must load. Each is the body of section `section` on a 2-worker rack.
+struct EdgeCase {
+  std::string section;
+  std::string bad;
+  std::string good;
+  std::string path;
+};
+
+std::string with_section(const std::string& section, const std::string& body) {
+  if (section == "topology")
+    return R"({"schema_version": 1, "name": "t", "topology": )" + body + "}";
+  return R"({"schema_version": 1, "name": "t", "topology": {"kind": "rack", "workers": 2},
+             ")" + section + R"(": )" + body + "}";
+}
+
+void expect_edges(const std::vector<EdgeCase>& cases) {
+  for (const EdgeCase& c : cases) {
+    SCOPED_TRACE(c.section + " " + c.bad);
+    expect_load_error(with_section(c.section, c.bad), c.path + ":");
+    EXPECT_NO_THROW((void)load_string(with_section(c.section, c.good)));
+  }
+}
+
+TEST(ScenarioLoader, EveryRangeAndNameIsChecked) {
+  expect_edges({
+      {"fabric", R"({"link_rate_gbps": 0})", R"({"link_rate_gbps": 1e-9})",
+       "$.fabric.link_rate_gbps"},
+      {"fabric", R"({"uplink_rate_gbps": -1e-9})", R"({"uplink_rate_gbps": 0})",
+       "$.fabric.uplink_rate_gbps"},
+      {"fabric", R"({"loss_prob": -1e-9})", R"({"loss_prob": 0})", "$.fabric.loss_prob"},
+      {"fabric", R"({"loss_prob": 1})", R"({"loss_prob": 0.999999})", "$.fabric.loss_prob"},
+      {"fabric", R"({"pool_size": 0})", R"({"pool_size": 1})", "$.fabric.pool_size"},
+      {"fabric", R"({"nic": {"cores": 0}})", R"({"nic": {"cores": 1}})", "$.fabric.nic.cores"},
+      {"workload", R"({"tensor_elems": 0})", R"({"tensor_elems": 1})",
+       "$.workload.tensor_elems"},
+      {"workload", R"({"reductions": 0})", R"({"reductions": 1})", "$.workload.reductions"},
+      {"fabric", R"({"lossless": true, "loss_prob": 1e-9})",
+       R"({"lossless": true, "loss_prob": 0})", "$.fabric"},
+      {"fabric", R"({"transport": "tcp"})", R"({"transport": "rdma_uc"})",
+       "$.fabric.transport"},
+      {"fabric", R"({"int_mode": "full"})", R"({"int_mode": "on_wire"})", "$.fabric.int_mode"},
+      {"fabric", R"({"nic": {"profile": "cx5"}})", R"({"nic": {"profile": "ps_host"}})",
+       "$.fabric.nic.profile"},
+      {"workload", R"({"mode": "train"})", R"({"mode": "data"})", "$.workload.mode"},
+      {"fabric", R"({"rdma": {"doorbel_ns": 5}})", R"({"rdma": {"doorbell_ns": 5}})",
+       "$.fabric.rdma.doorbel_ns"},
+      {"fabric", R"({"nic": {"core": 2}})", R"({"nic": {"cores": 2}})", "$.fabric.nic.core"},
+  });
+}
+
+// An integer that does not fit its member, and a value the fabric cannot
+// run (a negative time, a zero RTO, a wire width the switch has no format
+// for, a queue that cannot hold one update frame), fail at load time.
+TEST(ScenarioLoader, ValuesThatDoNotFitOrCannotRunAreRejected) {
+  expect_edges({
+      {"fabric", R"({"wire_elem_bytes": 260})", R"({"wire_elem_bytes": 4})",
+       "$.fabric.wire_elem_bytes"},
+      {"fabric", R"({"wire_elem_bytes": 3})", R"({"wire_elem_bytes": 2})",
+       "$.fabric.wire_elem_bytes"},
+      {"fabric", R"({"wire_elem_bytes": 0})", R"({"wire_elem_bytes": 1})",
+       "$.fabric.wire_elem_bytes"},
+      {"fabric", R"({"pool_size": 4294967297})", R"({"pool_size": 4294967295})",
+       "$.fabric.pool_size"},
+      {"fabric", R"({"elems_per_packet": -1})", R"({"elems_per_packet": 1})",
+       "$.fabric.elems_per_packet"},
+      {"fabric", R"({"elems_per_packet": 0})", R"({"elems_per_packet": 1})",
+       "$.fabric.elems_per_packet"},
+      {"topology", R"({"kind": "rack", "workers": 4294967300})",
+       R"({"kind": "rack", "workers": 4})", "$.topology.workers"},
+      {"fabric", R"({"fp16_frac_bits": 99})", R"({"fp16_frac_bits": 30})",
+       "$.fabric.fp16_frac_bits"},
+      {"fabric", R"({"fp16_frac_bits": -1})", R"({"fp16_frac_bits": 0})",
+       "$.fabric.fp16_frac_bits"},
+      {"fabric", R"({"propagation_ns": -1000})", R"({"propagation_ns": 0})",
+       "$.fabric.propagation_ns"},
+      {"fabric", R"({"switch_latency_ns": -1})", R"({"switch_latency_ns": 0})",
+       "$.fabric.switch_latency_ns"},
+      {"fabric", R"({"retransmit_timeout_ns": 0})", R"({"retransmit_timeout_ns": 1})",
+       "$.fabric.retransmit_timeout_ns"},
+      {"fabric", R"({"fallback_reprovision_ns": -1})", R"({"fallback_reprovision_ns": 0})",
+       "$.fabric.fallback_reprovision_ns"},
+      {"fabric", R"({"sync_after": -1})", R"({"sync_after": 0})", "$.fabric.sync_after"},
+      {"fabric", R"({"dead_after": -1})", R"({"dead_after": 0})", "$.fabric.dead_after"},
+      {"fabric", R"({"sram_budget_bytes": -1})", R"({"sram_budget_bytes": 0})",
+       "$.fabric.sram_budget_bytes"},
+      {"fabric", R"({"seed": -1})", R"({"seed": 0})", "$.fabric.seed"},
+      {"fabric", R"({"rdma": {"doorbell_batch": 0}})", R"({"rdma": {"doorbell_batch": 1}})",
+       "$.fabric.rdma.doorbell_batch"},
+      {"fabric", R"({"rdma": {"cqe_poll_ns": -1}})", R"({"rdma": {"cqe_poll_ns": 0}})",
+       "$.fabric.rdma.cqe_poll_ns"},
+      {"workload", R"({"data_seed": -1})", R"({"data_seed": 0})", "$.workload.data_seed"},
+      // One update frame: 52 header bytes and 32 4-byte values over UDP,
+      // one 58-byte segment header and a 10-byte app header over RDMA UC,
+      // and 366 values per frame under MTU emulation.
+      {"fabric", R"({"queue_limit_bytes": -5})", R"({"queue_limit_bytes": 1048576})",
+       "$.fabric.queue_limit_bytes"},
+      {"fabric", R"({"transport": "udp", "queue_limit_bytes": 179})",
+       R"({"transport": "udp", "queue_limit_bytes": 180})", "$.fabric.queue_limit_bytes"},
+      {"fabric", R"({"transport": "rdma_uc", "queue_limit_bytes": 195})",
+       R"({"transport": "rdma_uc", "queue_limit_bytes": 196})", "$.fabric.queue_limit_bytes"},
+      {"fabric", R"({"transport": "udp", "mtu_emulation": true, "queue_limit_bytes": 1515})",
+       R"({"transport": "udp", "mtu_emulation": true, "queue_limit_bytes": 1516})",
+       "$.fabric.queue_limit_bytes"},
+  });
+  // With INT on the wire a frame may also carry a full stack: a 4-byte shim
+  // and eight 32-byte hop records.
+  if (inttel::kCompiledIn)
+    expect_edges({{"fabric",
+                   R"({"transport": "udp", "int_mode": "on_wire", "queue_limit_bytes": 439})",
+                   R"({"transport": "udp", "int_mode": "on_wire", "queue_limit_bytes": 440})",
+                   "$.fabric.queue_limit_bytes"}});
 }
 
 TEST(ScenarioLoader, FaultPlanValidatedEagerlyWithPath) {
@@ -448,198 +562,69 @@ TEST(ScenarioShapes, IrregularSingleSwitchMatchesRack) {
 
 enum class Stat { kTatMaxMs, kTatMedianMs };
 
-struct CorpusEntry {
-  std::string file;          // scenarios/<file>
-  Scenario def;              // the in-code ancestor configuration
+// The committed bench metric a corpus file reproduces.
+struct Guard {
   std::string baseline_file; // results/baselines/<file>; empty = no baseline
   std::string metric;        // guarded metric in that baseline
   Stat stat = Stat::kTatMaxMs;
 };
 
-Scenario rack_base(const std::string& name, const std::string& description) {
-  Scenario s;
-  s.name = name;
-  s.description = description;
-  s.topology = core::RackSpec{8};
-  s.fabric.transport = net::TransportKind::kUdp; // baselines were recorded on UDP
-  return s;
+// The files ported from the --fast fault_sweep and recovery_sweep configs.
+// The other files (the custom_scenario port and the showcases) have no
+// baseline; they must converge explicitly.
+const std::map<std::string, Guard>& guards() {
+  const std::string fs = "BENCH_fault_sweep.json";
+  const std::string rs = "BENCH_recovery_sweep.json";
+  static const std::map<std::string, Guard> g = {
+      {"fault_clean.json", {fs, "clean.tat_max_ms"}},
+      {"fault_straggler_4x.json", {fs, "straggler-4x.tat_max_ms"}},
+      {"fault_straggler_16x.json", {fs, "straggler-16x.tat_max_ms"}},
+      {"fault_straggler_64x.json", {fs, "straggler-64x.tat_max_ms"}},
+      {"fault_flap_5pct.json", {fs, "flap-5pct.tat_max_ms"}},
+      {"fault_flap_10pct.json", {fs, "flap-10pct.tat_max_ms"}},
+      {"fault_flap_20pct.json", {fs, "flap-20pct.tat_max_ms"}},
+      {"fault_flap_period_350us.json", {fs, "flap-period-350us.tat_max_ms"}},
+      {"fault_flap_period_1400us.json", {fs, "flap-period-1400us.tat_max_ms"}},
+      {"fault_bernoulli_matched.json", {fs, "bernoulli-matched.tat_ms", Stat::kTatMedianMs}},
+      {"fault_gilbert_elliott.json", {fs, "gilbert-elliott.tat_ms", Stat::kTatMedianMs}},
+      {"fault_hierarchy_clean.json", {fs, "hierarchy-clean.tat_max_ms"}},
+      {"fault_hierarchy_restart.json", {fs, "hierarchy-restart.tat_max_ms"}},
+      {"recovery_burst_only.json", {rs, "burst-only.tat_max_ms"}},
+      {"recovery_restart_25pct.json", {rs, "restart-25pct.tat_max_ms"}},
+      {"recovery_restart_50pct.json", {rs, "restart-50pct.tat_max_ms"}},
+      {"recovery_restart_75pct.json", {rs, "restart-75pct.tat_max_ms"}},
+      {"recovery_kill_rack.json", {rs, "kill-rack.tat_max_ms"}},
+      {"recovery_kill_root.json", {rs, "kill-root.tat_max_ms"}},
+  };
+  return g;
 }
 
-Scenario hierarchy_base(const std::string& name, const std::string& description) {
-  Scenario s = rack_base(name, description);
-  s.topology = core::HierarchySpec{2, 4};
-  return s;
+// Every committed file, by name.
+std::vector<std::string> corpus_files() {
+  std::vector<std::string> out;
+  for (const auto& e : std::filesystem::directory_iterator(scenario_dir()))
+    if (e.path().extension() == ".json") out.push_back(e.path().filename().string());
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
-// Fault times derived at runtime by the ancestor benches (restart/kill
-// placement at fractions of a measured clean/burst TAT) are baked in as the
-// absolute sim ns the --fast benches compute; the committed baselines pin the
-// same values (e.g. clean.tat_max_ms 1.189264 == 1189264 ns).
-constexpr Time kRackKillAt = 594632;          // clean_max / 2
-constexpr Time kRestart25At = 8914156;        // 0.25 * burst_max
-constexpr Time kRestart50At = 17828312;       // 0.50 * burst_max
-constexpr Time kRestart75At = 26742468;       // 0.75 * burst_max
-constexpr Time kHierRestartAt = 1181648;      // fault_sweep straggled clean_max / 2
-constexpr Time kHierKillAt = 595676;          // recovery_sweep clean_h_max / 2
+struct CorpusEntry {
+  std::string file;  // scenarios/<file>
+  Scenario scenario; // as loaded from it; empty when it does not load
+  Guard guard;
+};
 
 std::vector<CorpusEntry> corpus() {
   std::vector<CorpusEntry> out;
-  const std::string fs = "BENCH_fault_sweep.json";
-  const std::string rs = "BENCH_recovery_sweep.json";
-
-  {
-    Scenario s = rack_base("fault-clean", "fault_sweep reference run: no faults");
-    out.push_back({"fault_clean.json", s, fs, "clean.tat_max_ms"});
-  }
-  for (double factor : {4.0, 16.0, 64.0}) {
-    const std::string tag = std::to_string(static_cast<int>(factor));
-    Scenario s = rack_base("fault-straggler-" + tag + "x",
-                           "fault_sweep straggler sweep: worker 0's NIC " + tag + "x slower");
-    s.fabric.faults.stragglers.push_back({0, factor, 0, -1});
-    out.push_back({"fault_straggler_" + tag + "x.json", s, fs,
-                   "straggler-" + tag + "x.tat_max_ms"});
-  }
-  for (int duty_pct : {5, 10, 20}) {
-    const std::string tag = std::to_string(duty_pct);
-    Scenario s = rack_base("fault-flap-" + tag + "pct",
-                           "fault_sweep duty sweep: link 0 down " + tag + "% of each 700 us period");
-    s.fabric.faults.flap_cycles.push_back({0, usec(700), duty_pct / 100.0, usec(50), 0});
-    out.push_back({"fault_flap_" + tag + "pct.json", s, fs, "flap-" + tag + "pct.tat_max_ms"});
-  }
-  for (int period_us : {350, 1400}) {
-    const std::string tag = std::to_string(period_us);
-    Scenario s = rack_base("fault-flap-period-" + tag + "us",
-                           "fault_sweep period sweep: link 0 at 10% duty, " + tag + " us period");
-    s.fabric.faults.flap_cycles.push_back({0, usec(period_us), 0.10, usec(50), 0});
-    out.push_back({"fault_flap_period_" + tag + "us.json", s, fs,
-                   "flap-period-" + tag + "us.tat_max_ms"});
-  }
-  {
-    Scenario s = rack_base("fault-bernoulli-matched",
-                           "fault_sweep burstiness control: Bernoulli loss matched to the "
-                           "Gilbert-Elliott stationary average");
-    s.fabric.loss_prob = 0.25 * 0.002 / 0.102;
-    out.push_back({"fault_bernoulli_matched.json", s, fs, "bernoulli-matched.tat_ms",
-                   Stat::kTatMedianMs});
-  }
-  {
-    Scenario s = rack_base("fault-gilbert-elliott",
-                           "fault_sweep burst loss: Gilbert-Elliott on every link");
-    s.fabric.faults.bursts.push_back({-1, net::BurstLossConfig{0.002, 0.1, 0.0, 0.25}});
-    out.push_back({"fault_gilbert_elliott.json", s, fs, "gilbert-elliott.tat_ms",
-                   Stat::kTatMedianMs});
-  }
-  {
-    Scenario s = hierarchy_base("fault-hierarchy-clean",
-                                "fault_sweep failover comparator: 2x4 hierarchy, 16x straggler");
-    s.fabric.faults.stragglers.push_back({0, 16.0, 0, -1});
-    out.push_back({"fault_hierarchy_clean.json", s, fs, "hierarchy-clean.tat_max_ms"});
-  }
-  {
-    Scenario s = hierarchy_base("fault-hierarchy-restart",
-                                "fault_sweep failover: leaf-0 restart at half the straggled TAT");
-    s.fabric.faults.stragglers.push_back({0, 16.0, 0, -1});
-    s.fabric.faults.switch_restarts.push_back({1, kHierRestartAt});
-    out.push_back({"fault_hierarchy_restart.json", s, fs, "hierarchy-restart.tat_max_ms"});
-  }
-
-  core::FaultPlan burst_plan;
-  burst_plan.bursts.push_back({-1, net::BurstLossConfig{0.005, 0.25, 0.0, 0.5}});
-  {
-    Scenario s = rack_base("recovery-burst-only",
-                           "recovery_sweep timescale run: Gilbert-Elliott bursts on every link");
-    s.fabric.faults = burst_plan;
-    out.push_back({"recovery_burst_only.json", s, rs, "burst-only.tat_max_ms"});
-  }
-  const std::pair<int, Time> restarts[] = {{25, kRestart25At}, {50, kRestart50At},
-                                           {75, kRestart75At}};
-  for (const auto& [pct, at] : restarts) {
-    const std::string tag = std::to_string(pct);
-    Scenario s = rack_base("recovery-restart-" + tag + "pct",
-                           "recovery_sweep restart placement: switch wiped at " + tag +
-                               "% of the burst-only TAT, bursts still active");
-    s.fabric.faults = burst_plan;
-    s.fabric.faults.switch_restarts.push_back({0, at});
-    out.push_back({"recovery_restart_" + tag + "pct.json", s, rs,
-                   "restart-" + tag + "pct.tat_max_ms"});
-  }
-  {
-    Scenario s = rack_base("recovery-kill-rack",
-                           "recovery_sweep degradation: switch killed at half the clean TAT; "
-                           "the run finishes on the streaming-PS fallback");
-    s.fabric.faults.switch_kills.push_back({0, kRackKillAt});
-    out.push_back({"recovery_kill_rack.json", s, rs, "kill-rack.tat_max_ms"});
-  }
-  {
-    Scenario s = hierarchy_base("recovery-kill-root",
-                                "recovery_sweep degradation: hierarchy root killed at half the "
-                                "clean TAT");
-    s.fabric.faults.switch_kills.push_back({0, kHierKillAt});
-    out.push_back({"recovery_kill_root.json", s, rs, "kill-root.tat_max_ms"});
-  }
-
-  {
-    // examples/custom_scenario.cpp --strategy switchml --tensor-mb 1
-    //   --loss 0.001 --adaptive-rto  (compared in-code, no committed baseline)
-    Scenario s = rack_base("custom-rack-lossy",
-                           "custom_scenario example: 8 workers at 10G, 1 MB tensor, 0.1% loss, "
-                           "adaptive RTO");
-    s.fabric.loss_prob = 0.001;
-    s.fabric.adaptive_rto = true;
-    s.workload.tensor_elems = 250000;
-    out.push_back({"custom_rack_lossy.json", s, "", ""});
-  }
-
-  // Showcases: shapes and fault mixes no parametric bench covers. Data mode —
-  // the guarded invariant is bit-exact convergence, not a TAT baseline.
-  {
-    Scenario s;
-    s.name = "showcase-irregular";
-    s.description = "asymmetric explicit-adjacency fabric: 2 leaf switches under a root chain, "
-                    "uneven racks, straggler + one-shot flap";
-    s.topology = core::IrregularSpec{{-1, 0, 0, 1}, {2, 2, 3, 3, 3}};
-    s.fabric.transport = net::TransportKind::kUdp;
-    s.fabric.pool_size = 8;
-    s.fabric.sync_after = 2;
-    s.fabric.dead_after = 12;
-    s.fabric.faults.stragglers.push_back({1, 8.0, 0, -1});
-    s.fabric.faults.flaps.push_back({0, usec(20), usec(80)});
-    s.workload.timing = false;
-    s.workload.tensor_elems = 4096;
-    s.workload.reductions = 2;
-    out.push_back({"showcase_irregular.json", s, "", ""});
-  }
-  {
-    Scenario s;
-    s.name = "showcase-multi-job";
-    s.description = "two jobs sharing one switch; job 0 runs under a straggler and a bounded "
-                    "flap cycle (dead_after disabled: multi-job fabrics have no fallback)";
-    s.topology = core::MultiJobSpec{2, 4};
-    s.fabric.transport = net::TransportKind::kUdp;
-    s.fabric.pool_size = 2;
-    s.fabric.sync_after = 2;
-    s.fabric.dead_after = 0;
-    s.fabric.faults.stragglers.push_back({2, 16.0, 0, -1});
-    s.fabric.faults.flap_cycles.push_back({1, usec(100), 0.2, 0, 3});
-    s.workload.timing = false;
-    s.workload.tensor_elems = 2048;
-    out.push_back({"showcase_multi_job.json", s, "", ""});
-  }
-  {
-    Scenario s;
-    s.name = "showcase-tree-flaps";
-    s.description = "3-level binary tree under a bounded flap cycle and light bursts on every "
-                    "link";
-    s.topology = core::TreeSpec{3, 2, 2};
-    s.fabric.transport = net::TransportKind::kUdp;
-    s.fabric.pool_size = 8;
-    s.fabric.sync_after = 2;
-    s.fabric.dead_after = 12;
-    s.fabric.faults.flap_cycles.push_back({3, usec(150), 0.1, usec(10), 4});
-    s.fabric.faults.bursts.push_back({-1, net::BurstLossConfig{0.003, 0.3, 0.0, 0.3}});
-    s.workload.timing = false;
-    s.workload.tensor_elems = 2048;
-    out.push_back({"showcase_tree_flaps.json", s, "", ""});
+  for (const std::string& f : corpus_files()) {
+    CorpusEntry e{f, {}, {}};
+    try {
+      e.scenario = load_file(scenario_dir() + "/" + f);
+    } catch (const std::exception&) {
+      // EveryFileLoadsAndRoundTrips reports why.
+    }
+    if (const auto g = guards().find(f); g != guards().end()) e.guard = g->second;
+    out.push_back(std::move(e));
   }
   return out;
 }
@@ -651,33 +636,19 @@ std::string read_file(const std::string& path) {
   return in ? ss.str() : std::string{};
 }
 
-// Not a test of anything: rewrites the corpus from the in-code definitions
-// when explicitly requested (see the file header).
-TEST(ScenarioCorpus, RegenerateWhenRequested) {
-  if (std::getenv("SWITCHML_REGEN_CORPUS") == nullptr)
-    GTEST_SKIP() << "set SWITCHML_REGEN_CORPUS=1 to rewrite scenarios/";
-  for (const CorpusEntry& e : corpus()) {
-    std::ofstream out(scenario_dir() + "/" + e.file, std::ios::binary);
-    ASSERT_TRUE(out.is_open()) << e.file;
-    out << to_json(e.def).dump(true) << "\n";
-  }
-}
-
-TEST(ScenarioCorpus, FilesMatchDefinitionsByteForByte) {
-  for (const CorpusEntry& e : corpus()) {
-    const std::string path = scenario_dir() + "/" + e.file;
-    const std::string want = to_json(e.def).dump(true) + "\n";
-    EXPECT_EQ(read_file(path), want) << e.file << " drifted from its in-code definition";
-  }
-}
-
+// Each file is its own normal form, so the files are the only definition of
+// the corpus; and no guard names a file that is not there.
 TEST(ScenarioCorpus, EveryFileLoadsAndRoundTrips) {
-  for (const CorpusEntry& e : corpus()) {
-    SCOPED_TRACE(e.file);
+  const std::vector<std::string> files = corpus_files();
+  for (const std::string& f : files) {
+    SCOPED_TRACE(f);
+    const std::string path = scenario_dir() + "/" + f;
     Scenario s;
-    ASSERT_NO_THROW(s = load_file(scenario_dir() + "/" + e.file));
-    EXPECT_EQ(to_json(s).dump(true), to_json(e.def).dump(true));
+    ASSERT_NO_THROW(s = load_file(path));
+    EXPECT_EQ(to_json(s).dump(true) + "\n", read_file(path));
   }
+  for (const auto& [file, guard] : guards())
+    EXPECT_TRUE(std::binary_search(files.begin(), files.end(), file)) << file;
 }
 
 double run_stat(const Scenario& s, Stat stat) {
@@ -708,8 +679,9 @@ class CorpusReproduction : public testing::TestWithParam<CorpusEntry> {};
 
 TEST_P(CorpusReproduction, GuardedMetricMatchesBaseline) {
   const CorpusEntry& e = GetParam();
-  const Scenario s = load_file(scenario_dir() + "/" + e.file);
-  if (e.baseline_file.empty()) {
+  const Scenario& s = e.scenario;
+  ASSERT_FALSE(s.name.empty()) << e.file << " does not load";
+  if (e.guard.baseline_file.empty()) {
     // Showcases + the example port: the contract is explicit convergence.
     const RunResult r = run(s);
     if (s.workload.timing) {
@@ -720,9 +692,9 @@ TEST_P(CorpusReproduction, GuardedMetricMatchesBaseline) {
     }
     return;
   }
-  const double want = baseline_value(e.baseline_file, e.metric);
-  const double got = run_stat(s, e.stat);
-  EXPECT_NEAR(got, want, std::abs(want) * 1e-9) << e.metric;
+  const double want = baseline_value(e.guard.baseline_file, e.guard.metric);
+  const double got = run_stat(s, e.guard.stat);
+  EXPECT_NEAR(got, want, std::abs(want) * 1e-9) << e.guard.metric;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFiles, CorpusReproduction, testing::ValuesIn(corpus()),
