@@ -90,12 +90,11 @@ void attribute_outcome(net::NodeId shard, const net::Packet& p,
 
 // ---------------------------------------------------------------------- PsShard
 
-PsShard::PsShard(net::Node& host, const net::HostNic& nic, net::Channel& channel,
-                 std::vector<net::NodeId> worker_ids, std::uint32_t pool_size, bool timing_only,
-                 const std::string& prefix, std::function<void(net::Packet&&)> deliver_local)
+PsShard::PsShard(net::Node& host, net::HostNic& nic, std::vector<net::NodeId> worker_ids,
+                 std::uint32_t pool_size, bool timing_only, const std::string& prefix,
+                 std::function<void(net::Packet&&)> deliver_local)
     : host_(host),
       nic_(nic),
-      channel_(channel),
       worker_ids_(std::move(worker_ids)),
       aggregator_(static_cast<int>(worker_ids_.size()), pool_size, timing_only),
       deliver_local_(std::move(deliver_local)) {
@@ -104,14 +103,6 @@ PsShard::PsShard(net::Node& host, const net::HostNic& nic, net::Channel& channel
     reg->add_counter(prefix + "duplicates", [this] { return aggregator_.counters().duplicates; });
     reg->add_counter(prefix + "completions", [this] { return aggregator_.counters().completions; });
   }
-}
-
-void PsShard::receive(net::Packet&& p, net::Link& uplink) {
-  const int core = core_of(p.idx);
-  auto shared = std::make_shared<net::Packet>(std::move(p));
-  channel_.rx_process(core, *shared, [this, shared, &uplink]() mutable {
-    handle(std::move(*shared), uplink);
-  });
 }
 
 void PsShard::handle(net::Packet&& p, net::Link& uplink) {
@@ -138,7 +129,7 @@ void PsShard::reply(const net::Packet& update, net::NodeId dst,
     deliver_local_(std::move(r));
     return;
   }
-  const Time ready = channel_.tx_ready(core_of(update.idx), r);
+  const Time ready = nic_.tx_ready(lane_of(update.idx), r);
   uplink.send_from(host_, std::move(r), ready);
 }
 
@@ -149,10 +140,10 @@ PsShardNode::PsShardNode(sim::Simulation& simulation, net::NodeId id, std::strin
                          const net::RdmaUcParams& rdma, std::vector<net::NodeId> worker_ids,
                          std::uint32_t pool_size, bool timing_only)
     : Node(simulation, id, std::move(name)),
-      nic_(simulation, nic),
-      channel_(net::make_channel(simulation, this->name(), id, transport, nic_, rdma)),
-      shard_(*this, nic_, *channel_, std::move(worker_ids), pool_size, timing_only,
-             this->name() + ".") {}
+      nic_(simulation, nic,
+           [this](net::Packet&& p, Time) { shard_.handle(std::move(p), *uplink_); }, transport,
+           rdma, this->name(), id),
+      shard_(*this, nic_, std::move(worker_ids), pool_size, timing_only, this->name() + ".") {}
 
 // -------------------------------------------------------------- PsColocatedHost
 
@@ -160,17 +151,25 @@ PsColocatedHost::PsColocatedHost(sim::Simulation& simulation, net::NodeId id, st
                                  const worker::WorkerConfig& wc,
                                  std::vector<net::NodeId> worker_ids)
     : Worker(simulation, id, std::move(name), wc),
-      shard_(*this, nic(), channel(), std::move(worker_ids), wc.pool_size, wc.timing_only,
+      shard_(*this, nic(), std::move(worker_ids), wc.pool_size, wc.timing_only,
              this->name() + ".shard.",
              [this](net::Packet&& r) { Worker::receive(std::move(r), 0); }) {}
 
 void PsColocatedHost::receive(net::Packet&& p, int port) {
-  // Shard traffic shares the worker's NIC cores (and its channel).
+  // Shard traffic shares the worker's NIC lanes.
   if (p.kind == net::PacketKind::SmlUpdate) {
-    shard_.receive(std::move(p), *uplink());
+    nic().receive(shard_.lane_of(p.idx), std::move(p));
     return;
   }
   Worker::receive(std::move(p), port);
+}
+
+void PsColocatedHost::consume(net::Packet&& p, Time arrived) {
+  if (p.kind == net::PacketKind::SmlUpdate) {
+    shard_.handle(std::move(p), *uplink());
+    return;
+  }
+  Worker::consume(std::move(p), arrived);
 }
 
 } // namespace switchml::collectives

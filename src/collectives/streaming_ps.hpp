@@ -20,11 +20,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "net/channel.hpp"
 #include "net/link.hpp"
 #include "net/nic.hpp"
 #include "worker/worker.hpp"
@@ -65,39 +63,39 @@ private:
 
 // One PS process's shard, run on `host`: it serves the slots idx with
 // idx % n == its host's shard index (n = worker_ids.size(); all n shards
-// exist in both placements). Each update is RX-processed on the host's NIC
-// cores, then verified, aggregated and attributed; a completed slot is
-// answered with one unicast result per worker (software PS has no traffic
-// manager), a duplicate of a completed slot with one result to its sender.
-// The two placements differ only in local delivery: a result addressed to
-// the host itself skips the wire and goes to `deliver_local`.
+// exist in both placements). Each update is RX-processed on lane_of(idx) of
+// the host's NIC, then handled: verified, aggregated and attributed; a
+// completed slot is answered with one unicast result per worker (software PS
+// has no traffic manager), a duplicate of a completed slot with one result
+// to its sender. The two placements differ only in local delivery: a result
+// addressed to the host itself skips the wire and goes to `deliver_local`.
 class PsShard {
 public:
   // Registers <prefix>{updates,duplicates,completions}.
-  PsShard(net::Node& host, const net::HostNic& nic, net::Channel& channel,
-          std::vector<net::NodeId> worker_ids, std::uint32_t pool_size, bool timing_only,
-          const std::string& prefix, std::function<void(net::Packet&&)> deliver_local = nullptr);
+  PsShard(net::Node& host, net::HostNic& nic, std::vector<net::NodeId> worker_ids,
+          std::uint32_t pool_size, bool timing_only, const std::string& prefix,
+          std::function<void(net::Packet&&)> deliver_local = nullptr);
   PsShard(const PsShard&) = delete;
   PsShard& operator=(const PsShard&) = delete;
 
-  // Results leave over `uplink`, the host's link to the L2 switch.
-  void receive(net::Packet&& p, net::Link& uplink);
-
-private:
-  void handle(net::Packet&& p, net::Link& uplink);
-  void reply(const net::Packet& update, net::NodeId dst, const std::vector<std::int32_t>& values,
-             net::Link& uplink);
   // Flow Director spreads this shard's slots over the cores by the QUOTIENT
   // so consecutive served slots hit different cores (idx % cores would pin
   // one core per shard).
-  [[nodiscard]] int core_of(std::uint32_t idx) const {
+  [[nodiscard]] int lane_of(std::uint32_t idx) const {
     return static_cast<int>((idx / static_cast<std::uint32_t>(worker_ids_.size())) %
                             static_cast<std::uint32_t>(nic_.cores()));
   }
 
+  // An update its NIC lane has processed. Results leave over `uplink`, the
+  // host's link to the L2 switch.
+  void handle(net::Packet&& p, net::Link& uplink);
+
+private:
+  void reply(const net::Packet& update, net::NodeId dst, const std::vector<std::int32_t>& values,
+             net::Link& uplink);
+
   net::Node& host_;
-  const net::HostNic& nic_;
-  net::Channel& channel_;
+  net::HostNic& nic_;
   std::vector<net::NodeId> worker_ids_;
   SoftwareAggregator aggregator_;
   std::function<void(net::Packet&&)> deliver_local_;
@@ -113,23 +111,27 @@ public:
               std::uint32_t pool_size, bool timing_only);
 
   void set_uplink(net::Link& link) { uplink_ = &link; }
-  void receive(net::Packet&& p, int /*port*/) override { shard_.receive(std::move(p), *uplink_); }
+  void receive(net::Packet&& p, int /*port*/) override {
+    nic_.receive(shard_.lane_of(p.idx), std::move(p));
+  }
 
 private:
   net::HostNic nic_;
-  std::unique_ptr<net::Channel> channel_;
   net::Link* uplink_ = nullptr;
   PsShard shard_;
 };
 
 // A colocated host: the SwitchML worker protocol plus a PS shard sharing the
-// same NIC cores, channel and link.
+// same NIC lanes and link.
 class PsColocatedHost : public worker::Worker {
 public:
   PsColocatedHost(sim::Simulation& simulation, net::NodeId id, std::string name,
                   const worker::WorkerConfig& wc, std::vector<net::NodeId> worker_ids);
 
   void receive(net::Packet&& p, int port) override;
+
+protected:
+  void consume(net::Packet&& p, Time arrived) override;
 
 private:
   PsShard shard_;

@@ -65,7 +65,7 @@ struct FabricParams {
   Time retransmit_timeout = msec(1);
   bool adaptive_rto = false; // §6: RTT-adaptive RTO (Jacobson/Karels)
   net::NicConfig nic = switchml_worker_nic_10g();
-  // Host channel model for every worker and PS host: the DPDK/UDP
+  // Host transport for every worker and PS host: the DPDK/UDP
   // datapath or RDMA UC with the cost knobs in `rdma`. UC carries no
   // transport-level ACK/RTO — loss repair stays with the slot protocol.
   net::TransportKind transport = net::kDefaultTransport;

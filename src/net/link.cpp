@@ -65,15 +65,15 @@ Link::Link(sim::Simulation& simulation, const LinkConfig& config, Node& end_a, i
       reg->add_counter(prefix + "dropped_down", [&c] { return c.dropped_down; });
       reg->add_counter(prefix + "dropped_burst", [&c] { return c.dropped_burst; });
       reg->add_counter(prefix + "burst_entries", [&c] { return c.burst_entries; });
-      // Occupancy is tracked lazily: drain the in-flight ledger up to now,
-      // then the running totals are exact — O(1) amortized, no recompute.
+      // Occupancy is tracked lazily: drain the ledger up to now, then the
+      // running totals are exact — O(1) amortized, no recompute.
       reg->add_gauge(prefix + "queue_bytes", [this, &dir] {
         drain(dir);
         return dir.backlog_bytes;
       });
       reg->add_gauge(prefix + "queue_pkts", [this, &dir] {
         drain(dir);
-        return static_cast<std::int64_t>(dir.in_flight.size());
+        return queue_pkts(dir);
       });
       reg->add_histogram(prefix + "queue_wait_ns", &dir.queue_wait_ns);
     };
@@ -100,10 +100,11 @@ const Link::Counters& Link::counters_from(const Node& sender) const {
 
 void Link::drain(Direction& dir) {
   const Time now = sim_.now();
-  while (!dir.in_flight.empty() && dir.in_flight.front().finish <= now) {
-    dir.backlog_bytes -= dir.in_flight.front().bytes;
-    dir.in_flight.pop_front();
-  }
+  for (; dir.serializing < dir.next_seq && dir.at(dir.serializing).finish <= now; ++dir.serializing)
+    dir.backlog_bytes -= dir.at(dir.serializing).bytes;
+  while (!dir.ledger.empty() && dir.ledger.front().seq < dir.serializing &&
+         !dir.ledger.front().deliver)
+    dir.ledger.pop_front();
 }
 
 std::int64_t Link::queue_depth_bytes(const Node& sender) {
@@ -115,7 +116,7 @@ std::int64_t Link::queue_depth_bytes(const Node& sender) {
 std::int64_t Link::queue_depth_pkts(const Node& sender) {
   Direction& dir = direction_from(sender);
   drain(dir);
-  return static_cast<std::int64_t>(dir.in_flight.size());
+  return queue_pkts(dir);
 }
 
 Node& Link::peer_of(const Node& n) {
@@ -150,7 +151,8 @@ void Link::set_rate(BitsPerSecond rate) {
 void Link::replan(Direction& dir, BitsPerSecond old_rate) {
   const Time now = sim_.now();
   Time prev_finish = -1;
-  for (InFlight& rec : dir.in_flight) {
+  for (std::uint64_t seq = dir.serializing; seq < dir.next_seq; ++seq) {
+    Record& rec = dir.at(seq);
     if (rec.finish <= now) continue; // fully serialized; only propagation remains
     Time start = rec.start;
     if (prev_finish >= 0 && start < prev_finish) start = prev_finish;
@@ -164,21 +166,14 @@ void Link::replan(Direction& dir, BitsPerSecond old_rate) {
     }
     const Time finish = start + wire_time_bits(bits_left, config_.rate);
     rec.start = start;
+    // Moved earlier: the already-scheduled delivery would fire too late, so
+    // chase it with a second event. Whichever pops first (on time) delivers;
+    // the other finds nothing to deliver and is inert.
+    if (rec.deliver && finish < rec.finish)
+      sim_.schedule_at(finish + config_.propagation,
+                       [this, dirp = &dir, seq = rec.seq] { deliver_event(*dirp, seq); });
     rec.finish = finish;
     prev_finish = finish;
-
-    const auto pit = std::find_if(dir.pending.begin(), dir.pending.end(),
-                                  [&rec](const PendingDelivery& p) { return p.seq == rec.seq; });
-    if (pit != dir.pending.end()) { // absent when the packet was dropped in flight
-      const Time at = finish + config_.propagation;
-      if (at < pit->deliver_at) {
-        // Moved earlier: the already-scheduled event would fire too late, so
-        // chase with a second event. Whichever pops first (on time) delivers;
-        // the other finds no entry and is inert.
-        sim_.schedule_at(at, [this, dirp = &dir, seq = rec.seq] { deliver_event(*dirp, seq); });
-      }
-      pit->deliver_at = at;
-    }
   }
   if (prev_finish >= 0) dir.busy_until = prev_finish;
 }
@@ -188,15 +183,17 @@ void Link::set_down() {
   down_ = true;
   const Time now = sim_.now();
   for (Direction* d : {&a_to_b_, &b_to_a_}) {
-    for (const PendingDelivery& pd : d->pending) {
+    for (const Record& rec : d->ledger) {
+      if (!rec.deliver) continue; // lost on the wire, or delivered
       ++d->counters.dropped_down;
       trace::emit(trace::kCatLink, now, from_of(*d).id(), "drop_down", {"to", d->to->id()},
-                  {"slot", pd.pkt.idx}, {"bytes", pd.pkt.wire_bytes()});
-      if (std::uint32_t owner = 0; attr::enabled() && chunk_owner(pd.pkt, owner))
-        attr::transition_matching(owner, pd.pkt.idx, pd.pkt.off, attr::Component::kRtoStall, now);
+                  {"slot", rec.pkt.idx}, {"bytes", rec.pkt.wire_bytes()});
+      if (std::uint32_t owner = 0; attr::enabled() && chunk_owner(rec.pkt, owner))
+        attr::transition_matching(owner, rec.pkt.idx, rec.pkt.off, attr::Component::kRtoStall,
+                                  now);
     }
-    d->pending.clear();
-    d->in_flight.clear();
+    d->ledger.clear();
+    d->serializing = d->next_seq;
     d->backlog_bytes = 0;
     d->busy_until = std::min(d->busy_until, now); // the port is idle when it comes back
   }
@@ -223,20 +220,23 @@ void Link::set_burst_loss(const BurstLossConfig& cfg) {
 }
 
 void Link::deliver_event(Direction& dir, std::uint64_t seq) {
-  const auto it = std::find_if(dir.pending.begin(), dir.pending.end(),
-                               [seq](const PendingDelivery& p) { return p.seq == seq; });
-  if (it == dir.pending.end()) return; // killed by set_down, or a twin already delivered
-  if (it->deliver_at > sim_.now()) {
+  // Killed by set_down (its record is gone), or a twin already delivered.
+  if (dir.ledger.empty() || seq < dir.ledger.front().seq) return;
+  Record& rec = dir.at(seq);
+  if (!rec.deliver) return;
+  const Time at = rec.finish + config_.propagation;
+  if (at > sim_.now()) {
     // A mid-run slowdown pushed this delivery later; chase the new time.
-    sim_.schedule_at(it->deliver_at, [this, dirp = &dir, seq] { deliver_event(*dirp, seq); });
+    sim_.schedule_at(at, [this, dirp = &dir, seq] { deliver_event(*dirp, seq); });
     return;
   }
-  PendingDelivery d = std::move(*it);
-  dir.pending.erase(it);
+  rec.deliver = false;
+  Packet pkt = std::move(rec.pkt);
+  drain(dir); // its serialization is over, so the record leaves the ledger
   ++dir.counters.delivered_packets;
   trace::emit(trace::kCatLink, sim_.now(), from_of(dir).id(), "deliver", {"to", dir.to->id()},
-              {"slot", d.pkt.idx}, {"bytes", d.pkt.wire_bytes()});
-  dir.to->receive(std::move(d.pkt), dir.to_port);
+              {"slot", pkt.idx}, {"bytes", pkt.wire_bytes()});
+  dir.to->receive(std::move(pkt), dir.to_port);
 }
 
 // Pushes this hop's INT record: egress queue depth (post-drain, exact),
@@ -250,7 +250,7 @@ void Link::stamp_int(const Node& sender, Direction& dir, Packet& p, Time earlies
   rec.hop_id = sender.id();
   rec.next_hop = dir.to->id();
   rec.queue_bytes = sat_u32(static_cast<std::uint64_t>(dir.backlog_bytes));
-  rec.queue_pkts = sat_u16(dir.in_flight.size());
+  rec.queue_pkts = sat_u16(static_cast<std::uint64_t>(queue_pkts(dir)));
   const Counters& c = dir.counters;
   rec.drops = sat_u32(c.dropped_queue + c.dropped_loss + c.dropped_down + c.dropped_burst);
   const Time t0 = std::max(sim_.now(), earliest_start);
@@ -283,7 +283,7 @@ void Link::transmit(const Node& sender, Direction& dir, Packet&& p, Time earlies
       attr::transition_matching(owner, p.idx, owner_off, attr::Component::kRtoStall, now);
     return;
   }
-  // Drain completed serializations from the lazy backlog ledger.
+  // Drain completed serializations from the lazy ledger.
   drain(dir);
 
   // Stamp this hop's telemetry before wire_bytes() is read: in on-wire mode
@@ -312,22 +312,26 @@ void Link::transmit(const Node& sender, Direction& dir, Packet&& p, Time earlies
   dir.busy_until = finish;
   dir.backlog_bytes += wire;
   const std::uint64_t seq = dir.next_seq++;
-  dir.in_flight.push_back({seq, start, finish, wire});
+  // The record owns the packet from here on. A lost packet keeps its record,
+  // without `deliver`, until its serialization ends: it occupies the port
+  // all the same.
+  Record& rec = dir.ledger.emplace_back(seq, start, finish, wire, std::move(p), false);
 
   if (attributed) {
-    attr::transition_matching(owner, p.idx, owner_off, attr::Component::kLinkQueue,
+    attr::transition_matching(owner, rec.pkt.idx, owner_off, attr::Component::kLinkQueue,
                               std::max(now, earliest_start));
-    attr::transition_matching(owner, p.idx, owner_off, attr::Component::kWire, start);
+    attr::transition_matching(owner, rec.pkt.idx, owner_off, attr::Component::kWire, start);
   }
 
-  if (dir.rng.chance(config_.loss_prob) || (drop_filter_ && drop_filter_(sender, p))) {
+  if (dir.rng.chance(config_.loss_prob) || (drop_filter_ && drop_filter_(sender, rec.pkt))) {
     ++dir.counters.dropped_loss;
     trace::emit(trace::kCatLink, now, sender.id(), "drop_loss", {"to", peer.id()},
-                {"slot", p.idx}, {"bytes", wire});
+                {"slot", rec.pkt.idx}, {"bytes", wire});
     // The bits left the port but never arrive; the chunk stalls from the
     // moment serialization ends until the retransmission timer acts.
     if (attributed)
-      attr::transition_matching(owner, p.idx, owner_off, attr::Component::kRtoStall, finish);
+      attr::transition_matching(owner, rec.pkt.idx, owner_off, attr::Component::kRtoStall,
+                                finish);
     return;
   }
 
@@ -343,22 +347,23 @@ void Link::transmit(const Node& sender, Direction& dir, Packet&& p, Time earlies
     if (dir.burst_rng->chance(dir.burst_bad ? burst_->loss_bad : burst_->loss_good)) {
       ++dir.counters.dropped_burst;
       trace::emit(trace::kCatLink, now, sender.id(), "drop_burst", {"to", peer.id()},
-                  {"slot", p.idx}, {"bytes", wire});
+                  {"slot", rec.pkt.idx}, {"bytes", wire});
       if (attributed)
-        attr::transition_matching(owner, p.idx, owner_off, attr::Component::kRtoStall, finish);
+        attr::transition_matching(owner, rec.pkt.idx, owner_off, attr::Component::kRtoStall,
+                                  finish);
       return;
     }
   }
 
-  if (dir.rng.chance(corrupt_prob_) || (corrupt_filter_ && corrupt_filter_(sender, p))) {
-    corrupt(p);
+  if (dir.rng.chance(corrupt_prob_) || (corrupt_filter_ && corrupt_filter_(sender, rec.pkt))) {
+    corrupt(rec.pkt);
     trace::emit(trace::kCatLink, now, sender.id(), "corrupt", {"to", peer.id()},
-                {"slot", p.idx}, {"bytes", wire});
+                {"slot", rec.pkt.idx}, {"bytes", wire});
   }
 
   if (attributed)
-    attr::transition_matching(owner, p.idx, owner_off, attr::Component::kProp, finish);
-  dir.pending.push_back({seq, finish + config_.propagation, std::move(p)});
+    attr::transition_matching(owner, rec.pkt.idx, owner_off, attr::Component::kProp, finish);
+  rec.deliver = true;
   // Finishes only grow between rate changes, so deliveries join the
   // direction's stream in time order (an earlier one, after a speed-up, is
   // queued as a plain event).

@@ -3,14 +3,16 @@
 // the paper's §5.5 packet-loss experiments).
 //
 // The serialization model keeps exactly one simulator event per delivered
-// packet: queue occupancy is tracked lazily with a deque of in-flight
-// serialization records drained on each send. A direction is a FIFO pipe, so
-// its deliveries ride one ordered event stream (sim::Simulation::schedule_on)
-// and hold one event-heap key between them. Deliveries are keyed by a
-// per-direction sequence number so mid-run mutations can retarget them:
-// `set_rate` re-plans every unfinished serialization (bits already clocked
-// out at the old rate stay out) and `set_down` kills everything undelivered —
-// a downed link delivers nothing, ever, for its down interval.
+// packet. A direction is a FIFO pipe with one ledger: a record per
+// transmitted packet, in sequence order, that owns the packet until its
+// delivery (a lost packet's record only holds the port until its
+// serialization ends). Queue occupancy is the ledger's tail of unfinished
+// serializations, advanced lazily. Deliveries ride one ordered event stream
+// (sim::Simulation::schedule_on), hold one event-heap key between them, and
+// name their record by sequence number so mid-run mutations can retarget
+// them: `set_rate` re-plans every unfinished serialization (bits already
+// clocked out at the old rate stay out) and `set_down` kills everything
+// undelivered — a downed link delivers nothing, ever, for its down interval.
 //
 // Each transmit, drop, corruption and delivery is one event in the ambient
 // TraceSink's `link` category, emitted by the sending node: `enqueue`,
@@ -76,9 +78,9 @@ public:
 
   [[nodiscard]] const Counters& counters_from(const Node& sender) const;
 
-  // O(1) egress queue depth of the direction leaving `sender`: drains the
-  // lazy in-flight ledger up to now, then reads the running totals (the same
-  // ledger send_from maintains — no recompute). Registered as the
+  // O(1) egress queue depth of the direction leaving `sender`: advances the
+  // ledger's serialization cursor to now, then reads the running totals (the
+  // same ledger send_from maintains — no recompute). Registered as the
   // per-direction "queue_bytes"/"queue_pkts" gauges.
   [[nodiscard]] std::int64_t queue_depth_bytes(const Node& sender);
   [[nodiscard]] std::int64_t queue_depth_pkts(const Node& sender);
@@ -108,8 +110,6 @@ public:
   // chain draws from its own RNG stream, so enabling bursts never perturbs
   // the Bernoulli loss draws.
   void set_burst_loss(const BurstLossConfig& cfg);
-  void clear_burst_loss() { burst_.reset(); }
-  [[nodiscard]] bool burst_loss_enabled() const { return burst_.has_value(); }
 
   // Deterministic loss injection for tests and trace replay (e.g. the
   // Appendix A execution): returns true to drop the packet. Applied in
@@ -127,24 +127,21 @@ public:
   [[nodiscard]] Node& peer_of(const Node& n);
 
 private:
-  // One serialization occupying the port: [start, finish) at the rate in
-  // force when it was (last) planned.
-  struct InFlight {
+  // One transmitted packet: it occupies the port over [start, finish) at the
+  // rate in force when it was (last) planned, then propagates and is
+  // delivered at finish + propagation, unless it was lost on the wire. The
+  // delivery event re-checks that time when it pops (set_rate may have moved
+  // it: a twin chases an earlier one, an early pop reschedules itself) and
+  // ignores itself once `deliver` is clear or the record is gone (set_down).
+  struct Record {
     std::uint64_t seq = 0;
     Time start = 0;
     Time finish = 0;
     std::int64_t bytes = 0;
-  };
-  // One delivery the simulator holds an event for. `deliver_at` is
-  // authoritative: set_rate may move it after the event was scheduled, and
-  // the event that pops re-checks it (rescheduling itself if it fired early,
-  // ignoring itself if the entry is gone — killed by set_down or already
-  // delivered by a rescheduled twin).
-  struct PendingDelivery {
-    std::uint64_t seq = 0;
-    Time deliver_at = 0;
     Packet pkt;
+    bool deliver = false; // still to be delivered: not lost, not yet delivered
   };
+  static_assert(sizeof(Record) <= 256, "two ledger records per 512-byte deque node");
 
   struct Direction {
     Direction(Node* to, int to_port, sim::StreamId stream, sim::Rng rng)
@@ -153,10 +150,13 @@ private:
     int to_port;
     sim::StreamId stream; // the deliveries' event stream
     Time busy_until = 0;
-    std::int64_t backlog_bytes = 0;
-    std::deque<InFlight> in_flight;
-    std::deque<PendingDelivery> pending;
+    // Records in seq order, from the oldest still serializing or still to be
+    // delivered through next_seq - 1; finishes never decrease along it.
+    std::deque<Record> ledger;
+    std::uint64_t serializing = 0;  // seq of the first unfinished serialization
+    std::int64_t backlog_bytes = 0; // bytes of records [serializing, next_seq)
     std::uint64_t next_seq = 0;
+    Record& at(std::uint64_t seq) { return ledger[seq - ledger.front().seq]; }
     bool burst_bad = false;                // Gilbert-Elliott chain state
     std::optional<sim::Rng> burst_rng;     // own stream; absent until bursts enabled
     Counters counters;
@@ -168,7 +168,12 @@ private:
 
   Direction& direction_from(const Node& sender);
   [[nodiscard]] const Node& from_of(const Direction& dir) const;
+  // Moves the serialization cursor past every record finished by now, then
+  // drops the front records that are finished and owe no delivery.
   void drain(Direction& dir);
+  [[nodiscard]] static std::int64_t queue_pkts(const Direction& dir) {
+    return static_cast<std::int64_t>(dir.next_seq - dir.serializing);
+  }
   void stamp_int(const Node& sender, Direction& dir, Packet& p, Time earliest_start);
   void transmit(const Node& sender, Direction& dir, Packet&& p, Time earliest_start);
   void deliver_event(Direction& dir, std::uint64_t seq);

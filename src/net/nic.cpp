@@ -5,12 +5,15 @@
 
 namespace switchml::net {
 
-HostNic::HostNic(sim::Simulation& simulation, const NicConfig& config)
-    : sim_(simulation), config_(config) {
+HostNic::HostNic(sim::Simulation& simulation, const NicConfig& config, Consumer consume,
+                 TransportKind transport, const RdmaUcParams& rdma, const std::string& name,
+                 NodeId owner)
+    : sim_(simulation), config_(config), consume_(std::move(consume)) {
   if (config.cores < 1) throw std::invalid_argument("HostNic: cores must be >= 1");
   if (config.batch_size < 1) throw std::invalid_argument("HostNic: batch_size must be >= 1");
-  busy_.assign(static_cast<std::size_t>(config.cores), 0);
-  rx_stream0_ = simulation.open_streams(static_cast<std::uint32_t>(config.cores));
+  lanes_.resize(static_cast<std::size_t>(config.cores));
+  stream0_ = simulation.open_streams(static_cast<std::uint32_t>(config.cores));
+  if (transport == TransportKind::kRdmaUc) rdma_.emplace(name, owner, rdma);
 }
 
 void HostNic::set_slowdown(double factor) {
@@ -18,37 +21,55 @@ void HostNic::set_slowdown(double factor) {
   slowdown_ = factor;
 }
 
-Time HostNic::effective_cost(Time per_packet, double per_byte, std::int64_t bytes) const {
+Time HostNic::base_cost(Time per_packet, double per_byte, std::int64_t bytes) const {
   // The amortized batch term is computed in double alongside per_byte:
   // per_batch_overhead / batch_size on Time was integer division, silently
   // dropping the sub-ns remainder whenever the overhead is not a multiple of
   // the batch size (e.g. 1000ns/16 charged 62, not 62.5).
-  const Time base =
-      per_packet + static_cast<Time>(per_byte * static_cast<double>(bytes) +
-                                     static_cast<double>(config_.per_batch_overhead) /
-                                         static_cast<double>(config_.batch_size));
-  if (slowdown_ == 1.0) return base;
-  return static_cast<Time>(static_cast<double>(base) * slowdown_);
+  return per_packet + static_cast<Time>(per_byte * static_cast<double>(bytes) +
+                                        static_cast<double>(config_.per_batch_overhead) /
+                                            static_cast<double>(config_.batch_size));
 }
 
-Time HostNic::occupy(int core, Time cost) {
-  auto& b = busy_.at(static_cast<std::size_t>(core));
-  const Time start = std::max(sim_.now(), b);
-  b = start + cost;
-  total_busy_ += cost;
-  return b;
+Time HostNic::occupy(Lane& lane, Time base) {
+  const Time cost =
+      slowdown_ == 1.0 ? base : static_cast<Time>(static_cast<double>(base) * slowdown_);
+  lane.busy_until = std::max(sim_.now(), lane.busy_until) + cost;
+  return lane.busy_until;
 }
 
 Time HostNic::tx_ready(int core, std::int64_t wire_bytes) {
-  return occupy(core, effective_cost(config_.per_packet_tx, config_.per_byte_tx, wire_bytes)) +
+  return occupy(lanes_.at(static_cast<std::size_t>(core)),
+                base_cost(config_.per_packet_tx, config_.per_byte_tx, wire_bytes)) +
          config_.tx_latency;
 }
 
-void HostNic::rx_process(int core, std::int64_t wire_bytes, sim::EventFn deliver) {
+Time HostNic::tx_ready(int core, const Packet& p) {
+  if (!rdma_) return tx_ready(core, p.wire_bytes());
+  const Time cost = rdma_->post(core, p, sim_.now());
+  return occupy(lanes_.at(static_cast<std::size_t>(core)), cost) + rdma_->params().tx_latency;
+}
+
+void HostNic::receive(int core, Packet&& p) {
+  Lane& lane = lanes_.at(static_cast<std::size_t>(core));
   const Time done =
-      occupy(core, effective_cost(config_.per_packet_rx, config_.per_byte_rx, wire_bytes));
-  sim_.schedule_on(rx_stream0_ + static_cast<sim::StreamId>(core), done + config_.rx_latency,
-                   std::move(deliver));
+      rdma_ ? occupy(lane, rdma_->reap(core, p, sim_.now())) + rdma_->params().rx_latency
+            : occupy(lane, base_cost(config_.per_packet_rx, config_.per_byte_rx, p.wire_bytes())) +
+                  config_.rx_latency;
+  lane.waiting.emplace_back(std::move(p), sim_.now());
+  // busy_until never decreases and the latency is fixed, so a lane's
+  // completions are pushed in time order and pop in the order they were
+  // queued: each one's packet is the lane's front.
+  sim_.schedule_on(stream0_ + static_cast<sim::StreamId>(core), done,
+                   [this, core] { complete(core); });
+}
+
+void HostNic::complete(int core) {
+  // The consumer may queue more packets on this lane (a colocated PS shard
+  // answering its own worker); appending keeps the front where it is.
+  std::deque<Arrival>& waiting = lanes_[static_cast<std::size_t>(core)].waiting;
+  consume_(std::move(waiting.front().pkt), waiting.front().at);
+  waiting.pop_front();
 }
 
 } // namespace switchml::net

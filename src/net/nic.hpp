@@ -2,17 +2,28 @@
 //
 // The paper's worker runs a DPDK run-to-completion loop on several cores
 // (§4, Appendix B: 4 cores, Flow Director steering by slot index, batches of
-// 32 packets). We model each core as a busy-until time: every transmitted or
-// received packet occupies its owning core for a fixed per-packet cost, with
-// a per-batch overhead amortized over the batch size. Core contention is what
-// produces (a) the RTT growth with pool size seen in Fig 2 and (b) the
-// below-line-rate behaviour at 100 Gbps with only 4 cores (§5.1).
+// 32 packets). We model each core as a lane with a busy-until time: every
+// transmitted or received packet occupies its lane for a fixed per-packet
+// cost, with a per-batch overhead amortized over the batch size — or, on
+// RDMA UC, for a per-message verbs cost (net/rdma_uc.hpp). Core contention
+// is what produces (a) the RTT growth with pool size seen in Fig 2 and (b)
+// the below-line-rate behaviour at 100 Gbps with only 4 cores (§5.1).
+//
+// A lane processes its received packets in arrival order, so it owns each
+// one until its RX completion, which rides the lane's ordered event stream
+// and hands the lane's front packet to the host's consume callback.
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/units.hpp"
+#include "net/packet.hpp"
+#include "net/rdma_uc.hpp"
 #include "sim/simulation.hpp"
 
 namespace switchml::net {
@@ -34,45 +45,59 @@ struct NicConfig {
 
 class HostNic {
 public:
-  HostNic(sim::Simulation& simulation, const NicConfig& config);
+  // Takes a received packet once its lane has processed it, with the instant
+  // the packet reached the NIC.
+  using Consumer = std::function<void(Packet&&, Time arrived)>;
 
-  [[nodiscard]] int cores() const { return static_cast<int>(busy_.size()); }
+  // On RDMA UC the lanes charge `rdma`'s costs instead of `config`'s, and
+  // `name` and `owner` label its counters and trace events.
+  HostNic(sim::Simulation& simulation, const NicConfig& config, Consumer consume = nullptr,
+          TransportKind transport = TransportKind::kUdp, const RdmaUcParams& rdma = {},
+          const std::string& name = {}, NodeId owner = 0);
+  // Its completion events hold its address.
+  HostNic(const HostNic&) = delete;
+  HostNic& operator=(const HostNic&) = delete;
 
-  // Reserves TX processing time on `core` for a packet of `wire_bytes` and
-  // returns the instant the packet is handed to the wire (used as
-  // Link::send_from's earliest_start, so no extra simulator event is needed
-  // on the TX path).
+  [[nodiscard]] int cores() const { return static_cast<int>(lanes_.size()); }
+  [[nodiscard]] bool rdma() const { return rdma_.has_value(); }
+
+  // Reserves DPDK/UDP TX processing time on `core` for a packet of
+  // `wire_bytes` and returns the instant the packet is handed to the wire
+  // (used as Link::send_from's earliest_start, so no extra simulator event is
+  // needed on the TX path).
   Time tx_ready(int core, std::int64_t wire_bytes = 0);
+  // The same for `p` on this NIC's transport.
+  Time tx_ready(int core, const Packet& p);
 
-  // Schedules `deliver` to run once `core` has processed a packet of
-  // `wire_bytes` that arrived now. One simulator event per received packet;
-  // the closure rides the simulator's allocation-free EventFn, so its
-  // captures must fit sim::EventFn's inline buffer. A core finishes its
-  // packets in arrival order, so each core's completions ride one ordered
-  // event stream.
-  void rx_process(int core, std::int64_t wire_bytes, sim::EventFn deliver);
+  // Charges `core` for `p`, which arrived now, and keeps it until the
+  // consume callback takes it. One simulator event per received packet.
+  void receive(int core, Packet&& p);
 
-  // Total CPU-busy nanoseconds accumulated across cores (for utilization
-  // reporting).
-  [[nodiscard]] Time total_busy() const { return total_busy_; }
-
-  [[nodiscard]] const NicConfig& config() const { return config_; }
-
-  // Straggler emulation (fault injection): stretches every per-packet /
-  // per-byte CPU cost by `factor` from now on. 1.0 restores normal speed and
-  // is exactly cost-neutral (no rounding through the multiplier).
+  // Straggler emulation (fault injection): stretches every lane cost by
+  // `factor` from now on. 1.0 restores normal speed and is exactly
+  // cost-neutral (no rounding through the multiplier).
   void set_slowdown(double factor);
-  [[nodiscard]] double slowdown() const { return slowdown_; }
 
 private:
-  Time effective_cost(Time per_packet, double per_byte, std::int64_t bytes) const;
-  Time occupy(int core, Time cost);
+  struct Arrival {
+    Packet pkt;
+    Time at = 0;
+  };
+  struct Lane {
+    Time busy_until = 0;
+    std::deque<Arrival> waiting; // in completion order
+  };
+
+  [[nodiscard]] Time base_cost(Time per_packet, double per_byte, std::int64_t bytes) const;
+  Time occupy(Lane& lane, Time base);
+  void complete(int core);
 
   sim::Simulation& sim_;
   NicConfig config_;
-  std::vector<Time> busy_;
-  sim::StreamId rx_stream0_ = 0; // core c's completions ride stream rx_stream0_ + c
-  Time total_busy_ = 0;
+  Consumer consume_;
+  std::optional<RdmaUc> rdma_; // engaged on an RDMA-UC host
+  std::vector<Lane> lanes_;
+  sim::StreamId stream0_ = 0; // lane c's completions ride stream stream0_ + c
   double slowdown_ = 1.0;
 };
 

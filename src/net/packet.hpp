@@ -33,7 +33,7 @@ constexpr std::uint32_t kSmlHeaderBytes = 52;   // 14 + 20 + 8 + 10
 constexpr std::uint32_t kSegmentHeaderBytes = 54; // 14 + 20 + 20 (TCP-like)
 constexpr std::uint32_t kAckWireBytes = 64;     // minimum Ethernet frame
 
-// Which host channel model carried (or will carry) a packet. The reference
+// Which host transport carried (or will carry) a packet. The reference
 // implementation ships two transports: the DPDK/UDP datapath (per-packet
 // software cost, 180-byte packets) and RDMA UC (message-level work queues,
 // NIC-side segmentation, loss left to SwitchML's own slot protocol). The
@@ -48,7 +48,7 @@ constexpr std::uint32_t kRdmaMtuBytes = 4096;
 constexpr std::uint32_t kRdmaSegmentHeaderBytes = 58;
 constexpr std::uint32_t kRdmaAppHeaderBytes = 10;
 
-// Messages this large keep the RDMA channel wire-bound at 100 Gbps (the
+// Messages this large keep the RDMA transport wire-bound at 100 Gbps (the
 // paper's RDMA prototype aggregates 1024-element messages).
 constexpr std::uint32_t kRdmaElemsPerMessage = 1024;
 
@@ -71,7 +71,7 @@ struct Packet {
   NodeId src = 0;
   NodeId dst = 0;
   std::uint8_t job = 0; // multi-tenant pool selector (§6)
-  // Channel model that framed this packet; determines wire_bytes() for the
+  // Transport that framed this packet; determines wire_bytes() for the
   // SwitchML kinds. Like int_mode it is transport metadata, outside the
   // end-to-end checksum. The switch copies it onto results and sync replies
   // so the return path is framed like the request path.

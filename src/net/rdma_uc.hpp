@@ -1,4 +1,4 @@
-// RDMA UC channel model (the reference implementation's second transport).
+// RDMA UC transport costs (the reference implementation's second transport).
 //
 // The client posts ONE work queue element per SwitchML message; the NIC
 // segments it into path-MTU RoCE frames and DMAs the payload, so host CPU
@@ -9,27 +9,55 @@
 // a lost message is repaired solely by SwitchML's own slot protocol
 // (worker-side timers + switch seen bitmaps), exactly like a lost UDP packet.
 //
-// Lanes map to the same NIC cores the UDP path shards over (queue pairs
-// pinned per core), and every CPU cost stretches with the owning HostNic's
-// straggler slowdown factor so fault injection applies to both transports.
+// These are costs only: they are charged on the host's HostNic lanes
+// (net/nic.hpp), queue pairs pinned per core like the UDP path's cores, so
+// the lane's busy-until, its RX completions and the straggler slowdown are
+// the NIC's for both transports.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "net/channel.hpp"
+#include "common/units.hpp"
+#include "net/packet.hpp"
 
 namespace switchml::net {
 
-class RdmaUcChannel final : public Channel {
-public:
-  RdmaUcChannel(sim::Simulation& simulation, std::string name, NodeId owner, HostNic& nic,
-                const RdmaUcParams& params);
+// Cost knobs for the RDMA-UC transport. Defaults are calibrated against
+// published verbs microbenchmarks: posting a WQE is tens of ns, the MMIO
+// doorbell costs a PCIe write amortized over a batch of posts, and reaping a
+// CQE is another few tens of ns. tx/rx_latency is the PCIe DMA + NIC
+// segmentation pipeline (pure delay, holds no core).
+struct RdmaUcParams {
+  Time wqe_post = nsec(40);    // CPU: build + post one work queue element
+  Time doorbell = nsec(200);   // CPU: MMIO doorbell write (amortized)
+  int doorbell_batch = 8;      // WQE posts rung per doorbell
+  Time cqe_poll = nsec(40);    // CPU: poll + reap one completion
+  Time tx_latency = nsec(900); // DMA read + segmentation pipeline
+  Time rx_latency = nsec(900); // scatter DMA + completion delivery
+};
 
-  [[nodiscard]] TransportKind kind() const override { return TransportKind::kRdmaUc; }
-  Time tx_ready(int lane, const Packet& p) override;
-  void rx_process(int lane, const Packet& p, sim::EventFn deliver) override;
+// One host's verbs costs and framing counters. Registers
+// "<name>.rdma.{wqes_posted,doorbells,cqes_polled,wire_segments,
+// payload_bytes}"; `owner` tags the `wqe_post` and `cqe` trace events.
+class RdmaUc {
+public:
+  RdmaUc(const std::string& name, NodeId owner, const RdmaUcParams& params);
+  RdmaUc(const RdmaUc&) = delete;
+  RdmaUc& operator=(const RdmaUc&) = delete;
+
+  [[nodiscard]] const RdmaUcParams& params() const { return params_; }
+
+  // Posts `p` as one message on `lane` at `now` and returns its CPU cost:
+  // one WQE plus its share of a doorbell; the NIC segments it, so there is
+  // no per-byte or per-segment term.
+  Time post(int lane, const Packet& p, Time now);
+  // Reaps the completion of a message received on `lane` at `now` and
+  // returns its CPU cost.
+  Time reap(int lane, const Packet& p, Time now);
+
+private:
+  [[nodiscard]] static std::uint32_t segments_of(const Packet& p);
 
   struct Counters {
     std::uint64_t wqes_posted = 0;
@@ -38,21 +66,9 @@ public:
     std::uint64_t wire_segments = 0; // path-MTU frames across all messages
     std::uint64_t payload_bytes = 0; // message bytes excluding RoCE framing
   };
-  [[nodiscard]] const Counters& counters() const { return counters_; }
-  [[nodiscard]] Time total_busy() const { return total_busy_; }
 
-private:
-  Time occupy(int lane, Time cost);
-  [[nodiscard]] std::uint32_t segments_of(const Packet& p) const;
-
-  sim::Simulation& sim_;
-  std::string name_;
   NodeId owner_;
-  HostNic& nic_; // lane count + straggler slowdown live on the host's NIC
   RdmaUcParams params_;
-  std::vector<Time> busy_; // per-lane busy-until, like HostNic's cores
-  sim::StreamId rx_stream0_ = 0; // lane l's completions ride stream rx_stream0_ + l
-  Time total_busy_ = 0;
   std::uint64_t posts_since_doorbell_ = 0;
   Counters counters_;
 };

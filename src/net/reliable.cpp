@@ -23,7 +23,8 @@ constexpr std::uint32_t stream_slot(std::uint32_t stream) { return stream & 0xFF
 
 TransportHost::TransportHost(sim::Simulation& simulation, NodeId id, std::string name,
                              const NicConfig& nic)
-    : Node(simulation, id, std::move(name)), nic_(simulation, nic) {
+    : Node(simulation, id, std::move(name)),
+      nic_(simulation, nic, [this](Packet&& p, Time) { consume(std::move(p)); }) {
   if (auto* reg = MetricsRegistry::current()) {
     const std::string p = this->name() + ".transport.";
     reg->add_counter(p + "segments_sent", [this] { return transport_counters_.segments_sent; });
@@ -39,28 +40,24 @@ TransportHost::TransportHost(sim::Simulation& simulation, NodeId id, std::string
 
 void TransportHost::transmit(Packet&& p) {
   if (uplink_ == nullptr) throw std::logic_error(name() + ": transmit without uplink");
-  const int core = static_cast<int>(p.stream % static_cast<std::uint32_t>(nic_.cores()));
-  const Time ready = nic_.tx_ready(core, p.wire_bytes());
+  const Time ready = nic_.tx_ready(lane_of(p.stream), p.wire_bytes());
   uplink_->send_from(*this, std::move(p), ready);
 }
 
 void TransportHost::receive(Packet&& p, int /*port*/) {
-  const int core = static_cast<int>(p.stream % static_cast<std::uint32_t>(nic_.cores()));
-  // Move the packet into the deferred delivery; demux runs after the RX core
-  // has "processed" it.
-  auto shared = std::make_shared<Packet>(std::move(p));
-  nic_.rx_process(core, shared->wire_bytes(), [this, shared]() {
-    Packet& pkt = *shared;
-    if (pkt.kind == PacketKind::Segment) {
-      auto it = receivers_.find(pkt.stream);
-      if (it != receivers_.end()) it->second->on_segment(std::move(pkt));
-    } else if (pkt.kind == PacketKind::Ack) {
-      auto it = senders_.find(pkt.stream);
-      if (it != senders_.end()) it->second->on_ack(pkt);
-    } else {
-      SML_LOG(Warn) << name() << ": unexpected packet kind " << to_string(pkt.kind);
-    }
-  });
+  nic_.receive(lane_of(p.stream), std::move(p));
+}
+
+void TransportHost::consume(Packet&& p) {
+  if (p.kind == PacketKind::Segment) {
+    auto it = receivers_.find(p.stream);
+    if (it != receivers_.end()) it->second->on_segment(std::move(p));
+  } else if (p.kind == PacketKind::Ack) {
+    auto it = senders_.find(p.stream);
+    if (it != senders_.end()) it->second->on_ack(p);
+  } else {
+    SML_LOG(Warn) << name() << ": unexpected packet kind " << to_string(p.kind);
+  }
 }
 
 // ---------------------------------------------------------------- ReliableSender

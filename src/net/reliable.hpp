@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <span>
 #include <unordered_map>
 
@@ -66,6 +65,7 @@ public:
   [[nodiscard]] Link* uplink() const { return uplink_; }
   [[nodiscard]] HostNic& nic() { return nic_; }
 
+  // Hands the packet to its stream's NIC lane; consume() demultiplexes it.
   void receive(Packet&& p, int port) override;
 
   // Charges a TX core slot and puts the packet on the uplink.
@@ -86,6 +86,11 @@ public:
   [[nodiscard]] Histogram& retx_recovery_hist() { return retx_recovery_ns_; }
 
 private:
+  void consume(Packet&& p);
+  [[nodiscard]] int lane_of(std::uint32_t stream) const {
+    return static_cast<int>(stream % static_cast<std::uint32_t>(nic_.cores()));
+  }
+
   HostNic nic_;
   Link* uplink_ = nullptr;
   std::unordered_map<std::uint32_t, ReliableSender*> senders_;
@@ -116,7 +121,6 @@ public:
   void on_ack(const Packet& ack);
 
   [[nodiscard]] bool done() const { return total_ > 0 && snd_una_ >= total_; }
-  [[nodiscard]] std::int64_t cwnd() const { return cwnd_; }
 
 private:
   void pump();

@@ -436,6 +436,17 @@ core::TopologySpec load_topology(const json::Value& v, const std::string& path) 
   return spec;
 }
 
+// Workers a parameter server answers on this fabric: a streaming PS's, or,
+// on a single-job switch tree whose workers may declare the switch dead, the
+// job's, which Fabric::fallback replays on a dedicated PS; 0 when no PS runs.
+int ps_served_workers(const Scenario& s) {
+  if (const auto* ps = std::get_if<core::StreamingPsSpec>(&s.topology)) return ps->n_workers;
+  if (s.fabric.dead_after == 0 || s.fabric.lossless) return 0;
+  const std::vector<int> jobs = core::lower_topology(s.topology).worker_job;
+  if (std::any_of(jobs.begin(), jobs.end(), [](int j) { return j != 0; })) return 0; // no fallback
+  return static_cast<int>(jobs.size());
+}
+
 void load_fabric(const json::Value& v, const std::string& path, Scenario& s) {
   read_section(v, path, s);
   core::FabricParams& p = s.fabric;
@@ -461,6 +472,16 @@ void load_fabric(const json::Value& v, const std::string& path, Scenario& s) {
   if (p.queue_limit_bytes < frame.wire_bytes())
     fail(path + ".queue_limit_bytes",
          "must hold one update frame (" + std::to_string(frame.wire_bytes()) + " bytes)");
+  // The workers run in lockstep, so every worker's copy of a slot reaches
+  // the PS's switch port at the same instant; a queue that holds fewer
+  // frames than that drops the same copies every round, and no slot ever
+  // completes.
+  const std::int64_t served = ps_served_workers(s);
+  if (p.queue_limit_bytes < served * frame.wire_bytes())
+    fail(path + ".queue_limit_bytes",
+         "must hold one update frame per worker the parameter server serves (" +
+             std::to_string(served) + " x " + std::to_string(frame.wire_bytes()) + " = " +
+             std::to_string(served * frame.wire_bytes()) + " bytes)");
 }
 
 } // namespace

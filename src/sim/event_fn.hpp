@@ -5,11 +5,11 @@
 // fallback. std::function — the previous event closure — silently
 // heap-allocates any capture larger than two pointers (~16 bytes on
 // libstdc++), which put a malloc/free pair on every packet delivery
-// ([this, dirp, seq] is 24 bytes) and every deferred RX demux
-// ([this, shared_ptr, flag] is 25). EventFn instead carries 48 bytes of
+// ([this, dirp, seq] is 24 bytes). EventFn instead carries 48 bytes of
 // inline storage — enough for every scheduling call site in the tree
-// (`this` plus a few indices, a shared_ptr<Packet>, a fault spec by value,
-// or a whole std::function) — and rejects anything larger AT COMPILE TIME,
+// (`this` plus a few indices, a fault spec by value, or a whole
+// std::function; no closure captures a packet, which the pipe it is in
+// owns) — and rejects anything larger AT COMPILE TIME,
 // so a capture that would re-introduce the allocation is a build error at
 // the offending call site, not a silent perf regression.
 //

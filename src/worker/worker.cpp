@@ -15,9 +15,9 @@ Worker::Worker(sim::Simulation& simulation, net::NodeId id, std::string name,
                WorkerConfig config)
     : Node(simulation, id, std::move(name)),
       config_(config),
-      nic_(simulation, config.nic),
-      channel_(net::make_channel(simulation, this->name(), id, config.transport, nic_,
-                                 config.rdma)),
+      nic_(simulation, config.nic,
+           [this](net::Packet&& p, Time arrived) { consume(std::move(p), arrived); },
+           config.transport, config.rdma, this->name(), id),
       slot_ver_(config.pool_size, 0),
       slots_(config.pool_size),
       rto_(config.retransmit_timeout) {
@@ -191,7 +191,7 @@ void Worker::send_update(std::uint32_t slot_index, bool retransmission) {
                      trace::FlowPhase::kStart);
   }
 
-  const Time wire_time = channel_->tx_ready(core_of(slot_index), p);
+  const Time wire_time = nic_.tx_ready(core_of(slot_index), p);
   slot.sent_at = sim_.now(); // RTT is measured end-to-end at the app layer
   // Wire times are unsorted across NIC cores, so a drain scans the whole
   // ledger: drain once it has doubled since the last drain, which keeps it
@@ -251,16 +251,14 @@ void Worker::receive(net::Packet&& p, int /*port*/) {
     SML_LOG(Warn) << name() << ": unexpected packet kind " << net::to_string(p.kind);
     return;
   }
-  const bool sync = p.kind == net::PacketKind::SmlSyncResponse;
-  const int core = core_of(p.idx);
-  const Time rx_at = sim_.now(); // NIC arrival; kHostRx runs from here to consume
-  auto shared = std::make_shared<net::Packet>(std::move(p));
-  channel_->rx_process(core, *shared, [this, shared, sync, rx_at]() mutable {
-    if (sync)
-      handle_sync_response(std::move(*shared));
-    else
-      handle_result(std::move(*shared), rx_at);
-  });
+  nic_.receive(core_of(p.idx), std::move(p));
+}
+
+void Worker::consume(net::Packet&& p, Time arrived) {
+  if (p.kind == net::PacketKind::SmlSyncResponse)
+    handle_sync_response(std::move(p));
+  else
+    handle_result(std::move(p), arrived); // kHostRx runs from the NIC arrival
 }
 
 void Worker::handle_result(net::Packet&& p, Time rx_at) {
@@ -382,7 +380,7 @@ void Worker::send_sync_query(std::uint32_t slot_index) {
   net::Packet p =
       slot_packet(net::PacketKind::SmlSyncQuery, slot_index, slot_ver_[slot_index], slot.off);
   ++recovery_.sync_queries;
-  const Time wire_time = channel_->tx_ready(core_of(slot_index), p);
+  const Time wire_time = nic_.tx_ready(core_of(slot_index), p);
   trace::emit(trace::kCatFault, sim_.now(), id(), "sync_query", {"slot", slot_index},
               {"off", static_cast<std::int64_t>(slot.off)});
   uplink_->send_from(*this, std::move(p), wire_time);
@@ -440,7 +438,7 @@ void Worker::send_rescue(std::uint32_t slot_index, std::uint64_t off, std::uint8
                          std::uint32_t elem_count) {
   net::Packet p = slot_packet(net::PacketKind::SmlRescue, slot_index, ver, off, elem_count);
   ++recovery_.rescues_sent;
-  const Time wire_time = channel_->tx_ready(core_of(slot_index), p);
+  const Time wire_time = nic_.tx_ready(core_of(slot_index), p);
   trace::emit(trace::kCatFault, sim_.now(), id(), "rescue_send", {"slot", slot_index},
               {"off", static_cast<std::int64_t>(off)}, {"ver", ver});
   uplink_->send_from(*this, std::move(p), wire_time);

@@ -12,7 +12,7 @@
 // The worker also models the paper's DPDK implementation details that matter
 // for performance (Appendix B): slots are sharded over NIC cores
 // Flow-Director-style (core = idx % cores), and every TX/RX packet charges
-// per-packet CPU time on its owning core.
+// CPU time on its owning core (net::HostNic, on either transport).
 //
 // A worker processes int32 vectors; quantization to/from float happens in
 // the core library layer (core/allreduce) so this class stays a pure
@@ -28,7 +28,6 @@
 #include "common/histogram.hpp"
 #include "common/int_telemetry.hpp"
 #include "common/stats.hpp"
-#include "net/channel.hpp"
 #include "net/link.hpp"
 #include "net/nic.hpp"
 #include "net/node.hpp"
@@ -65,7 +64,7 @@ struct WorkerConfig {
   // Meaningless unless the telemetry stack is compiled in (SWITCHML_INT).
   std::uint8_t int_mode = inttel::kModeOff;
   net::NicConfig nic;
-  // Host channel model: the DPDK/UDP datapath (default) or RDMA UC with the
+  // Host transport: the DPDK/UDP datapath (default) or RDMA UC with the
   // cost knobs below. RDMA UC has no transport-level ACK/RTO — loss repair
   // stays with the slot protocol's timers in both modes.
   net::TransportKind transport = net::kDefaultTransport;
@@ -113,6 +112,8 @@ public:
     on_chunk_ = std::move(h);
   }
 
+  // Drops what an aborted worker ignores and kinds no worker takes, and
+  // hands the rest to the packet's NIC lane; consume() takes it from there.
   void receive(net::Packet&& p, int port) override;
 
   struct Counters {
@@ -193,7 +194,6 @@ public:
 
   [[nodiscard]] const WorkerConfig& config() const { return config_; }
   [[nodiscard]] net::HostNic& nic() { return nic_; }
-  [[nodiscard]] net::Channel& channel() { return *channel_; }
   [[nodiscard]] bool reduction_active() const { return remaining_chunks_ > 0; }
   // Highest phase any slot has completed minus lowest — the §3.5 invariant
   // says this can never exceed 1 across workers; exposed for tests.
@@ -252,11 +252,12 @@ private:
 
 protected:
   [[nodiscard]] net::Link* uplink() const { return uplink_; }
+  // The one dispatch after a packet's NIC lane has processed it.
+  virtual void consume(net::Packet&& p, Time arrived);
 
 private:
   WorkerConfig config_;
   net::HostNic nic_;
-  std::unique_ptr<net::Channel> channel_; // UDP pass-through or RDMA UC
   net::Link* uplink_ = nullptr;
   std::function<net::NodeId(std::uint32_t)> dst_resolver_;
 

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <functional>
 #include <numeric>
+#include <string>
 #include <string_view>
 
 #include "common/tracing.hpp"
@@ -186,34 +187,38 @@ TEST(Cluster, RtoTimersDoNotBloatTheEventHeap) {
   }
 }
 
-// Each link direction and each NIC core is a FIFO pipe whose events ride one
+// Each link direction and each NIC lane is a FIFO pipe whose events ride one
 // ordered stream, and timers sit in a heap of their own, so the event heap
-// holds at most one key per stream however many packets are in flight.
+// holds at most one key per stream however many packets are in flight. Both
+// transports run on the same NIC lanes.
 TEST(Cluster, StreamsBoundTheKeyedEventHeap) {
-  for (const bool timing : {true, false}) {
-    ClusterConfig cfg = small_config(4);
-    cfg.timing_only = timing;
-    cfg.transport = net::TransportKind::kUdp; // the stream count below is UDP's NIC cores
-    Fabric cluster(cfg.fabric());
-    sim::Simulation& sim = cluster.simulation();
-    std::size_t peak_keyed = 0;
-    std::function<void()> sample = [&] {
-      peak_keyed = std::max(peak_keyed, sim.keyed_events());
-      if (sim.live_pending_events() > 0) sim.schedule_daemon_timer(usec(1), sample);
-    };
-    sim.schedule_daemon_timer(usec(1), sample);
-    constexpr std::uint64_t kElems = 1 << 16;
-    if (timing) {
-      cluster.reduce_timing(kElems);
-    } else {
-      auto updates = random_updates(4, kElems, 14);
-      ASSERT_EQ(cluster.reduce_i32(updates).outputs[0], exact_sum(updates));
+  for (const auto transport : {net::TransportKind::kUdp, net::TransportKind::kRdmaUc}) {
+    for (const bool timing : {true, false}) {
+      ClusterConfig cfg = small_config(4);
+      cfg.timing_only = timing;
+      cfg.transport = transport;
+      Fabric cluster(cfg.fabric());
+      sim::Simulation& sim = cluster.simulation();
+      std::size_t peak_keyed = 0;
+      std::function<void()> sample = [&] {
+        peak_keyed = std::max(peak_keyed, sim.keyed_events());
+        if (sim.live_pending_events() > 0) sim.schedule_daemon_timer(usec(1), sample);
+      };
+      sim.schedule_daemon_timer(usec(1), sample);
+      constexpr std::uint64_t kElems = 1 << 16;
+      if (timing) {
+        cluster.reduce_timing(kElems);
+      } else {
+        auto updates = random_updates(4, kElems, 14);
+        ASSERT_EQ(cluster.reduce_i32(updates).outputs[0], exact_sum(updates));
+      }
+      const std::string mode = std::string(timing ? "timing" : "data") + " mode over " +
+                               (transport == net::TransportKind::kUdp ? "UDP" : "RDMA UC");
+      // 4 links x 2 directions + 4 workers x 4 NIC lanes.
+      EXPECT_EQ(sim.stream_count(), 24u) << mode;
+      EXPECT_GT(peak_keyed, 0u) << mode;
+      EXPECT_LE(peak_keyed, sim.stream_count()) << mode;
     }
-    const char* mode = timing ? "timing" : "data";
-    // 4 links x 2 directions + 4 workers x 4 NIC cores.
-    EXPECT_EQ(sim.stream_count(), 24u) << mode << " mode";
-    EXPECT_GT(peak_keyed, 0u) << mode << " mode";
-    EXPECT_LE(peak_keyed, sim.stream_count()) << mode << " mode";
   }
 }
 

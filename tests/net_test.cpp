@@ -5,6 +5,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -283,6 +285,98 @@ TEST_F(LinkFixture, DropFilterInjectsDeterministicLoss) {
   EXPECT_EQ(dropped, 1);
 }
 
+// A packet lost on the wire still occupies the port until its serialization
+// ends: it counts in the queue depth, and a rate change re-plans it and
+// chains the packets behind it after its new finish.
+TEST_F(LinkFixture, LostPacketHoldsThePortThroughRateChanges) {
+  cfg.rate = gbps(8); // 1 ns per byte: raw_packet(946) serializes in 1000 ns
+  cfg.propagation = nsec(1000);
+  Link link(sim, cfg, a, 0, b, 0, 1);
+  link.set_drop_filter([](const Node&, const Packet& p) { return p.seq == 1; });
+  for (std::uint64_t s = 0; s < 3; ++s) { // A [0, 1000), L (lost) [1000, 2000), C [2000, 3000)
+    Packet p = raw_packet(946);
+    p.seq = s;
+    link.send_from(a, std::move(p));
+  }
+  std::vector<std::tuple<Time, std::int64_t, std::int64_t>> depth;
+  auto sample_at = [&](Time t) {
+    sim.schedule_at(t, [&] {
+      depth.emplace_back(sim.now(), link.queue_depth_pkts(a), link.queue_depth_bytes(a));
+    });
+  };
+  sample_at(250);
+  // Halve the rate while A serializes: A's last 500 B take 1000 ns (finish
+  // 1500), L follows over [1500, 3500) and C over [3500, 5500).
+  sim.schedule_at(500, [&] { link.set_rate(gbps(4)); });
+  sample_at(2000); // L serializing
+  // Quadruple it while L serializes: L's last 250 B take 125 ns (finish
+  // 3125); C keeps its planned start 3500 and finishes at 4000.
+  sim.schedule_at(3000, [&] { link.set_rate(gbps(16)); });
+  sample_at(3100); // L still serializing
+  sample_at(3200); // only C left
+  // The port is busy until C's re-planned finish, not L's.
+  sim.schedule_at(3200, [&] {
+    Packet d = raw_packet(946);
+    d.seq = 3;
+    link.send_from(a, std::move(d));
+  });
+  sample_at(6000);
+  sim.run();
+
+  const std::vector<std::tuple<Time, std::int64_t, std::int64_t>> want = {
+      {250, 3, 3000}, {2000, 2, 2000}, {3100, 2, 2000}, {3200, 1, 1000}, {6000, 0, 0}};
+  EXPECT_EQ(depth, want);
+  ASSERT_EQ(b.arrivals.size(), 3u);
+  EXPECT_EQ(std::get<0>(b.arrivals[0]), 2500); // A: finish 1500 + 1000
+  EXPECT_EQ(std::get<0>(b.arrivals[1]), 5000); // C: finish 4000 + 1000
+  EXPECT_EQ(std::get<0>(b.arrivals[2]), 5500); // D: [4000, 4500) + 1000
+  EXPECT_EQ(std::get<2>(b.arrivals[1]).seq, 2u);
+  const Link::Counters& c = link.counters_from(a);
+  EXPECT_EQ(c.tx_packets, 4u);
+  EXPECT_EQ(c.dropped_loss, 1u);
+  EXPECT_EQ(c.delivered_packets, 3u);
+}
+
+// Taking the link down kills what would still be delivered; a packet lost on
+// the wire was never going to be, so it is not a down drop.
+TEST_F(LinkFixture, SetDownCountsOnlyPacketsStillToBeDelivered) {
+  cfg.rate = gbps(8);
+  cfg.propagation = nsec(1000);
+  Link link(sim, cfg, a, 0, b, 0, 1);
+  link.set_drop_filter([](const Node&, const Packet& p) { return p.seq == 1; });
+  trace::TraceSink sink(64, trace::kCatLink);
+  trace::TraceSink::Scope scope(&sink);
+  for (std::uint64_t s = 0; s < 2; ++s) { // A [0, 1000) delivered at 2000; L lost [1000, 2000)
+    Packet p = raw_packet(946);
+    p.seq = s;
+    p.idx = static_cast<std::uint32_t>(10 + s);
+    link.send_from(a, std::move(p));
+  }
+  // At 1500 A propagates and L serializes.
+  sim.schedule_at(1500, [&] { link.set_down(); });
+  sim.schedule_at(3000, [&] {
+    link.set_up();
+    Packet e = raw_packet(946);
+    e.seq = 2;
+    link.send_from(a, std::move(e));
+  });
+  sim.run();
+
+  ASSERT_EQ(b.arrivals.size(), 1u);
+  EXPECT_EQ(std::get<0>(b.arrivals[0]), 5000); // an idle port after set_up
+  const Link::Counters& c = link.counters_from(a);
+  EXPECT_EQ(c.dropped_down, 1u);
+  EXPECT_EQ(c.dropped_loss, 1u);
+  EXPECT_EQ(c.delivered_packets, 1u);
+  EXPECT_EQ(link.queue_depth_pkts(a), 0);
+  EXPECT_EQ(link.queue_depth_bytes(a), 0);
+  if (!trace::compiled_in(trace::kCatLink)) GTEST_SKIP() << "link tracing compiled out";
+  std::vector<std::int64_t> down_slots;
+  for (const trace::Event& e : sink.events())
+    if (std::string_view(e.name) == "drop_down") down_slots.push_back(e.a1.value);
+  EXPECT_EQ(down_slots, std::vector<std::int64_t>{10});
+}
+
 TEST_F(LinkFixture, NonEndpointSenderThrows) {
   Link link(sim, cfg, a, 0, b, 0, 1);
   SinkNode c{sim, 2, "c"};
@@ -359,11 +453,18 @@ TEST(HostNic, RxProcessSchedulesAfterCoreAndLatency) {
   cfg.per_packet_rx = nsec(100);
   cfg.per_batch_overhead = 0;
   cfg.rx_latency = nsec(50);
-  HostNic nic(sim, cfg);
-  Time delivered = -1;
-  nic.rx_process(0, 0, [&] { delivered = sim.now(); });
+  // (slot, arrival, consumed at) per packet, in the order the lane hands them over.
+  std::vector<std::tuple<std::uint32_t, Time, Time>> consumed;
+  HostNic nic(sim, cfg,
+              [&](Packet&& p, Time at) { consumed.emplace_back(p.idx, at, sim.now()); });
+  for (std::uint32_t slot : {7u, 8u}) {
+    Packet p;
+    p.idx = slot;
+    nic.receive(0, std::move(p));
+  }
   sim.run();
-  EXPECT_EQ(delivered, 150);
+  const std::vector<std::tuple<std::uint32_t, Time, Time>> want = {{7, 0, 150}, {8, 0, 250}};
+  EXPECT_EQ(consumed, want);
 }
 
 TEST(HostNic, InvalidConfigThrows) {

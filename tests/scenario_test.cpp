@@ -237,24 +237,72 @@ TEST(ScenarioLoader, ValuesThatDoNotFitOrCannotRunAreRejected) {
       {"workload", R"({"data_seed": -1})", R"({"data_seed": 0})", "$.workload.data_seed"},
       // One update frame: 52 header bytes and 32 4-byte values over UDP,
       // one 58-byte segment header and a 10-byte app header over RDMA UC,
-      // and 366 values per frame under MTU emulation.
+      // and 366 values per frame under MTU emulation. `dead_after: 0` keeps
+      // the streaming-PS fallback, and its bound of one frame per worker,
+      // out of these cases.
       {"fabric", R"({"queue_limit_bytes": -5})", R"({"queue_limit_bytes": 1048576})",
        "$.fabric.queue_limit_bytes"},
-      {"fabric", R"({"transport": "udp", "queue_limit_bytes": 179})",
-       R"({"transport": "udp", "queue_limit_bytes": 180})", "$.fabric.queue_limit_bytes"},
-      {"fabric", R"({"transport": "rdma_uc", "queue_limit_bytes": 195})",
-       R"({"transport": "rdma_uc", "queue_limit_bytes": 196})", "$.fabric.queue_limit_bytes"},
-      {"fabric", R"({"transport": "udp", "mtu_emulation": true, "queue_limit_bytes": 1515})",
-       R"({"transport": "udp", "mtu_emulation": true, "queue_limit_bytes": 1516})",
+      {"fabric", R"({"transport": "udp", "dead_after": 0, "queue_limit_bytes": 179})",
+       R"({"transport": "udp", "dead_after": 0, "queue_limit_bytes": 180})",
+       "$.fabric.queue_limit_bytes"},
+      {"fabric", R"({"transport": "rdma_uc", "dead_after": 0, "queue_limit_bytes": 195})",
+       R"({"transport": "rdma_uc", "dead_after": 0, "queue_limit_bytes": 196})",
+       "$.fabric.queue_limit_bytes"},
+      {"fabric",
+       R"({"transport": "udp", "mtu_emulation": true, "dead_after": 0,
+           "queue_limit_bytes": 1515})",
+       R"({"transport": "udp", "mtu_emulation": true, "dead_after": 0,
+           "queue_limit_bytes": 1516})",
        "$.fabric.queue_limit_bytes"},
   });
   // With INT on the wire a frame may also carry a full stack: a 4-byte shim
   // and eight 32-byte hop records.
   if (inttel::kCompiledIn)
     expect_edges({{"fabric",
-                   R"({"transport": "udp", "int_mode": "on_wire", "queue_limit_bytes": 439})",
-                   R"({"transport": "udp", "int_mode": "on_wire", "queue_limit_bytes": 440})",
+                   R"({"transport": "udp", "int_mode": "on_wire", "dead_after": 0,
+                       "queue_limit_bytes": 439})",
+                   R"({"transport": "udp", "int_mode": "on_wire", "dead_after": 0,
+                       "queue_limit_bytes": 440})",
                    "$.fabric.queue_limit_bytes"}});
+}
+
+// A parameter server answers a completed slot with one result per worker,
+// and the lockstep workers' copies of a slot reach its switch port at once:
+// a queue below one 180-byte frame per served worker drops the same copies
+// every round and never ends. The loader rejects it on both placements and
+// on a rack whose dead_after can move it to the streaming-PS fallback; a
+// multi-job rack has no fallback. At the bound the run ends.
+TEST(ScenarioLoader, PsQueueHoldsOneFramePerServedWorker) {
+  const auto file = [](const std::string& topology, std::int64_t queue) {
+    return R"({"schema_version": 1, "name": "t", "topology": )" + topology +
+           R"(, "fabric": {"transport": "udp", "queue_limit_bytes": )" +
+           std::to_string(queue) + R"(}, "workload": {"tensor_elems": 4096}})";
+  };
+  const std::pair<std::string, std::int64_t> served[] = {
+      {R"({"kind": "streaming_ps", "workers": 2, "placement": "dedicated"})", 2},
+      {R"({"kind": "streaming_ps", "workers": 2, "placement": "colocated"})", 2},
+      {R"({"kind": "streaming_ps", "workers": 3, "placement": "dedicated"})", 3},
+      {R"({"kind": "streaming_ps", "workers": 3, "placement": "colocated"})", 3},
+      {R"({"kind": "rack", "workers": 2})", 2},
+      {R"({"kind": "hierarchy", "racks": 2, "workers_per_rack": 2})", 4},
+  };
+  for (const auto& [topology, n] : served) {
+    SCOPED_TRACE(topology);
+    expect_load_error(file(topology, (n - 1) * 180),
+                      "$.fabric.queue_limit_bytes: must hold one update frame per worker the "
+                      "parameter server serves (" +
+                          std::to_string(n) + " x 180 = " + std::to_string(n * 180) + " bytes)");
+    const Scenario s = load_string(file(topology, n * 180));
+    if (n > 2) continue;
+    const RunResult r = run(s);
+    ASSERT_EQ(r.tats.size(), 1u);
+    for (Time t : r.tats[0]) EXPECT_GT(t, 0);
+    // Two frames on a rack's uplinks drop most of each initial window, so
+    // its workers declare the switch dead and the run ends on the fallback.
+    EXPECT_EQ(r.fallback_engaged, topology.find(R"("rack")") != std::string::npos);
+  }
+  EXPECT_NO_THROW((void)load_string(
+      file(R"({"kind": "multi_job", "jobs": 2, "workers_per_job": 2})", 180)));
 }
 
 TEST(ScenarioLoader, FaultPlanValidatedEagerlyWithPath) {

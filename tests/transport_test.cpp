@@ -8,11 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/int_telemetry.hpp"
 #include "core/cluster.hpp"
-#include "net/channel.hpp"
 #include "net/link.hpp"
 #include "net/packet.hpp"
 #include "net/reliable.hpp"
@@ -143,7 +143,7 @@ TEST(RdmaChannel, CountersAreExactOnLosslessRun) {
   auto cfg = transport_config(TransportKind::kRdmaUc, /*loss=*/0.0, /*workers=*/2);
   cfg.timing_only = true;
   core::Fabric cluster(cfg.fabric());
-  ASSERT_EQ(cluster.worker(0).channel().kind(), TransportKind::kRdmaUc);
+  ASSERT_TRUE(cluster.worker(0).nic().rdma());
   cluster.reduce_timing(32 * 32); // 32 chunks per worker at k = 32
   const auto snap = cluster.metrics().snapshot();
   for (int w = 0; w < 2; ++w) {
@@ -178,6 +178,28 @@ TEST(RdmaChannel, LossRepairRidesTheSlotProtocol) {
     // ...and the repairs are visible as extra messages beyond the chunk count.
     EXPECT_GT(wqes, chunks);
   }
+}
+
+// A straggler stretches every verbs cost on its lanes: the TATs and framing
+// counters of a lossy RDMA-UC rack with one 4x-slow worker, pinned.
+TEST(RdmaChannel, StragglerLanesKeepTheirTatsAndCounters) {
+  auto cfg = transport_config(TransportKind::kRdmaUc, /*loss=*/0.01);
+  cfg.timing_only = true;
+  cfg.faults.stragglers.push_back({1, 4.0, 0, -1});
+  core::Fabric cluster(cfg.fabric());
+  EXPECT_EQ(cluster.reduce_timing(16 * 1024),
+            (std::vector<Time>{1'327'151, 1'327'271, 1'327'151, 1'327'151}));
+  const auto snap = cluster.metrics().snapshot();
+  std::vector<std::uint64_t> counts;
+  for (int w = 0; w < 4; ++w)
+    for (const char* c :
+         {"wqes_posted", "doorbells", "cqes_polled", "wire_segments", "payload_bytes"})
+      counts.push_back(snap.counter("worker-" + std::to_string(w) + ".rdma." + c));
+  EXPECT_EQ(counts, (std::vector<std::uint64_t>{
+                        557, 69, 519, 557, 76'866,  // worker-0
+                        557, 69, 543, 557, 76'866,  // worker-1, the straggler
+                        558, 69, 524, 558, 77'004,  // worker-2
+                        558, 69, 533, 558, 77'004}));
 }
 
 // --- reliable transport: counters, duplicates, adaptive RTO ------------------
