@@ -18,7 +18,6 @@ int main(int argc, char** argv) {
   for (int jobs : {1, 2, 4, 8}) {
     core::FabricConfig cfg;
     cfg.topology = core::MultiJobSpec{.n_jobs = jobs, .workers_per_job = 4};
-    cfg.timing_only = true;
     core::Fabric cluster(cfg);
     auto tats = cluster.reduce_timing_all(scale.tensor_elems);
     Summary ate;

@@ -9,9 +9,8 @@ namespace switchml::collectives {
 
 // ---------------------------------------------------------- SoftwareAggregator
 
-SoftwareAggregator::SoftwareAggregator(int n_workers, std::uint32_t pool_size,
-                                       bool timing_only)
-    : n_(n_workers), timing_only_(timing_only), slots_(pool_size) {
+SoftwareAggregator::SoftwareAggregator(int n_workers, std::uint32_t pool_size)
+    : n_(n_workers), slots_(pool_size) {
   if (n_workers < 1 || n_workers > 64)
     throw std::invalid_argument("SoftwareAggregator: 1..64 workers");
 }
@@ -30,7 +29,7 @@ SoftwareAggregator::Outcome SoftwareAggregator::process(const net::Packet& p) {
     slot.count[ver] = (slot.count[ver] + 1) % static_cast<std::uint32_t>(n_);
     const bool first = slot.count[ver] == 1 || n_ == 1;
     const bool complete = slot.count[ver] == 0;
-    if (!timing_only_ && !p.values.empty()) {
+    if (!p.values.empty()) {
       auto& pool = slot.pool[ver];
       if (first) {
         pool = p.values;
@@ -52,7 +51,7 @@ SoftwareAggregator::Outcome SoftwareAggregator::process(const net::Packet& p) {
     ++counters_.duplicates;
     if (slot.count[ver] == 0) {
       out.kind = Outcome::Kind::ReplyStored;
-      if (!timing_only_) out.values = slot.pool[ver];
+      if (!p.values.empty()) out.values = slot.pool[ver];
     } else {
       out.kind = Outcome::Kind::Ignored;
     }
@@ -91,12 +90,12 @@ void attribute_outcome(net::NodeId shard, const net::Packet& p,
 // ---------------------------------------------------------------------- PsShard
 
 PsShard::PsShard(net::Node& host, net::HostNic& nic, std::vector<net::NodeId> worker_ids,
-                 std::uint32_t pool_size, bool timing_only, const std::string& prefix,
+                 std::uint32_t pool_size, const std::string& prefix,
                  std::function<void(net::Packet&&)> deliver_local)
     : host_(host),
       nic_(nic),
       worker_ids_(std::move(worker_ids)),
-      aggregator_(static_cast<int>(worker_ids_.size()), pool_size, timing_only),
+      aggregator_(static_cast<int>(worker_ids_.size()), pool_size),
       deliver_local_(std::move(deliver_local)) {
   if (auto* reg = MetricsRegistry::current()) {
     reg->add_counter(prefix + "updates", [this] { return aggregator_.counters().updates; });
@@ -138,12 +137,12 @@ void PsShard::reply(const net::Packet& update, net::NodeId dst,
 PsShardNode::PsShardNode(sim::Simulation& simulation, net::NodeId id, std::string name,
                          const net::NicConfig& nic, net::TransportKind transport,
                          const net::RdmaUcParams& rdma, std::vector<net::NodeId> worker_ids,
-                         std::uint32_t pool_size, bool timing_only)
+                         std::uint32_t pool_size)
     : Node(simulation, id, std::move(name)),
       nic_(simulation, nic,
            [this](net::Packet&& p, Time) { shard_.handle(std::move(p), *uplink_); }, transport,
            rdma, this->name(), id),
-      shard_(*this, nic_, std::move(worker_ids), pool_size, timing_only, this->name() + ".") {}
+      shard_(*this, nic_, std::move(worker_ids), pool_size, this->name() + ".") {}
 
 // -------------------------------------------------------------- PsColocatedHost
 
@@ -151,8 +150,7 @@ PsColocatedHost::PsColocatedHost(sim::Simulation& simulation, net::NodeId id, st
                                  const worker::WorkerConfig& wc,
                                  std::vector<net::NodeId> worker_ids)
     : Worker(simulation, id, std::move(name), wc),
-      shard_(*this, nic(), std::move(worker_ids), wc.pool_size, wc.timing_only,
-             this->name() + ".shard.",
+      shard_(*this, nic(), std::move(worker_ids), wc.pool_size, this->name() + ".shard.",
              [this](net::Packet&& r) { Worker::receive(std::move(r), 0); }) {}
 
 void PsColocatedHost::receive(net::Packet&& p, int port) {

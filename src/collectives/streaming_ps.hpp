@@ -30,10 +30,11 @@
 namespace switchml::collectives {
 
 // Host-software implementation of the switch's aggregation state machine
-// (Algorithm 3 without the dataplane register constraints).
+// (Algorithm 3 without the dataplane register constraints). An update
+// without values (a size-only reduction) moves only the protocol state.
 class SoftwareAggregator {
 public:
-  SoftwareAggregator(int n_workers, std::uint32_t pool_size, bool timing_only);
+  SoftwareAggregator(int n_workers, std::uint32_t pool_size);
 
   struct Outcome {
     enum class Kind { Absorbed, Completed, ReplyStored, Ignored };
@@ -56,7 +57,6 @@ private:
     std::vector<std::int32_t> pool[2];
   };
   int n_;
-  bool timing_only_;
   std::vector<Slot> slots_;
   Counters counters_;
 };
@@ -73,7 +73,7 @@ class PsShard {
 public:
   // Registers <prefix>{updates,duplicates,completions}.
   PsShard(net::Node& host, net::HostNic& nic, std::vector<net::NodeId> worker_ids,
-          std::uint32_t pool_size, bool timing_only, const std::string& prefix,
+          std::uint32_t pool_size, const std::string& prefix,
           std::function<void(net::Packet&&)> deliver_local = nullptr);
   PsShard(const PsShard&) = delete;
   PsShard& operator=(const PsShard&) = delete;
@@ -108,7 +108,7 @@ public:
   PsShardNode(sim::Simulation& simulation, net::NodeId id, std::string name,
               const net::NicConfig& nic, net::TransportKind transport,
               const net::RdmaUcParams& rdma, std::vector<net::NodeId> worker_ids,
-              std::uint32_t pool_size, bool timing_only);
+              std::uint32_t pool_size);
 
   void set_uplink(net::Link& link) { uplink_ = &link; }
   void receive(net::Packet&& p, int /*port*/) override {

@@ -338,23 +338,7 @@ void Fabric::set_loss_prob(double p) {
 }
 
 std::vector<Time> Fabric::reduce_timing(std::uint64_t total_elems) {
-  if (!config_.timing_only)
-    throw std::logic_error("Fabric::reduce_timing requires timing_only config");
-  std::vector<Time> start(workers_.size()), tat(workers_.size(), -1);
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    start[i] = sim_.now();
-    workers_[i]->start_reduction(total_elems, [this, &start, &tat, i] {
-      tat[i] = sim_.now() - start[i];
-    });
-  }
-  sim_.run();
-  if (fallback_pending_) {
-    fallback(total_elems, start, tat);
-    return tat;
-  }
-  for (Time t : tat)
-    if (t < 0) throw std::runtime_error("Fabric::reduce_timing: reduction did not complete");
-  return tat;
+  return reduce(0, workers_.size(), total_elems, nullptr, nullptr);
 }
 
 std::vector<std::vector<Time>> Fabric::reduce_timing_all(std::uint64_t total_elems) {
@@ -379,26 +363,36 @@ Fabric::DataReduceResult Fabric::reduce_i32_job(
   if (static_cast<int>(updates.size()) != workers_per_job_)
     throw std::invalid_argument("Fabric::reduce_i32: one update per worker required");
 
-  const std::size_t base = static_cast<std::size_t>(job) * static_cast<std::size_t>(workers_per_job_);
   DataReduceResult r;
   r.outputs.resize(updates.size());
-  r.tat.assign(updates.size(), -1);
-  std::vector<Time> start(updates.size());
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    r.outputs[i].assign(updates[i].size(), 0);
+  for (std::size_t i = 0; i < updates.size(); ++i) r.outputs[i].assign(updates[i].size(), 0);
+  r.tat = reduce(static_cast<std::size_t>(job) * static_cast<std::size_t>(workers_per_job_),
+                 updates.size(),
+                 updates.empty() ? 0 : updates.front().size(), &updates, &r.outputs);
+  return r;
+}
+
+std::vector<Time> Fabric::reduce(std::size_t first, std::size_t count, std::uint64_t total_elems,
+                                 const std::vector<std::vector<std::int32_t>>* updates,
+                                 std::vector<std::vector<std::int32_t>>* outputs) {
+  std::vector<Time> start(count), tat(count, -1);
+  for (std::size_t i = 0; i < count; ++i) {
     start[i] = sim_.now();
-    workers_[base + i]->start_reduction(updates[i], r.outputs[i], [this, &start, &r, i] {
-      r.tat[i] = sim_.now() - start[i];
-    });
+    auto done = [this, &start, &tat, i] { tat[i] = sim_.now() - start[i]; };
+    worker::Worker& w = *workers_[first + i];
+    if (updates != nullptr)
+      w.start_reduction((*updates)[i], (*outputs)[i], done);
+    else
+      w.start_reduction(total_elems, done);
   }
   sim_.run();
   if (fallback_pending_) {
-    fallback(updates.empty() ? 0 : updates.front().size(), start, r.tat, &updates, &r.outputs);
-    return r;
+    fallback(total_elems, start, tat, updates, outputs);
+    return tat;
   }
-  for (Time t : r.tat)
-    if (t < 0) throw std::runtime_error("Fabric::reduce_i32: reduction did not complete");
-  return r;
+  for (Time t : tat)
+    if (t < 0) throw std::runtime_error("Fabric: reduction did not complete");
+  return tat;
 }
 
 // --- the one build path ------------------------------------------------------
@@ -490,7 +484,6 @@ void Fabric::build(const LoweredTopology& topology) {
     wc.rdma = p.rdma;
     wc.switch_id = sw.id();
     wc.job = static_cast<std::uint8_t>(job);
-    wc.timing_only = p.timing_only;
     wc.int_mode = p.int_mode;
     wc.lossless = p.lossless;
     // Lossless workers have no timers, so the timeout-driven escalation stages
@@ -552,7 +545,6 @@ void Fabric::build(const StreamingPsSpec& spec) {
     wc.nic = p.nic;
     wc.transport = p.transport;
     wc.rdma = p.rdma;
-    wc.timing_only = p.timing_only;
     const auto id = static_cast<net::NodeId>(i);
     std::string name = "worker-" + std::to_string(i);
     std::unique_ptr<worker::Worker> w =
@@ -571,7 +563,7 @@ void Fabric::build(const StreamingPsSpec& spec) {
   for (int j = 0; j < n; ++j) {
     auto ps = std::make_unique<collectives::PsShardNode>(
         sim_, kPsHostBase + static_cast<net::NodeId>(j), "ps-" + std::to_string(j), p.nic,
-        p.transport, p.rdma, worker_ids, p.pool_size, p.timing_only);
+        p.transport, p.rdma, worker_ids, p.pool_size);
     auto link = std::make_unique<net::Link>(sim_, link_config(p, p.link_rate), *ps, 0, sw, n + j,
                                             p.seed + kPsSeedBase + static_cast<std::uint64_t>(j));
     ps->set_uplink(*link);

@@ -70,6 +70,8 @@ struct FabricParams {
   // transport-level ACK/RTO — loss repair stays with the slot protocol.
   net::TransportKind transport = net::kDefaultTransport;
   net::RdmaUcParams rdma;
+  // Switches without value registers (the SRAM fig2's largest pools lack):
+  // only size-only reductions run, and values throw at the switch.
   bool timing_only = false;
   // In-band telemetry mode for every worker's data packets (inttel::kModeOff
   // / kModePhantom / kModeOnWire). Non-off builds a fabric-wide
@@ -162,8 +164,8 @@ struct IrregularSpec {
 // throws). Slot idx is served by shard idx % n: dedicated shard j runs on
 // its own PS host, colocated shard i on worker i's host (collectives/
 // streaming_ps.hpp). The workers run the SwitchML worker protocol with
-// pool_size, elems_per_packet, retransmit_timeout, nic, transport, rdma and
-// timing_only from FabricParams; recovery escalation (sync_after,
+// pool_size, elems_per_packet, retransmit_timeout, nic, transport and rdma
+// from FabricParams; recovery escalation (sync_after,
 // dead_after), INT, the fp16 wire, lossless mode and the adaptive RTO stay
 // off, so a FaultPlan may not restart or kill a switch here.
 enum class PsPlacement : std::uint8_t { Dedicated, Colocated };
@@ -247,15 +249,16 @@ public:
   // fallback (after a worker declared the switch dead).
   [[nodiscard]] bool fallback_engaged() const { return fallbacks_ > 0; }
 
-  // Runs one timing-only aggregation of `total_elems` elements on all
-  // workers and returns each worker's tensor aggregation time (TAT, §5.1).
+  // Runs one size-only aggregation of `total_elems` elements on all workers
+  // and returns each worker's tensor aggregation time (TAT, §5.1).
   std::vector<Time> reduce_timing(std::uint64_t total_elems);
 
-  // Timing-only reduction on EVERY job concurrently; per-job, per-worker TATs.
+  // Size-only reduction on EVERY job concurrently; per-job, per-worker TATs.
   std::vector<std::vector<Time>> reduce_timing_all(std::uint64_t total_elems);
 
   // Data-mode aggregation: updates[i] is worker i's quantized model update;
-  // returns each worker's aggregated result and TAT.
+  // returns each worker's aggregated result and TAT. Throws
+  // std::logic_error on a timing_only fabric.
   struct DataReduceResult {
     std::vector<std::vector<std::int32_t>> outputs;
     std::vector<Time> tat;
@@ -270,6 +273,12 @@ private:
   // file comment.
   void build(const LoweredTopology& topology);
   void build(const StreamingPsSpec& spec);
+
+  // The one reduce loop over workers [first, first + count): size-only when
+  // `updates` is null. Runs the fallback after a switch-dead declaration.
+  std::vector<Time> reduce(std::size_t first, std::size_t count, std::uint64_t total_elems,
+                           const std::vector<std::vector<std::int32_t>>* updates,
+                           std::vector<std::vector<std::int32_t>>* outputs);
 
   // --- switch-dead fallback (graceful degradation) ---------------------------
   // A worker exhausting its dead_after retry budget fires on_switch_dead(),

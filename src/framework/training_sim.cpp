@@ -6,7 +6,7 @@
 
 #include "collectives/ring.hpp"
 #include "core/profiles.hpp"
-#include "core/timing_stream.hpp"
+#include "core/stream_manager.hpp"
 
 namespace switchml::framework {
 
@@ -164,16 +164,19 @@ TrainingSimResult simulate_switchml_training(const perf::ModelSpec& spec,
   ccfg.timing_only = true;
   core::Fabric cluster(ccfg.fabric());
 
-  std::vector<std::unique_ptr<core::TimingStreamManager>> managers;
+  std::vector<std::unique_ptr<core::StreamManager>> managers;
   for (int w = 0; w < cfg.n_workers; ++w)
-    managers.push_back(std::make_unique<core::TimingStreamManager>(cluster.worker(w)));
+    managers.push_back(std::make_unique<core::StreamManager>(cluster.worker(w)));
 
-  // Every (identical) worker submits each layer tensor at the same simulated
-  // instant; the driver's completion callback counts worker 0's completions.
+  // Every (identical) worker submits and flushes each layer tensor at the
+  // same simulated instant, so each tensor is one reduction; the driver's
+  // completion callback counts worker 0's completions.
   IterationDriver driver(cluster.simulation(), plan, cfg.iterations,
                          [&managers](std::uint64_t elems, std::function<void()> done) {
-                           for (std::size_t w = 0; w < managers.size(); ++w)
+                           for (std::size_t w = 0; w < managers.size(); ++w) {
                              managers[w]->submit(elems, w == 0 ? done : nullptr);
+                             managers[w]->flush();
+                           }
                          });
   SimTelemetry telemetry(cfg, cluster.simulation(), cluster.metrics());
   const std::vector<Time> durations = driver.run();

@@ -7,8 +7,9 @@
 // closed-form knobs (contrast perf::estimate_training).
 //
 // Two backends:
-//   * SwitchML — per-layer tensors stream through the switch back to back
-//     (the Appendix B virtual stream);
+//   * SwitchML — each layer tensor is one reduction through the stream
+//     manager (core/stream_manager.hpp), submitted and flushed on every
+//     worker as its backward step finishes and run in backward order;
 //   * Horovod-style ring — tensors accumulate in a fusion buffer (Horovod's
 //     64 MB default) and drain one ring all-reduce at a time over the
 //     TCP-like fabric, which is how real deployments bound the per-tensor

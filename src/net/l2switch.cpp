@@ -35,16 +35,6 @@ const std::vector<int>& L2Switch::group_ports(std::uint32_t group) const {
   return it->second;
 }
 
-void L2Switch::multicast(std::uint32_t group, const Packet& p) {
-  const Time ready = sim_.now() + pipeline_latency_;
-  for (int port : group_ports(group)) {
-    Packet copy = p;
-    Link* link = links_.at(port);
-    copy.dst = link->peer_of(*this).id();
-    link->send_from(*this, std::move(copy), ready);
-  }
-}
-
 void L2Switch::receive(Packet&& p, int /*port*/) { forward(std::move(p)); }
 
 } // namespace switchml::net

@@ -3,6 +3,7 @@
 // this for its non-aggregation traffic and for the traffic-manager multicast.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -28,8 +29,24 @@ public:
 
   // Unicast toward `dst` (used by subclasses).
   void forward(Packet&& p);
-  // Replicate to all ports of `group` (traffic-manager multicast).
-  void multicast(std::uint32_t group, const Packet& p);
+
+  // Replicate to all ports of `group` (traffic-manager multicast); `edit(copy,
+  // i)` rewrites the copy for the group's i-th port after its dst is set.
+  void multicast(std::uint32_t group, const Packet& p) {
+    multicast(group, p, [](Packet&, std::size_t) {});
+  }
+  template <class Edit>
+  void multicast(std::uint32_t group, const Packet& p, Edit edit) {
+    const Time ready = sim_.now() + pipeline_latency_;
+    const std::vector<int>& ports = group_ports(group);
+    for (std::size_t i = 0; i < ports.size(); ++i) {
+      Packet copy = p;
+      Link* link = links_.at(ports[i]);
+      copy.dst = link->peer_of(*this).id();
+      edit(copy, i);
+      link->send_from(*this, std::move(copy), ready);
+    }
+  }
 
   [[nodiscard]] Time pipeline_latency() const { return pipeline_latency_; }
   [[nodiscard]] int port_of(NodeId dst) const;

@@ -156,15 +156,14 @@ void Link::replan(Direction& dir, BitsPerSecond old_rate) {
     if (rec.finish <= now) continue; // fully serialized; only propagation remains
     Time start = rec.start;
     if (prev_finish >= 0 && start < prev_finish) start = prev_finish;
-    std::int64_t bits_left = rec.bytes * 8;
     if (start < now) {
       // Mid-serialization: bits already clocked out at the old rate stay out.
       const auto done = static_cast<std::int64_t>(static_cast<__int128>(now - start) *
                                                   old_rate / kSecond);
-      bits_left = std::max<std::int64_t>(bits_left - done, 0);
+      rec.bits_left = std::max<std::int64_t>(rec.bits_left - done, 0);
       start = now;
     }
-    const Time finish = start + wire_time_bits(bits_left, config_.rate);
+    const Time finish = start + wire_time_bits(rec.bits_left, config_.rate);
     rec.start = start;
     // Moved earlier: the already-scheduled delivery would fire too late, so
     // chase it with a second event. Whichever pops first (on time) delivers;
@@ -315,7 +314,7 @@ void Link::transmit(const Node& sender, Direction& dir, Packet&& p, Time earlies
   // The record owns the packet from here on. A lost packet keeps its record,
   // without `deliver`, until its serialization ends: it occupies the port
   // all the same.
-  Record& rec = dir.ledger.emplace_back(seq, start, finish, wire, std::move(p), false);
+  Record& rec = dir.ledger.emplace_back(seq, start, finish, wire, wire * 8, std::move(p), false);
 
   if (attributed) {
     attr::transition_matching(owner, rec.pkt.idx, owner_off, attr::Component::kLinkQueue,

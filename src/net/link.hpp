@@ -138,6 +138,9 @@ private:
     Time start = 0;
     Time finish = 0;
     std::int64_t bytes = 0;
+    // Bits still to clock out from `start` on: all of them until a re-plan
+    // moves `start` into the serialization.
+    std::int64_t bits_left = 0;
     Packet pkt;
     bool deliver = false; // still to be delivered: not lost, not yet delivered
   };

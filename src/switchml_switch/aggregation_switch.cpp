@@ -203,24 +203,36 @@ void AggregationSwitch::receive(net::Packet&& p, int port) {
     ++counters_.results_multicast;
     p.epoch = epoch_;
     p.seal();
-    if (inttel::kCompiledIn && p.int_mode != inttel::kModeOff) {
-      // Like the epoch, a worker's telemetry domain is its directly-attached
-      // switch: replace the root-side stack with each worker's own uplink
-      // echo plus THIS switch's record (now - uplink arrival spans the whole
-      // root round trip, so hop sums stay conservative).
-      multicast_int_echo(*job, p);
-    } else {
-      multicast(job->params.multicast_group, p);
-    }
+    // Like the epoch, a worker's telemetry domain is its directly-attached
+    // switch: with INT each copy's root-side stack is replaced by the
+    // worker's own uplink echo plus THIS switch's record (now - uplink
+    // arrival spans the whole root round trip, so hop sums stay
+    // conservative).
+    multicast_result(*job, p);
     return;
   }
   L2Switch::receive(std::move(p), port); // ordinary forwarding for other traffic
 }
 
+void AggregationSwitch::egress(const net::Packet& p, std::size_t k_agg,
+                               std::vector<std::int32_t>& payload) {
+  // Fixed point back to binary16 for the 16-bit wire format.
+  if (p.elem_bytes == 2) {
+    const quant::Fp16Table& table = fp16_table();
+    for (std::size_t j = 0; j < k_agg; ++j) payload[j] = table.to_half(payload[j]);
+  }
+  // mtu_emulation: elements beyond the ASIC limit pass through as-is
+  // (timing experiments only — the values are not actually aggregated).
+  for (std::size_t j = k_agg; j < p.values.size(); ++j) payload[j] = p.values[j];
+}
+
 std::vector<std::int32_t> AggregationSwitch::fold(JobState& job, const net::Packet& p, int ver,
                                                   bool first, bool complete) {
   std::vector<std::int32_t> result;
-  if (config_.timing_only || p.values.empty()) return result;
+  if (p.values.empty()) return result;
+  if (job.pool.empty())
+    throw std::logic_error(name() + ": an update carries values, but the switch was built "
+                                    "without value registers (timing_only)");
   // §3.7 16-bit path: ingress tables turn binary16 wire values into fixed
   // point before aggregation.
   const bool fp16 = p.elem_bytes == 2;
@@ -245,13 +257,9 @@ std::vector<std::int32_t> AggregationSwitch::fold(JobState& job, const net::Pack
                                                   static_cast<std::uint32_t>(x));
       return dp::half_store_i32(w, ver, updated);
     });
-    // Egress: fixed point back to binary16 for the 16-bit wire format.
-    if (complete) result[j] = fp16 ? table->to_half(updated) : updated;
+    if (complete) result[j] = updated;
   }
-  // mtu_emulation: elements beyond the ASIC limit pass through as-is
-  // (timing experiments only — the values are not actually aggregated).
-  if (complete)
-    for (std::size_t j = k_agg; j < p.values.size(); ++j) result[j] = p.values[j];
+  if (complete) egress(p, k_agg, result);
   return result;
 }
 
@@ -277,11 +285,7 @@ void AggregationSwitch::complete_slot(JobState& job, const net::Packet& p, int v
   }
   result.seal();
   ++counters_.results_multicast;
-  if (inttel::kCompiledIn && result.int_mode != inttel::kModeOff) {
-    multicast_int_echo(job, result);
-  } else {
-    multicast(job.params.multicast_group, result);
-  }
+  multicast_result(job, result);
 }
 
 void AggregationSwitch::send_upstream(net::Packet&& p) {
@@ -355,16 +359,12 @@ void AggregationSwitch::handle_update(net::Packet&& p) {
                 {"wid", wid_local}, {"ver", ver});
     attr::transition_matching(p.src, p.idx, p.off, attr::Component::kSwitchReady, sim_.now());
     std::vector<std::int32_t> values;
-    if (!config_.timing_only && !p.values.empty()) {
-      const bool fp16 = p.elem_bytes == 2;
-      const quant::Fp16Table* table = fp16 ? &fp16_table() : nullptr;
+    if (!p.values.empty()) {
       const std::size_t k_agg = std::min<std::size_t>(p.elem_count, job.pool.size());
       values.resize(p.values.size());
-      for (std::size_t j = 0; j < k_agg; ++j) {
-        const std::int32_t stored = dp::half_as_i32(job.pool[j]->read(idx), ver);
-        values[j] = fp16 ? table->to_half(stored) : stored;
-      }
-      for (std::size_t j = k_agg; j < p.values.size(); ++j) values[j] = p.values[j];
+      for (std::size_t j = 0; j < k_agg; ++j)
+        values[j] = dp::half_as_i32(job.pool[j]->read(idx), ver);
+      egress(p, k_agg, values);
     }
     if (leaf()) {
       // §6: convert the worker's retransmission into an upstream
@@ -465,19 +465,13 @@ void AggregationSwitch::handle_sync_query(const net::Packet& p) {
   ++counters_.sync_replies;
   trace::emit(trace::kCatFault, sim_.now(), id(), "slot_sync", {"slot", p.idx},
               {"wid", pass.wid_local}, {"epoch", static_cast<std::int64_t>(epoch_)});
-  const std::vector<int>& ports = group_ports(job.params.multicast_group);
-  const Time ready = sim_.now() + pipeline_latency();
-  for (std::size_t i = 0; i < ports.size(); ++i) {
-    net::Link* link = link_at(ports[i]);
-    net::Packet copy = reply;
-    copy.dst = link->peer_of(*this).id();
+  multicast(job.params.multicast_group, reply, [&](net::Packet& copy, std::size_t i) {
     copy.wid = static_cast<std::uint16_t>(job.params.wid_base + i);
     // Each copy carries the RECEIVER's seen bits (bit 0 = version 0): the
     // replication engine rewrites the two bits per egress port.
     copy.sync_seen = static_cast<std::uint8_t>(((seen >> i) & 1) | (((seen >> (32 + i)) & 1) << 1));
     copy.seal();
-    link->send_from(*this, std::move(copy), ready);
-  }
+  });
 }
 
 void AggregationSwitch::handle_rescue(net::Packet&& p) {
@@ -595,15 +589,13 @@ void AggregationSwitch::attach_int_echo(const JobState& job, net::Packet& copy, 
   inttel::append_record(copy.int_stack, int_switch_record(job, copy.dst, since));
 }
 
-void AggregationSwitch::multicast_int_echo(const JobState& job, const net::Packet& p) {
-  const std::vector<int>& ports = group_ports(job.params.multicast_group);
-  const Time ready = sim_.now() + pipeline_latency();
-  for (std::size_t i = 0; i < ports.size(); ++i) {
-    net::Link* link = link_at(ports[i]);
-    net::Packet copy = p;
-    copy.dst = link->peer_of(*this).id();
-    attach_int_echo(job, copy, static_cast<int>(i));
-    link->send_from(*this, std::move(copy), ready);
+void AggregationSwitch::multicast_result(const JobState& job, const net::Packet& p) {
+  if (inttel::kCompiledIn && p.int_mode != inttel::kModeOff) {
+    multicast(job.params.multicast_group, p, [&](net::Packet& copy, std::size_t i) {
+      attach_int_echo(job, copy, static_cast<int>(i));
+    });
+  } else {
+    multicast(job.params.multicast_group, p);
   }
 }
 

@@ -68,7 +68,9 @@ struct JobParams {
 
 struct AggregationConfig {
   std::uint32_t elems_per_packet = net::kDefaultElemsPerPacket; // k
-  bool timing_only = false;      // skip value registers (protocol state still exact)
+  // No value registers (protocol state still exact): an update that carries
+  // values throws std::logic_error.
+  bool timing_only = false;
   bool mtu_emulation = false;    // §5.5: aggregate first kHwElemsLimit, pass the rest through
   // §3.7 16-bit wire format: packets with elem_bytes == 2 carry raw binary16
   // patterns; the switch converts them to fixed point with `fp16_frac_bits`
@@ -236,11 +238,15 @@ private:
   void handle_rescue(net::Packet&& p);
   // Algorithm 3's value step for updates and rescues: the ingress fp16
   // conversion, one rmw per value register on version `ver` (overwriting it
-  // when `first`), and when `complete` the result payload: the egress
-  // conversion plus the MTU pass-through of elements beyond the ASIC limit.
+  // when `first`), and when `complete` the result payload (egress). Values
+  // on a switch without value registers throw std::logic_error.
   [[gnu::always_inline]] inline std::vector<std::int32_t> fold(JobState& job,
                                                                 const net::Packet& p, int ver,
                                                                 bool first, bool complete);
+  // Completion's and the shadow-copy reply's payload step: the egress fp16
+  // conversion of the k_agg sums, then the MTU pass-through of the rest.
+  [[gnu::always_inline]] inline void egress(const net::Packet& p, std::size_t k_agg,
+                                            std::vector<std::int32_t>& payload);
   // The completing contribution `p`: counters, dwell, trace and attribution,
   // then the result goes to the children, or upstream at a leaf.
   [[gnu::always_inline]] inline void complete_slot(JobState& job, const net::Packet& p,
@@ -260,10 +266,9 @@ private:
   // Replaces `copy`'s stack with worker `wid_local`'s stored uplink echo and
   // appends the switch record.
   void attach_int_echo(const JobState& job, net::Packet& copy, int wid_local);
-  // multicast() with a per-receiver INT echo — same ports, same ready time,
-  // same event order; only the (checksum-excluded) telemetry fields differ
-  // per copy.
-  void multicast_int_echo(const JobState& job, const net::Packet& p);
+  // Multicasts result `p` to the job's children, with INT each copy carrying
+  // its receiver's uplink echo plus this switch's record.
+  void multicast_result(const JobState& job, const net::Packet& p);
 
   [[nodiscard]] std::size_t job_register_bytes(const JobParams& params) const;
 

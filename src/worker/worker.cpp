@@ -109,14 +109,16 @@ void Worker::start_reduction(std::span<const std::int32_t> update,
                              std::function<void()> on_complete) {
   if (update.size() != result.size())
     throw std::invalid_argument("Worker::start_reduction: update/result size mismatch");
-  if (config_.timing_only)
-    throw std::logic_error("Worker::start_reduction: data reduction on timing-only worker");
-  update_ = update;
-  result_ = result;
-  start_reduction(static_cast<std::uint64_t>(update.size()), std::move(on_complete));
+  begin_reduction(update.size(), update, result, std::move(on_complete));
 }
 
 void Worker::start_reduction(std::uint64_t total_elems, std::function<void()> on_complete) {
+  begin_reduction(total_elems, {}, {}, std::move(on_complete));
+}
+
+void Worker::begin_reduction(std::uint64_t total_elems, std::span<const std::int32_t> update,
+                             std::span<std::int32_t> result,
+                             std::function<void()> on_complete) {
   if (reduction_active())
     throw std::logic_error("Worker::start_reduction: previous reduction still running");
   if (total_elems == 0) {
@@ -126,6 +128,10 @@ void Worker::start_reduction(std::uint64_t total_elems, std::function<void()> on
   }
   if (uplink_ == nullptr) throw std::logic_error("Worker: no uplink configured");
 
+  // Replaces the spans the previous reduction's retired slots kept for
+  // rescues, so a size-only reduction never sends stale values.
+  update_ = update;
+  result_ = result;
   total_elems_ = total_elems;
   on_complete_ = std::move(on_complete);
   reduction_started_at_ = sim_.now();
@@ -162,7 +168,7 @@ net::Packet Worker::slot_packet(net::PacketKind kind, std::uint32_t slot_index, 
   if (elem_count > 0) { // updates and rescues carry the chunk at `off`
     p.elem_count = elem_count;
     p.elem_bytes = config_.wire_elem_bytes;
-    if (!config_.timing_only && !update_.empty()) {
+    if (!update_.empty()) {
       const auto first = static_cast<std::ptrdiff_t>(off);
       p.values.assign(update_.begin() + first, update_.begin() + first + elem_count);
     }
@@ -314,7 +320,7 @@ void Worker::handle_result(net::Packet&& p, Time rx_at) {
   if (!slot.retransmitted) rtt_sample(sim_.now() - slot.sent_at);
 
   // Algorithm 4 line 12: consume the aggregated piece.
-  if (!config_.timing_only && !result_.empty() && !p.values.empty()) {
+  if (!result_.empty() && !p.values.empty()) {
     std::copy(p.values.begin(), p.values.end(),
               result_.begin() + static_cast<std::ptrdiff_t>(p.off));
   }

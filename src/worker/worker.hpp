@@ -34,6 +34,9 @@
 
 namespace switchml::worker {
 
+// A worker's protocol parameters. Whether its packets carry values is not
+// one of them: a reduction started with spans sends values, and a size-only
+// one sends only the chunks' sizes (start_reduction).
 struct WorkerConfig {
   std::uint16_t wid = 0;
   int n_workers = 8;
@@ -71,7 +74,6 @@ struct WorkerConfig {
   net::RdmaUcParams rdma;
   net::NodeId switch_id = 0;
   std::uint8_t job = 0;
-  bool timing_only = false; // packets carry sizes but no values
   // §3.2 lossless mode (Algorithm 2): the network guarantees delivery, so
   // the worker runs without retransmission timers and without the version
   // bit. Pair with an Algorithm-1 (lossless) switch.
@@ -103,7 +105,7 @@ public:
   void start_reduction(std::span<const std::int32_t> update, std::span<std::int32_t> result,
                        std::function<void()> on_complete);
 
-  // Timing-only variant: no data is carried or stored.
+  // Size-only variant: packets carry chunk sizes, no values.
   void start_reduction(std::uint64_t total_elems, std::function<void()> on_complete);
 
   // Optional per-chunk hook, fired as aggregated pieces arrive (used by the
@@ -245,6 +247,8 @@ private:
   void arm_timer(std::uint32_t slot_index);
   void rtt_sample(Time sample);
   void drain_wire_ledger();
+  void begin_reduction(std::uint64_t total_elems, std::span<const std::int32_t> update,
+                       std::span<std::int32_t> result, std::function<void()> on_complete);
   [[nodiscard]] std::uint32_t chunk_elems(std::uint64_t off) const;
   [[nodiscard]] int core_of(std::uint32_t idx) const {
     return static_cast<int>(idx % static_cast<std::uint32_t>(nic_.cores()));

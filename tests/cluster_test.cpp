@@ -539,8 +539,8 @@ TEST(StreamManager, MultiTensorBatchCompletesInOrder) {
 
 TEST(StreamManager, SubmitDuringRunGoesToNextBatch) {
   // All workers must submit the same tensor sequence (Horovod ordering);
-  // here both queue their second tensor from inside the first tensor's
-  // completion callback, exercising the auto-reflush path.
+  // here both submit and flush their second tensor from inside the first
+  // tensor's completion callback, closing a batch while the first runs.
   Fabric cluster(small_config(2).fabric());
   std::vector<float> a0(512, 1.0f), a1(512, 2.0f), b0(512, 3.0f), b1(512, 4.0f);
   std::vector<float> oa0(512), oa1(512), ob0(512), ob1(512);

@@ -438,7 +438,7 @@ TEST(StreamingPs, HasNoAggregationSwitch) {
 // -------------------------------------------------- software aggregator unit
 
 TEST(SoftwareAggregator, MirrorsAlgorithm3Semantics) {
-  SoftwareAggregator agg(2, 4, /*timing_only=*/false);
+  SoftwareAggregator agg(2, 4);
   net::Packet p;
   p.kind = net::PacketKind::SmlUpdate;
   p.idx = 1;
@@ -472,9 +472,9 @@ TEST(SoftwareAggregator, MirrorsAlgorithm3Semantics) {
 }
 
 TEST(SoftwareAggregator, RejectsInvalidConfiguration) {
-  EXPECT_THROW(SoftwareAggregator(0, 4, true), std::invalid_argument);
-  EXPECT_THROW(SoftwareAggregator(65, 4, true), std::invalid_argument);
-  SoftwareAggregator agg(2, 4, true);
+  EXPECT_THROW(SoftwareAggregator(0, 4), std::invalid_argument);
+  EXPECT_THROW(SoftwareAggregator(65, 4), std::invalid_argument);
+  SoftwareAggregator agg(2, 4);
   net::Packet p;
   p.idx = 4; // out of range
   EXPECT_THROW(agg.process(p), std::runtime_error);

@@ -147,6 +147,25 @@ TEST_F(FaultLinkFixture, MidRunSpeedupDeliversEarlierExactlyOnce) {
   EXPECT_EQ(link.counters_from(a).delivered_packets, 1u);
 }
 
+TEST_F(FaultLinkFixture, SecondReplanKeepsBitsSentBeforeTheFirst) {
+  cfg.rate = gbps(8); // 1 ns per byte
+  cfg.propagation = 0;
+  net::Link link(sim, cfg, a, 0, b, 0, 1);
+
+  // 8000 bits: 4000 go out by t=500 at 8 Gbps, 2000 more by t=1000 at
+  // 4 Gbps, and the last 2000 take 250 ns at 8 Gbps again => 1250. Counting
+  // from the whole packet at the second re-plan would send the first 4000
+  // twice and deliver at 1750.
+  link.send_from(a, raw_packet(946));
+  sim.schedule_at(500, [&] { link.set_rate(gbps(4)); });
+  sim.schedule_at(1000, [&] { link.set_rate(gbps(8)); });
+  sim.run();
+
+  ASSERT_EQ(b.arrivals.size(), 1u);
+  EXPECT_EQ(std::get<0>(b.arrivals[0]), 1250);
+  EXPECT_EQ(link.counters_from(a).delivered_packets, 1u);
+}
+
 TEST_F(FaultLinkFixture, RateChangeBeforeTrafficIsPlainConfigChange) {
   net::Link link(sim, cfg, a, 0, b, 0, 1);
   link.set_rate(gbps(1));

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "core/profiles.hpp"
-#include "core/timing_stream.hpp"
 #include "framework/training_sim.hpp"
 
 namespace switchml::framework {
@@ -44,34 +43,6 @@ TEST(LayerModel, ResnetSpreadsParams) {
     if (i >= layers.size() - 3) tail += layers[i].params;
   }
   EXPECT_LT(static_cast<double>(tail) / static_cast<double>(total), 0.2);
-}
-
-// ---------------------------------------------------------- timing stream
-
-TEST(TimingStream, RunsTensorsBackToBackInOrder) {
-  core::ClusterConfig cfg;
-  cfg.n_workers = 2;
-  cfg.pool_size = 8;
-  cfg.timing_only = true;
-  core::Fabric cluster(cfg.fabric());
-  core::TimingStreamManager m0(cluster.worker(0));
-  core::TimingStreamManager m1(cluster.worker(1));
-  std::vector<int> order;
-  for (int t = 0; t < 3; ++t) {
-    m0.submit(1000, [&order, t] { order.push_back(t); });
-    m1.submit(1000, nullptr);
-  }
-  cluster.simulation().run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-  EXPECT_TRUE(m0.idle());
-  EXPECT_EQ(m0.tensors_completed(), 3u);
-}
-
-TEST(TimingStream, RejectsDataModeWorker) {
-  core::ClusterConfig cfg;
-  cfg.n_workers = 2;
-  core::Fabric cluster(cfg.fabric());
-  EXPECT_THROW(core::TimingStreamManager m(cluster.worker(0)), std::invalid_argument);
 }
 
 // ------------------------------------------------------------ training sim

@@ -2,6 +2,8 @@
 // against the SRAM budget, eviction, and concurrent-job independence.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/fabric.hpp"
 
 namespace switchml::core {
@@ -39,6 +41,26 @@ TEST(Tenancy, ConcurrentJobsDoNotInterfere) {
   const double solo = median_tat(1);
   const double four = median_tat(4);
   EXPECT_NEAR(four, solo, solo * 0.02);
+}
+
+TEST(Tenancy, SizeOnlyReductionIgnoresValueRegisters) {
+  // A size-only reduction carries no values, so a fabric whose switch has
+  // value registers runs it exactly like a timing_only one; only the SRAM
+  // charged per job differs: (2 + 32) x 128 x 8 B against 2 x 128 x 8 B.
+  const std::uint64_t elems = 16 * 1024;
+  auto run = [&](bool timing_only) {
+    FabricConfig cfg;
+    cfg.topology = MultiJobSpec{.n_jobs = 2, .workers_per_job = 4};
+    cfg.timing_only = timing_only;
+    Fabric cluster(cfg);
+    auto tats = cluster.reduce_timing_all(elems);
+    return std::make_pair(tats, cluster.root().register_bytes());
+  };
+  const auto [with_values, with_bytes] = run(false);
+  const auto [without_values, without_bytes] = run(true);
+  EXPECT_EQ(with_values, without_values);
+  EXPECT_EQ(with_bytes, 2u * 34'816u);
+  EXPECT_EQ(without_bytes, 2u * 2'048u);
 }
 
 TEST(Tenancy, AdmissionRejectsDuplicateJobIds) {

@@ -30,11 +30,14 @@ TEST(Worker, ZeroElementReductionCompletesImmediately) {
 }
 
 TEST(Worker, DataReductionOnTimingOnlyWorkerThrows) {
+  // The worker sends the values; the switch, built without value registers,
+  // refuses the first update that carries them.
   ClusterConfig c = cfg4();
   c.timing_only = true;
   Fabric cluster(c.fabric());
   std::vector<std::int32_t> u(64, 1), out(64);
-  EXPECT_THROW(cluster.worker(0).start_reduction(u, out, nullptr), std::logic_error);
+  cluster.worker(0).start_reduction(u, out, nullptr);
+  EXPECT_THROW(cluster.simulation().run(), std::logic_error);
 }
 
 TEST(Worker, MismatchedSpansThrow) {
