@@ -114,16 +114,20 @@ void BM_StreamDeliveries(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
     sim::Simulation s;
-    const sim::StreamId first = s.open_streams(kStreams);
     std::vector<Time> tail(kStreams);
     std::vector<sim::TimerHandle> timers(kTimers);
     std::uint64_t queued = 0;
     std::uint64_t delivered = 0;
     std::function<void(int)> deliver;
+    std::vector<sim::StreamId> streams;
+    for (int k = 0; k < kStreams; ++k)
+      streams.push_back(s.open_stream([&deliver](std::uint64_t arg) {
+        deliver(static_cast<int>(arg));
+      }));
     const auto push = [&](int k) {
       const auto uk = static_cast<std::size_t>(k);
       tail[uk] += kGap;
-      s.schedule_on(first + static_cast<sim::StreamId>(k), tail[uk], [&deliver, k] { deliver(k); });
+      s.schedule_on(streams[uk], tail[uk], static_cast<std::uint64_t>(k));
       ++queued;
     };
     deliver = [&](int k) {

@@ -21,38 +21,28 @@ bool ends_with(std::string_view name, std::string_view suffix) {
 
 } // namespace
 
-void MetricsRegistry::check_unique(const std::string& name) const {
-  for (const auto& [n, s] : counters_)
-    if (n == name)
-      throw std::invalid_argument("MetricsRegistry: duplicate series name '" + name + "'");
-  for (const auto& [n, s] : gauges_)
-    if (n == name)
-      throw std::invalid_argument("MetricsRegistry: duplicate series name '" + name + "'");
-  for (const auto& [n, s] : summaries_)
-    if (n == name)
-      throw std::invalid_argument("MetricsRegistry: duplicate series name '" + name + "'");
-  for (const auto& [n, h] : histograms_)
-    if (n == name)
-      throw std::invalid_argument("MetricsRegistry: duplicate series name '" + name + "'");
+void MetricsRegistry::claim_name(const std::string& name) {
+  if (!names_.insert(name).second)
+    throw std::invalid_argument("MetricsRegistry: duplicate series name '" + name + "'");
 }
 
 void MetricsRegistry::add_counter(std::string name, Sampler sample) {
-  check_unique(name);
+  claim_name(name);
   counters_.emplace_back(std::move(name), std::move(sample));
 }
 
 void MetricsRegistry::add_gauge(std::string name, GaugeSampler sample) {
-  check_unique(name);
+  claim_name(name);
   gauges_.emplace_back(std::move(name), std::move(sample));
 }
 
 void MetricsRegistry::add_summary(std::string name, const Summary* summary) {
-  check_unique(name);
+  claim_name(name);
   summaries_.emplace_back(std::move(name), summary);
 }
 
 void MetricsRegistry::add_histogram(std::string name, const Histogram* histogram) {
-  check_unique(name);
+  claim_name(name);
   histograms_.emplace_back(std::move(name), histogram);
 }
 

@@ -25,6 +25,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -133,8 +134,10 @@ public:
   };
 
 private:
-  void check_unique(const std::string& name) const;
+  // Records `name`, throwing if any kind already holds it.
+  void claim_name(const std::string& name);
 
+  std::unordered_set<std::string> names_; // every series name, of every kind
   std::vector<std::pair<std::string, Sampler>> counters_;
   std::vector<std::pair<std::string, GaugeSampler>> gauges_;
   std::vector<std::pair<std::string, const Summary*>> summaries_;

@@ -48,9 +48,11 @@ Link::Link(sim::Simulation& simulation, const LinkConfig& config, Node& end_a, i
       seed_(seed),
       end_a_(&end_a),
       end_b_(&end_b),
-      a_to_b_{&end_b, port_b, simulation.open_streams(1),
+      a_to_b_{&end_b, port_b,
+              simulation.open_stream([this](std::uint64_t seq) { deliver_event(a_to_b_, seq); }),
               sim::Rng::stream(seed, end_a.name() + "->" + end_b.name())},
-      b_to_a_{&end_a, port_a, simulation.open_streams(1),
+      b_to_a_{&end_a, port_a,
+              simulation.open_stream([this](std::uint64_t seq) { deliver_event(b_to_a_, seq); }),
               sim::Rng::stream(seed, end_b.name() + "->" + end_a.name())} {
   if (config.rate <= 0) throw std::invalid_argument("Link rate must be positive");
 
@@ -366,8 +368,7 @@ void Link::transmit(const Node& sender, Direction& dir, Packet&& p, Time earlies
   // Finishes only grow between rate changes, so deliveries join the
   // direction's stream in time order (an earlier one, after a speed-up, is
   // queued as a plain event).
-  sim_.schedule_on(dir.stream, finish + config_.propagation,
-                   [this, dirp = &dir, seq] { deliver_event(*dirp, seq); });
+  sim_.schedule_on(dir.stream, finish + config_.propagation, seq);
 }
 
 } // namespace switchml::net

@@ -8,11 +8,13 @@
 // delivery (a lost packet's record only holds the port until its
 // serialization ends). Queue occupancy is the ledger's tail of unfinished
 // serializations, advanced lazily. Deliveries ride one ordered event stream
-// (sim::Simulation::schedule_on), hold one event-heap key between them, and
-// name their record by sequence number so mid-run mutations can retarget
-// them: `set_rate` re-plans every unfinished serialization (bits already
-// clocked out at the old rate stay out) and `set_down` kills everything
-// undelivered — a downed link delivers nothing, ever, for its down interval.
+// per direction (sim::Simulation::schedule_on), hold one event-heap key
+// between them, and carry only their record's sequence number, the arg of
+// the stream's one handler, so mid-run mutations can retarget them:
+// `set_rate` re-plans every unfinished serialization (bits already clocked
+// out at the old rate stay out) and `set_down` kills everything undelivered
+// — a downed link delivers nothing, ever, for its down interval; the
+// deliveries still queued find no record and do nothing.
 //
 // Each transmit, drop, corruption and delivery is one event in the ambient
 // TraceSink's `link` category, emitted by the sending node: `enqueue`,
@@ -70,6 +72,9 @@ public:
 
   Link(sim::Simulation& simulation, const LinkConfig& config, Node& end_a, int port_a,
        Node& end_b, int port_b, std::uint64_t seed);
+  // Its streams' handlers hold its address.
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
 
   // Transmits `p` from `sender` (which must be one of the two endpoints).
   // `earliest_start` lets upstream processing (NIC cores, switch pipeline)

@@ -12,7 +12,9 @@ HostNic::HostNic(sim::Simulation& simulation, const NicConfig& config, Consumer 
   if (config.cores < 1) throw std::invalid_argument("HostNic: cores must be >= 1");
   if (config.batch_size < 1) throw std::invalid_argument("HostNic: batch_size must be >= 1");
   lanes_.resize(static_cast<std::size_t>(config.cores));
-  stream0_ = simulation.open_streams(static_cast<std::uint32_t>(config.cores));
+  for (int core = 0; core < config.cores; ++core)
+    lanes_[static_cast<std::size_t>(core)].stream =
+        simulation.open_stream([this, core](std::uint64_t) { complete(core); });
   if (transport == TransportKind::kRdmaUc) rdma_.emplace(name, owner, rdma);
 }
 
@@ -60,8 +62,7 @@ void HostNic::receive(int core, Packet&& p) {
   // busy_until never decreases and the latency is fixed, so a lane's
   // completions are pushed in time order and pop in the order they were
   // queued: each one's packet is the lane's front.
-  sim_.schedule_on(stream0_ + static_cast<sim::StreamId>(core), done,
-                   [this, core] { complete(core); });
+  sim_.schedule_on(lane.stream, done, 0);
 }
 
 void HostNic::complete(int core) {

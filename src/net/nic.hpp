@@ -10,8 +10,9 @@
 // the below-line-rate behaviour at 100 Gbps with only 4 cores (§5.1).
 //
 // A lane processes its received packets in arrival order, so it owns each
-// one until its RX completion, which rides the lane's ordered event stream
-// and hands the lane's front packet to the host's consume callback.
+// one until its RX completion. The completions ride the lane's ordered event
+// stream, whose one handler hands the lane's front packet to the host's
+// consume callback; an event carries no closure and no arg.
 #pragma once
 
 #include <cstdint>
@@ -86,6 +87,7 @@ private:
   struct Lane {
     Time busy_until = 0;
     std::deque<Arrival> waiting; // in completion order
+    sim::StreamId stream = 0;    // its RX completions
   };
 
   [[nodiscard]] Time base_cost(Time per_packet, double per_byte, std::int64_t bytes) const;
@@ -97,7 +99,6 @@ private:
   Consumer consume_;
   std::optional<RdmaUc> rdma_; // engaged on an RDMA-UC host
   std::vector<Lane> lanes_;
-  sim::StreamId stream0_ = 0; // lane c's completions ride stream stream0_ + c
   double slowdown_ = 1.0;
 };
 

@@ -1,19 +1,22 @@
-// Allocation-free callable for simulator events.
+// Allocation-free callables for simulator events.
 //
 // EventFn is the closure type every scheduling layer hands to the event
 // engine: a small-buffer-optimized, move-only void() callable with NO heap
 // fallback. std::function — the previous event closure — silently
 // heap-allocates any capture larger than two pointers (~16 bytes on
-// libstdc++), which put a malloc/free pair on every packet delivery
-// ([this, dirp, seq] is 24 bytes). EventFn instead carries 48 bytes of
-// inline storage — enough for every scheduling call site in the tree
-// (`this` plus a few indices, a fault spec by value, or a whole
-// std::function; no closure captures a packet, which the pipe it is in
-// owns) — and rejects anything larger AT COMPILE TIME,
-// so a capture that would re-introduce the allocation is a build error at
-// the offending call site, not a silent perf regression.
+// libstdc++), which put a malloc/free pair on every scheduled event that
+// captured more. EventFn instead carries 48 bytes of inline storage — enough
+// for every scheduling call site in the tree (`this` plus a few indices, a
+// fault spec by value, or a whole std::function; no closure captures a
+// packet, which the pipe it is in owns) — and rejects anything larger AT
+// COMPILE TIME, so a capture that would re-introduce the allocation is a
+// build error at the offending call site, not a silent perf regression.
 //
-// Contract:
+// Stream events (a link delivery, a NIC RX completion) capture nothing: a
+// stream's handler, a StreamFn, is given once when the stream is opened,
+// and each event carries only a 64-bit arg (a delivery's seq) for it.
+//
+// EventFn contract:
 //   - capacity: sizeof(F) <= 48, alignof(F) <= 16, F nothrow-move-
 //     constructible. EventFn::fits<F>() exposes the gate; a callable that
 //     fails it selects a deleted constructor overload.
@@ -26,6 +29,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -137,6 +141,40 @@ private:
 
   const VTable* vt_ = nullptr;
   alignas(kInlineAlign) unsigned char buf_[kInlineBytes];
+};
+
+// A stream's handler: a void(std::uint64_t) callable, stored once per stream
+// and called with each entry's arg. Its capture must be trivially copyable
+// and at most 16 bytes (`this` plus a pointer or an index), which a
+// constraint checks at compile time: the engine copies the handler out of
+// its stream table for each call, so a handler may open streams while it
+// runs.
+class StreamFn {
+public:
+  static constexpr std::size_t kInlineBytes = 16;
+
+  template <typename F>
+    requires(!std::is_same_v<std::decay_t<F>, StreamFn> &&
+             std::is_invocable_r_v<void, const std::decay_t<F>&, std::uint64_t> &&
+             std::is_trivially_copyable_v<std::decay_t<F>> &&
+             sizeof(std::decay_t<F>) <= kInlineBytes &&
+             alignof(std::decay_t<F>) <= alignof(std::uint64_t))
+  // NOLINTNEXTLINE(google-explicit-constructor): implicit by design — every
+  // open_stream call site passes a bare lambda.
+  StreamFn(F&& f) : invoke_(&invoke_impl<std::decay_t<F>>) {
+    ::new (static_cast<void*>(buf_)) std::decay_t<F>(std::forward<F>(f));
+  }
+
+  void operator()(std::uint64_t arg) const { invoke_(buf_, arg); }
+
+private:
+  template <typename F>
+  static void invoke_impl(const void* p, std::uint64_t arg) {
+    (*std::launder(static_cast<const F*>(p)))(arg);
+  }
+
+  void (*invoke_)(const void*, std::uint64_t);
+  alignas(std::uint64_t) unsigned char buf_[kInlineBytes];
 };
 
 } // namespace switchml::sim

@@ -3,24 +3,25 @@
 // Three structures, deliberately separated:
 //
 //   - a RECYCLING SLAB of event records (the 64-byte EventFn closure plus
-//     ordering state), allocated in fixed-size chunks so a record's address
+//     timer state), allocated in fixed-size chunks so a record's address
 //     never changes while it is queued and growth never moves a live
 //     closure. Slots are recycled through a free list when their event pops,
 //     and a per-slot generation counter invalidates stale cancellation refs.
 //
-//   - two intrusive 4-ARY MIN-HEAPS over 16-byte keys {time, seq|slot}: the
+//   - two intrusive 4-ARY MIN-HEAPS over 16-byte keys {time, seq|id}: the
 //     EVENT heap (plain events and stream heads) and the TIMER heap
 //     (cancellable and daemon timers). Sifts move only keys, never closures,
 //     and a 64-byte cache line holds four of them, which is exactly one 4-ary
 //     node's children. A pop takes the earlier of the two tops.
 //
-//   - ordered STREAMS: FIFO pipes (one link direction, one NIC core) whose
-//     events are pushed in non-decreasing time order. Only a stream's head
-//     holds a key in the event heap; its later entries wait in an intrusive
-//     FIFO threaded through their records, each holding the seq drawn when
-//     it was pushed. When the head pops, its successor is keyed in its place.
-//     A link direction with a thousand packets in flight costs the heap one
-//     key, not a thousand.
+//   - ordered STREAMS: FIFO pipes (one link direction, one NIC lane) whose
+//     events are pushed in non-decreasing time order. A stream's handler is
+//     given once, when it is opened; each of its events is a 24-byte entry
+//     {time, seq|stream, arg} in the stream's own power-of-two ring, and
+//     popping one calls the handler with the arg. Only a stream's head holds
+//     a key in the event heap; when it pops, its successor in the ring is
+//     keyed in its place. A link direction with a thousand packets in flight
+//     costs the heap one key and the slab no record.
 //
 // Ordering is (time, seq) with seq a per-queue monotonic counter, i.e. FIFO
 // for same-time events. Seqs are drawn at push time whatever structure the
@@ -28,12 +29,15 @@
 // exactly that of one priority queue over all events: a stream's successor is
 // never earlier than its head, and it is keyed the moment the head pops,
 // before anything later can be popped. A push earlier than its stream's tail
-// would break that, so it becomes a plain keyed event instead. The seq is
-// packed into the key's upper 40 bits above a 24-bit slot index; since seqs
-// are unique, key comparison IS (time, seq) comparison. The counter resets
-// only when nothing at all is queued, so the 40-bit budget (~1.1e12
-// schedules between drains) is effectively unbounded; both limits throw
-// rather than wrap.
+// would break that, so it becomes a plain keyed event (a closure calling the
+// stream's handler with the arg) instead. The seq is packed into the key's
+// upper 40 bits above a 24-bit id: a slab slot, or with bit 23 set a stream.
+// Since seqs are unique, key comparison IS (time, seq) comparison; a key
+// compares as one unsigned 128-bit number (the time, sign bit flipped, above
+// the order), and a sift picks a node's earliest child with selects, not
+// branches. The counter resets only when nothing at all is queued, so the
+// 40-bit budget (~1.1e12 schedules between drains) is effectively unbounded;
+// it, the 2^23 slab slots and the 2^23 streams all throw rather than wrap.
 //
 // Cancellation drops straight to the slab: the closure is destroyed
 // immediately (releasing captured resources), the record is marked dead, and
@@ -51,8 +55,6 @@
 // cannot drain and reset the seq counter); that pop runs nothing. Since the
 // key never sits later than the target and seqs are unique, every live event
 // still runs at exactly the (time, seq) a cancel + push would have given it.
-// Stream records never re-arm, so their FIFO link shares the storage of that
-// queued-key time and the record stays 96 bytes.
 #pragma once
 
 #include <cstddef>
@@ -83,6 +85,35 @@ public:
     std::uint32_t gen = 0;
   };
 
+  // 16-byte heap key. `order` packs (seq << 24) | id, where the id is a slab
+  // slot or, with kStreamBit set, a stream: unique seqs make the comparison
+  // equivalent to (at, seq), and the id rides along for free.
+  struct Key {
+    Time at;
+    std::uint64_t order;
+  };
+
+  // (at, order) order, as one unsigned 128-bit comparison: flipping the
+  // time's sign bit maps signed order onto unsigned order.
+  static bool earlier(const Key& a, const Key& b) { return rank(a) < rank(b); }
+
+  // Index of the earliest of c[0..3] (the first of equals), chosen by
+  // selects so that a sift does not mispredict on its children.
+  static std::size_t earliest_of_four(const Key* c) {
+    const Rank r0 = rank(c[0]);
+    const Rank r1 = rank(c[1]);
+    const Rank r2 = rank(c[2]);
+    const Rank r3 = rank(c[3]);
+    const bool b1 = r1 < r0;
+    const bool b3 = r3 < r2;
+    const Rank lo = b1 ? r1 : r0;
+    const Rank hi = b3 ? r3 : r2;
+    const std::size_t ilo = b1;
+    const std::size_t ihi = 2 + static_cast<std::size_t>(b3);
+    const std::size_t pick_hi = -static_cast<std::size_t>(hi < lo); // all ones or zero
+    return ilo ^ ((ilo ^ ihi) & pick_hi);
+  }
+
   EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -92,36 +123,37 @@ public:
   // passing an EventFn moves it in.
   template <typename F>
   void push(Time at, F&& fn) {
-    const std::uint32_t slot = push_record(at, std::forward<F>(fn), kNoStream);
-    sift_push(heap_, record(slot).target);
+    const std::uint32_t slot = acquire_slot();
+    set_fn(record(slot), std::forward<F>(fn));
+    sift_push(heap_, Key{at, draw_order(slot)});
   }
 
-  // Opens `n` empty streams with consecutive ids; returns the first.
-  StreamId open_streams(std::uint32_t n) {
-    const auto first = static_cast<StreamId>(streams_.size());
-    streams_.resize(streams_.size() + n);
-    return first;
+  // Opens an empty stream whose entries each run `handler(arg)`. Its ring
+  // is allocated by its first push.
+  StreamId open_stream(StreamFn handler) {
+    if (streams_.size() >= kStreamBit) throw_too_many_streams();
+    streams_.emplace_back(handler);
+    return static_cast<StreamId>(streams_.size() - 1);
   }
 
-  // Schedules a plain event on stream `s`: the same (time, seq) order as
-  // push(), but the event takes a heap key only once it heads its stream.
-  // A push earlier than the stream's tail is a plain push.
-  template <typename F>
-  void push_stream(StreamId s, Time at, F&& fn) {
+  // Schedules an entry on stream `s` that runs the stream's handler with
+  // `arg`: the same (time, seq) order as push(), but the entry takes a heap
+  // key only once it heads its stream. A push earlier than the stream's tail
+  // is a plain push of a closure that calls the handler.
+  void push_stream(StreamId s, Time at, std::uint64_t arg) {
     Stream& st = streams_[s];
-    if (st.tail != kNoSlot && at < st.tail_at) {
-      push(at, std::forward<F>(fn));
+    if (st.size != 0 && at < st.ring[(st.head + st.size - 1) & (st.capacity - 1)].at) {
+      push(at, [handler = st.handler, arg] { handler(arg); });
       return;
     }
-    const std::uint32_t slot = push_record(at, std::forward<F>(fn), s);
-    if (st.tail == kNoSlot) {
-      sift_push(heap_, record(slot).target);
+    if (st.size == st.capacity) grow_ring(st);
+    const std::uint64_t order = draw_order(kStreamBit | s);
+    st.ring[(st.head + st.size) & (st.capacity - 1)] = Entry{at, order, arg};
+    if (st.size++ == 0) {
+      sift_push(heap_, Key{at, order});
     } else {
-      record(st.tail).link.next = slot;
       ++waiting_;
     }
-    st.tail = slot;
-    st.tail_at = at;
   }
 
   // Schedules a cancellable event. `daemon` events are inert from birth:
@@ -199,15 +231,15 @@ public:
     return heap_[0].at < timers_[0].at ? heap_[0].at : timers_[0].at;
   }
 
-  // Pops the earliest event, recycles its slot (invalidating refs to it),
-  // and — for live events — invokes its closure IN PLACE in the slab after
-  // calling `on_live(at, daemon)` (the caller's chance to advance its clock
-  // first).
-  // In-place dispatch skips the closure relocation a move-out would cost;
-  // it is safe because chunked slab storage never moves a record, and the
-  // slot is withheld from the free list until the closure returns, so
-  // callbacks scheduling new events (even re-arming themselves) cannot
-  // overwrite the running closure. Returns true iff a live event ran;
+  // Pops the earliest event and — for live events — runs it after calling
+  // `on_live(at, daemon)` (the caller's chance to advance its clock first).
+  // A plain event or timer runs its closure IN PLACE in the slab: chunked
+  // slab storage never moves a record, and the slot is withheld from the
+  // free list until the closure returns, so callbacks scheduling new events
+  // (even re-arming themselves) cannot overwrite the running closure. A
+  // stream entry leaves its ring, and its successor is keyed, before the
+  // handler (copied out of the stream table) runs, so a handler may push
+  // onto its own stream or open another. Returns true iff a live event ran;
   // cancelled events and re-filed keys of re-armed timers are skipped
   // without invoking `on_live`.
   template <typename OnLive>
@@ -215,70 +247,63 @@ public:
     if (!timers_.empty() && (heap_.empty() || earlier(timers_[0], heap_[0])))
       return pop_timer(on_live);
     const Key top = heap_[0];
-    const auto slot = static_cast<std::uint32_t>(top.order & kSlotMask);
-    Record& rec = record(slot);
-    const StreamLink link = rec.link;
-    if (link.next != kNoSlot) { // key the stream's successor in the head's place
-      sift_down(heap_, 0, record(link.next).target);
-      --waiting_;
-    } else {
-      if (link.stream != kNoStream) streams_[link.stream].tail = kNoSlot;
-      sift_pop(heap_);
-      if (empty()) next_seq_ = 0; // drained: reclaim the 40-bit seq budget
-    }
+    const auto id = static_cast<std::uint32_t>(top.order & kIdMask);
+    if ((id & kStreamBit) != 0) return pop_stream(top.at, id ^ kStreamBit, on_live);
+    sift_pop(heap_);
+    if (empty()) next_seq_ = 0; // drained: reclaim the 40-bit seq budget
     on_live(top.at, false);
     // Release the slot even if the closure throws (matching the old
     // move-out-then-run behaviour, where the event was gone either way).
-    const SlotRelease release{this, slot};
-    rec.fn();
+    const SlotRelease release{this, id};
+    record(id).fn();
     return true;
   }
 
 private:
-  // 16-byte heap key. `order` packs (seq << 24) | slot: unique seqs make the
-  // comparison equivalent to (at, seq), and the slot rides along for free.
-  struct Key {
-    Time at;
-    std::uint64_t order;
-  };
-  static constexpr std::uint32_t kSlotBits = 24;
-  static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
-  static constexpr std::uint64_t kMaxSeq = 1ull << (64 - kSlotBits);
+  using Rank = unsigned __int128;
+  static Rank rank(const Key& k) {
+    const std::uint64_t at = static_cast<std::uint64_t>(k.at) ^ (1ull << 63);
+    return (static_cast<Rank>(at) << 64) | k.order;
+  }
+
+  static constexpr std::uint32_t kIdBits = 24;
+  static constexpr std::uint64_t kIdMask = (1ull << kIdBits) - 1;
+  static constexpr std::uint32_t kStreamBit = 1u << (kIdBits - 1);
+  static constexpr std::uint64_t kMaxSeq = 1ull << (64 - kIdBits);
   static constexpr std::size_t kArity = 4;
   // 1024 records per chunk: growth allocates one chunk, never relocates.
   static constexpr std::uint32_t kChunkShift = 10;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
 
-  static constexpr std::uint32_t kNoStream = 0xFFFFFFFFu;
-
-  // A plain or stream event's place in its stream: the next waiting entry
-  // and the owning stream (kNoStream for a plain event).
-  struct StreamLink {
-    std::uint32_t next;
-    std::uint32_t stream;
-  };
-
   // 96 bytes: the 64-byte closure, the target key, the queued key's time
-  // (timers; never later than the target) or the stream link (plain and
-  // stream events), and the timer state.
+  // (timers; never later than the target), and the timer state.
   struct Record {
     EventFn fn;
     Key target{};
-    union {
-      Time keyed_at = 0;
-      StreamLink link;
-    };
+    Time keyed_at = 0;
     std::uint32_t gen = 0;
     bool armed = false;
     bool daemon = false;
   };
   static_assert(sizeof(Record) == 96);
 
-  // The tail's time is cached so a push compares without touching the
-  // tail's record.
+  // A queued stream event: its time, its key's order and the handler's arg.
+  struct Entry {
+    Time at;
+    std::uint64_t order;
+    std::uint64_t arg;
+  };
+  static_assert(sizeof(Entry) == 24);
+
+  // Entries [head, head + size) of the ring, modulo its power-of-two
+  // capacity (0 until the first push), in push order.
   struct Stream {
-    Time tail_at = 0;
-    std::uint32_t tail = kNoSlot;
+    explicit Stream(StreamFn h) : handler(h) {}
+    StreamFn handler;
+    std::unique_ptr<Entry[]> ring;
+    std::uint32_t capacity = 0;
+    std::uint32_t head = 0;
+    std::uint32_t size = 0;
   };
 
   [[nodiscard]] Record& record(std::uint32_t slot) {
@@ -297,26 +322,34 @@ private:
     }
   }
 
-  std::uint64_t draw_order(std::uint32_t slot) {
+  std::uint64_t draw_order(std::uint32_t id) {
     if (next_seq_ >= kMaxSeq) throw_seq_overflow();
-    return (next_seq_++ << kSlotBits) | slot;
+    return (next_seq_++ << kIdBits) | id;
   }
 
-  // Fills a plain or stream record (not yet keyed) and returns its slot.
-  template <typename F>
-  std::uint32_t push_record(Time at, F&& fn, StreamId stream) {
-    const std::uint32_t slot = acquire_slot();
-    Record& rec = record(slot);
-    set_fn(rec, std::forward<F>(fn));
-    rec.link = StreamLink{kNoSlot, stream};
-    rec.target = Key{at, draw_order(slot)};
-    return slot;
+  template <typename OnLive>
+  bool pop_stream(Time at, StreamId s, OnLive& on_live) {
+    Stream& st = streams_[s];
+    const std::uint64_t arg = st.ring[st.head].arg;
+    st.head = (st.head + 1) & (st.capacity - 1);
+    if (--st.size != 0) { // key the stream's successor in the head's place
+      const Entry& next = st.ring[st.head];
+      sift_down(heap_, 0, Key{next.at, next.order});
+      --waiting_;
+    } else {
+      sift_pop(heap_);
+      if (empty()) next_seq_ = 0;
+    }
+    const StreamFn handler = st.handler; // `st` may move while it runs
+    on_live(at, false);
+    handler(arg);
+    return true;
   }
 
   template <typename OnLive>
   bool pop_timer(OnLive& on_live) {
     const Key top = timers_[0];
-    const auto slot = static_cast<std::uint32_t>(top.order & kSlotMask);
+    const auto slot = static_cast<std::uint32_t>(top.order & kIdMask);
     Record& rec = record(slot);
     const bool live = rec.armed;
     const bool daemon = rec.daemon;
@@ -361,10 +394,6 @@ private:
     return grow_slab();
   }
 
-  static bool earlier(const Key& a, const Key& b) {
-    return a.at != b.at ? a.at < b.at : a.order < b.order;
-  }
-
   static void sift_push(std::vector<Key>& heap, Key k) {
     std::size_t i = heap.size();
     heap.push_back(k);
@@ -386,25 +415,31 @@ private:
   // Places `k` at position `i` (whose old key is discarded), moving it down
   // past any earlier children.
   static void sift_down(std::vector<Key>& heap, std::size_t i, Key k) {
+    Key* const h = heap.data();
     const std::size_t n = heap.size();
     for (;;) {
       const std::size_t first = i * kArity + 1;
-      if (first >= n) break;
-      const std::size_t end = first + kArity < n ? first + kArity : n;
       std::size_t best = first;
-      for (std::size_t c = first + 1; c < end; ++c)
-        if (earlier(heap[c], heap[best])) best = c;
-      if (!earlier(heap[best], k)) break;
-      heap[i] = heap[best];
+      if (first + kArity <= n) {
+        best += earliest_of_four(h + first);
+      } else {
+        if (first >= n) break;
+        for (std::size_t c = first + 1; c < n; ++c)
+          if (earlier(h[c], h[best])) best = c;
+      }
+      if (!earlier(h[best], k)) break;
+      h[i] = h[best];
       i = best;
     }
-    heap[i] = k;
+    h[i] = k;
   }
 
   // Cold paths live in event_queue.cpp.
   std::uint32_t grow_slab();
+  static void grow_ring(Stream& st);
   [[noreturn]] static void throw_seq_overflow();
   [[noreturn]] static void throw_slab_full();
+  [[noreturn]] static void throw_too_many_streams();
   [[noreturn]] static void throw_inert_drift();
 
   std::vector<std::unique_ptr<Record[]>> chunks_;

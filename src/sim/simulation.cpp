@@ -11,8 +11,8 @@ void Simulation::check_not_past(Time at) const {
 bool Simulation::dispatch_one() {
   // Cancelled timers and the stale keys of re-armed ones are skipped without
   // advancing the clock: nothing observable happens at their time. Live
-  // closures run in place in the slab (no relocation); the clock advances
-  // just before the call.
+  // closures run in place in the slab (no relocation) and stream entries
+  // run their stream's handler; the clock advances just before the call.
   const bool ran = queue_.pop_and_run([this](Time at, bool daemon) {
     now_ = at;
     if (!daemon) last_live_at_ = at;

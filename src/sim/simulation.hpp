@@ -7,10 +7,12 @@
 // The queue itself is an EventQueue (sim/event_queue.hpp): a recycling slab
 // of allocation-free EventFn closures ordered by two intrusive 4-ary
 // min-heaps over 16-byte keys (one for events, one for timers), with ordered
-// streams that key only their head. Scheduling an event therefore never
-// heap-allocates (beyond amortized slab/heap growth), and the Simulation is a
-// thin facade — clock, run loop, and the daemon/live-work contract — over the
-// queue seam that a future sharded (per-rack) engine will plug into.
+// streams that key only their head and keep their entries, each a time, a
+// seq and one arg for the stream's handler, in their own ring. Scheduling an
+// event therefore never heap-allocates (beyond amortized slab, heap and ring
+// growth), and the Simulation is a thin facade — clock, run loop, and the
+// daemon/live-work contract — over the queue seam that a future sharded
+// (per-rack) engine will plug into.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +55,7 @@ private:
 };
 
 // An ordered event stream: a FIFO pipe such as one link direction or one NIC
-// core, opened with Simulation::open_streams.
+// lane, opened with Simulation::open_stream.
 using StreamId = EventQueue::StreamId;
 
 class Simulation {
@@ -79,19 +81,21 @@ public:
     queue_.push(at, std::forward<F>(fn));
   }
 
-  // Opens `n` ordered event streams, one per FIFO pipe, with consecutive
-  // ids; returns the first. Streams live as long as the Simulation.
-  [[nodiscard]] StreamId open_streams(std::uint32_t n) { return queue_.open_streams(n); }
+  // Opens an ordered event stream for one FIFO pipe; each of its events
+  // runs `handler(arg)` with the arg it was scheduled with. The handler is
+  // stored once, here (see StreamFn for what it may capture). Streams live
+  // as long as the Simulation.
+  [[nodiscard]] StreamId open_stream(StreamFn handler) { return queue_.open_stream(handler); }
 
-  // Equivalent to schedule_at(at, fn) — the same (time, seq) order and
-  // counts — for an event of stream `s`. A stream holds one heap key however
+  // Equivalent to schedule_at(at, [=] { handler(arg); }) with the handler of
+  // stream `s` — the same (time, seq) order and counts — but the event is a
+  // 24-byte entry in the stream's ring. A stream holds one heap key however
   // many events it queues, so a pipe's events should be pushed in
   // non-decreasing time order; one earlier than the stream's last is queued
   // as a plain event.
-  template <typename F>
-  void schedule_on(StreamId s, Time at, F&& fn) {
+  void schedule_on(StreamId s, Time at, std::uint64_t arg) {
     check_not_past(at);
-    queue_.push_stream(s, at, std::forward<F>(fn));
+    queue_.push_stream(s, at, arg);
   }
 
   // Schedules `fn` to run `delay` ns from now.

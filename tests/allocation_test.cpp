@@ -1,11 +1,12 @@
 // Heap allocations on the steady-state packet path. A counting global
 // operator new (this binary's own, because the replacement is global)
 // measures a warm second reduction: the first one grows the event slab, the
-// heaps and the pipes' ledgers to their working size. Each test bounds the
-// allocations per SwitchML update, or per reliable-transport segment on the
-// NCCL ring, from above. What is left is one deque node per two records of
-// each link direction's ledger and each NIC lane, plus data mode's payload
-// vectors. The transport is pinned to UDP, the bounds' own.
+// heaps, the streams' rings and the pipes' ledgers to their working size.
+// Each test bounds the allocations per SwitchML update, or per
+// reliable-transport segment on the NCCL ring, from above. What is left is
+// one deque node per two records of each link direction's ledger and each
+// NIC lane, plus data mode's payload vectors. The transport is pinned to
+// UDP, the bounds' own.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -32,10 +32,13 @@ void* operator new[](std::size_t size) {
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace switchml {
 namespace {
@@ -60,7 +63,9 @@ void expect_conserved(const attr::SpanLedger& ledger) {
         << "node " << r.node << " slot " << r.slot << " off " << r.off;
     span_sum += span;
   }
-  if (ledger.records_dropped() == 0) EXPECT_EQ(ledger.total_ns(), span_sum);
+  if (ledger.records_dropped() == 0) {
+    EXPECT_EQ(ledger.total_ns(), span_sum);
+  }
 }
 
 TEST(Attribution, OpenTransitionCloseConservesExactly) {

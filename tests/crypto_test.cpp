@@ -140,8 +140,12 @@ TEST(BigInt, DifferentialAgainstNative128) {
     const auto na = to_u128(a);
     const auto nb = to_u128(b);
     ASSERT_EQ(a.add(b), from_u128(na + nb));
-    if (na >= nb) ASSERT_EQ(a.sub(b), from_u128(na - nb));
-    if (abits + bbits <= 120) ASSERT_EQ(a.mul(b), from_u128(na * nb));
+    if (na >= nb) {
+      ASSERT_EQ(a.sub(b), from_u128(na - nb));
+    }
+    if (abits + bbits <= 120) {
+      ASSERT_EQ(a.mul(b), from_u128(na * nb));
+    }
     const auto dm = a.divmod(b);
     ASSERT_EQ(dm.quotient, from_u128(na / nb));
     ASSERT_EQ(dm.remainder, from_u128(na % nb));

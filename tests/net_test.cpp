@@ -377,6 +377,40 @@ TEST_F(LinkFixture, SetDownCountsOnlyPacketsStillToBeDelivered) {
   EXPECT_EQ(down_slots, std::vector<std::int64_t>{10});
 }
 
+// The deliveries queued when a link goes down stay in its event stream. Once
+// it is up again they pop with stale seqs and do nothing, while the packets
+// sent since are delivered: one earlier than the stale tail (a plain event),
+// one behind it in the stream.
+TEST_F(LinkFixture, StaleDeliveriesAfterSetDownDoNothing) {
+  cfg.rate = gbps(8);
+  cfg.propagation = nsec(1000);
+  Link link(sim, cfg, a, 0, b, 0, 1);
+  const auto send = [&](std::uint64_t seq) {
+    Packet p = raw_packet(946); // 1000 B: 1000 ns at 8 Gbps
+    p.seq = seq;
+    link.send_from(a, std::move(p));
+  };
+  for (std::uint64_t s = 0; s < 3; ++s) send(s); // to be delivered at 2000, 3000, 4000
+  sim.schedule_at(1500, [&] { link.set_down(); });
+  sim.schedule_at(1600, [&] {
+    link.set_up();
+    send(3); // [1600, 2600): delivered at 3600
+    send(4); // [2600, 3600): delivered at 4600
+  });
+  sim.run();
+
+  ASSERT_EQ(b.arrivals.size(), 2u);
+  EXPECT_EQ(std::get<0>(b.arrivals[0]), 3600);
+  EXPECT_EQ(std::get<2>(b.arrivals[0]).seq, 3u);
+  EXPECT_EQ(std::get<0>(b.arrivals[1]), 4600);
+  EXPECT_EQ(std::get<2>(b.arrivals[1]).seq, 4u);
+  const Link::Counters& c = link.counters_from(a);
+  EXPECT_EQ(c.dropped_down, 3u);
+  EXPECT_EQ(c.delivered_packets, 2u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.events_executed(), 7u); // 2 outage events, 3 stale deliveries, 2 deliveries
+}
+
 TEST_F(LinkFixture, NonEndpointSenderThrows) {
   Link link(sim, cfg, a, 0, b, 0, 1);
   SinkNode c{sim, 2, "c"};

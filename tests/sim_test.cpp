@@ -4,7 +4,10 @@
 // against a std::priority_queue reference implementation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <queue>
 #include <random>
@@ -270,11 +273,12 @@ TEST(Simulation, RearmTieWithAPlainEventKeepsScheduleOrder) {
 
 TEST(Simulation, StreamKeysOnlyItsHeadButCountsEveryEntry) {
   Simulation s;
-  const StreamId a = s.open_streams(2);
-  const StreamId b = a + 1;
   std::vector<int> order;
-  for (int i = 0; i < 100; ++i) s.schedule_on(a, 10 + i, [&order, i] { order.push_back(i); });
-  s.schedule_on(b, 50, [&order] { order.push_back(-1); });
+  const StreamId a =
+      s.open_stream([&order](std::uint64_t arg) { order.push_back(static_cast<int>(arg)); });
+  const StreamId b = s.open_stream([&order](std::uint64_t) { order.push_back(-1); });
+  for (int i = 0; i < 100; ++i) s.schedule_on(a, 10 + i, static_cast<std::uint64_t>(i));
+  s.schedule_on(b, 50, 0);
   s.schedule_at(20, [&order] { order.push_back(-2); });
   EXPECT_EQ(s.stream_count(), 2u);
   EXPECT_EQ(s.keyed_events(), 3u); // two heads and the plain event
@@ -293,18 +297,19 @@ TEST(Simulation, StreamKeysOnlyItsHeadButCountsEveryEntry) {
 
 TEST(Simulation, StreamPushEarlierThanItsTailIsAPlainEvent) {
   Simulation s;
-  const StreamId a = s.open_streams(1);
   std::vector<int> order;
-  s.schedule_on(a, 30, [&order] { order.push_back(0); });
-  s.schedule_on(a, 40, [&order] { order.push_back(1); });
-  s.schedule_on(a, 10, [&order] { order.push_back(2); }); // earlier than the tail
-  s.schedule_on(a, 40, [&order] { order.push_back(3); }); // a tie joins the stream
+  const StreamId a =
+      s.open_stream([&order](std::uint64_t arg) { order.push_back(static_cast<int>(arg)); });
+  s.schedule_on(a, 30, 0);
+  s.schedule_on(a, 40, 1);
+  s.schedule_on(a, 10, 2); // earlier than the tail: a plain event calling the handler
+  s.schedule_on(a, 40, 3); // a tie joins the stream
   EXPECT_EQ(s.keyed_events(), 2u);
   EXPECT_EQ(s.pending_events(), 4u);
   s.run();
   EXPECT_EQ(order, (std::vector<int>{2, 0, 1, 3}));
   // Emptied, the stream takes any time again.
-  s.schedule_on(a, s.now() + 5, [&order] { order.push_back(4); });
+  s.schedule_on(a, s.now() + 5, 4);
   EXPECT_EQ(s.keyed_events(), 1u);
   s.run();
   EXPECT_EQ(order.back(), 4);
@@ -314,13 +319,14 @@ TEST(Simulation, TimersInterleaveWithStreamsInScheduleOrder) {
   // Timers sit in their own heap; ties with stream and plain events still
   // break by schedule order, and a re-filed key runs nothing.
   Simulation s;
-  const StreamId a = s.open_streams(1);
   std::vector<char> order;
-  s.schedule_on(a, 10, [&] { order.push_back('a'); });
+  const StreamId a =
+      s.open_stream([&order](std::uint64_t arg) { order.push_back(static_cast<char>(arg)); });
+  s.schedule_on(a, 10, 'a');
   TimerHandle t = s.schedule_timer(10, [&] { order.push_back('x'); });
-  s.schedule_on(a, 10, [&] { order.push_back('b'); });
+  s.schedule_on(a, 10, 'b');
   t = s.rearm_timer(t, 20, [&] { order.push_back('t'); });
-  s.schedule_on(a, 20, [&] { order.push_back('c'); });
+  s.schedule_on(a, 20, 'c');
   s.schedule_daemon_timer(20, [&] { order.push_back('d'); });
   EXPECT_EQ(s.pending_events(), 5u);
   EXPECT_EQ(s.live_pending_events(), 4u);
@@ -328,6 +334,170 @@ TEST(Simulation, TimersInterleaveWithStreamsInScheduleOrder) {
   s.run();
   EXPECT_EQ(order, (std::vector<char>{'a', 'b', 't', 'c', 'd'}));
   EXPECT_EQ(s.events_executed(), 5u);
+}
+
+// A handler runs after its entry has left the ring, so it may push onto its
+// own stream (even at the same instant) and open new streams, which moves
+// the stream table under it. (A handler captures at most 16 bytes, so the
+// test's state sits in one struct.)
+TEST(Simulation, StreamHandlerMayPushOntoItsOwnStreamAndOpenOthers) {
+  struct State {
+    Simulation s;
+    std::vector<std::pair<Time, int>> order;
+    StreamId a = 0;
+  } st;
+  st.a = st.s.open_stream([&st](std::uint64_t arg) {
+    const auto i = static_cast<int>(arg);
+    st.order.emplace_back(st.s.now(), i);
+    if (i == 0) {
+      StreamId last = 0;
+      for (int k = 0; k < 64; ++k)
+        last = st.s.open_stream(
+            [&st, k](std::uint64_t) { st.order.emplace_back(st.s.now(), 100 + k); });
+      st.s.schedule_on(last, st.s.now() + 1, 0);
+    }
+    if (i < 5) {
+      st.s.schedule_on(st.a, st.s.now(), arg + 10); // same instant, behind nothing
+      st.s.schedule_on(st.a, st.s.now() + 2, arg + 1);
+    }
+  });
+  st.s.schedule_on(st.a, 10, 0);
+  st.s.run();
+  EXPECT_EQ(st.s.stream_count(), 65u);
+  const std::vector<std::pair<Time, int>> expected = {
+      {10, 0}, {10, 10}, {11, 163}, {12, 1}, {12, 11}, {14, 2},
+      {14, 12}, {16, 3}, {16, 13}, {18, 4}, {18, 14}, {20, 5}};
+  EXPECT_EQ(st.order, expected);
+  EXPECT_EQ(st.s.pending_events(), 0u);
+  EXPECT_EQ(st.s.events_executed(), expected.size());
+}
+
+// Pushes and pops interleave so the ring's head moves around it: it wraps,
+// and it doubles while it holds entries on both sides of the wrap. Every
+// entry still pops in push order with its own time and arg.
+TEST(Simulation, StreamRingWrapsAndDoublesWhileNotEmpty) {
+  Simulation s;
+  std::vector<std::pair<Time, std::uint64_t>> popped;
+  const StreamId a =
+      s.open_stream([&](std::uint64_t arg) { popped.emplace_back(s.now(), arg); });
+  std::vector<std::pair<Time, std::uint64_t>> pushed;
+  Time tail = 0;
+  std::uint64_t next_arg = 0;
+  const auto push = [&](Time gap) {
+    tail += gap;
+    pushed.emplace_back(tail, next_arg);
+    s.schedule_on(a, tail, next_arg++);
+  };
+  // The first ring holds 16: pop 8 of 12, then 20 more wrap it and fill it,
+  // and the last 8 double it with its head mid-ring.
+  for (int i = 0; i < 12; ++i) push(1);
+  s.run_until(8);
+  EXPECT_EQ(popped.size(), 8u);
+  for (int i = 0; i < 20; ++i) push(1);
+  EXPECT_EQ(s.pending_events(), 24u);
+  EXPECT_EQ(s.keyed_events(), 1u);
+  std::mt19937 rng(7);
+  for (int round = 0; round < 200; ++round) {
+    const int n = static_cast<int>(rng() % 40);
+    for (int i = 0; i < n; ++i) push(static_cast<Time>(rng() % 3)); // ties included
+    s.run_until(s.now() + static_cast<Time>(rng() % 30));
+  }
+  s.run();
+  EXPECT_EQ(popped, pushed);
+  EXPECT_GT(pushed.size(), 3000u);
+  EXPECT_EQ(s.keyed_events(), 0u);
+}
+
+// A pipe may forget packets whose entries are still queued, as
+// Link::set_down does: each entry names its packet by seq, and a stale seq
+// finds nothing and does nothing, while entries pushed after it still run.
+TEST(Simulation, StreamEntriesOutlivingTheirPipesPacketsDoNothing) {
+  struct Pipe {
+    std::deque<std::uint64_t> ledger; // seqs still to be delivered
+    std::uint64_t next_seq = 0;
+    std::vector<std::uint64_t> delivered;
+    int stale = 0;
+  } pipe;
+  Simulation s;
+  const StreamId a = s.open_stream([&pipe](std::uint64_t seq) {
+    if (pipe.ledger.empty() || seq < pipe.ledger.front()) {
+      ++pipe.stale;
+      return;
+    }
+    pipe.delivered.push_back(seq);
+    pipe.ledger.pop_front();
+  });
+  const auto send = [&](Time at) {
+    pipe.ledger.push_back(pipe.next_seq);
+    s.schedule_on(a, at, pipe.next_seq++);
+  };
+  for (int i = 0; i < 20; ++i) send(100 + 10 * i);
+  s.schedule_at(125, [&] {
+    pipe.ledger.clear(); // down: the entries of seqs 3..19 stay queued
+    send(400);           // up again, behind them
+    send(400);
+  });
+  s.run();
+  EXPECT_EQ(pipe.delivered, (std::vector<std::uint64_t>{0, 1, 2, 20, 21}));
+  EXPECT_EQ(pipe.stale, 17);
+  EXPECT_EQ(s.pending_events(), 0u);
+  EXPECT_EQ(s.events_executed(), 23u); // 22 entries and the outage
+}
+
+// The heap keys order as one unsigned 128-bit number: it must agree with
+// the (at, order) order on every Time, negative ones included, and on
+// orders that differ only in their slot/stream bits. earliest_of_four picks
+// the first of equal children, as the scalar scan did.
+TEST(EventQueue, KeyOrderIsTimeThenOrder) {
+  using Key = EventQueue::Key;
+  constexpr Time kMax = std::numeric_limits<Time>::max();
+  constexpr Time kMin = std::numeric_limits<Time>::min();
+  constexpr std::uint64_t kStream = 1u << 23;
+  const std::vector<Time> times = {kMin, kMin + 1, -5, -1, 0, 1, 2, kMax - 1, kMax};
+  const std::vector<std::uint64_t> orders = {
+      0, 1, kStream, kStream | 1, (7ull << 24) | 3, (7ull << 24) | kStream | 3,
+      (7ull << 24) | 4, (8ull << 24), ~0ull};
+  std::vector<Key> keys;
+  for (Time t : times)
+    for (std::uint64_t o : orders) keys.push_back(Key{t, o});
+  const auto scalar = [](const Key& a, const Key& b) {
+    return a.at != b.at ? a.at < b.at : a.order < b.order;
+  };
+  for (const Key& a : keys)
+    for (const Key& b : keys)
+      ASSERT_EQ(EventQueue::earlier(a, b), scalar(a, b))
+          << a.at << "/" << a.order << " vs " << b.at << "/" << b.order;
+  const std::vector<Key> few = {Key{kMin, 0}, Key{-1, 5},       Key{0, 0},
+                                Key{0, 1},    Key{0, kStream}, Key{1, 0},
+                                Key{kMax, 0}, Key{kMax, ~0ull}};
+  const std::size_t m = few.size();
+  for (std::size_t i = 0; i < m * m * m * m; ++i) {
+    const Key c[4] = {few[i % m], few[i / m % m], few[i / m / m % m], few[i / m / m / m]};
+    std::size_t best = 0;
+    for (std::size_t k = 1; k < 4; ++k)
+      if (scalar(c[k], c[best])) best = k;
+    ASSERT_EQ(EventQueue::earliest_of_four(c), best) << "tuple " << i;
+  }
+}
+
+// The same through a queue: negative times (which a Simulation's clock never
+// schedules) pop before zero, and ties pop in push order, on the event heap
+// and through a stream alike.
+TEST(EventQueue, PopsNegativeAndExtremeTimesInOrder) {
+  EventQueue q;
+  std::vector<int> order;
+  const std::vector<Time> times = {std::numeric_limits<Time>::max(), 1, 0, -1, -7,
+                                   std::numeric_limits<Time>::min(), 0, -7,
+                                   std::numeric_limits<Time>::max()};
+  for (std::size_t i = 0; i < times.size(); ++i)
+    q.push(times[i], [&order, i] { order.push_back(static_cast<int>(i)); });
+  const EventQueue::StreamId st =
+      q.open_stream([&order](std::uint64_t arg) { order.push_back(static_cast<int>(arg)); });
+  for (int i = 0; i < 3; ++i) q.push_stream(st, -3 + i, static_cast<std::uint64_t>(100 + i));
+  std::vector<Time> at;
+  while (!q.empty()) q.pop_and_run([&at](Time t, bool) { at.push_back(t); });
+  EXPECT_EQ(order, (std::vector<int>{5, 4, 7, 100, 101, 3, 102, 2, 6, 1, 0, 8}));
+  EXPECT_TRUE(std::is_sorted(at.begin(), at.end()));
 }
 
 TEST(EventFn, InvokesAndClearsOnReset) {
@@ -573,9 +743,7 @@ FuzzTrace run_script(const FuzzScript& sc) {
   std::vector<HandleT> handles(sc.children.size());
   FuzzTrace trace;
   int next_id = static_cast<int>(sc.root_times.size());
-  StreamId first_stream = 0;
-  if constexpr (std::is_same_v<HandleT, TimerHandle>)
-    first_stream = s.open_streams(FuzzScript::kStreams);
+  std::vector<StreamId> streams;
   // Times of each stream's queued pushes, to count the pushes that land
   // earlier than one of them (the plain-event path).
   std::vector<std::multiset<Time>> queued(FuzzScript::kStreams);
@@ -622,8 +790,8 @@ FuzzTrace run_script(const FuzzScript& sc) {
           q.insert(at);
           stream_of[slot] = c.stream;
           if constexpr (std::is_same_v<HandleT, TimerHandle>) {
-            s.schedule_on(first_stream + static_cast<StreamId>(c.stream), at,
-                          [&fire, cid] { fire(cid); });
+            s.schedule_on(streams[static_cast<std::size_t>(c.stream)], at,
+                          static_cast<std::uint64_t>(cid));
           } else {
             s.schedule_at(at, [&fire, cid] { fire(cid); });
           }
@@ -639,6 +807,10 @@ FuzzTrace run_script(const FuzzScript& sc) {
     }
   };
 
+  if constexpr (std::is_same_v<HandleT, TimerHandle>)
+    for (int k = 0; k < FuzzScript::kStreams; ++k)
+      streams.push_back(
+          s.open_stream([&fire](std::uint64_t id) { fire(static_cast<int>(id)); }));
   for (int i = 0; i < static_cast<int>(sc.root_times.size()); ++i)
     s.schedule_at(sc.root_times[static_cast<std::size_t>(i)], [&fire, i] { fire(i); });
   s.run();
