@@ -102,10 +102,10 @@ const Link::Counters& Link::counters_from(const Node& sender) const {
 
 void Link::drain(Direction& dir) {
   const Time now = sim_.now();
-  for (; dir.serializing < dir.next_seq && dir.at(dir.serializing).finish <= now; ++dir.serializing)
-    dir.backlog_bytes -= dir.at(dir.serializing).bytes;
-  while (!dir.ledger.empty() && dir.ledger.front().seq < dir.serializing &&
-         !dir.ledger.front().deliver)
+  for (; dir.serializing < dir.ledger.tail() && dir.ledger.at(dir.serializing).finish <= now;
+       ++dir.serializing)
+    dir.backlog_bytes -= dir.ledger.at(dir.serializing).bytes;
+  while (dir.ledger.head() < dir.serializing && !dir.ledger.front().deliver)
     dir.ledger.pop_front();
 }
 
@@ -153,8 +153,8 @@ void Link::set_rate(BitsPerSecond rate) {
 void Link::replan(Direction& dir, BitsPerSecond old_rate) {
   const Time now = sim_.now();
   Time prev_finish = -1;
-  for (std::uint64_t seq = dir.serializing; seq < dir.next_seq; ++seq) {
-    Record& rec = dir.at(seq);
+  for (std::uint64_t seq = dir.serializing; seq < dir.ledger.tail(); ++seq) {
+    Record& rec = dir.ledger.at(seq);
     if (rec.finish <= now) continue; // fully serialized; only propagation remains
     Time start = rec.start;
     if (prev_finish >= 0 && start < prev_finish) start = prev_finish;
@@ -172,7 +172,7 @@ void Link::replan(Direction& dir, BitsPerSecond old_rate) {
     // the other finds nothing to deliver and is inert.
     if (rec.deliver && finish < rec.finish)
       sim_.schedule_at(finish + config_.propagation,
-                       [this, dirp = &dir, seq = rec.seq] { deliver_event(*dirp, seq); });
+                       [this, dirp = &dir, seq] { deliver_event(*dirp, seq); });
     rec.finish = finish;
     prev_finish = finish;
   }
@@ -184,7 +184,8 @@ void Link::set_down() {
   down_ = true;
   const Time now = sim_.now();
   for (Direction* d : {&a_to_b_, &b_to_a_}) {
-    for (const Record& rec : d->ledger) {
+    for (std::uint64_t seq = d->ledger.head(); seq < d->ledger.tail(); ++seq) {
+      const Record& rec = d->ledger.at(seq);
       if (!rec.deliver) continue; // lost on the wire, or delivered
       ++d->counters.dropped_down;
       trace::emit(trace::kCatLink, now, from_of(*d).id(), "drop_down", {"to", d->to->id()},
@@ -193,8 +194,8 @@ void Link::set_down() {
         attr::transition_matching(owner, rec.pkt.idx, rec.pkt.off, attr::Component::kRtoStall,
                                   now);
     }
-    d->ledger.clear();
-    d->serializing = d->next_seq;
+    d->ledger.clear(); // its tail stays: stale deliveries find seq < head
+    d->serializing = d->ledger.tail();
     d->backlog_bytes = 0;
     d->busy_until = std::min(d->busy_until, now); // the port is idle when it comes back
   }
@@ -222,8 +223,8 @@ void Link::set_burst_loss(const BurstLossConfig& cfg) {
 
 void Link::deliver_event(Direction& dir, std::uint64_t seq) {
   // Killed by set_down (its record is gone), or a twin already delivered.
-  if (dir.ledger.empty() || seq < dir.ledger.front().seq) return;
-  Record& rec = dir.at(seq);
+  if (seq < dir.ledger.head()) return;
+  Record& rec = dir.ledger.at(seq);
   if (!rec.deliver) return;
   const Time at = rec.finish + config_.propagation;
   if (at > sim_.now()) {
@@ -312,11 +313,11 @@ void Link::transmit(const Node& sender, Direction& dir, Packet&& p, Time earlies
   const Time finish = start + serialization_time(wire, config_.rate);
   dir.busy_until = finish;
   dir.backlog_bytes += wire;
-  const std::uint64_t seq = dir.next_seq++;
+  const std::uint64_t seq = dir.ledger.tail();
   // The record owns the packet from here on. A lost packet keeps its record,
   // without `deliver`, until its serialization ends: it occupies the port
   // all the same.
-  Record& rec = dir.ledger.emplace_back(seq, start, finish, wire, wire * 8, std::move(p), false);
+  Record& rec = dir.ledger.emplace_back(start, finish, false, wire, wire * 8, std::move(p));
 
   if (attributed) {
     attr::transition_matching(owner, rec.pkt.idx, owner_off, attr::Component::kLinkQueue,

@@ -6,7 +6,10 @@
 // packet. A direction is a FIFO pipe with one ledger: a record per
 // transmitted packet, in sequence order, that owns the packet until its
 // delivery (a lost packet's record only holds the port until its
-// serialization ends). Queue occupancy is the ledger's tail of unfinished
+// serialization ends). The ledger is a PipeFifo (net/pipe_fifo.hpp) whose
+// position is the record's seq, so a delivery finds its record with one
+// chunk-pointer load, and a rolling direction recycles its chunks instead of
+// allocating. Queue occupancy is the ledger's tail of unfinished
 // serializations, advanced lazily. Deliveries ride one ordered event stream
 // per direction (sim::Simulation::schedule_on), hold one event-heap key
 // between them, and carry only their record's sequence number, the arg of
@@ -24,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -32,6 +34,7 @@
 #include "common/histogram.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
+#include "net/pipe_fifo.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulation.hpp"
 
@@ -138,18 +141,18 @@ private:
   // delivery event re-checks that time when it pops (set_rate may have moved
   // it: a twin chases an earlier one, an early pop reschedules itself) and
   // ignores itself once `deliver` is clear or the record is gone (set_down).
+  // Its seq is its ledger position, and `drain` reads only its first 32
+  // bytes (`finish`, `deliver`, `bytes`).
   struct Record {
-    std::uint64_t seq = 0;
     Time start = 0;
     Time finish = 0;
+    bool deliver = false; // still to be delivered: not lost, not yet delivered
     std::int64_t bytes = 0;
     // Bits still to clock out from `start` on: all of them until a re-plan
     // moves `start` into the serialization.
     std::int64_t bits_left = 0;
     Packet pkt;
-    bool deliver = false; // still to be delivered: not lost, not yet delivered
   };
-  static_assert(sizeof(Record) <= 256, "two ledger records per 512-byte deque node");
 
   struct Direction {
     Direction(Node* to, int to_port, sim::StreamId stream, sim::Rng rng)
@@ -158,13 +161,11 @@ private:
     int to_port;
     sim::StreamId stream; // the deliveries' event stream
     Time busy_until = 0;
-    // Records in seq order, from the oldest still serializing or still to be
-    // delivered through next_seq - 1; finishes never decrease along it.
-    std::deque<Record> ledger;
+    // Records at their seqs, from the oldest still serializing or still to be
+    // delivered; finishes never decrease along it. Its tail is the next seq.
+    PipeFifo<Record> ledger;
     std::uint64_t serializing = 0;  // seq of the first unfinished serialization
-    std::int64_t backlog_bytes = 0; // bytes of records [serializing, next_seq)
-    std::uint64_t next_seq = 0;
-    Record& at(std::uint64_t seq) { return ledger[seq - ledger.front().seq]; }
+    std::int64_t backlog_bytes = 0; // bytes of records [serializing, ledger.tail())
     bool burst_bad = false;                // Gilbert-Elliott chain state
     std::optional<sim::Rng> burst_rng;     // own stream; absent until bursts enabled
     Counters counters;
@@ -180,7 +181,7 @@ private:
   // drops the front records that are finished and owe no delivery.
   void drain(Direction& dir);
   [[nodiscard]] static std::int64_t queue_pkts(const Direction& dir) {
-    return static_cast<std::int64_t>(dir.next_seq - dir.serializing);
+    return static_cast<std::int64_t>(dir.ledger.tail() - dir.serializing);
   }
   void stamp_int(const Node& sender, Direction& dir, Packet& p, Time earliest_start);
   void transmit(const Node& sender, Direction& dir, Packet&& p, Time earliest_start);

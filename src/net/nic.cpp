@@ -68,7 +68,7 @@ void HostNic::receive(int core, Packet&& p) {
 void HostNic::complete(int core) {
   // The consumer may queue more packets on this lane (a colocated PS shard
   // answering its own worker); appending keeps the front where it is.
-  std::deque<Arrival>& waiting = lanes_[static_cast<std::size_t>(core)].waiting;
+  PipeFifo<Arrival>& waiting = lanes_[static_cast<std::size_t>(core)].waiting;
   consume_(std::move(waiting.front().pkt), waiting.front().at);
   waiting.pop_front();
 }

@@ -10,13 +10,14 @@
 // the below-line-rate behaviour at 100 Gbps with only 4 cores (§5.1).
 //
 // A lane processes its received packets in arrival order, so it owns each
-// one until its RX completion. The completions ride the lane's ordered event
-// stream, whose one handler hands the lane's front packet to the host's
-// consume callback; an event carries no closure and no arg.
+// one until its RX completion, in a PipeFifo (net/pipe_fifo.hpp) that
+// recycles its chunks: a rolling lane allocates nothing. The completions
+// ride the lane's ordered event stream, whose one handler hands the lane's
+// front packet to the host's consume callback; an event carries no closure
+// and no arg.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
@@ -24,6 +25,7 @@
 
 #include "common/units.hpp"
 #include "net/packet.hpp"
+#include "net/pipe_fifo.hpp"
 #include "net/rdma_uc.hpp"
 #include "sim/simulation.hpp"
 
@@ -86,8 +88,8 @@ private:
   };
   struct Lane {
     Time busy_until = 0;
-    std::deque<Arrival> waiting; // in completion order
-    sim::StreamId stream = 0;    // its RX completions
+    PipeFifo<Arrival> waiting; // in completion order
+    sim::StreamId stream = 0;  // its RX completions
   };
 
   [[nodiscard]] Time base_cost(Time per_packet, double per_byte, std::int64_t bytes) const;

@@ -1,12 +1,14 @@
 // Heap allocations on the steady-state packet path. A counting global
 // operator new (this binary's own, because the replacement is global)
 // measures a warm second reduction: the first one grows the event slab, the
-// heaps, the streams' rings and the pipes' ledgers to their working size.
+// heaps, the streams' rings and the pipes' chunk maps to their working size.
 // Each test bounds the allocations per SwitchML update, or per
-// reliable-transport segment on the NCCL ring, from above. What is left is
-// one deque node per two records of each link direction's ledger and each
-// NIC lane, plus data mode's payload vectors. The transport is pinned to
-// UDP, the bounds' own.
+// reliable-transport segment on the NCCL ring, from above, at the counts
+// measured with its bound. A link direction or NIC lane that rolls recycles
+// its chunks (net/pipe_fifo.hpp) and allocates nothing, as
+// RollingPipesAllocateNothing pins; what is left is the chunks a pipe opens
+// past its two spares when a reduction's first window bursts in, plus data
+// mode's payload vectors. The transport is pinned to UDP, the bounds' own.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +21,8 @@
 #include "collectives/ring.hpp"
 #include "core/cluster.hpp"
 #include "core/profiles.hpp"
+#include "net/link.hpp"
+#include "net/nic.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -74,7 +78,7 @@ TEST(Allocations, TimingRackPerUpdate) {
   core::Fabric f(rack_100g(true));
   const double per_update =
       per_unit_when_warm([&] { f.reduce_timing(1 << 18); }, [&] { return updates_sent(f); });
-  EXPECT_LE(per_update, 1.501); // 1.5004: two link hops and one NIC lane
+  EXPECT_LE(per_update, 0.0065); // 0.0064: window bursts past the pipes' spares
 }
 
 TEST(Allocations, DataRackPerUpdate) {
@@ -82,7 +86,7 @@ TEST(Allocations, DataRackPerUpdate) {
   const std::vector<std::vector<std::int32_t>> updates(8, std::vector<std::int32_t>(1 << 16, 3));
   const double per_update =
       per_unit_when_warm([&] { (void)f.reduce_i32(updates); }, [&] { return updates_sent(f); });
-  EXPECT_LE(per_update, 3.628); // 3.6271: plus one payload per packet
+  EXPECT_LE(per_update, 2.152); // 2.1511: plus 2.125 payload vectors per update
 }
 
 TEST(Allocations, NcclRingPerSegment) {
@@ -100,7 +104,53 @@ TEST(Allocations, NcclRingPerSegment) {
     return n;
   };
   const double per_segment = per_unit_when_warm([&] { ring.run(4 * kMiB); }, segments);
-  EXPECT_LE(per_segment, 3.012); // 3.0111
+  EXPECT_LE(per_segment, 0.131); // 0.1300
+}
+
+class SinkNode : public net::Node {
+public:
+  using Node::Node;
+  void receive(net::Packet&&, int) override { ++received; }
+  std::uint64_t received = 0;
+};
+
+net::Packet timing_update() {
+  net::Packet p;
+  p.kind = net::PacketKind::SmlUpdate;
+  p.elem_count = net::kDefaultElemsPerPacket;
+  return p;
+}
+
+// Allocations made by `batches` batches of 16 timing packets, each batch
+// run until the simulation is quiet, after as many batches of warm-up.
+template <typename Send>
+std::uint64_t allocations_rolling(sim::Simulation& sim, Send&& send, int batches) {
+  const auto run = [&] {
+    for (int b = 0; b < batches; ++b) {
+      for (int i = 0; i < 16; ++i) send();
+      sim.run();
+    }
+  };
+  run();
+  const std::uint64_t allocs = g_allocations.load();
+  run();
+  return g_allocations.load() - allocs;
+}
+
+TEST(Allocations, RollingPipesAllocateNothing) {
+  sim::Simulation sim;
+  SinkNode a{sim, 0, "a"};
+  SinkNode b{sim, 1, "b"};
+  net::Link link(sim, net::LinkConfig{}, a, 0, b, 0, 1);
+  net::NicConfig nic_cfg;
+  nic_cfg.cores = 1;
+  std::uint64_t consumed = 0;
+  net::HostNic nic(sim, nic_cfg, [&](net::Packet&&, Time) { ++consumed; });
+
+  EXPECT_EQ(allocations_rolling(sim, [&] { link.send_from(a, timing_update()); }, 1000), 0u);
+  EXPECT_EQ(b.received, 32'000u);
+  EXPECT_EQ(allocations_rolling(sim, [&] { nic.receive(0, timing_update()); }, 1000), 0u);
+  EXPECT_EQ(consumed, 32'000u);
 }
 
 } // namespace

@@ -1,6 +1,6 @@
-// Network substrate tests: packet wire sizes, link timing/queueing/loss and
-// trace events, NIC core model, L2 switch forwarding/multicast, reliable
-// transport.
+// Network substrate tests: packet wire sizes, the pipes' chunk FIFO, link
+// timing/queueing/loss and trace events, NIC core model, L2 switch
+// forwarding/multicast, reliable transport.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +15,7 @@
 #include "net/link.hpp"
 #include "net/nic.hpp"
 #include "net/packet.hpp"
+#include "net/pipe_fifo.hpp"
 #include "net/reliable.hpp"
 
 namespace switchml::net {
@@ -411,11 +412,192 @@ TEST_F(LinkFixture, StaleDeliveriesAfterSetDownDoNothing) {
   EXPECT_EQ(sim.events_executed(), 7u); // 2 outage events, 3 stale deliveries, 2 deliveries
 }
 
+// A set_down with 50 records over four ledger chunks, 43 of them still to be
+// delivered, then 60 more sends: the new packets take the seqs after the
+// dead ones, so every stale delivery finds its seq below the ledger's head.
+// The first 48 new deliveries are earlier than the stale tail (plain
+// events), the last 12 queue behind it in the stream.
+TEST_F(LinkFixture, SetDownAcrossLedgerChunksKeepsSeqsRunning) {
+  cfg.rate = gbps(8);
+  cfg.propagation = nsec(1000);
+  Link link(sim, cfg, a, 0, b, 0, 1);
+  link.set_drop_filter([](const Node&, const Packet& p) { return p.seq % 7 == 3; });
+  std::uint64_t next = 0;
+  const auto send = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      Packet p = raw_packet(946); // 1000 B: 1000 ns at 8 Gbps
+      p.seq = next++;
+      link.send_from(a, std::move(p));
+    }
+  };
+  send(50); // packet i serializes over [1000 i, 1000 (i + 1)), delivered 1000 later
+  std::vector<std::int64_t> depth;
+  sim.schedule_at(1500, [&] {
+    depth.push_back(link.queue_depth_pkts(a));
+    link.set_down();
+    depth.push_back(link.queue_depth_pkts(a));
+  });
+  sim.schedule_at(1600, [&] {
+    link.set_up();
+    send(60); // new packet j serializes from 1600 + 1000 j, delivered at 3600 + 1000 j
+    depth.push_back(link.queue_depth_pkts(a));
+  });
+  sim.run();
+
+  EXPECT_EQ(depth, (std::vector<std::int64_t>{49, 0, 60}));
+  std::vector<std::uint64_t> want_seqs;
+  for (std::uint64_t s = 50; s < 110; ++s)
+    if (s % 7 != 3) want_seqs.push_back(s);
+  ASSERT_EQ(b.arrivals.size(), want_seqs.size());
+  for (std::size_t i = 0; i < want_seqs.size(); ++i) {
+    const auto& [at, port, pkt] = b.arrivals[i];
+    EXPECT_EQ(pkt.seq, want_seqs[i]);
+    EXPECT_EQ(at, 3600 + 1000 * static_cast<Time>(pkt.seq - 50));
+  }
+  const Link::Counters& c = link.counters_from(a);
+  EXPECT_EQ(c.tx_packets, 110u);
+  EXPECT_EQ(c.dropped_loss, 16u);
+  EXPECT_EQ(c.dropped_down, 43u);
+  EXPECT_EQ(c.delivered_packets, 51u);
+  EXPECT_EQ(link.queue_depth_pkts(a), 0);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.events_executed(), 96u); // 2 outage events, 43 stale deliveries, 51 deliveries
+}
+
 TEST_F(LinkFixture, NonEndpointSenderThrows) {
   Link link(sim, cfg, a, 0, b, 0, 1);
   SinkNode c{sim, 2, "c"};
   EXPECT_THROW(link.send_from(c, raw_packet(10)), std::invalid_argument);
 }
+
+// --------------------------------------------------------------- PipeFifo
+
+// Pushes and pops in runs that empty the pipe mid-chunk and on a chunk
+// boundary, and fill it across several chunks: each entry stays at the
+// position it was pushed at, and positions never restart.
+TEST(PipeFifo, PositionsContinueAcrossChunksAndEmptyPipes) {
+  PipeFifo<std::uint64_t> fifo;
+  std::uint64_t next = 0;
+  const std::vector<std::pair<int, int>> runs = {{5, 5},  {40, 30}, {3, 13}, {16, 0},
+                                                 {0, 16}, {1, 1},   {33, 20}, {0, 13}};
+  for (const auto& [pushes, pops] : runs) {
+    for (int i = 0; i < pushes; ++i) {
+      EXPECT_EQ(fifo.tail(), next);
+      EXPECT_EQ(fifo.emplace_back(next), next);
+      ++next;
+    }
+    for (int i = 0; i < pops; ++i) {
+      EXPECT_EQ(fifo.front(), fifo.head());
+      fifo.pop_front();
+    }
+    ASSERT_EQ(fifo.tail(), next);
+    for (std::uint64_t pos = fifo.head(); pos < fifo.tail(); ++pos) EXPECT_EQ(fifo.at(pos), pos);
+  }
+  EXPECT_TRUE(fifo.empty());
+  EXPECT_EQ(fifo.head(), 98u);
+}
+
+// An entry's address is fixed from push to pop. Here the chunks in use wrap
+// around the end of the chunk-pointer ring (chunks 5..12 in its first 8
+// slots) when it doubles, and again when it doubles once more.
+TEST(PipeFifo, EntriesStayPutWhileTheChunkMapGrows) {
+  PipeFifo<std::uint64_t> fifo;
+  for (std::uint64_t pos = 0; pos < 80; ++pos) fifo.emplace_back(pos);
+  for (int i = 0; i < 80; ++i) fifo.pop_front(); // head at chunk 5
+  std::vector<const std::uint64_t*> where;
+  for (std::uint64_t pos = 80; pos < 400; ++pos) where.push_back(&fifo.emplace_back(pos));
+  for (int i = 0; i < 40; ++i) fifo.pop_front();
+  for (std::uint64_t pos = 400; pos < 700; ++pos) fifo.emplace_back(pos);
+  for (std::uint64_t pos = fifo.head(); pos < 400; ++pos) {
+    EXPECT_EQ(&fifo.at(pos), where[pos - 80]);
+    EXPECT_EQ(fifo.at(pos), pos);
+  }
+  for (std::uint64_t pos = 400; pos < 700; ++pos) EXPECT_EQ(fifo.at(pos), pos);
+}
+
+// Counts its live instances and owns payload vectors, which LeakSanitizer
+// would report if an entry were never destroyed.
+struct LivePacket {
+  explicit LivePacket(int& live_count) : live(&live_count) {
+    ++*live;
+    pkt.values.assign(32, 7);
+    pkt.int_stack.assign(16, 1);
+  }
+  LivePacket(const LivePacket&) = delete;
+  LivePacket& operator=(const LivePacket&) = delete;
+  ~LivePacket() { --*live; }
+  int* live;
+  Packet pkt;
+};
+
+TEST(PipeFifo, ClearAndDestructorDestroyLiveEntries) {
+  int live = 0;
+  {
+    PipeFifo<LivePacket> fifo;
+    for (int i = 0; i < 40; ++i) fifo.emplace_back(live);
+    for (int i = 0; i < 5; ++i) fifo.pop_front();
+    EXPECT_EQ(live, 35);
+    fifo.clear();
+    EXPECT_EQ(live, 0);
+    EXPECT_TRUE(fifo.empty());
+    EXPECT_EQ(fifo.head(), 40u); // the position is not rewound
+    for (int i = 0; i < 20; ++i) fifo.emplace_back(live);
+    EXPECT_EQ(fifo.head(), 40u);
+    EXPECT_EQ(fifo.tail(), 60u);
+    EXPECT_EQ(live, 20);
+  }
+  EXPECT_EQ(live, 0);
+}
+
+// A vector of pipes, like a NIC's lanes, moves them when it reallocates: a
+// moved pipe keeps its entries, positions and spares, and the pipe it left
+// is empty at position 0.
+TEST(PipeFifo, MovedPipeKeepsItsEntries) {
+  std::vector<PipeFifo<Packet>> lanes(1);
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    Packet& p = lanes[0].emplace_back();
+    p.idx = i;
+    p.values.assign(4, static_cast<std::int32_t>(i));
+  }
+  for (int i = 0; i < 20; ++i) lanes[0].pop_front(); // one chunk to spare
+  const Packet* front = &lanes[0].front();
+  const std::size_t capacity = lanes.capacity();
+  while (lanes.capacity() == capacity) lanes.emplace_back();
+  PipeFifo<Packet>& moved = lanes[0];
+  EXPECT_EQ(&moved.front(), front);
+  EXPECT_EQ(moved.head(), 20u);
+  EXPECT_EQ(moved.tail(), 40u);
+  for (std::uint32_t i = 40; i < 70; ++i) moved.emplace_back().idx = i;
+  for (std::uint64_t pos = 20; pos < 70; ++pos) {
+    EXPECT_EQ(moved.front().idx, pos);
+    if (pos < 40) {
+      EXPECT_EQ(moved.front().values, std::vector<std::int32_t>(4, static_cast<std::int32_t>(pos)));
+    }
+    moved.pop_front();
+  }
+  EXPECT_TRUE(moved.empty());
+
+  PipeFifo<Packet> taken(std::move(moved));
+  EXPECT_EQ(taken.head(), 70u);
+  EXPECT_TRUE(moved.empty());
+  EXPECT_EQ(moved.tail(), 0u);
+  moved.emplace_back().idx = 1;
+  EXPECT_EQ(moved.front().idx, 1u);
+}
+
+#ifdef _GLIBCXX_ASSERTIONS
+// With the standard library's own assertions on, a position outside the
+// pipe aborts, as an out-of-range std::deque index does.
+TEST(PipeFifoDeathTest, PositionOutsideThePipeAborts) {
+  PipeFifo<std::uint64_t> fifo;
+  for (std::uint64_t pos = 0; pos < 20; ++pos) fifo.emplace_back(pos);
+  fifo.pop_front();
+  EXPECT_DEATH(fifo.at(0), "outside \\[1, 20\\)");
+  EXPECT_DEATH(fifo.at(20), "outside");
+  fifo.clear();
+  EXPECT_DEATH(fifo.front(), "outside");
+}
+#endif
 
 // --------------------------------------------------------------------- NIC
 
