@@ -108,8 +108,9 @@ inline std::string sanitize_label(std::string label) {
 
 inline std::string timeline_path(const TimelineRequest& req, const std::string& label) {
   const bool csv = req.prefix.size() > 4 && req.prefix.ends_with(".csv");
-  const std::string base = csv ? req.prefix.substr(0, req.prefix.size() - 4) : req.prefix;
-  return base + (label.empty() ? "" : "_" + sanitize_label(label)) + (csv ? ".csv" : ".jsonl");
+  std::string path = csv ? req.prefix.substr(0, req.prefix.size() - 4) : req.prefix;
+  if (!label.empty()) path.append("_").append(sanitize_label(label));
+  return path.append(csv ? ".csv" : ".jsonl");
 }
 
 // Collects one labeled MetricsRegistry snapshot per measured configuration
@@ -193,18 +194,13 @@ private:
 // is decomposed into the attribution components (DESIGN.md "Time
 // attribution"). Construct BEFORE the cluster under test: the fabric registers
 // its attr.* counters only when a ledger is ambient at construction, which
-// keeps untouched runs' metric registries bit-identical. No-op (and
-// ledger() == nullptr) when SWITCHML_ATTRIBUTION=0 compiles the ledger out.
+// keeps untouched runs' metric registries bit-identical.
 class ScopedAttribution {
 public:
-  explicit ScopedAttribution(std::size_t record_capacity = 1u << 16) {
-    if constexpr (attr::kCompiledIn) {
-      ledger_ = std::make_unique<attr::SpanLedger>(record_capacity);
-      scope_ = std::make_unique<attr::SpanLedger::Scope>(ledger_.get());
-    }
-  }
+  explicit ScopedAttribution(std::size_t record_capacity = 1u << 16)
+      : ledger_(record_capacity), scope_(&ledger_) {}
 
-  [[nodiscard]] attr::SpanLedger* ledger() { return ledger_.get(); }
+  [[nodiscard]] const attr::SpanLedger& ledger() const { return ledger_; }
 
   // Folds the run's component totals into the report as sim-deterministic
   // metrics: "<label>.attr.<component>_ns" for all ten components, the
@@ -212,31 +208,30 @@ public:
   // the components partition each chunk's [open, close] span by
   // construction, and the recorded baselines pin that invariant).
   void report(BenchReport& report, const std::string& label) const {
-    if (!ledger_) return;
     const std::string prefix = (label.empty() ? "" : label + ".") + "attr.";
     for (std::size_t c = 0; c < attr::kComponentCount; ++c) {
       const auto comp = static_cast<attr::Component>(c);
       report.add(prefix + attr::to_string(comp) + "_ns",
-                 static_cast<double>(ledger_->total(comp)));
+                 static_cast<double>(ledger_.total(comp)));
     }
-    report.add(prefix + "chunks_closed", static_cast<double>(ledger_->chunks_closed()));
-    report.add(prefix + "max_residual_ns", static_cast<double>(ledger_->max_residual_ns()));
+    report.add(prefix + "chunks_closed", static_cast<double>(ledger_.chunks_closed()));
+    report.add(prefix + "max_residual_ns", static_cast<double>(ledger_.max_residual_ns()));
   }
 
   // Writes the per-chunk span records (one JSON object per line) for the
   // offline extractor, scripts/critical_path.py.
   void write_jsonl(const std::string& path) const {
-    if (ledger_ && !path.empty()) ledger_->write_jsonl(path);
+    if (!path.empty()) ledger_.write_jsonl(path);
   }
 
 private:
-  std::unique_ptr<attr::SpanLedger> ledger_;
-  std::unique_ptr<attr::SpanLedger::Scope> scope_;
+  attr::SpanLedger ledger_;
+  attr::SpanLedger::Scope scope_;
 };
 
 // Merges every registered histogram whose name ends in `suffix` (e.g.
 // ".rtt_ns" across all workers or transport hosts) into one distribution.
-// Empty result when nothing matches or histograms are compiled out.
+// Empty result when nothing matches.
 inline Histogram merged_histogram(const MetricsRegistry& registry, std::string_view suffix) {
   Histogram merged;
   for (const auto& [name, h] : registry.histograms())
@@ -264,7 +259,7 @@ struct RateResult {
   double tat_ms = 0.0;     // median TAT per aggregation
   double rtt_us = 0.0;     // worker 0's median per-packet RTT (fabric runs)
   // Tail/violin statistics derived from the registry's latency histograms
-  // (0 when the protocol records none, or histograms are compiled out):
+  // (0 when the protocol records none):
   double rtt_p99_us = 0.0;   // p99 per-packet RTT, merged across hosts
   double dwell_p99_us = 0.0; // p99 switch slot dwell (claim -> complete)
   double tat_p50_ms = 0.0;   // per-worker tensor-completion violin (fig 4)

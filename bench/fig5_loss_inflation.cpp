@@ -84,17 +84,15 @@ int main(int argc, char** argv) {
       if (loss == 0.01) {
         attrib.report(report, tag + "switchml-adaptive-rto");
         attrib.write_jsonl("fig5_attribution.jsonl");
-        if (const attr::SpanLedger* l = attrib.ledger()) {
-          const double tot = static_cast<double>(l->total_ns());
-          std::printf("chunk-time attribution at 1%% loss (adaptive RTO, >=1%% shares): ");
-          for (std::size_t c = 0; c < attr::kComponentCount; ++c) {
-            const auto comp = static_cast<attr::Component>(c);
-            const double share =
-                tot > 0 ? 100.0 * static_cast<double>(l->total(comp)) / tot : 0.0;
-            if (share >= 1.0) std::printf("%s %.0f%%  ", attr::to_string(comp), share);
-          }
-          std::printf("-> fig5_attribution.jsonl\n");
+        const attr::SpanLedger& l = attrib.ledger();
+        const double tot = static_cast<double>(l.total_ns());
+        std::printf("chunk-time attribution at 1%% loss (adaptive RTO, >=1%% shares): ");
+        for (std::size_t c = 0; c < attr::kComponentCount; ++c) {
+          const auto comp = static_cast<attr::Component>(c);
+          const double share = tot > 0 ? 100.0 * static_cast<double>(l.total(comp)) / tot : 0.0;
+          if (share >= 1.0) std::printf("%s %.0f%%  ", attr::to_string(comp), share);
         }
+        std::printf("-> fig5_attribution.jsonl\n");
       }
     }
     const double fixed = fixed_r.tat_ms;

@@ -61,11 +61,6 @@ int main(int argc, char** argv) {
   const BitsPerSecond rate = gbps(10);
   const int workers = 8;
 
-  if (!inttel::kCompiledIn) {
-    std::printf("int_sweep: telemetry stack compiled out (SWITCHML_INT=0); nothing to do\n");
-    return 0;
-  }
-
   std::printf("=== INT sweep: fault localization from in-band telemetry "
               "(10 Gbps, %d workers, on-wire mode) ===\n",
               workers);

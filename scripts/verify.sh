@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification: configure, build, run the full ctest suite, then
-# rebuild the observability-critical tests under ASan+UBSan and run those.
+# Tier-1 verification: configure, build (warnings are errors), run the full
+# ctest suite, then rebuild the observability-critical tests under ASan+UBSan
+# and run those.
 #
 # Usage: scripts/verify.sh [build-dir]
 set -euo pipefail
@@ -10,7 +11,7 @@ build_dir="${1:-$repo_root/build-verify}"
 jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
 echo "== tier-1: build + ctest =="
-cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
+cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release -DSWITCHML_WERROR=ON
 cmake --build "$build_dir" -j "$jobs"
 ctest --test-dir "$build_dir" --output-on-failure
 

@@ -10,11 +10,6 @@ namespace switchml::attr {
 
 namespace {
 
-SpanLedger*& ambient_ledger() {
-  thread_local SpanLedger* current = nullptr;
-  return current;
-}
-
 constexpr const char* kComponentNames[kComponentCount] = {
     "host_tx",   "link_queue",   "wire",    "prop",     "switch_wait",
     "switch_ready", "host_rx", "rto_stall", "recovery", "fallback"};
@@ -209,13 +204,5 @@ void SpanLedger::write_jsonl(const std::string& path) const {
   if (!out) throw std::runtime_error("SpanLedger: cannot open '" + path + "' for writing");
   out << jsonl();
 }
-
-SpanLedger* SpanLedger::current() { return ambient_ledger(); }
-
-SpanLedger::Scope::Scope(SpanLedger* ledger) : prev_(ambient_ledger()) {
-  ambient_ledger() = ledger;
-}
-
-SpanLedger::Scope::~Scope() { ambient_ledger() = prev_; }
 
 } // namespace switchml::attr

@@ -18,10 +18,9 @@
 // tolerate away.
 //
 // Cost model, mirroring TraceSink's discipline:
-//   1. Compiled out (-DSWITCHML_ATTRIBUTION=0): every instrumentation point
-//      constant-folds to nothing — zero instructions on the hot path.
-//   2. No ledger installed (the default): one thread_local read and a branch.
-//   3. Recording: array indexing plus a handful of scalar updates. Per-node
+//   1. No ledger installed (the default): one inline thread-local load and a
+//      branch.
+//   2. Recording: array indexing plus a handful of scalar updates. Per-node
 //      state slabs are allocated once, on first use, so steady-state
 //      recording is allocation-free; finished-chunk records go into a buffer
 //      reserved up front and are dropped (and counted) beyond capacity —
@@ -32,8 +31,9 @@
 // other metric bit-identical.
 //
 // Like MetricsRegistry and TraceSink, the ledger is discovered through an
-// ambient scoped pointer (SpanLedger::Scope), so instrumentation points need
-// no plumbing and code running outside any scope pays only cost 2.
+// ambient scoped pointer (SpanLedger::Scope, common/ambient.hpp), so
+// instrumentation points need no plumbing and code running outside any scope
+// pays only cost 1.
 #pragma once
 
 #include <array>
@@ -42,16 +42,13 @@
 #include <string>
 #include <vector>
 
+#include "common/ambient.hpp"
 #include "common/units.hpp"
 
 namespace switchml::attr {
 
-// Compile-time kill switch. Building with -DSWITCHML_ATTRIBUTION=0 removes
-// every instrumentation point from the binary.
-#ifndef SWITCHML_ATTRIBUTION
-#define SWITCHML_ATTRIBUTION 1
-#endif
-inline constexpr bool kCompiledIn = SWITCHML_ATTRIBUTION != 0;
+// The ledger is always built in; only perfbench's provenance reads this.
+inline constexpr bool kCompiledIn = true;
 
 // Where a chunk's time can go. Exclusive and exhaustive: an open chunk is in
 // exactly one component at any sim time. Keep in sync with kComponentNames.
@@ -83,7 +80,10 @@ struct ChunkRecord {
   std::array<std::uint64_t, kComponentCount> ns{};
 };
 
-class SpanLedger {
+// Scope(nullptr) masks an outer ledger — the fabric uses this to keep the
+// PS-fallback replay fabric (whose node ids collide with the job's) from
+// writing into the job's ledger.
+class SpanLedger : public Ambient<SpanLedger> {
 public:
   // `record_capacity` bounds the finished-chunk buffer (reserved up front;
   // never grows). Rollup totals keep accumulating after it fills.
@@ -168,24 +168,6 @@ public:
   [[nodiscard]] std::string jsonl() const;
   void write_jsonl(const std::string& path) const;
 
-  // --- ambient ledger --------------------------------------------------------
-  [[nodiscard]] static SpanLedger* current();
-
-  // RAII installer; nests (the previous ledger is restored on destruction).
-  // Scope(nullptr) masks an outer ledger — the fabric uses this to keep the
-  // PS-fallback replay fabric (whose node ids collide with the job's) from
-  // writing into the job's ledger.
-  class Scope {
-  public:
-    explicit Scope(SpanLedger* ledger);
-    ~Scope();
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-  private:
-    SpanLedger* prev_;
-  };
-
 private:
   struct ChunkState {
     bool is_open = false;
@@ -222,53 +204,39 @@ private:
   std::uint64_t max_residual_ = 0;
 };
 
-// True when attribution is compiled in and a ledger is installed. With
-// SWITCHML_ATTRIBUTION=0 the check constant-folds to `false`, dead-coding the
-// caller's span bookkeeping.
-inline bool enabled() {
-  if constexpr (!kCompiledIn) return false;
-  return SpanLedger::current() != nullptr;
-}
+// True when a ledger is installed.
+inline bool enabled() { return SpanLedger::current() != nullptr; }
 
 // One-call instrumentation points for hot paths (cost model above).
 inline void open(std::uint32_t node, std::uint32_t slot, std::uint64_t off, Time at) {
-  if constexpr (!kCompiledIn) return;
   if (SpanLedger* l = SpanLedger::current()) l->open(node, slot, off, at);
 }
 inline void transition(std::uint32_t node, std::uint32_t slot, Component c, Time at) {
-  if constexpr (!kCompiledIn) return;
   if (SpanLedger* l = SpanLedger::current()) l->transition(node, slot, c, at);
 }
 inline void close(std::uint32_t node, std::uint32_t slot, Time at) {
-  if constexpr (!kCompiledIn) return;
   if (SpanLedger* l = SpanLedger::current()) l->close(node, slot, at);
 }
 inline void transition_matching(std::uint32_t node, std::uint32_t slot, std::uint64_t off,
                                 Component c, Time at) {
-  if constexpr (!kCompiledIn) return;
   if (SpanLedger* l = SpanLedger::current()) l->transition_matching(node, slot, off, c, at);
 }
 inline void transition_all(std::uint32_t node, Component c, Time at) {
-  if constexpr (!kCompiledIn) return;
   if (SpanLedger* l = SpanLedger::current()) l->transition_all(node, c, at);
 }
 inline void close_all(std::uint32_t node, Time at) {
-  if constexpr (!kCompiledIn) return;
   if (SpanLedger* l = SpanLedger::current()) l->close_all(node, at);
 }
 inline void contribute(std::uint32_t switch_node, std::uint32_t job, std::uint32_t ver,
                        std::uint32_t idx, std::uint32_t contributor, std::uint64_t off, Time at) {
-  if constexpr (!kCompiledIn) return;
   if (SpanLedger* l = SpanLedger::current())
     l->contribute(switch_node, job, ver, idx, contributor, off, at);
 }
 inline void complete_slot(std::uint32_t switch_node, std::uint32_t job, std::uint32_t ver,
                           std::uint32_t idx, std::uint64_t off, Time at) {
-  if constexpr (!kCompiledIn) return;
   if (SpanLedger* l = SpanLedger::current()) l->complete_slot(switch_node, job, ver, idx, off, at);
 }
 inline void sweep_switch(std::uint32_t switch_node, Component c, Time at) {
-  if constexpr (!kCompiledIn) return;
   if (SpanLedger* l = SpanLedger::current()) l->sweep_switch(switch_node, c, at);
 }
 

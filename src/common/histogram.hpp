@@ -8,13 +8,10 @@
 // above `max_value` land in a dedicated overflow bucket so they are counted,
 // never lost.
 //
-// Cost model, mirroring TraceSink's discipline:
-//   1. Compiled out (-DSWITCHML_HISTOGRAMS=0): record() constant-folds to
-//      nothing — zero instructions on the hot path.
-//   2. Compiled in (default): record() is O(1) and allocation-free — one
-//      bit_width, one shift/add index computation, five scalar updates.
-//      Percentile queries walk the (few-KB) bucket array and are meant for
-//      snapshot/export time, never the hot path.
+// Cost model: record() is O(1) and allocation-free — one bit_width, one
+// shift/add index computation, five scalar updates. Percentile queries walk
+// the (few-KB) bucket array and are meant for snapshot/export time, never
+// the hot path.
 //
 // count/sum/min/max are exact; percentiles are reported as the highest value
 // equivalent to the bucket containing the requested rank, so repeated runs
@@ -29,12 +26,8 @@
 
 namespace switchml {
 
-// Compile-time kill switch. Building with -DSWITCHML_HISTOGRAMS=0 removes
-// every record() from the binary; queries then see an empty histogram.
-#ifndef SWITCHML_HISTOGRAMS
-#define SWITCHML_HISTOGRAMS 1
-#endif
-inline constexpr bool kHistogramsCompiledIn = SWITCHML_HISTOGRAMS != 0;
+// Histograms are always built in; only perfbench's provenance reads this.
+inline constexpr bool kHistogramsCompiledIn = true;
 
 class Histogram {
 public:
@@ -57,11 +50,6 @@ public:
   void record(std::int64_t value) { record_n(value, 1); }
 
   void record_n(std::int64_t value, std::uint64_t n) {
-    if constexpr (!kHistogramsCompiledIn) {
-      (void)value;
-      (void)n;
-      return;
-    }
     if (n == 0) return;
     if (value < 0) value = 0;
     counts_[index_of(value)] += n;

@@ -24,17 +24,16 @@
 // survive, not from the packets that died.
 //
 // Cost model, mirroring the other tiers:
-//   1. Compiled out (-DSWITCHML_INT=0): every stamping point constant-folds
-//      to nothing; Packet keeps an empty vector and a zero byte.
-//   2. Compiled in, mode off (the default): one byte compare per hop.
-//   3. Phantom mode (kModePhantom): records are stamped and parsed but add
+//   1. Mode off (the default): one byte compare per hop; Packet keeps an
+//      empty vector.
+//   2. Phantom mode (kModePhantom): records are stamped and parsed but add
 //      zero wire bytes — telemetry is provably passive; every guarded metric
 //      is bit-identical to a mode-off run.
-//   4. On-wire mode (kModeOnWire): the stack is honestly charged to wire
+//   3. On-wire mode (kModeOnWire): the stack is honestly charged to wire
 //      size, NIC byte costs, and MTU/frame accounting.
 //
-// INT draws no random numbers and schedules no events in any mode; modes 1-3
-// cannot perturb simulation behavior at all, and mode 4 only through the
+// INT draws no random numbers and schedules no events in any mode; modes 1-2
+// cannot perturb simulation behavior at all, and mode 3 only through the
 // honest wire bytes.
 #pragma once
 
@@ -55,12 +54,8 @@
 
 namespace switchml::inttel {
 
-// Compile-time kill switch. Building with -DSWITCHML_INT=0 removes every
-// stamping/parsing point from the binary.
-#ifndef SWITCHML_INT
-#define SWITCHML_INT 1
-#endif
-inline constexpr bool kCompiledIn = SWITCHML_INT != 0;
+// The telemetry stack is always built in; only perfbench's provenance reads this.
+inline constexpr bool kCompiledIn = true;
 
 // Packet::int_mode values (kept as a raw byte on the packet so net/ needs no
 // enum include order).

@@ -9,11 +9,6 @@ namespace switchml {
 
 namespace {
 
-MetricsRegistry*& ambient_registry() {
-  thread_local MetricsRegistry* current = nullptr;
-  return current;
-}
-
 bool ends_with(std::string_view name, std::string_view suffix) {
   return name.size() >= suffix.size() &&
          name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0;
@@ -172,13 +167,5 @@ std::string MetricsRegistry::Snapshot::table() const {
   }
   return out.str();
 }
-
-MetricsRegistry* MetricsRegistry::current() { return ambient_registry(); }
-
-MetricsRegistry::Scope::Scope(MetricsRegistry* registry) : prev_(ambient_registry()) {
-  ambient_registry() = registry;
-}
-
-MetricsRegistry::Scope::~Scope() { ambient_registry() = prev_; }
 
 } // namespace switchml

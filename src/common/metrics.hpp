@@ -29,13 +29,16 @@
 #include <utility>
 #include <vector>
 
+#include "common/ambient.hpp"
 #include "common/histogram.hpp"
 #include "common/json.hpp"
 #include "common/stats.hpp"
 
 namespace switchml {
 
-class MetricsRegistry {
+// current() is the registry components constructed right now should register
+// into, or nullptr when none is installed; Scope installs one (ambient.hpp).
+class MetricsRegistry : public Ambient<MetricsRegistry> {
 public:
   using Sampler = std::function<std::uint64_t()>;
   using GaugeSampler = std::function<std::int64_t()>;
@@ -115,23 +118,6 @@ public:
   [[nodiscard]] const std::vector<std::pair<std::string, const Histogram*>>& histograms() const {
     return histograms_;
   }
-
-  // --- ambient registry ------------------------------------------------------
-  // The registry components constructed right now should register into, or
-  // nullptr when none is installed.
-  [[nodiscard]] static MetricsRegistry* current();
-
-  // RAII installer; nests (the previous registry is restored on destruction).
-  class Scope {
-  public:
-    explicit Scope(MetricsRegistry* registry);
-    ~Scope();
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-  private:
-    MetricsRegistry* prev_;
-  };
 
 private:
   // Records `name`, throwing if any kind already holds it.

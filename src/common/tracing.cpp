@@ -10,11 +10,6 @@ namespace switchml::trace {
 
 namespace {
 
-TraceSink*& ambient_sink() {
-  thread_local TraceSink* current = nullptr;
-  return current;
-}
-
 constexpr const char* kCategoryNames[kCategoryCount] = {"switch", "worker", "link", "transport",
                                                         "fault",  "flow"};
 
@@ -58,7 +53,8 @@ unsigned parse_mask(std::string_view names) {
 
 const char* category_name(unsigned cat) { return kCategoryNames[cat_index(cat)]; }
 
-TraceSink::TraceSink(std::size_t capacity, unsigned mask) : mask_(mask), capacity_(capacity) {
+TraceSink::TraceSink(std::size_t capacity, unsigned mask)
+    : mask_(mask & kCatAll), capacity_(capacity) {
   events_.reserve(capacity_);
 }
 
@@ -168,11 +164,5 @@ void TraceSink::write_chrome_json(const std::string& path) const {
   if (!out) throw std::runtime_error("TraceSink: cannot open '" + path + "' for writing");
   out << chrome_json() << '\n';
 }
-
-TraceSink* TraceSink::current() { return ambient_sink(); }
-
-TraceSink::Scope::Scope(TraceSink* sink) : prev_(ambient_sink()) { ambient_sink() = sink; }
-
-TraceSink::Scope::~Scope() { ambient_sink() = prev_; }
 
 } // namespace switchml::trace

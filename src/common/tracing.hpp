@@ -6,18 +6,16 @@
 // Perfetto / chrome://tracing, with sim-time timestamps.
 //
 // Cost model, from cheapest to priciest:
-//   1. Compiled out (SWITCHML_TRACE_MASK excludes the category): the emit()
-//      call constant-folds to nothing — zero instructions on the hot path.
-//   2. No sink installed (or the category runtime-disabled): one
-//      thread_local read and a branch.
-//   3. Recording: one bounds check plus a POD store into a pre-reserved
+//   1. No sink installed (or the category runtime-disabled): one inline
+//      thread-local load and a branch.
+//   2. Recording: one bounds check plus a POD store into a pre-reserved
 //      buffer — no allocation, ever. When the buffer is full the event is
 //      counted in a per-category drop counter instead, so truncation is
 //      visible in the export rather than silent.
 //
 // Like MetricsRegistry, the sink is discovered through an ambient scoped
-// pointer (TraceSink::Scope), so instrumentation points need no plumbing and
-// code running outside any scope pays only cost 2.
+// pointer (TraceSink::Scope, common/ambient.hpp), so instrumentation points
+// need no plumbing and code running outside any scope pays only cost 1.
 #pragma once
 
 #include <array>
@@ -27,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/ambient.hpp"
 #include "common/units.hpp"
 
 namespace switchml::trace {
@@ -41,15 +40,8 @@ inline constexpr unsigned kCatFlow = 1u << 5;      // per-chunk causal chains (P
 inline constexpr unsigned kCatAll = 0x3Fu;
 inline constexpr unsigned kCategoryCount = 6;
 
-// Compile-time category mask. Building with -DSWITCHML_TRACE_MASK=0 removes
-// every instrumentation point from the binary.
-#ifndef SWITCHML_TRACE_MASK
-#define SWITCHML_TRACE_MASK 0x3Fu
-#endif
-inline constexpr unsigned kCompiledMask = SWITCHML_TRACE_MASK;
-
-// True when every category in `cats` is compiled in.
-inline constexpr bool compiled_in(unsigned cats) { return (kCompiledMask & cats) == cats; }
+// Every category is always built in; only perfbench's provenance reads this.
+inline constexpr unsigned kCompiledMask = kCatAll;
 
 // Parses a comma-separated list of category names ("switch,worker,link",
 // "all") into a bitmask; throws std::invalid_argument naming the unknown
@@ -57,7 +49,7 @@ inline constexpr bool compiled_in(unsigned cats) { return (kCompiledMask & cats)
 [[nodiscard]] unsigned parse_mask(std::string_view names);
 
 // The category's lowercase name ("switch", ..., "flow"); `cat` must be a
-// single compiled-in category bit.
+// single category bit.
 [[nodiscard]] const char* category_name(unsigned cat);
 
 // One optional key/value attribute on an event. Keys must be string literals
@@ -84,10 +76,11 @@ struct Event {
   FlowPhase flow = FlowPhase::kNone;
 };
 
-class TraceSink {
+class TraceSink : public Ambient<TraceSink> {
 public:
   // `capacity` bounds the event buffer (reserved up front; never grows).
-  // `mask` runtime-enables a subset of the compiled-in categories.
+  // `mask` enables a subset of the categories; bits outside kCatAll are
+  // dropped, so an unknown category never records.
   explicit TraceSink(std::size_t capacity = 1u << 20, unsigned mask = kCatAll);
   TraceSink(const TraceSink&) = delete;
   TraceSink& operator=(const TraceSink&) = delete;
@@ -122,21 +115,6 @@ public:
   [[nodiscard]] std::string chrome_json() const;
   void write_chrome_json(const std::string& path) const;
 
-  // --- ambient sink ---------------------------------------------------------
-  [[nodiscard]] static TraceSink* current();
-
-  // RAII installer; nests (the previous sink is restored on destruction).
-  class Scope {
-  public:
-    explicit Scope(TraceSink* sink);
-    ~Scope();
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-  private:
-    TraceSink* prev_;
-  };
-
 private:
   unsigned mask_;
   std::size_t capacity_;
@@ -145,12 +123,8 @@ private:
   std::vector<std::pair<std::uint32_t, std::string>> actors_;
 };
 
-// True when `cat` is compiled in, a sink is installed, and the sink's runtime
-// mask includes `cat`. With `cat` a literal and SWITCHML_TRACE_MASK excluding
-// it, the whole check constant-folds to `false`, dead-coding the caller's
-// event-construction code.
+// True when a sink is installed and its mask includes `cat`.
 inline bool enabled(unsigned cat) {
-  if ((kCompiledMask & cat) == 0) return false;
   TraceSink* s = TraceSink::current();
   return s != nullptr && s->wants(cat);
 }
@@ -158,7 +132,6 @@ inline bool enabled(unsigned cat) {
 // One-call emission for hot paths.
 inline void emit(unsigned cat, Time ts, std::uint32_t node, const char* name, Arg a0 = {},
                  Arg a1 = {}, Arg a2 = {}) {
-  if ((kCompiledMask & cat) == 0) return;
   if (TraceSink* s = TraceSink::current(); s != nullptr && s->wants(cat))
     s->record(cat, ts, node, name, a0, a1, a2);
 }
@@ -173,7 +146,6 @@ inline constexpr std::uint64_t chunk_flow_id(std::uint32_t node, std::uint64_t o
 // One-call flow-step emission (kCatFlow) for hot paths.
 inline void emit_flow(Time ts, std::uint32_t node, const char* name, std::uint64_t flow_id,
                       FlowPhase phase) {
-  if ((kCompiledMask & kCatFlow) == 0) return;
   if (TraceSink* s = TraceSink::current(); s != nullptr && s->wants(kCatFlow))
     s->record_flow(kCatFlow, ts, node, name, flow_id, phase);
 }

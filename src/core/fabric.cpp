@@ -174,7 +174,7 @@ Fabric::Fabric(FabricConfig config) : config_(std::move(config)) {
 
 void Fabric::install_observability() {
   // The streaming-PS shape has no INT (see StreamingPsSpec).
-  if (inttel::kCompiledIn && config_.int_mode != inttel::kModeOff && !switches_.empty()) {
+  if (config_.int_mode != inttel::kModeOff && !switches_.empty()) {
     // The localizer's verdicts print node names, not raw ids.
     std::map<std::uint32_t, std::string> names;
     for (auto& w : workers_) names.emplace(w->id(), w->name());

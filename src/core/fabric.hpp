@@ -75,8 +75,7 @@ struct FabricParams {
   bool timing_only = false;
   // In-band telemetry mode for every worker's data packets (inttel::kModeOff
   // / kModePhantom / kModeOnWire). Non-off builds a fabric-wide
-  // FaultLocalizer fed by every worker's IntCollector. No effect when the
-  // telemetry stack is compiled out (SWITCHML_INT=0).
+  // FaultLocalizer fed by every worker's IntCollector.
   std::uint8_t int_mode = inttel::kModeOff;
   bool mtu_emulation = false; // §5.5: switch forwards elements beyond 32 as-is
   Time switch_latency = nsec(400);
@@ -242,7 +241,7 @@ public:
   [[nodiscard]] FaultInjector* fault_injector() { return faults_.get(); }
 
   // The online fault localizer fed by every worker's INT collector; null
-  // unless the telemetry stack is compiled in and config().int_mode != off.
+  // unless config().int_mode != off.
   [[nodiscard]] inttel::FaultLocalizer* int_localizer() { return int_localizer_.get(); }
 
   // True once any reduction on this fabric degraded to the streaming-PS

@@ -187,12 +187,7 @@ void Link::set_down() {
     for (std::uint64_t seq = d->ledger.head(); seq < d->ledger.tail(); ++seq) {
       const Record& rec = d->ledger.at(seq);
       if (!rec.deliver) continue; // lost on the wire, or delivered
-      ++d->counters.dropped_down;
-      trace::emit(trace::kCatLink, now, from_of(*d).id(), "drop_down", {"to", d->to->id()},
-                  {"slot", rec.pkt.idx}, {"bytes", rec.pkt.wire_bytes()});
-      if (std::uint32_t owner = 0; attr::enabled() && chunk_owner(rec.pkt, owner))
-        attr::transition_matching(owner, rec.pkt.idx, rec.pkt.off, attr::Component::kRtoStall,
-                                  now);
+      drop(*d, &Counters::dropped_down, "drop_down", from_of(*d), rec.pkt, now);
     }
     d->ledger.clear(); // its tail stays: stale deliveries find seq < head
     d->serializing = d->ledger.tail();
@@ -268,8 +263,23 @@ void Link::stamp_int(const Node& sender, Direction& dir, Packet& p, Time earlies
   inttel::append_record(p.int_stack, rec);
 }
 
+// One dropped packet: its counter, its `drop_*` trace event with the wire
+// bytes it had when dropped, and its chunk's stall from `stall_at` on.
+void Link::drop(Direction& dir, std::uint64_t Counters::*counter, const char* event,
+                const Node& from, const Packet& p, Time stall_at) {
+  ++(dir.counters.*counter);
+  trace::emit(trace::kCatLink, sim_.now(), from.id(), event, {"to", dir.to->id()},
+              {"slot", p.idx}, {"bytes", p.wire_bytes()});
+  if (std::uint32_t owner = 0; attr::enabled() && chunk_owner(p, owner))
+    attr::transition_matching(owner, p.idx, p.off, attr::Component::kRtoStall, stall_at);
+}
+
 void Link::transmit(const Node& sender, Direction& dir, Packet&& p, Time earliest_start) {
   const Time now = sim_.now();
+  if (down_) {
+    drop(dir, &Counters::dropped_down, "drop_down", sender, p, now);
+    return;
+  }
   Node& peer = *dir.to;
   // Span attribution: transitions are applied synchronously with the planned
   // timestamps (port-free moment, serialization start/finish), which is valid
@@ -277,29 +287,17 @@ void Link::transmit(const Node& sender, Direction& dir, Packet&& p, Time earlies
   std::uint32_t owner = 0;
   const bool attributed = attr::enabled() && chunk_owner(p, owner);
   const std::uint64_t owner_off = p.off; // captured before corrupt() can flip it
-  if (down_) {
-    ++dir.counters.dropped_down;
-    trace::emit(trace::kCatLink, now, sender.id(), "drop_down", {"to", peer.id()},
-                {"slot", p.idx}, {"bytes", p.wire_bytes()});
-    if (attributed)
-      attr::transition_matching(owner, p.idx, owner_off, attr::Component::kRtoStall, now);
-    return;
-  }
   // Drain completed serializations from the lazy ledger.
   drain(dir);
 
   // Stamp this hop's telemetry before wire_bytes() is read: in on-wire mode
   // the record's bytes are part of the frame and must be charged everywhere.
-  if (inttel::kCompiledIn && p.int_mode != inttel::kModeOff && int_stampable(p.kind))
+  if (p.int_mode != inttel::kModeOff && int_stampable(p.kind))
     stamp_int(sender, dir, p, earliest_start);
 
   const std::int64_t wire = p.wire_bytes();
   if (dir.backlog_bytes + wire > config_.queue_limit_bytes) {
-    ++dir.counters.dropped_queue;
-    trace::emit(trace::kCatLink, now, sender.id(), "drop_queue", {"to", peer.id()},
-                {"slot", p.idx}, {"bytes", wire});
-    if (attributed)
-      attr::transition_matching(owner, p.idx, owner_off, attr::Component::kRtoStall, now);
+    drop(dir, &Counters::dropped_queue, "drop_queue", sender, p, now);
     return;
   }
   trace::emit(trace::kCatLink, now, sender.id(), "enqueue", {"to", peer.id()}, {"slot", p.idx},
@@ -326,14 +324,9 @@ void Link::transmit(const Node& sender, Direction& dir, Packet&& p, Time earlies
   }
 
   if (dir.rng.chance(config_.loss_prob) || (drop_filter_ && drop_filter_(sender, rec.pkt))) {
-    ++dir.counters.dropped_loss;
-    trace::emit(trace::kCatLink, now, sender.id(), "drop_loss", {"to", peer.id()},
-                {"slot", rec.pkt.idx}, {"bytes", wire});
     // The bits left the port but never arrive; the chunk stalls from the
     // moment serialization ends until the retransmission timer acts.
-    if (attributed)
-      attr::transition_matching(owner, rec.pkt.idx, owner_off, attr::Component::kRtoStall,
-                                finish);
+    drop(dir, &Counters::dropped_loss, "drop_loss", sender, rec.pkt, finish);
     return;
   }
 
@@ -347,12 +340,7 @@ void Link::transmit(const Node& sender, Direction& dir, Packet&& p, Time earlies
       trace::emit(trace::kCatFault, now, sender.id(), "burst_begin", {"to", peer.id()});
     }
     if (dir.burst_rng->chance(dir.burst_bad ? burst_->loss_bad : burst_->loss_good)) {
-      ++dir.counters.dropped_burst;
-      trace::emit(trace::kCatLink, now, sender.id(), "drop_burst", {"to", peer.id()},
-                  {"slot", rec.pkt.idx}, {"bytes", wire});
-      if (attributed)
-        attr::transition_matching(owner, rec.pkt.idx, owner_off, attr::Component::kRtoStall,
-                                  finish);
+      drop(dir, &Counters::dropped_burst, "drop_burst", sender, rec.pkt, finish);
       return;
     }
   }

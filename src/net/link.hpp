@@ -185,6 +185,8 @@ private:
   }
   void stamp_int(const Node& sender, Direction& dir, Packet& p, Time earliest_start);
   void transmit(const Node& sender, Direction& dir, Packet&& p, Time earliest_start);
+  void drop(Direction& dir, std::uint64_t Counters::*counter, const char* event,
+            const Node& from, const Packet& p, Time stall_at);
   void deliver_event(Direction& dir, std::uint64_t seq);
   void replan(Direction& dir, BitsPerSecond old_rate);
   static void corrupt(Packet& p);

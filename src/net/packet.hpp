@@ -121,10 +121,9 @@ struct Packet {
   std::uint8_t int_mode = inttel::kModeOff;
   std::vector<std::uint8_t> int_stack;
 
-  // Wire bytes the telemetry stack adds: zero unless compiled in, in on-wire
-  // mode, and non-empty.
+  // Wire bytes the telemetry stack adds: zero unless in on-wire mode and
+  // non-empty.
   [[nodiscard]] std::uint32_t int_wire_bytes() const {
-    if constexpr (!inttel::kCompiledIn) return 0;
     if (int_mode != inttel::kModeOnWire) return 0;
     return inttel::stack_wire_bytes(int_stack);
   }

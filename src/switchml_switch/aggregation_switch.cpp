@@ -318,7 +318,7 @@ void AggregationSwitch::handle_update(net::Packet&& p) {
   const int ver = p.ver & 1;
   const std::uint32_t idx = p.idx;
   const auto n = static_cast<std::uint32_t>(job.params.n_workers);
-  if (inttel::kCompiledIn && p.int_mode != inttel::kModeOff)
+  if (p.int_mode != inttel::kModeOff)
     store_int_contribution(job, idx, wid_local, p);
 
   // --- Algorithm 3, lines 5-7: one access sets our bit for this version and
@@ -380,7 +380,7 @@ void AggregationSwitch::handle_update(net::Packet&& p) {
     reply.dst = p.src;
     reply.epoch = epoch_;
     reply.values = std::move(values);
-    if (inttel::kCompiledIn && reply.int_mode != inttel::kModeOff)
+    if (reply.int_mode != inttel::kModeOff)
       attach_int_echo(job, reply, wid_local);
     reply.seal();
     forward(std::move(reply));
@@ -490,7 +490,7 @@ void AggregationSwitch::handle_rescue(net::Packet&& p) {
   const int ver = p.ver & 1;
   const std::uint32_t idx = p.idx;
   const auto n = static_cast<std::uint32_t>(job.params.n_workers);
-  if (inttel::kCompiledIn && p.int_mode != inttel::kModeOff)
+  if (p.int_mode != inttel::kModeOff)
     store_int_contribution(job, idx, wid_local, p);
 
   // A rescue is valid only against the version's CURRENT, still-incomplete
@@ -532,13 +532,6 @@ void AggregationSwitch::handle_rescue(net::Packet&& p) {
 
 void AggregationSwitch::store_int_contribution(JobState& job, std::uint32_t idx, int wid_local,
                                                const net::Packet& p) {
-  if constexpr (!inttel::kCompiledIn) {
-    (void)job;
-    (void)idx;
-    (void)wid_local;
-    (void)p;
-    return;
-  }
   if (job.int_rx.empty())
     job.int_rx.resize(static_cast<std::size_t>(job.params.pool_size) *
                       static_cast<std::size_t>(job.params.n_workers));
@@ -569,12 +562,6 @@ inttel::IntHopRecord AggregationSwitch::int_switch_record(const JobState& job, s
 }
 
 void AggregationSwitch::attach_int_echo(const JobState& job, net::Packet& copy, int wid_local) {
-  if constexpr (!inttel::kCompiledIn) {
-    (void)job;
-    (void)copy;
-    (void)wid_local;
-    return;
-  }
   Time since = -1;
   copy.int_stack.clear();
   if (!job.int_rx.empty() && copy.idx < job.params.pool_size) {
@@ -590,7 +577,7 @@ void AggregationSwitch::attach_int_echo(const JobState& job, net::Packet& copy, 
 }
 
 void AggregationSwitch::multicast_result(const JobState& job, const net::Packet& p) {
-  if (inttel::kCompiledIn && p.int_mode != inttel::kModeOff) {
+  if (p.int_mode != inttel::kModeOff) {
     multicast(job.params.multicast_group, p, [&](net::Packet& copy, std::size_t i) {
       attach_int_echo(job, copy, static_cast<int>(i));
     });

@@ -167,13 +167,6 @@ public:
   [[nodiscard]] const dp::Pipeline& pipeline() const { return pipeline_; }
   [[nodiscard]] const AggregationConfig& config() const { return config_; }
 
-  // Latency distributions across all jobs: slot dwell (first contribution of
-  // a phase until the completing one) and the interval between consecutive
-  // version flips of a slot — the switch-side view of the §3.5 pipelining
-  // cadence.
-  [[nodiscard]] const Histogram& slot_dwell_hist() const { return slot_dwell_ns_; }
-  [[nodiscard]] const Histogram& version_flip_hist() const { return flip_interval_ns_; }
-
 private:
   // Register layout (stage assignment mirrors Appendix B: bitmap first, then
   // the counter, then the value registers spread across remaining stages).
@@ -283,6 +276,10 @@ private:
   std::map<std::uint8_t, JobState> jobs_;
   std::unique_ptr<quant::Fp16Table> fp16_table_;
   Counters counters_;
+  // Latency distributions across all jobs, read through the registry: slot
+  // dwell (first contribution of a phase until the completing one) and the
+  // interval between consecutive version flips of a slot — the switch-side
+  // view of the §3.5 pipelining cadence.
   Histogram slot_dwell_ns_;
   Histogram flip_interval_ns_;
 };

@@ -58,7 +58,7 @@ Worker::Worker(sim::Simulation& simulation, net::NodeId id, std::string name,
     reg->add_histogram(p + "recovery.resync_ns", &resync_ns_);
   }
 
-  if (inttel::kCompiledIn && config_.int_mode != inttel::kModeOff) {
+  if (config_.int_mode != inttel::kModeOff) {
     // The result path for this worker crosses exactly three stamped hops:
     // its uplink (worker -> switch), the aggregation switch itself, and the
     // downlink (switch -> worker). Pre-declare them so their series exist in

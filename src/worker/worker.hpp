@@ -64,7 +64,6 @@ struct WorkerConfig {
   // In-band telemetry mode for this worker's data packets (kModeOff /
   // kModePhantom / kModeOnWire). With a non-off mode the worker owns an
   // IntCollector that parses the stacks echoed back on its results.
-  // Meaningless unless the telemetry stack is compiled in (SWITCHML_INT).
   std::uint8_t int_mode = inttel::kModeOff;
   net::NicConfig nic;
   // Host transport: the DPDK/UDP datapath (default) or RDMA UC with the
@@ -172,17 +171,11 @@ public:
   // (Karn's rule). Used for Fig 2's right axis.
   [[nodiscard]] const Summary& rtt() const { return rtt_; }
 
-  // Same samples as fixed-memory nanosecond distributions ("<name>.rtt_ns"),
-  // plus per-reduction completion times ("<name>.completion_ns") whose
-  // spread across workers is the Fig 4 tensor-completion skew.
-  [[nodiscard]] const Histogram& rtt_hist() const { return rtt_ns_; }
-  [[nodiscard]] const Histogram& completion_hist() const { return completion_ns_; }
-
   // Current retransmission timeout (adaptive or fixed).
   [[nodiscard]] Time current_rto() const { return rto_; }
 
   // Telemetry sink for this worker's echoed INT stacks. Non-null only when
-  // the stack is compiled in AND config.int_mode != kModeOff.
+  // config.int_mode != kModeOff.
   [[nodiscard]] inttel::IntCollector* int_collector() const { return int_collector_.get(); }
   // Wires the fabric-owned fault localizer into this worker's collector
   // (no-op without a collector).
@@ -294,6 +287,10 @@ private:
   std::vector<Time> wire_pending_;
   std::size_t wire_drain_at_ = kMinWireDrain;
   Summary rtt_;
+  // Same samples as fixed-memory nanosecond distributions ("<name>.rtt_ns"),
+  // plus per-reduction completion times ("<name>.completion_ns") whose
+  // spread across workers is the Fig 4 tensor-completion skew. The benches
+  // read them through the registry.
   Histogram rtt_ns_;
   Histogram completion_ns_;
   Histogram resync_ns_;

@@ -28,10 +28,6 @@ protected:
   static constexpr std::uint64_t kOff = 32; // slot 1, first phase (off = k * idx)
   static constexpr unsigned kCats = trace::kCatSwitch | trace::kCatWorker | trace::kCatLink;
 
-  void SetUp() override {
-    if (!trace::compiled_in(kCats)) GTEST_SKIP() << "switch, worker or link tracing compiled out";
-  }
-
   ClusterConfig make_config() {
     ClusterConfig cfg;
     cfg.n_workers = 3;
@@ -70,7 +66,7 @@ protected:
       return std::optional<std::int64_t>();
     };
     const auto actor = [](std::int64_t node) {
-      return node < 100 ? "w" + std::to_string(node) : std::string("sw");
+      return node < 100 ? std::string("w") + std::to_string(node) : std::string("sw");
     };
     Walk out;
     int received = 0;
@@ -80,12 +76,12 @@ protected:
       std::string line = actor(e.node) + " " + std::string(name);
       if (e.cat == trace::kCatLink) {
         if (!name.starts_with("drop_")) continue;
-        line += " " + actor(*arg(e, "to"));
+        line.append(" ").append(actor(*arg(e, "to")));
       } else if (e.cat == trace::kCatWorker || name == "complete") {
         if (arg(e, "off") != static_cast<std::int64_t>(kOff)) continue;
       } else if (name == "dup_update" || name == "shadow_reply") {
         if (arg(e, "ver") != 0) continue; // the second phase runs on version 1
-        line += " " + actor(*arg(e, "wid"));
+        line.append(" ").append(actor(*arg(e, "wid")));
       } else {
         continue; // claims, aggregations and version flips
       }

@@ -254,7 +254,6 @@ core::ClusterConfig small_cfg(int workers) {
 constexpr std::uint64_t kElems = 128 * 1024;
 
 TEST(Attribution, CleanRunConservesWithNoStallComponents) {
-  if (!attr::kCompiledIn) GTEST_SKIP() << "attribution compiled out";
   attr::SpanLedger ledger;
   attr::SpanLedger::Scope scope(&ledger);
   core::Fabric cluster(small_cfg(4).fabric());
@@ -274,7 +273,6 @@ TEST(Attribution, CleanRunConservesWithNoStallComponents) {
 }
 
 TEST(Attribution, LossyRunConservesAndChargesRtoStall) {
-  if (!attr::kCompiledIn) GTEST_SKIP() << "attribution compiled out";
   attr::SpanLedger ledger;
   attr::SpanLedger::Scope scope(&ledger);
   core::ClusterConfig cfg = small_cfg(4);
@@ -290,7 +288,6 @@ TEST(Attribution, LossyRunConservesAndChargesRtoStall) {
 }
 
 TEST(Attribution, StragglerRunConservesAndChargesSwitchWait) {
-  if (!attr::kCompiledIn) GTEST_SKIP() << "attribution compiled out";
   attr::SpanLedger ledger;
   attr::SpanLedger::Scope scope(&ledger);
   core::ClusterConfig cfg = small_cfg(4);
@@ -305,7 +302,6 @@ TEST(Attribution, StragglerRunConservesAndChargesSwitchWait) {
 }
 
 TEST(Attribution, SwitchRestartRunConservesAndChargesRecovery) {
-  if (!attr::kCompiledIn) GTEST_SKIP() << "attribution compiled out";
   // Clean run first to place the restart mid-flight; the straggler keeps
   // slots partially aggregated (and thus vulnerable) when the wipe hits,
   // mirroring the fault_sweep hierarchy scenario.
@@ -330,7 +326,6 @@ TEST(Attribution, SwitchRestartRunConservesAndChargesRecovery) {
 }
 
 TEST(Attribution, SwitchKillFallbackConservesAndChargesFallback) {
-  if (!attr::kCompiledIn) GTEST_SKIP() << "attribution compiled out";
   Time clean_max = 0;
   {
     core::Fabric cluster(small_cfg(4).fabric());
@@ -427,19 +422,6 @@ TEST(Attribution, NoLedgerEmitsNothingAndAllocatesNothing) {
   }
   EXPECT_EQ(g_allocations.load(), before);
 }
-
-#if !SWITCHML_ATTRIBUTION
-TEST(Attribution, CompiledOutIsInertEvenWithALedgerInstalled) {
-  attr::SpanLedger ledger;
-  attr::SpanLedger::Scope scope(&ledger);
-  EXPECT_FALSE(attr::enabled());
-  attr::open(0, 0, 0, 0);
-  attr::close(0, 0, 10);
-  // The free helpers constant-folded away; only direct method calls record.
-  EXPECT_EQ(ledger.chunks_closed(), 0u);
-  EXPECT_EQ(ledger.total_ns(), 0u);
-}
-#endif
 
 } // namespace
 } // namespace switchml

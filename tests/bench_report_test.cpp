@@ -42,7 +42,7 @@ TEST(BenchReport, JsonParsesAndKeepsEveryValueAndTolerance) {
   };
   BenchReport report = make_report("unused_report.json");
   for (std::size_t i = 0; i < values.size(); ++i)
-    report.add("m" + std::to_string(i), values[i].first, values[i].second);
+    report.add(std::string("m") + std::to_string(i), values[i].first, values[i].second);
   report.info("host", "a \"quoted\"\tname");
 
   const json::Value doc = json::parse(report.json());
@@ -52,7 +52,7 @@ TEST(BenchReport, JsonParsesAndKeepsEveryValueAndTolerance) {
   const json::Object& metrics = doc.find("metrics")->as_object();
   ASSERT_EQ(metrics.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
-    EXPECT_EQ(metrics[i].first, "m" + std::to_string(i)); // insertion order
+    EXPECT_EQ(metrics[i].first, std::string("m") + std::to_string(i)); // insertion order
     const json::Value& m = metrics[i].second;
     EXPECT_TRUE(same_bits(m.find("value")->as_double(), values[i].first)) << i;
     EXPECT_TRUE(same_bits(m.find("rel_tol")->as_double(), values[i].second)) << i;

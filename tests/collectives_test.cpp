@@ -383,7 +383,6 @@ TEST(StreamingPs, AttributionConservesOnBothPlacements) {
       if (loss > 0) {
         EXPECT_GT(snap.sum(".duplicates"), 0u);
       }
-      if (!attr::kCompiledIn) continue; // the ledger records nothing
       EXPECT_EQ(ledger.max_residual_ns(), 0u);
       EXPECT_EQ(ledger.chunks_closed(), 4u * 8192 / net::kDefaultElemsPerPacket);
       EXPECT_EQ(ledger.reopened(), 0u);

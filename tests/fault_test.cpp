@@ -407,7 +407,6 @@ TEST(FaultPlanTest, HierarchyLeafRestartKeepsDataModeExact) {
 }
 
 TEST(FaultPlanTest, FaultEventsAppearInTraceSink) {
-  if (!trace::compiled_in(trace::kCatFault)) GTEST_SKIP() << "fault tracing compiled out";
   trace::TraceSink sink(1u << 16, trace::kCatAll);
   trace::TraceSink::Scope scope(&sink);
   ClusterConfig cfg = ClusterConfig::for_rate(gbps(10), 4);

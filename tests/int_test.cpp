@@ -163,8 +163,6 @@ TEST(IntWire, HeaderAccountingIsHonest) {
   p.elem_count = 366;
   EXPECT_EQ(p.wire_bytes(), 1516u); // §5.5 MTU packet
 
-  if (!inttel::kCompiledIn) GTEST_SKIP() << "telemetry compiled out (SWITCHML_INT=0)";
-
   // Phantom mode: records ride the packet object, zero bytes on the wire.
   p.int_mode = inttel::kModePhantom;
   inttel::append_record(p.int_stack, sample_record(1));
@@ -232,7 +230,6 @@ TEST(IntLink, QueueDepthAccessorsTrackTheBacklogExactly) {
 }
 
 TEST(IntLink, StampsOneRecordPerTraversal) {
-  if (!inttel::kCompiledIn) GTEST_SKIP() << "telemetry compiled out (SWITCHML_INT=0)";
   sim::Simulation sim;
   class Catcher : public net::Node {
   public:
@@ -301,13 +298,10 @@ TEST(IntModes, PhantomModeIsBitIdenticalToOff) {
   EXPECT_EQ(cluster.root().counters().completions, completions_off);
   EXPECT_EQ(cluster.worker(0).counters().updates_sent, sent_off);
   // ... while the telemetry itself flowed: every result carried a stack.
-  // (Compiled out, the identity above still holds — with no stamping at all.)
-  if (inttel::kCompiledIn) {
-    const inttel::IntCollector* col = cluster.worker(0).int_collector();
-    ASSERT_NE(col, nullptr);
-    EXPECT_GT(col->records_parsed(), 0u);
-    EXPECT_EQ(col->parse_errors(), 0u);
-  }
+  const inttel::IntCollector* col = cluster.worker(0).int_collector();
+  ASSERT_NE(col, nullptr);
+  EXPECT_GT(col->records_parsed(), 0u);
+  EXPECT_EQ(col->parse_errors(), 0u);
 }
 
 TEST(IntModes, OnWireKeepsLossFreeProtocolAndDataExact) {
@@ -343,7 +337,6 @@ TEST(IntModes, DisabledFabricRegistersNoIntSeries) {
   EXPECT_EQ(off.worker(0).int_collector(), nullptr);
   EXPECT_EQ(off.int_localizer(), nullptr);
 
-  if (!inttel::kCompiledIn) return; // compiled out: no fabric ever builds the stack
   core::Fabric on(int_config(2, inttel::kModePhantom, true).fabric());
   EXPECT_NE(on.metrics().snapshot().json().dump().find("\"int."), std::string::npos);
   EXPECT_NE(on.worker(0).int_collector(), nullptr);

@@ -371,7 +371,6 @@ TEST_F(LinkFixture, SetDownCountsOnlyPacketsStillToBeDelivered) {
   EXPECT_EQ(c.delivered_packets, 1u);
   EXPECT_EQ(link.queue_depth_pkts(a), 0);
   EXPECT_EQ(link.queue_depth_bytes(a), 0);
-  if (!trace::compiled_in(trace::kCatLink)) GTEST_SKIP() << "link tracing compiled out";
   std::vector<std::int64_t> down_slots;
   for (const trace::Event& e : sink.events())
     if (std::string_view(e.name) == "drop_down") down_slots.push_back(e.a1.value);
@@ -977,7 +976,6 @@ void expect_link_args(const trace::Event& e, NodeId from, NodeId to, std::uint32
 }
 
 TEST(LinkTrace, EnqueueAndDeliverCarryEndpointsSlotAndBytes) {
-  if (!trace::compiled_in(trace::kCatLink)) GTEST_SKIP() << "link tracing compiled out";
   sim::Simulation sim;
   SinkNode a{sim, 1, "a"}, b{sim, 2, "b"};
   LinkConfig lc;
@@ -1002,7 +1000,6 @@ TEST(LinkTrace, EnqueueAndDeliverCarryEndpointsSlotAndBytes) {
 }
 
 TEST(LinkTrace, DropLossFollowsEnqueue) {
-  if (!trace::compiled_in(trace::kCatLink)) GTEST_SKIP() << "link tracing compiled out";
   sim::Simulation sim;
   SinkNode a{sim, 1, "a"}, b{sim, 2, "b"};
   LinkConfig lc;

@@ -133,7 +133,6 @@ TEST(Recovery, RestartRacingLostResultConvergesBitExact) {
   EXPECT_EQ(cluster.worker(1).switch_epoch(), 1u);
   EXPECT_FALSE(cluster.fallback_engaged());
 
-  if (!trace::compiled_in(trace::kCatFault)) GTEST_SKIP() << "fault tracing compiled out";
   int rescue_applies = 0;
   for (const trace::Event& e : sink.events())
     rescue_applies += std::string(e.name) == "rescue_apply";
@@ -162,7 +161,6 @@ TEST(Recovery, FixedRtoBacksOffExponentiallyBeforeDeadDeclaration) {
   Fabric cluster(cfg.fabric());
   const auto tat = cluster.reduce_timing(16 * 1024);
 
-  if (!trace::compiled_in(trace::kCatFault)) GTEST_SKIP() << "fault tracing compiled out";
   // 8 consecutive timeouts with doubling: 1+2+4+...+128 = 255 ms, versus
   // 8 ms if the backoff were (still) skipped in fixed-RTO mode.
   Time dead_ts = -1;
@@ -207,7 +205,6 @@ TEST(Recovery, SwitchKillDegradesToFallbackBitExact) {
   std::uint64_t dead = 0;
   for (int w = 0; w < 4; ++w) dead += cluster.worker(w).recovery().dead_declared;
   EXPECT_GE(dead, 1u);
-  if (!trace::compiled_in(trace::kCatFault)) GTEST_SKIP() << "fault tracing compiled out";
   int dead_events = 0, fallback_begins = 0, kills = 0;
   for (const trace::Event& e : sink.events()) {
     const std::string name = e.name;
@@ -247,8 +244,6 @@ TEST(Recovery, LossyFallbackReplayDrawsItsOwnLoss) {
   ASSERT_EQ(sink.total_drops(), 0u);
   EXPECT_EQ(result.tat, (std::vector<Time>{124395008, 124395152, 124395296, 124395440}));
 
-  if (!trace::compiled_in(trace::kCatFault | trace::kCatWorker))
-    GTEST_SKIP() << "fault or worker tracing compiled out";
   // Every retransmission after fallback_begin is the replay's.
   bool replaying = false;
   int replay_retx = 0;
@@ -303,7 +298,6 @@ TEST(Recovery, TimelineDoesNotMoveFallbackTat) {
   };
   const auto untimed = run(false);
   EXPECT_EQ(run(true), untimed);
-  if (!trace::compiled_in(trace::kCatFault)) GTEST_SKIP() << "fault tracing compiled out";
   EXPECT_GE(untimed.second, 0);
 }
 

@@ -115,12 +115,9 @@ void soak_one(std::uint64_t seed) {
   }
 
   // Attribution conservation: zero by construction, so zero it stays — even
-  // across wipes, RTO churn, and the fallback handoff. A build without the
-  // ledger closes no chunk.
+  // across wipes, RTO churn, and the fallback handoff.
   EXPECT_EQ(ledger.max_residual_ns(), 0u);
-  if (attr::kCompiledIn) {
-    EXPECT_GT(ledger.chunks_closed(), 0u);
-  }
+  EXPECT_GT(ledger.chunks_closed(), 0u);
 
   // Downed links deliver nothing: no `deliver` between a flapped link's
   // endpoints strictly inside its one-shot window (endpoints excluded — a

@@ -257,13 +257,12 @@ TEST(ScenarioLoader, ValuesThatDoNotFitOrCannotRunAreRejected) {
   });
   // With INT on the wire a frame may also carry a full stack: a 4-byte shim
   // and eight 32-byte hop records.
-  if (inttel::kCompiledIn)
-    expect_edges({{"fabric",
-                   R"({"transport": "udp", "int_mode": "on_wire", "dead_after": 0,
-                       "queue_limit_bytes": 439})",
-                   R"({"transport": "udp", "int_mode": "on_wire", "dead_after": 0,
-                       "queue_limit_bytes": 440})",
-                   "$.fabric.queue_limit_bytes"}});
+  expect_edges({{"fabric",
+                 R"({"transport": "udp", "int_mode": "on_wire", "dead_after": 0,
+                     "queue_limit_bytes": 439})",
+                 R"({"transport": "udp", "int_mode": "on_wire", "dead_after": 0,
+                     "queue_limit_bytes": 440})",
+                 "$.fabric.queue_limit_bytes"}});
 }
 
 // A parameter server answers a completed slot with one result per worker,

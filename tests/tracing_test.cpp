@@ -41,7 +41,6 @@ namespace switchml {
 namespace {
 
 TEST(Tracing, RecordsEventsWithArgsInsideScope) {
-  if (!trace::compiled_in(trace::kCatWorker)) GTEST_SKIP() << "worker tracing compiled out";
   trace::TraceSink sink(128);
   trace::TraceSink::Scope scope(&sink);
   ASSERT_TRUE(trace::enabled(trace::kCatWorker));
@@ -58,7 +57,6 @@ TEST(Tracing, RecordsEventsWithArgsInsideScope) {
 }
 
 TEST(Tracing, RuntimeMaskFiltersCategories) {
-  if (!trace::compiled_in(trace::kCatWorker)) GTEST_SKIP() << "worker tracing compiled out";
   trace::TraceSink sink(128, trace::kCatWorker);
   trace::TraceSink::Scope scope(&sink);
   EXPECT_TRUE(trace::enabled(trace::kCatWorker));
@@ -72,8 +70,6 @@ TEST(Tracing, RuntimeMaskFiltersCategories) {
 }
 
 TEST(Tracing, FullBufferDropsAreCountedPerCategory) {
-  if (!trace::compiled_in(trace::kCatLink | trace::kCatSwitch))
-    GTEST_SKIP() << "link or switch tracing compiled out";
   trace::TraceSink sink(4);
   trace::TraceSink::Scope scope(&sink);
   for (int i = 0; i < 10; ++i) trace::emit(trace::kCatLink, i, 1, "enqueue");
@@ -121,7 +117,6 @@ TEST(Tracing, DisabledTracingEmitsNothingAndAllocatesNothing) {
   EXPECT_EQ(g_allocations.load(), before2);
   EXPECT_TRUE(sink.events().empty());
 
-  if (!trace::compiled_in(trace::kCatWorker)) GTEST_SKIP() << "worker tracing compiled out";
   // Recording within capacity is also allocation-free: the buffer was
   // reserved at construction and event payloads are PODs.
   trace::TraceSink hot(2048, trace::kCatAll);
@@ -133,16 +128,21 @@ TEST(Tracing, DisabledTracingEmitsNothingAndAllocatesNothing) {
   EXPECT_EQ(hot.events().size(), 1001u);
 }
 
-TEST(Tracing, CompiledMaskConstantFoldsDisabledCategories) {
-  // The build compiles all categories in by default; `enabled` must still be
-  // false for a bit outside the compiled mask even with a permissive sink.
-  trace::TraceSink sink(16);
-  trace::TraceSink::Scope scope(&sink);
-  constexpr unsigned kUnknownCat = 1u << 30; // never compiled in
-  static_assert((trace::kCompiledMask & kUnknownCat) == 0);
-  EXPECT_FALSE(trace::enabled(kUnknownCat));
-  trace::emit(kUnknownCat, 0, 1, "ghost");
-  EXPECT_TRUE(sink.events().empty());
+TEST(Tracing, UnknownCategoriesNeverRecord) {
+  // A bit outside kCatAll names no category: `enabled` is false for it and
+  // nothing records, even in a sink whose mask sets every bit (the sink
+  // keeps only the known ones).
+  constexpr unsigned kUnknownCat = 1u << 30;
+  static_assert((trace::kCatAll & kUnknownCat) == 0);
+  for (const unsigned mask : {trace::kCatAll, ~0u}) {
+    trace::TraceSink sink(16, mask);
+    trace::TraceSink::Scope scope(&sink);
+    EXPECT_FALSE(sink.wants(kUnknownCat)) << mask;
+    EXPECT_FALSE(trace::enabled(kUnknownCat)) << mask;
+    EXPECT_TRUE(trace::enabled(trace::kCatWorker)) << mask;
+    trace::emit(kUnknownCat, 0, 1, "ghost");
+    EXPECT_TRUE(sink.events().empty()) << mask;
+  }
 }
 
 TEST(Tracing, ParseMaskAcceptsCategoryNamesAndAll) {
@@ -170,7 +170,6 @@ TEST(Tracing, ParseMaskRejectsUnknownNamesWithGuidance) {
 }
 
 TEST(Tracing, FlowEventsExportChromeFlowPhases) {
-  if (!trace::compiled_in(trace::kCatFlow)) GTEST_SKIP() << "flow tracing compiled out";
   trace::TraceSink sink(64);
   trace::TraceSink::Scope scope(&sink);
   const std::uint64_t id = trace::chunk_flow_id(3, 4096);
@@ -202,9 +201,6 @@ TEST(Tracing, ChunkFlowIdSeparatesNodesAndOffsets) {
 TEST(Tracing, LossyClusterRunExportsValidChromeJson) {
   // A fig6-style lossy run: every instrumentation point fires (sends,
   // retransmits, timeouts, claims, dups, shadow replies, link drops).
-  if (!trace::compiled_in(trace::kCatWorker | trace::kCatSwitch | trace::kCatLink |
-                          trace::kCatFlow))
-    GTEST_SKIP() << "worker, switch, link or flow tracing compiled out";
   trace::TraceSink sink(1u << 16);
   trace::TraceSink::Scope scope(&sink);
   core::ClusterConfig cfg = core::ClusterConfig::for_rate(gbps(10), 4);

@@ -61,7 +61,6 @@ TEST(RdmaFraming, SyncPacketsAreHeaderOnlyMessages) {
 }
 
 TEST(RdmaFraming, ComposesWithOnWireTelemetry) {
-  if constexpr (!inttel::kCompiledIn) GTEST_SKIP() << "INT compiled out";
   Packet p = update_packet(32, TransportKind::kRdmaUc);
   p.int_mode = inttel::kModeOnWire;
   inttel::IntHopRecord rec;
