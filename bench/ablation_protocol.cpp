@@ -1,8 +1,9 @@
 // Ablation: why Algorithm 3 needs BOTH the seen bitmap and the shadow copy
 // (§3.5). We disable each in turn and run a lossy data-mode aggregation:
 //
-//  * no seen bitmap  -> retransmitted duplicates are re-aggregated, silently
-//    corrupting the sums (we count wrong elements);
+//  * no seen bitmap  -> §3.5 expects retransmitted duplicates to be
+//    re-aggregated into wrong sums (we count wrong elements); in this model
+//    the run stalls instead, and the table prints it as a deadlock;
 //  * no shadow copy  -> a lost result packet can never be recovered, so the
 //    aggregation deadlocks (we report completion within a deadline);
 //  * full protocol   -> exact and complete under the same loss pattern.

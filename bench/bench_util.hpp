@@ -3,6 +3,8 @@
 // (--fast shrinks tensors so the whole suite smoke-runs in seconds).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
@@ -10,6 +12,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -21,6 +24,7 @@
 #include "collectives/halving_doubling.hpp"
 #include "collectives/ring.hpp"
 #include "common/attribution.hpp"
+#include "common/int_telemetry.hpp"
 #include "common/json.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -28,8 +32,10 @@
 #include "common/tracing.hpp"
 #include "core/allreduce.hpp"
 #include "core/cluster.hpp"
+#include "core/fault.hpp"
 #include "core/profiles.hpp"
 #include "framework/training_sim.hpp"
+#include "scenario/scenario.hpp"
 
 namespace switchml::bench {
 
@@ -368,6 +374,130 @@ inline RateResult measure_switchml(const core::ClusterConfig& cfg, const BenchSc
                                    const Telemetry& telemetry = {}) {
   return measure_fabric(cfg.fabric(), scale, telemetry);
 }
+
+// --- scenario files ----------------------------------------------------------
+
+// What a file-driven run reports (scenario_run, fault_sweep, recovery_sweep):
+// scenario::run's TATs and outcome, plus the counters read off the fabric
+// after the last reduction.
+struct ScenarioResult : scenario::RunResult {
+  core::FaultInjector::Counters faults; // zero when the plan is empty
+  // Worker links, both directions.
+  std::uint64_t dropped_down = 0, dropped_burst = 0, burst_entries = 0;
+  // Summed over workers.
+  std::uint64_t sync_queries = 0, escalations = 0, epoch_resyncs = 0, rescues_sent = 0;
+  // The largest of the workers' own p99 resync latencies.
+  double resync_p99_ms = 0.0;
+  // Summed over switches.
+  std::uint64_t switch_restarts = 0, rescues_applied = 0;
+  // INT verdicts, when the fabric runs a fault localizer.
+  bool have_int = false;
+  std::uint64_t int_verdicts = 0;
+  std::array<std::uint64_t, inttel::FaultLocalizer::kKindCount> int_by_kind{};
+
+  // Every worker's TAT of every rep, in ms.
+  [[nodiscard]] Summary tat_ms() const {
+    Summary ms;
+    for (const auto& rep : tats)
+      for (Time t : rep) ms.add(to_msec(t));
+    return ms;
+  }
+  [[nodiscard]] Time tat_max() const {
+    Time m = 0;
+    for (const auto& rep : tats)
+      for (Time t : rep) m = std::max(m, t);
+    return m;
+  }
+};
+
+// Runs `s` with a bench's telemetry: a timeline over every rep when
+// `telemetry.timeline` asks for one, and the fabric's registry recorded in
+// `telemetry.sidecar` after the last rep. The trace sink and the span ledger
+// stay with the caller; a ledger ambient here makes the fabric register its
+// attr.* counters. Throws what scenario::run throws.
+inline ScenarioResult measure_scenario(const scenario::Scenario& s,
+                                       const Telemetry& telemetry = {}) {
+  ScenarioResult out;
+  std::optional<ScopedTimeline> timeline;
+  scenario::RunHooks hooks;
+  hooks.on_built = [&](core::Fabric& f) {
+    timeline.emplace(telemetry.timeline, f.simulation(), f.metrics(), telemetry.label);
+  };
+  hooks.on_reduction = [&](core::Fabric& f, int rep, const std::vector<Time>&) {
+    if (rep + 1 < s.workload.reductions) {
+      timeline->resume();
+      return;
+    }
+    timeline->finish_and_write();
+    if (telemetry.sidecar != nullptr) telemetry.sidecar->record(telemetry.label, f.metrics());
+    if (const core::FaultInjector* inj = f.fault_injector()) out.faults = inj->counters();
+    for (int w = 0; w < f.n_workers(); ++w) {
+      net::Link& link = f.link(static_cast<std::size_t>(w));
+      const net::Node& host = f.worker(w);
+      const net::Node& peer = link.peer_of(host);
+      for (const net::Node* end : {&host, &peer}) {
+        const net::Link::Counters& c = link.counters_from(*end);
+        out.dropped_down += c.dropped_down;
+        out.dropped_burst += c.dropped_burst;
+        out.burst_entries += c.burst_entries;
+      }
+      const auto& rc = f.worker(w).recovery();
+      out.sync_queries += rc.sync_queries;
+      out.escalations += rc.escalations;
+      out.epoch_resyncs += rc.epoch_resyncs;
+      out.rescues_sent += rc.rescues_sent;
+      if (const Histogram& h = f.worker(w).resync_hist(); h.count() > 0)
+        out.resync_p99_ms = std::max(out.resync_p99_ms, static_cast<double>(h.percentile(99)) / 1e6);
+    }
+    for (std::size_t i = 0; i < f.n_switches(); ++i) {
+      out.switch_restarts += f.switch_at(i).counters().restarts;
+      out.rescues_applied += f.switch_at(i).counters().rescues_applied;
+    }
+    if (const inttel::FaultLocalizer* loc = f.int_localizer()) {
+      out.have_int = true;
+      out.int_verdicts = loc->verdicts().size();
+      for (std::size_t k = 0; k < out.int_by_kind.size(); ++k)
+        out.int_by_kind[k] = loc->count(static_cast<inttel::FaultLocalizer::Verdict::Kind>(k));
+    }
+  };
+  static_cast<scenario::RunResult&>(out) = scenario::run(s, hooks);
+  return out;
+}
+
+// The committed scenario files a sweep runs (scenarios/, DESIGN.md §8). Each
+// file defines one run at the --fast scale; a sweep patches only its tensor
+// size and the fault times it derives from a measured reference TAT.
+struct SweepFiles {
+  std::string dir;
+  BenchScale scale;
+  bool fast = false;
+
+  // DIR/FILE at the bench's tensor size. A file that does not load ends the
+  // bench (exit 1) with the loader's message.
+  [[nodiscard]] scenario::Scenario load(const std::string& file) const {
+    try {
+      scenario::Scenario s = scenario::load_file(dir + "/" + file);
+      s.workload.tensor_elems = scale.tensor_elems;
+      return s;
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s/%s: %s\n", dir.c_str(), file.c_str(), e.what());
+      std::exit(1);
+    }
+  }
+
+  // Sets the fault time `at` that FILE holds to `derived`. At --fast the file
+  // must hold that time already; if it does not, the file and the sweep
+  // describe different runs, and the bench exits 1 naming both times.
+  void derive(const std::string& file, Time& at, Time derived) const {
+    if (fast && at != derived) {
+      std::fprintf(stderr, "%s/%s: the file's fault time is %lld ns, the sweep derives %lld ns\n",
+                   dir.c_str(), file.c_str(), static_cast<long long>(at),
+                   static_cast<long long>(derived));
+      std::exit(1);
+    }
+    at = derived;
+  }
+};
 
 // --- baselines ---------------------------------------------------------------
 

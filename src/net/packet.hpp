@@ -52,11 +52,8 @@ constexpr std::uint32_t kRdmaAppHeaderBytes = 10;
 // paper's RDMA prototype aggregates 1024-element messages).
 constexpr std::uint32_t kRdmaElemsPerMessage = 1024;
 
-#ifdef SWITCHML_DEFAULT_TRANSPORT_RDMA
-constexpr TransportKind kDefaultTransport = TransportKind::kRdmaUc;
-#else
+// The transport of a fabric or worker that names none.
 constexpr TransportKind kDefaultTransport = TransportKind::kUdp;
-#endif
 
 // "No claim at this version" marker for SmlSyncResponse's sync_off fields.
 constexpr std::uint64_t kNoClaimOff = ~0ull;

@@ -116,7 +116,7 @@ constexpr double kWireWidths[] = {1, 2, 4}; // int8, fp16, int32
 constexpr double kGbps = 1e9;
 
 // A named value. from_json reads each name as its value; to_json writes a
-// value's first name ("default" is the build's default transport).
+// value's first name.
 template <class T>
 struct Name {
   const char* name;
@@ -124,8 +124,7 @@ struct Name {
 };
 
 constexpr Name<net::TransportKind> kTransports[] = {{"udp", net::TransportKind::kUdp},
-                                                    {"rdma_uc", net::TransportKind::kRdmaUc},
-                                                    {"default", net::kDefaultTransport}};
+                                                    {"rdma_uc", net::TransportKind::kRdmaUc}};
 constexpr Name<std::uint8_t> kIntModes[] = {
     {"off", inttel::kModeOff}, {"phantom", inttel::kModePhantom}, {"on_wire", inttel::kModeOnWire}};
 constexpr Name<NicProfile> kNicProfiles[] = {{"switchml", NicProfile::kSwitchml},

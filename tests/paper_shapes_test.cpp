@@ -19,8 +19,8 @@ double switchml_ate(BitsPerSecond rate, int workers, std::uint32_t pool = 0,
                     double loss = 0.0, std::uint8_t elem_bytes = 4, bool mtu = false,
                     bool adaptive_rto = false) {
   core::ClusterConfig cfg = core::ClusterConfig::for_rate(rate, workers);
-  // These shapes are calibrated against the paper's DPDK/UDP datapath; pin it
-  // so the suite holds under -DSWITCHML_RDMA_DEFAULT=ON.
+  // These shapes are calibrated against the paper's DPDK/UDP datapath, so
+  // the suite names it.
   cfg.transport = net::TransportKind::kUdp;
   cfg.timing_only = true;
   cfg.loss_prob = loss;

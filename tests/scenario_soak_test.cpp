@@ -1,5 +1,6 @@
 // Randomized chaos soak: seeded scenario fuzzing across all five topology
-// shapes x fault classes. Every iteration pins the whole contract chain:
+// shapes x fault classes, each seed run over UDP and again over RDMA UC.
+// Every run pins the whole contract chain:
 //
 //   1. the fuzzed scenario round-trips through JSON losslessly (the run below
 //      executes the RELOADED scenario, so the serialization path is on the
@@ -53,12 +54,15 @@ Time max_tat(const RunResult& r) {
   return m;
 }
 
-void soak_one(std::uint64_t seed) {
-  SCOPED_TRACE("seed " + std::to_string(seed));
+void soak_one(std::uint64_t seed, net::TransportKind transport) {
+  SCOPED_TRACE("seed " + std::to_string(seed) +
+               (transport == net::TransportKind::kUdp ? " over UDP" : " over RDMA UC"));
 
   // The faultless twin both smoke-checks the fuzzed base scenario and sets
-  // the time horizon the fault plan is laid out against.
+  // the time horizon the fault plan is laid out against. The fuzzer names no
+  // transport, so its draws are the same on both.
   Scenario s = fuzz_scenario(seed);
+  s.fabric.transport = transport;
   const RunResult clean = run(s);
   ASSERT_TRUE(clean.data_checked);
   ASSERT_TRUE(clean.data_bit_exact);
@@ -145,8 +149,10 @@ void soak_one(std::uint64_t seed) {
 TEST(ScenarioSoak, RandomizedFaultedRunsHoldEveryInvariant) {
   const int iters = soak_iters();
   for (int i = 0; i < iters; ++i) {
-    soak_one(static_cast<std::uint64_t>(i));
-    if (HasFatalFailure()) break;
+    for (net::TransportKind t : {net::TransportKind::kUdp, net::TransportKind::kRdmaUc}) {
+      soak_one(static_cast<std::uint64_t>(i), t);
+      if (HasFatalFailure()) return;
+    }
   }
 }
 

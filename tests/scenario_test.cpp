@@ -184,6 +184,8 @@ TEST(ScenarioLoader, EveryRangeAndNameIsChecked) {
        R"({"lossless": true, "loss_prob": 0})", "$.fabric"},
       {"fabric", R"({"transport": "tcp"})", R"({"transport": "rdma_uc"})",
        "$.fabric.transport"},
+      {"fabric", R"({"transport": "default"})", R"({"transport": "udp"})",
+       "$.fabric.transport"},
       {"fabric", R"({"int_mode": "full"})", R"({"int_mode": "on_wire"})", "$.fabric.int_mode"},
       {"fabric", R"({"nic": {"profile": "cx5"}})", R"({"nic": {"profile": "ps_host"}})",
        "$.fabric.nic.profile"},

@@ -48,8 +48,8 @@ TEST(Worker, MismatchedSpansThrow) {
 
 TEST(Worker, RttSamplesArePlausible) {
   ClusterConfig c = cfg4();
-  // The RTT ceiling below is calibrated for the UDP datapath; pin it so the
-  // bound holds under -DSWITCHML_RDMA_DEFAULT=ON.
+  // The RTT ceiling below is calibrated for the UDP datapath, so the test
+  // names it.
   c.transport = net::TransportKind::kUdp;
   c.timing_only = true;
   Fabric cluster(c.fabric());
